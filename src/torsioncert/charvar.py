@@ -7,7 +7,9 @@ quadratic extension when the middle trace forces one) and in complex
 floats otherwise.  The locus machinery evaluates certificate determinants
 through symmetric powers of the lift, eliminates the extension variable
 symbolically for N = 2, and verifies the printed N = 3, 4 surfaces by
-sampling.
+sampling.  The symbolic N = 2 certificate matrix comes from the same prefix
+sweep as every other Fox Jacobian (``freegroup.fox_sweep``), run over 2 x 2
+grids of polynomials reduced modulo u^2 - z u + 1.
 """
 
 import cmath
@@ -17,11 +19,11 @@ from fractions import Fraction
 from . import scalar as _s
 from .errors import (DegenerateInput, EliminationDegenerate,
                      IrreducibilityWarning)
-from .freegroup import Alphabet, fox_derivative
+from .freegroup import Alphabet, fox_sweep
 from .linalg import Matrix, det_with_scale
-from .polynomial import (MultiPoly, factor_multiplicity, poly_matrix_det,
-                         primitive_normalize, resultant_in_u,
-                         squarefree_part)
+from .polynomial import (MultiPoly, factor_multiplicity, grid_mul,
+                         poly_matrix_det, primitive_normalize,
+                         resultant_in_u, squarefree_part)
 from .representation import Representation, SymPowerRep
 from .seeds import rng_for
 from .suturedcert import fox_matrix, pants_example
@@ -171,6 +173,7 @@ def reduce_u(p):
 
 _ZERO_P = MultiPoly.zero()
 _ONE_P = MultiPoly.constant(1)
+_SYM_ONE = [[_ONE_P, _ZERO_P], [_ZERO_P, _ONE_P]]
 _SYM_TABLE = {
     1: [[_ZERO_P, _ONE_P], [-_ONE_P, _PX]],
     -1: [[_PX, -_ONE_P], [_ONE_P, _ZERO_P]],
@@ -179,29 +182,45 @@ _SYM_TABLE = {
 }
 
 
-def _sym_mat_mul(a, b):
-    out = [[_ZERO_P, _ZERO_P], [_ZERO_P, _ZERO_P]]
-    for i in range(2):
-        for j in range(2):
-            out[i][j] = reduce_u(a[i][0] * b[0][j] + a[i][1] * b[1][j])
-    return out
+def _sym_mul(a, b):
+    return [[reduce_u(e) for e in row] for row in grid_mul(a, b)]
 
 
-def _sym_eval_word(w):
-    acc = [[_ONE_P, _ZERO_P], [_ZERO_P, _ONE_P]]
-    for l in w.letters:
-        acc = _sym_mat_mul(acc, _SYM_TABLE[l])
-    return acc
+def sym_fox_grid(data):
+    """The N = 2 certificate matrix of rank-2 ``data`` over the quotient
+    ring, as a 4 x 4 grid of polynomials."""
+    grid = [[_ZERO_P] * 4 for _ in range(4)]
+    for i, w in enumerate(data.images):
+        for j, sign, p in fox_sweep(w, _SYM_TABLE.__getitem__, _SYM_ONE,
+                                    _sym_mul):
+            for bi in range(2):
+                for bj in range(2):
+                    grid[2 * i + bi][2 * j + bj] += p[bi][bj].scale(sign)
+    return grid
 
 
-def _sym_eval_ring(e):
-    out = [[_ZERO_P, _ZERO_P], [_ZERO_P, _ZERO_P]]
-    for w, cf in e.terms.items():
-        m = _sym_eval_word(w)
-        for i in range(2):
-            for j in range(2):
-                out[i][j] = out[i][j] + m[i][j].scale(Fraction(cf))
-    return out
+def _eliminated_det(data):
+    # the certificate determinant with u eliminated, before normalization
+    if len(data.alphabet) != 2:
+        raise DegenerateInput("symbolic elimination handles rank 2 only")
+    dete = reduce_u(poly_matrix_det(sym_fox_grid(data)))
+    if dete.is_zero():
+        raise EliminationDegenerate("certificate determinant is "
+                                    "identically zero")
+    if dete.degree_in("u") == 0:
+        return dete
+    result = resultant_in_u(dete, _U_RELATION)
+    if result.is_zero():
+        raise EliminationDegenerate(
+            "resultant vanished identically; the determinant shares a "
+            "factor with the trace relation")
+    return result
+
+
+def _squarefree_locus(full):
+    if full.total_degree() == 0:
+        return _ONE_P
+    return primitive_normalize(squarefree_part(full))
 
 
 def eliminate_L2(data):
@@ -212,51 +231,17 @@ def eliminate_L2(data):
     relation, and returns the squarefree primitive normalization.  The
     pants instance must come out as the plane x + y - z - 3 up to sign.
     """
-    if len(data.alphabet) != 2:
-        raise DegenerateInput("symbolic elimination handles rank 2 only")
-    grid = [[_ZERO_P] * 4 for _ in range(4)]
-    for i, w in enumerate(data.images):
-        for j in range(2):
-            block = _sym_eval_ring(fox_derivative(w, j))
-            for bi in range(2):
-                for bj in range(2):
-                    grid[2 * i + bi][2 * j + bj] = block[bi][bj]
-    dete = reduce_u(poly_matrix_det(grid))
-    if dete.is_zero():
-        raise EliminationDegenerate("certificate determinant is "
-                                    "identically zero")
-    if dete.degree_in("u") == 0:
-        result = dete
-    else:
-        result = resultant_in_u(dete, _U_RELATION)
-        if result.is_zero():
-            raise EliminationDegenerate(
-                "resultant vanished identically; the determinant shares a "
-                "factor with the trace relation")
-    if result.total_degree() == 0:
-        return _ONE_P
-    return primitive_normalize(squarefree_part(result))
+    return _squarefree_locus(_eliminated_det(data))
 
 
 def elimination_multiplicity(data, factor=None):
     """(polynomial, multiplicity) of the u-eliminated determinant; the
     multiplicity is how many times the squarefree part divides the full
     resultant."""
-    poly = eliminate_L2(data)
+    full = _eliminated_det(data)
+    poly = _squarefree_locus(full)
     if factor is None:
         factor = poly
-    grid = [[_ZERO_P] * 4 for _ in range(4)]
-    for i, w in enumerate(data.images):
-        for j in range(2):
-            block = _sym_eval_ring(fox_derivative(w, j))
-            for bi in range(2):
-                for bj in range(2):
-                    grid[2 * i + bi][2 * j + bj] = block[bi][bj]
-    dete = reduce_u(poly_matrix_det(grid))
-    if dete.degree_in("u") == 0:
-        full = dete
-    else:
-        full = resultant_in_u(dete, _U_RELATION)
     return poly, factor_multiplicity(full, factor)
 
 

@@ -18,7 +18,7 @@ from . import scalar as _s
 from . import suturedcert as _sc
 from . import twisted as _tw
 from .errors import TorsionCertError
-from .freegroup import Alphabet, GroupRingElem, Word, fox_derivative
+from .freegroup import Alphabet, Word, fox_derivative
 from .linalg import matrix_str
 from .polynomial import laurent_str, multi_str
 from .seeds import rng_for

@@ -11,6 +11,16 @@ The Fox derivative d/dg is the Z-linear map on the group ring fixed by
     d(g)/dg = 1,   d(g^-1)/dg = -g^-1,   d(h^e)/dg = 0  (h != g),
 
 together with the product rule d(uv)/dg = du/dg + u * dv/dg.
+
+Pushed through a multiplicative map Phi, the derivatives of a word
+w = l_1 ... l_m come out of one left-to-right pass.  With P_i the image of
+the prefix of length i (P_0 the identity),
+
+    Phi(dw/dx_j) = sum of P_(i-1) over positions with l_i = x_j
+                   - sum of P_i over positions with l_i = x_j^-1,
+
+so :func:`fox_sweep` yields one signed prefix image per letter at the cost
+of one product per letter, for any ring the caller multiplies in.
 """
 
 from fractions import Fraction
@@ -226,11 +236,6 @@ class Word:
         return "Word(%r)" % str(self)
 
 
-def concat_reduce(w1, w2):
-    """Freely reduced product of two words over the same alphabet."""
-    return w1 * w2
-
-
 class GroupRingElem:
     """A finite formal sum of words with scalar coefficients.
 
@@ -433,6 +438,23 @@ def fox_derivative(w, g):
             terms[key] = terms.get(key, 0) - 1
         prefix = prefix * Word(alphabet, (l,), _reduced=True)
     return GroupRingElem(alphabet, terms)
+
+
+def fox_sweep(w, image, one, mul):
+    """The terms ``(j, sign, P)`` of every evaluated Fox derivative of
+    ``w``, one per letter in word order, as in the module docstring.
+
+    ``image(l)`` is the image of the signed letter ``l``, ``one`` that of
+    the identity, and ``mul`` the product of the ring.
+    """
+    prefix = one
+    for l in w.letters:
+        if l > 0:
+            yield l - 1, 1, prefix
+            prefix = mul(prefix, image(l))
+        else:
+            prefix = mul(prefix, image(l))
+            yield -l - 1, -1, prefix
 
 
 def fox_derivative_elem(e, g):

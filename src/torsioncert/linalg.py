@@ -232,7 +232,7 @@ def _bareiss_det(m):
                 piv = r
                 break
         if piv is None:
-            return _zero_like(a[k][k])
+            return 0
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
@@ -254,24 +254,17 @@ def _is_exact_zero(x):
     return x == 0
 
 
-def _zero_like(x):
-    return 0
-
-
 def _exact_div(num, denom):
     if denom == 1:
         return _simplify(num)
     if isinstance(num, int) and isinstance(denom, int):
+        # exact in Z for integer matrices; rational entries make the
+        # quotient exact in Q only
         q, r = divmod(num, denom)
-        assert r == 0, "Bareiss division not exact"
-        return q
+        return Fraction(num, denom) if r else q
     if isinstance(denom, _s.QuadExt):
-        return _simplify_quad(num / denom)
+        return num / denom
     return _simplify(Fraction(num) / denom if isinstance(num, int) else num / denom)
-
-
-def _simplify_quad(x):
-    return x
 
 
 def _float_det(m):

@@ -19,8 +19,10 @@ Determinants of matrices with polynomial entries are computed division-free
 coefficient kind.
 """
 
+import operator
 import re as _re
 from fractions import Fraction
+from functools import reduce
 from math import gcd as _int_gcd
 
 from . import scalar as _s
@@ -382,6 +384,13 @@ def poly_matrix_det(rows):
                     nxt[key] = term
         cur = nxt
     return cur.get((1 << n) - 1, zero)
+
+
+def grid_mul(a, b):
+    """Product of two grids (lists of rows) of ring elements, as a grid."""
+    cols = list(zip(*b))
+    return [[reduce(operator.add, map(operator.mul, row, col))
+             for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,16 @@ each generator of an alphabet.  ``sl_flag`` asserts determinant-1 images,
 which is checked at construction.
 """
 
-from fractions import Fraction
+import operator
 
 from . import linalg as _la
 from . import scalar as _s
 from .errors import (AlphabetMismatch, MixedExtension, MixedScalarKind,
                      NoRootFound, NotSL2, NotTwoByTwo, ParseError,
                      ReducibleOnly, ScalarEmbedding)
-from .freegroup import GroupRingElem, Word
+from .freegroup import GroupRingElem, Word, fox_sweep
 from .linalg import Matrix
-from .polynomial import MultiPoly, mp_gcd
+from .polynomial import MultiPoly, grid_mul, mp_gcd
 
 
 class Representation:
@@ -73,18 +73,35 @@ class Representation:
             self._inv[i] = self.images[i].inverse()
         return self._inv[i]
 
-    def eval_word(self, w):
-        """The product of generator images along the word; identity for 1."""
+    def letter_image(self, l):
+        """Image of the signed letter l: generator l - 1 or its inverse."""
+        return self.images[l - 1] if l > 0 else self.image_inverse(-l - 1)
+
+    def _check_word(self, w):
         if not isinstance(w, Word):
             raise TypeError("expected a Word")
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("word over %r, rep over %r"
                                    % (w.alphabet, self.alphabet))
+
+    def eval_word(self, w):
+        """The product of generator images along the word; identity for 1."""
+        self._check_word(w)
         out = Matrix.identity(self.n)
         for l in w.letters:
-            out = out * (self.images[l - 1] if l > 0
-                         else self.image_inverse(-l - 1))
+            out = out * self.letter_image(l)
         return out
+
+    def fox_row(self, w):
+        """The images of the Fox derivatives of w by each generator, as a
+        list of n x n blocks: the terms of :func:`fox_sweep` summed in word
+        order."""
+        self._check_word(w)
+        blocks = [Matrix.zero(self.n)] * len(self.alphabet)
+        for j, sign, p in fox_sweep(w, self.letter_image,
+                                    Matrix.identity(self.n), operator.mul):
+            blocks[j] = blocks[j] + p.scale(sign)
+        return blocks
 
     def eval_ring_elem(self, e):
         """Sum of coeff * eval_word over the terms; a ring homomorphism."""
@@ -240,13 +257,6 @@ def _horner(coeffs, y):
     return acc
 
 
-def _mat2_mul(A, B):
-    return [[A[0][0] * B[0][0] + A[0][1] * B[1][0],
-             A[0][0] * B[0][1] + A[0][1] * B[1][1]],
-            [A[1][0] * B[0][0] + A[1][1] * B[1][0],
-             A[1][0] * B[0][1] + A[1][1] * B[1][1]]]
-
-
 def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25,
                     tol=1e-12):
     """All parameters y in the grid box making a ((1,1),(0,1)), ((1,0),(y,1))
@@ -276,7 +286,7 @@ def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25,
     table = {1: A, -1: Ainv, 2: B, -2: Binv}
     acc = [[one, MultiPoly.zero()], [MultiPoly.zero(), one]]
     for l in relator.letters:
-        acc = _mat2_mul(acc, table[l])
+        acc = grid_mul(acc, table[l])
     defect = [acc[0][0] - one, acc[0][1], acc[1][0], acc[1][1] - one]
     g = MultiPoly.zero()
     for entry in defect:

@@ -11,8 +11,7 @@ enlarged alphabet and compares ranks.
 from . import linalg as _la
 from . import scalar as _s
 from .errors import AlphabetMismatch, OracleMismatch, ParseError
-from .freegroup import Alphabet, Word, fox_derivative
-from .linalg import Matrix
+from .freegroup import Alphabet, Word
 from .representation import Representation
 from .twisted import Presentation, build_complex, homology_dims
 
@@ -80,10 +79,7 @@ def fox_matrix(data, rep):
     if rep.alphabet != data.alphabet:
         raise AlphabetMismatch("representation over %r, data over %r"
                                % (rep.alphabet, data.alphabet))
-    k = len(data.alphabet)
-    blocks = [[rep.eval_ring_elem(fox_derivative(w, j)) for j in range(k)]
-              for w in data.images]
-    return _la.block_assemble(blocks)
+    return _la.block_assemble([rep.fox_row(w) for w in data.images])
 
 
 def _fresh_surface_names(ambient):

@@ -3,7 +3,9 @@ representation and a homomorphism to the infinite cyclic group.
 
 The chain groups come from a one-vertex CW structure: one 0-cell, an edge
 per generator, a face per relator.  Boundary matrices are Fox-derivative
-blocks pushed through t^phi . alpha, acting on row vectors from the left.
+blocks pushed through t^phi . alpha, acting on row vectors from the left;
+each relator's blocks come from one prefix sweep (``freegroup.fox_sweep``)
+whose ring elements are monomials t^phi(p) alpha(p).
 From the deficiency-1 case we extract the torsion polynomial ratio whose
 degree bounds the complexity of spanning surfaces, and the genus check
 comparing that degree against 4g - 2.
@@ -18,9 +20,9 @@ from .errors import (AlphabetMismatch, AllColumnsDegenerate, ChainCondition,
                      LongitudeTraceViolation, MissingGenusHint,
                      NotDeficiencyOne, NotInfiniteCyclic, OracleMismatch,
                      ParseError)
-from .freegroup import Alphabet, Word, fox_derivative
+from .freegroup import Alphabet, Word, fox_sweep
 from .linalg import Matrix
-from .polynomial import (LaurentPoly, NEG_INFINITY, laurent_str,
+from .polynomial import (LaurentPoly, NEG_INFINITY, grid_mul, laurent_str,
                          laurent_unit_match, parse_laurent, poly_matrix_det,
                          rational_degree)
 from .representation import Representation
@@ -172,44 +174,31 @@ def trivial_rep(alphabet, n=1):
                           sl_flag=(n == 2))
 
 
-# twisted evaluation: words and ring elements through t^phi . alpha
+# twisted evaluation: words and Fox derivatives through t^phi . alpha
 
-def _zero_poly_grid(n):
-    return [[LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
+def _monomial_mul(a, b):
+    # (alpha(p), phi(p)) pairs multiply as t^phi alpha does
+    return a[0] * b[0], a[1] + b[1]
 
 
-def twisted_eval(elem, rep, twist):
-    """Group-ring element through the composite of t^phi and alpha, as an
-    n x n grid of Laurent polynomials."""
+def twisted_fox_row(w, rep, twist):
+    """The Fox derivatives of w by each generator through the composite of
+    t^phi and alpha: a list of n x n grids of Laurent polynomials."""
     n = rep.n
-    out = _zero_poly_grid(n)
-    for w, c in elem.terms.items():
-        m = rep.eval_word(w)
-        shift = twist.weight(w)
+
+    def image(l):
+        weight = twist.exponents[abs(l) - 1]
+        return rep.letter_image(l), weight if l > 0 else -weight
+
+    blocks = [[[LaurentPoly.zero()] * n for _ in range(n)]
+              for _ in rep.alphabet.names]
+    for j, sign, (m, shift) in fox_sweep(w, image, (Matrix.identity(n), 0),
+                                         _monomial_mul):
+        grid = blocks[j]
         for i in range(n):
-            for j in range(n):
-                e = m[i, j]
-                if _s.is_exact(e):
-                    if e == 0:
-                        continue
-                elif abs(e) == 0.0:
-                    continue
-                out[i][j] = out[i][j] + LaurentPoly({shift: e * c})
-    return out
-
-
-def _poly_mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for l in range(1, inner):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
+            for l in range(n):
+                grid[i][l] = grid[i][l] + LaurentPoly({shift: m[i, l] * sign})
+    return blocks
 
 
 def _poly_grid_max_mag(grid):
@@ -253,9 +242,8 @@ def build_complex(pres, rep, twist=None, check=True):
     if twist is None:
         d1_blocks = [[rep.image(j) - Matrix.identity(n)] for j in range(k)]
         d1 = _la.block_assemble(d1_blocks) if k else Matrix.zero(0)
-        d2_blocks = [[rep.eval_ring_elem(fox_derivative(rel, j))
-                      for j in range(k)] for rel in pres.relators]
-        d2 = _la.block_assemble(d2_blocks) if r else None
+        d2 = _la.block_assemble([rep.fox_row(rel) for rel in pres.relators]) \
+            if r else None
         cx = TwistedComplex(d2, d1, (n, k * n, r * n), False, rep.scalar_kind)
         if check and r:
             prod = d2 * d1
@@ -275,14 +263,13 @@ def build_complex(pres, rep, twist=None, check=True):
         d1.extend(block)
     d2 = []
     for rel in pres.relators:
-        row_blocks = [twisted_eval(fox_derivative(rel, j), rep, twist)
-                      for j in range(k)]
+        row_blocks = twisted_fox_row(rel, rep, twist)
         for i in range(n):
             d2.append([row_blocks[j][i][l] for j in range(k)
                        for l in range(n)])
     cx = TwistedComplex(d2, d1, (n, k * n, r * n), True, rep.scalar_kind)
     if check and r and k:
-        prod = _poly_mat_mul(d2, d1)
+        prod = grid_mul(d2, d1)
         scale = max(1.0, k * n * _poly_grid_max_mag(d2)
                     * _poly_grid_max_mag(d1))
         for i, row in enumerate(prod):
@@ -297,19 +284,11 @@ def build_complex(pres, rep, twist=None, check=True):
 
 def twisted_eval_word_minus_one(w, rep, twist):
     """t^phi(w) alpha(w) - I as an n x n Laurent-polynomial grid."""
-    n = rep.n
     m = rep.eval_word(w)
     shift = twist.weight(w)
-    out = _zero_poly_grid(n)
-    for i in range(n):
-        for j in range(n):
-            e = m[i, j]
-            keep = not (_s.is_exact(e) and e == 0) and not \
-                (not _s.is_exact(e) and abs(e) == 0.0)
-            if keep:
-                out[i][j] = LaurentPoly({shift: e})
-            if i == j:
-                out[i][j] = out[i][j] - LaurentPoly.one()
+    out = [[LaurentPoly({shift: e}) for e in row] for row in m.entries]
+    for i in range(rep.n):
+        out[i][i] = out[i][i] - LaurentPoly.one()
     return out
 
 

@@ -59,6 +59,16 @@ class TestCertify:
                            "--char", "(2, 2, 1)", "--sym-power", "3")
         assert code == 1
 
+    def test_rational_character_with_fractional_bareiss_quotients(
+            self, capsys, tmp_path):
+        path = tmp_path / "yx.sut"
+        path.write_text("ambient: x y\nimages:\nYX\nyx\n")
+        code, out, err = run(capsys, "certify", str(path),
+                             "--char", "(-7, 2, 17/4)", "--oracle")
+        assert (code, err) == (0, "")
+        assert "is_product: true" in out
+        assert "oracle_h1: 0" in out
+
     def test_rejects_rep_and_char_together(self, capsys):
         code, _, err = run(capsys, "certify", "pants.sut",
                            "--char", "(0, 0, 0)", "--rep", "schottky.rep")

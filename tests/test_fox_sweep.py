@@ -1,0 +1,148 @@
+"""The prefix sweep against term-by-term evaluation of Fox derivatives.
+
+Every Fox Jacobian in the package comes from ``freegroup.fox_sweep``; the
+oracle here expands ``fox_derivative`` into its group-ring terms and
+evaluates each term from scratch.  Scalar blocks must agree entry for entry,
+floating ones down to the sign of zero, since the sweep performs the same
+products and sums in the same order.
+"""
+
+import operator
+from fractions import Fraction
+
+from torsioncert.charvar import Character, lift, reduce_u, sym_fox_grid
+from torsioncert.freegroup import Alphabet, Word, fox_derivative, fox_sweep
+from torsioncert.linalg import Matrix
+from torsioncert.polynomial import LaurentPoly, MultiPoly
+from torsioncert.representation import (Representation, SymPowerRep,
+                                        solve_parabolic)
+from torsioncert.scalar import ComplexF, QuadExt
+from torsioncert.seeds import rng_for
+from torsioncert.suturedcert import SuturedHandlebodyData
+from torsioncert.twisted import (AbelianizationMap, Presentation,
+                                 twisted_fox_row)
+
+from helpers import mat2_mul, random_fraction, random_sl2, random_word
+
+XY = Alphabet("x y")
+XYZ = Alphabet("x y z")
+
+
+def entries(m):
+    return [[repr(e) for e in row] for row in m.entries]
+
+
+def coefficients(grid):
+    return [[repr(sorted(p.coeffs.items())) for p in row] for row in grid]
+
+
+def random_invertible(rng, n, draw):
+    while True:
+        m = Matrix([[draw() for _ in range(n)] for _ in range(n)])
+        if m.det() != 0:
+            return m
+
+
+def scalar_reps(rng):
+    """Representations over every scalar kind, at ranks 2, 3 and 4."""
+    integer = Representation(XY, [random_sl2(rng), random_sl2(rng)])
+    fraction = Representation(XYZ, [
+        random_invertible(rng, 3, lambda: random_fraction(rng, 5, 4))
+        for _ in range(3)])
+    quad = Representation(XY, [
+        random_invertible(rng, 2, lambda: QuadExt(random_fraction(rng, 3, 2),
+                                                  random_fraction(rng, 3, 2),
+                                                  7))
+        for _ in range(2)])
+    sqrt21 = lift(Character(4, 4, 5), warn=False)
+    complexf = lift(Character(ComplexF(rng.uniform(-3, 3), rng.uniform(-1, 1)),
+                              ComplexF(rng.uniform(-3, 3)),
+                              ComplexF(rng.uniform(-3, 3), 0.5)), warn=False)
+    return [integer, fraction, quad, sqrt21, SymPowerRep(sqrt21, 3),
+            complexf, SymPowerRep(complexf, 3), SymPowerRep(complexf, 4)]
+
+
+def test_generic_sweep_in_the_integers():
+    # the rank-1 image x -> 2, y -> 3: d(xyX)/dx = 1 - xyX -> 1 - 3
+    images = {1: Fraction(2), -1: Fraction(1, 2), 2: Fraction(3),
+              -2: Fraction(1, 3)}
+    terms = list(fox_sweep(XY.word("xyX"), images.__getitem__, 1,
+                           operator.mul))
+    assert terms == [(0, 1, 1), (1, 1, 2), (0, -1, 3)]
+
+
+def test_matrix_blocks_equal_evaluated_derivatives():
+    for case in range(4):
+        rng = rng_for(41, case)
+        for rep in scalar_reps(rng):
+            for _ in range(6):
+                w = random_word(rng, rep.alphabet, 10)
+                row = rep.fox_row(w)
+                for j in range(len(rep.alphabet)):
+                    oracle = rep.eval_ring_elem(fox_derivative(w, j))
+                    assert row[j] == oracle
+                    assert entries(row[j]) == entries(oracle)
+
+
+def twisted_oracle(w, j, rep, twist):
+    # sum of c * t^phi(v) * alpha(v) over the terms c v of dw/dx_j
+    n = rep.n
+    grid = [[LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
+    for v, c in fox_derivative(w, j).terms.items():
+        m = rep.eval_word(v)
+        shift = twist.weight(v)
+        for i in range(n):
+            for l in range(n):
+                grid[i][l] = grid[i][l] + LaurentPoly({shift: m[i, l] * c})
+    return grid
+
+
+def test_twisted_blocks_equal_evaluated_derivatives():
+    ab = Alphabet("a b")
+    rng = rng_for(41, 10)
+    trefoil = Word.from_string(ab, "abaBAB")
+    parabolic = solve_parabolic(Presentation(ab, [trefoil]))
+    reps = [Representation(ab, [random_sl2(rng), random_sl2(rng)]),
+            parabolic, SymPowerRep(parabolic, 3)]
+    for rep in reps:
+        for twist in (AbelianizationMap((1, 1)), AbelianizationMap((2, -3))):
+            for w in [trefoil] + [random_word(rng, ab, 10) for _ in range(6)]:
+                row = twisted_fox_row(w, rep, twist)
+                for j in range(2):
+                    oracle = twisted_oracle(w, j, rep, twist)
+                    assert row[j] == oracle
+                    assert coefficients(row[j]) == coefficients(oracle)
+
+
+_X, _Y, _Z, _U = (MultiPoly.variable(v) for v in "xyzu")
+_ONE, _ZERO = MultiPoly.constant(1), MultiPoly.zero()
+# the lift x -> [[0, 1], [-1, x]], y -> [[y, -u], [1/u, 0]] with 1/u = z - u
+_LETTERS = {1: ((_ZERO, _ONE), (-_ONE, _X)), -1: ((_X, -_ONE), (_ONE, _ZERO)),
+            2: ((_Y, -_U), (_Z - _U, _ZERO)),
+            -2: ((_ZERO, _U), (_U - _Z, _Y))}
+
+
+def symbolic_word(w):
+    acc = ((_ONE, _ZERO), (_ZERO, _ONE))
+    for l in w.letters:
+        acc = tuple(tuple(reduce_u(e) for e in row)
+                    for row in mat2_mul(acc, _LETTERS[l]))
+    return acc
+
+
+def test_symbolic_blocks_equal_evaluated_derivatives():
+    rng = rng_for(41, 20)
+    for _ in range(12):
+        data = SuturedHandlebodyData(XY, [random_word(rng, XY, 6)
+                                          for _ in range(2)])
+        grid = sym_fox_grid(data)
+        for i, w in enumerate(data.images):
+            for j in range(2):
+                oracle = [[_ZERO, _ZERO], [_ZERO, _ZERO]]
+                for v, c in fox_derivative(w, j).terms.items():
+                    m = symbolic_word(v)
+                    for bi in range(2):
+                        for bj in range(2):
+                            oracle[bi][bj] = oracle[bi][bj] + m[bi][bj].scale(c)
+                block = [row[2 * j:2 * j + 2] for row in grid[2 * i:2 * i + 2]]
+                assert block == oracle

@@ -44,6 +44,14 @@ class TestDeterminant:
                      for _ in range(n)] for _ in range(n)]
             assert det(Matrix(rows)) == perm_det(rows)
 
+    def test_rational_entries_with_fractional_quotients(self):
+        # Bareiss quotients of rational matrices are exact in Q, not in Z:
+        # the N = 2 certificate matrix of images YX, yx at (-7, 2, 17/4)
+        q = Fraction(1, 4)
+        rows = [[-4, 0, 0, -4], [-15 * q, -q, q, -2], [2, -4, 1, 0],
+                [q, 0, 0, 1]]
+        assert det(Matrix(rows)) == perm_det(rows) == Fraction(-9, 4)
+
     def test_multiplicative(self):
         rng = rng_for(17, 2)
         for _ in range(25):

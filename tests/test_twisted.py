@@ -12,10 +12,11 @@ from torsioncert.errors import (
     NotInfiniteCyclic,
     ParseError,
 )
-from torsioncert.freegroup import Alphabet, Word, fox_derivative
+from torsioncert.freegroup import Alphabet, Word
 from torsioncert.linalg import Matrix
 from torsioncert.polynomial import (
     LaurentPoly,
+    grid_mul,
     laurent_unit_match,
     parse_laurent,
     poly_matrix_det,
@@ -31,12 +32,12 @@ from torsioncert.twisted import (
     presentation_from_text,
     presentation_to_text,
     trivial_rep,
-    twisted_eval,
     twisted_eval_word_minus_one,
+    twisted_fox_row,
     wada_torsion,
 )
 
-from helpers import random_sl2
+from helpers import random_sl2, random_word
 
 AB = Alphabet("a b")
 
@@ -116,10 +117,10 @@ class TestTwistedComplex:
         pres = trefoil()
         phi = abelianization(pres)
         rep = trivial_rep(AB, n=1)
-        from torsioncert.freegroup import GroupRingElem
-        e = GroupRingElem.from_word(Word.from_string(AB, "ab"))
-        grid = twisted_eval(e, rep, phi)
-        assert grid == [[LaurentPoly({2: Fraction(1)})]]
+        # d(ab)/da = 1 and d(ab)/db = a, which phi sends to t
+        blocks = twisted_fox_row(Word.from_string(AB, "ab"), rep, phi)
+        assert blocks == [[[LaurentPoly.one()]],
+                          [[LaurentPoly({1: Fraction(1)})]]]
 
     def test_chain_condition_holds(self):
         pres = trefoil()
@@ -139,19 +140,20 @@ class TestTwistedComplex:
 
     def test_word_minus_one_matches_fox_expansion(self):
         # Phi(w) - I = sum_j Phi(dw/dx_j) (Phi(x_j) - I) after twisting
-        pres = trefoil()
-        phi = abelianization(pres)
-        rep = trivial_rep(AB, n=1)
-        w = Word.from_string(AB, "abA")
-        lhs = twisted_eval_word_minus_one(w, rep, phi)
-        from torsioncert.freegroup import GroupRingElem
-        total = None
-        for j in range(2):
-            dj = twisted_eval(fox_derivative(w, j), rep, phi)
-            gen = twisted_eval_word_minus_one(Word(AB, (j + 1,)), rep, phi)
-            term = dj[0][0] * gen[0][0]
-            total = term if total is None else total + term
-        assert lhs[0][0] == total
+        phi = abelianization(trefoil())
+        rng = rng_for(37, 1)
+        reps = [trivial_rep(AB, n=1),
+                Representation(AB, [random_sl2(rng), random_sl2(rng)])]
+        for rep in reps:
+            gens = [twisted_eval_word_minus_one(Word(AB, (j + 1,)), rep, phi)
+                    for j in range(2)]
+            for w in [Word.from_string(AB, "abA")] + \
+                    [random_word(rng, AB, 9) for _ in range(10)]:
+                blocks = twisted_fox_row(w, rep, phi)
+                terms = [grid_mul(d, g) for d, g in zip(blocks, gens)]
+                total = [[a + b for a, b in zip(r0, r1)]
+                         for r0, r1 in zip(*terms)]
+                assert twisted_eval_word_minus_one(w, rep, phi) == total
 
 
 class TestWadaTorsion:
