@@ -41,6 +41,12 @@ ARGVS = [
     ["locus", "--N", "6", "--scan", "--samples", "5"],
     ["charlift", "(4, 4, 5)"],
     ["validate"],
+    ["certify", "pants.sut", "--char", "(1, 1, 1)", "--sym-power", "5"],
+    ["certify", "pants.sut", "--char", "(1, 1, 1)", "--oracle"],
+    ["certify", "pants.sut", "--char", "(3/2, 1, 5/2)", "--sym-power", "4",
+     "--oracle"],
+    ["charlift", "(1, 1, 1)", "--sym-power", "3"],
+    ["certify", "pants.sut", "--char", "(4, 4, 5)", "--sym-power", "6"],
 ]
 
 
