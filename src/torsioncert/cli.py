@@ -192,6 +192,8 @@ def cmd_locus(config, args):
     N = args.N
     if N < 2:
         raise TorsionCertError("--N must be at least 2")
+    if args.samples < 0:
+        raise TorsionCertError("--samples must be at least 0")
     pants = _sc.pants_example()
     if args.scan or N > 4:
         zeros = 0

@@ -250,7 +250,7 @@ def _bareiss_det(m):
 
 def _is_exact_zero(x):
     if isinstance(x, _s.QuadExt):
-        return x.a == 0 and x.b == 0
+        return not x
     return x == 0
 
 

@@ -34,7 +34,7 @@ NEG_INFINITY = float("-inf")
 
 def _coeff_is_zero(c):
     if isinstance(c, _s.QuadExt):
-        return c.a == 0 and c.b == 0
+        return not c
     if isinstance(c, _s.ComplexF):
         return c.re == 0.0 and c.im == 0.0
     return c == 0

@@ -8,6 +8,13 @@ Three scalar kinds share one zero-test contract:
   fixed squarefree discriminant d (mixing two different d is an error),
 * ``ComplexF``, IEEE double complex numbers whose operations must stay finite.
 
+A ``QuadExt`` stores four integers ``(p, q, den, d)`` with value
+(p + q*sqrt(d))/den, kept reduced: ``den > 0`` and ``gcd(p, q, den) == 1``.
+The form is unique, so equality compares integers, and arithmetic never
+builds a Fraction: results are reduced by one three-argument gcd, and the
+discriminant, checked once when a value is built from rationals, is not
+checked again.  ``a`` and ``b`` give the rational parts as Fractions.
+
 Exact kinds test zero exactly.  ComplexF tests ``|x| <= tol * scale`` where
 ``scale`` is a caller-supplied magnitude reference (say, a matrix norm) and
 ``tol`` defaults to the module tolerance, 1e-9.  The module tolerance is set
@@ -77,7 +84,8 @@ _valid_d = set()
 
 
 def _check_discriminant(d):
-    if d in _valid_d:
+    # 7.0 == 7 and hash alike: the cache must not admit a float
+    if d in _valid_d and isinstance(d, int):
         return d
     if not isinstance(d, int) or d in (0, 1):
         raise ValueError("discriminant must be a squarefree integer, not 0 or 1")
@@ -89,33 +97,47 @@ def _check_discriminant(d):
 
 
 class QuadExt:
-    """a + b*sqrt(d) with rational a, b and fixed squarefree integer d."""
+    """a + b*sqrt(d), stored as integers (p + q*sqrt(d))/den in lowest terms."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_p", "_q", "_den", "d")
 
     def __init__(self, a, b, d):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", _check_discriminant(d))
+        a, b = Fraction(a), Fraction(b)
+        den = math.lcm(a.denominator, b.denominator)
+        # a lcm of coprime pairs leaves gcd(p, q, den) == 1 already
+        _store(self, a.numerator * (den // a.denominator),
+               b.numerator * (den // b.denominator), den,
+               _check_discriminant(d))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt values are immutable")
 
+    @property
+    def a(self):
+        return Fraction(self._p, self._den)
+
+    @property
+    def b(self):
+        return Fraction(self._q, self._den)
+
     def _coerce(self, other):
+        """(p, q, den) of an operand in this field, or None."""
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise MixedExtension(
                     "cannot mix sqrt(%d) with sqrt(%d)" % (self.d, other.d))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+            return other._p, other._q, other._den
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return _add(self._p, self._q, self._den, *o, self.d)
 
     __radd__ = __add__
 
@@ -123,60 +145,61 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+        p, q, den = o
+        return _add(self._p, self._q, self._den, -p, -q, den, self.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.d)
+        return _add(*o, -self._p, -self._q, self._den, self.d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a * o.a + self.b * o.b * self.d,
-                       self.a * o.b + self.b * o.a, self.d)
+        p, q, den = o
+        sp, sq = self._p, self._q
+        return _quad(sp * p + sq * q * self.d, sp * q + sq * p,
+                     self._den * den, self.d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _quad(-self._p, -self._q, self._den, self.d)
 
     def __pos__(self):
         return self
 
     def norm(self):
         """Field norm a^2 - d*b^2 (a rational)."""
-        return self.a * self.a - self.d * self.b * self.b
+        p, q, den = self._p, self._q, self._den
+        return Fraction(p * p - self.d * q * q, den * den)
 
     def conjugate(self):
-        return QuadExt(self.a, -self.b, self.d)
+        return _quad(self._p, -self._q, self._den, self.d)
 
     def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise DivisionByZero("inverse of zero in Q(sqrt(%d))" % self.d)
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return _divide(1, 0, 1, self._p, self._q, self._den, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _divide(self._p, self._q, self._den, *o, self.d)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _divide(*o, self._p, self._q, self._den, self.d)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadExt(1, 0, self.d)
+        out = _quad(1, 0, 1, self.d)
         base = self
         while n:
             if n & 1:
@@ -187,25 +210,75 @@ class QuadExt:
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            return (self.d == other.d or (self.b == 0 and other.b == 0)) \
-                and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return (self.d == other.d or not (self._q or other._q)) \
+                and self._p == other._p and self._q == other._q \
+                and self._den == other._den
+        if isinstance(other, int):
+            return not self._q and self._den == 1 and self._p == other
+        if isinstance(other, Fraction):
+            return not self._q and self._den == other.denominator \
+                and self._p == other.numerator
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if not self._q:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self._p != 0 or self._q != 0
 
     def __str__(self):
         return scalar_str(self)
 
     def __repr__(self):
         return "QuadExt(%r, %r, %d)" % (self.a, self.b, self.d)
+
+
+_new_quad = object.__new__
+_set_p = QuadExt._p.__set__
+_set_q = QuadExt._q.__set__
+_set_den = QuadExt._den.__set__
+_set_d = QuadExt.d.__set__
+
+
+def _store(x, p, q, den, d):
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_den(x, den)
+    _set_d(x, d)
+
+
+def _quad(p, q, den, d):
+    """(p + q*sqrt(d))/den reduced; den != 0 and d already checked."""
+    if den < 0:
+        p, q, den = -p, -q, -den
+    g = math.gcd(p, q, den)
+    if g != 1:
+        p, q, den = p // g, q // g, den // g
+    x = _new_quad(QuadExt)
+    _store(x, p, q, den, d)
+    return x
+
+
+def _add(p1, q1, den1, p2, q2, den2, d):
+    """(p1 + q1*sqrt(d))/den1 + (p2 + q2*sqrt(d))/den2."""
+    if den1 == den2:
+        return _quad(p1 + p2, q1 + q2, den1, d)
+    return _quad(p1 * den2 + p2 * den1, q1 * den2 + q2 * den1, den1 * den2, d)
+
+
+def _divide(p1, q1, den1, p2, q2, den2, d):
+    """((p1 + q1*sqrt(d))/den1) / ((p2 + q2*sqrt(d))/den2).
+
+    Multiplies through by the conjugate: the divisor's norm times den2^2
+    is the integer p2^2 - d*q2^2.
+    """
+    n = p2 * p2 - d * q2 * q2
+    if n == 0:
+        raise DivisionByZero("inverse of zero in Q(sqrt(%d))" % d)
+    return _quad(den2 * (p1 * p2 - d * q1 * q2), den2 * (q1 * p2 - p1 * q2),
+                 den1 * n, d)
 
 
 class ComplexF:
@@ -342,7 +415,7 @@ def zero_test(x, tol=None, scale=1.0):
     if k == "rational":
         return x == 0
     if k == "quadext":
-        return x.a == 0 and x.b == 0
+        return not x
     if tol is None:
         tol = _tolerance
     return abs(complex(x)) <= tol * scale
@@ -423,6 +496,14 @@ _QUAD_RE = _re.compile(
     r"sqrt\(\s*(?P<d>-?\d+)\s*\))?$")
 
 
+def _fraction(text, literal):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError("zero denominator in scalar literal %r"
+                         % literal) from None
+
+
 def parse_scalar(text, kind=None):
     """Parse a scalar literal; ``kind`` forces one grammar when given.
 
@@ -443,21 +524,21 @@ def parse_scalar(text, kind=None):
     if kind == "rational":
         if not _RATIONAL_RE.match(s):
             raise ParseError("bad rational literal %r" % text)
-        return Fraction(s)
+        return _fraction(s, text)
     if kind == "quadext":
         compact = s.replace(" ", "")
         if "sqrt" not in compact:
             # rationally embedded entry; the matrix layer promotes it
             if not _RATIONAL_RE.match(compact):
                 raise ParseError("bad quadratic literal %r" % text)
-            return Fraction(compact)
+            return _fraction(compact, text)
         m = _QUAD_RE.match(compact)
         if not m or (m.group("a") is None and m.group("d") is None):
             raise ParseError("bad quadratic literal %r" % text)
-        a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
+        a = _fraction(m.group("a"), text) if m.group("a") else Fraction(0)
         if m.group("d") is None:
             raise ParseError("quadratic literal %r lacks a sqrt part" % text)
-        b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+        b = _fraction(m.group("b"), text) if m.group("b") else Fraction(1)
         if m.group("sign") == "-":
             b = -b
         try:

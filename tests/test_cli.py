@@ -131,6 +131,14 @@ class TestLocus:
         code, _, err = run(capsys, "locus", "--N", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--N", "2"], ["--N", "3"],
+                                      ["--N", "6", "--scan"]], ids=" ".join)
+    def test_negative_samples_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "locus", *argv, "--samples", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --samples must be at least 0\n"
+
 
 class TestCharlift:
     def test_quadext_lift(self, capsys):
@@ -149,6 +157,41 @@ class TestCharlift:
         code, out, _ = run(capsys, "charlift", "(3, 3, 3)", "--sym-power", "3")
         assert code == 0
         assert "sym3_image_x" in out
+
+
+MALFORMED_LITERALS = ["1/0", "0/0", "1+1/0*sqrt(2)", "sqrt(4)", "sqrt(1)",
+                      "1//2", "", "1e999"]
+
+
+def _literal_kind(text):
+    if "sqrt" in text:
+        return "quadext"
+    return "complex" if "e" in text else "rational"
+
+
+class TestMalformedLiterals:
+    """A bad scalar literal anywhere exits 2 with a one-line error."""
+
+    @pytest.mark.parametrize("route", ["certify --char", "charlift", ".rep"])
+    @pytest.mark.parametrize("literal", MALFORMED_LITERALS)
+    def test_exit_two_with_one_error_line(self, capsys, tmp_path, literal,
+                                          route):
+        if route == ".rep":
+            rep = tmp_path / "bad.rep"
+            rep.write_text("alphabet: x y\nscalar: %s\nsl: false\n"
+                           "x: %s,0;0,1\ny: 1,0;0,1\n"
+                           % (_literal_kind(literal), literal))
+            argv = ["certify", "pants.sut", "--rep", str(rep)]
+        elif route == "charlift":
+            argv = ["charlift", "(%s, 1, 2)" % literal]
+        else:
+            argv = ["certify", "pants.sut", "--char", "(%s, 1, 2)" % literal]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestValidate:

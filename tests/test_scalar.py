@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from torsioncert.errors import DivisionByZero, MixedExtension, NonFinite
+from torsioncert import scalar as scalar_module
+from torsioncert.errors import (DivisionByZero, MixedExtension, NonFinite,
+                               ParseError)
 from torsioncert.scalar import (
     ComplexF,
     QuadExt,
@@ -75,6 +77,11 @@ class TestQuadExt:
             QuadExt(2, 0, 5) + QuadExt(1, 1, -3)
         assert QuadExt(2, 0, 5) + Fraction(1) == QuadExt(3, 0, 5)
 
+    def test_discriminant_must_be_an_int_even_when_cached(self):
+        QuadExt(1, 1, 7)
+        with pytest.raises(ValueError):
+            QuadExt(1, 1, 7.0)
+
     def test_rational_embedding_eq_hash(self):
         assert QuadExt(Fraction(3, 2), 0, 5) == Fraction(3, 2)
         assert hash(QuadExt(2, 0, -3)) == hash(Fraction(2))
@@ -84,6 +91,162 @@ class TestQuadExt:
         assert to_complex(x) == pytest.approx(1 + 2 * math.sqrt(5))
         y = QuadExt(0, 1, -3)
         assert to_complex(y) == pytest.approx(1j * math.sqrt(3))
+
+
+# -- QuadExt against a Fraction-pair reference ------------------------------
+
+def _ref_mul(x, y, d):
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_norm(x, d):
+    return x[0] * x[0] - d * x[1] * x[1]
+
+
+def _ref_inverse(x, d):
+    n = _ref_norm(x, d)
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_pow(x, n, d):
+    if n < 0:
+        x, n = _ref_inverse(x, d), -n
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = _ref_mul(out, x, d)
+    return out
+
+
+def _ref_str(x, d):
+    a, b = x
+    if b == 0:
+        return str(a)
+    root = "sqrt(%d)" % d
+    bpart = root if abs(b) == 1 else "%s*%s" % (abs(b), root)
+    if a == 0:
+        return bpart if b > 0 else "-" + bpart
+    return "%s %s %s" % (a, "+" if b > 0 else "-", bpart)
+
+
+def _pair(v):
+    """A rational operand as a Fraction pair."""
+    return (Fraction(v), Fraction(0))
+
+
+def _check(x, ref, d):
+    """x equals the reference pair and keeps the stored invariants."""
+    assert isinstance(x, QuadExt) and x.d == d
+    p, q, den = x._p, x._q, x._den
+    assert type(p) is int and type(q) is int and type(den) is int
+    assert den > 0 and math.gcd(p, q, den) == 1
+    assert (x.a, x.b) == ref
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert bool(x) == (ref != (0, 0))
+    assert str(x) == _ref_str(ref, d)
+    assert repr(x) == "QuadExt(%r, %r, %d)" % (ref[0], ref[1], d)
+    assert hash(x) == (hash(ref[0]) if ref[1] == 0
+                       else hash((ref[0], ref[1], d)))
+
+
+def _random_pair(rng):
+    # zeros often enough to hit the rational embedding and zero itself
+    a = random_fraction(rng) if rng.random() < 0.8 else Fraction(0)
+    b = random_fraction(rng) if rng.random() < 0.7 else Fraction(0)
+    return (a, b)
+
+
+def _random_rational(rng):
+    return rng.choice([rng.randint(-9, 9), random_fraction(rng)])
+
+
+@pytest.mark.parametrize("d", [-3, -1, 2, 5, 21])
+class TestQuadExtAgainstFractionPairs:
+    def test_construction(self, d):
+        rng = rng_for(12, d)
+        for _ in range(60):
+            ref = _random_pair(rng)
+            _check(QuadExt(*ref, d), ref, d)
+            _check(QuadExt(str(ref[0]), ref[1].limit_denominator(), d),
+                   ref, d)
+
+    def test_binary_operations(self, d):
+        rng = rng_for(13, d)
+        for _ in range(60):
+            xr, yr = _random_pair(rng), _random_pair(rng)
+            x, y = QuadExt(*xr, d), QuadExt(*yr, d)
+            _check(x + y, (xr[0] + yr[0], xr[1] + yr[1]), d)
+            _check(x - y, (xr[0] - yr[0], xr[1] - yr[1]), d)
+            _check(x * y, _ref_mul(xr, yr, d), d)
+            if yr != (0, 0):
+                _check(x / y, _ref_mul(xr, _ref_inverse(yr, d), d), d)
+            else:
+                with pytest.raises(DivisionByZero):
+                    x / y
+            assert (x == y) == (xr == yr)
+            assert (x != y) == (xr != yr)
+
+    def test_rational_operands_on_either_side(self, d):
+        rng = rng_for(14, d)
+        for _ in range(60):
+            xr, v = _random_pair(rng), _random_rational(rng)
+            x, vr = QuadExt(*xr, d), _pair(v)
+            _check(x + v, (xr[0] + v, xr[1]), d)
+            _check(v + x, (xr[0] + v, xr[1]), d)
+            _check(x - v, (xr[0] - v, xr[1]), d)
+            _check(v - x, (v - xr[0], -xr[1]), d)
+            _check(x * v, _ref_mul(xr, vr, d), d)
+            _check(v * x, _ref_mul(vr, xr, d), d)
+            if v != 0:
+                _check(x / v, _ref_mul(xr, _ref_inverse(vr, d), d), d)
+            else:
+                with pytest.raises(DivisionByZero):
+                    x / v
+            if xr != (0, 0):
+                _check(v / x, _ref_mul(vr, _ref_inverse(xr, d), d), d)
+            else:
+                with pytest.raises(DivisionByZero):
+                    v / x
+            assert (x == v) == (xr == vr)
+            assert (v == x) == (xr == vr)
+            if xr[1] == 0:
+                assert x == xr[0] and hash(x) == hash(xr[0])
+
+    def test_unary_operations_and_powers(self, d):
+        rng = rng_for(15, d)
+        for _ in range(60):
+            xr = _random_pair(rng)
+            x = QuadExt(*xr, d)
+            _check(-x, (-xr[0], -xr[1]), d)
+            assert +x is x
+            _check(x.conjugate(), (xr[0], -xr[1]), d)
+            n = x.norm()
+            assert type(n) is Fraction and n == _ref_norm(xr, d)
+            for e in range(0, 5):
+                _check(x ** e, _ref_pow(xr, e, d), d)
+            if xr == (0, 0):
+                with pytest.raises(DivisionByZero):
+                    x.inverse()
+                continue
+            _check(x.inverse(), _ref_inverse(xr, d), d)
+            for e in range(-3, 0):
+                _check(x ** e, _ref_pow(xr, e, d), d)
+
+    def test_arithmetic_builds_no_fraction(self, d, monkeypatch):
+        rng = rng_for(16, d)
+        pairs = [_random_pair(rng) for _ in range(20)]
+        values = [QuadExt(*r, d) for r in pairs]
+
+        class NoFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("Fraction built in QuadExt arithmetic")
+
+        monkeypatch.setattr(scalar_module, "Fraction", NoFraction)
+        for x, xr, y, yr in zip(values, pairs, values[1:], pairs[1:]):
+            out = [x + y, x - y, x * y, -x, x.conjugate(), x ** 3,
+                   x + 2, 3 - x, 2 * x, x * -5]
+            if yr != (0, 0):
+                out += [x / y, y.inverse(), y ** -2, 7 / y]
+            assert all(isinstance(v, QuadExt) for v in out)
 
 
 class TestSqrtDecompose:
@@ -129,6 +292,18 @@ class TestComplexF:
         a = ComplexF(2.0, -1.0)
         assert complex(a.conjugate()) == complex(2, 1)
         assert complex(a * a.inverse()) == pytest.approx(1 + 0j)
+
+
+class TestParseScalar:
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0",
+                                      "1+1/0*sqrt(2)", "1/0+sqrt(2)"])
+    def test_zero_denominator_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_scalar(text)
+
+    def test_zero_denominator_under_a_forced_kind(self):
+        with pytest.raises(ParseError):
+            parse_scalar("2/0", kind="quadext")
 
 
 class TestHelpers:
