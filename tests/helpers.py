@@ -80,3 +80,12 @@ def random_word(rng, alphabet, max_len=8):
 
 def random_fraction(rng, num=12, den=6):
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+
+def two_bridge_relator(p, q):
+    """Letters of the two-bridge relator a w b^-1 w^-1 of K(p/q) over the
+    generators a = 1, b = 2, where w = b^e1 a^e2 b^e3 ... has i-th exponent
+    e_i = (-1)^floor(i q / p) for 0 < i < p."""
+    w = [(-1 if (i * q // p) % 2 else 1) * (2 if i % 2 else 1)
+         for i in range(1, p)]
+    return tuple([1] + w + [-2] + [-l for l in reversed(w)])
