@@ -22,7 +22,7 @@ from .errors import (DegenerateInput, EliminationDegenerate,
 from .freegroup import Alphabet, fox_sweep
 from .linalg import Matrix, det_with_scale
 from .polynomial import (MultiPoly, factor_multiplicity, grid_mul,
-                         poly_matrix_det, primitive_normalize,
+                         newton_polish, poly_matrix_det, primitive_normalize,
                          resultant_in_u, squarefree_part)
 from .representation import Representation, SymPowerRep
 from .seeds import rng_for
@@ -323,26 +323,8 @@ def _z_root_candidates(poly, xv, yv):
     roots = list(numpy.roots(coeffs))
     low_first = coeffs[::-1]
     deriv = [k * c for k, c in enumerate(low_first)][1:]
-
-    def horner(cs, v):
-        acc = 0j
-        for cf in reversed(cs):
-            acc = acc * v + cf
-        return acc
-
-    polished = []
-    for r in roots:
-        z = complex(r)
-        for _ in range(40):
-            dv = horner(deriv, z)
-            if dv == 0:
-                break
-            step = horner(low_first, z) / dv
-            z -= step
-            if abs(step) < 1e-14 * max(1.0, abs(z)):
-                break
-        polished.append(z)
-    return polished
+    return [newton_polish(low_first, deriv, complex(r), 40, 1e-14)
+            for r in roots]
 
 
 def _eval_xy(p, xv, yv):

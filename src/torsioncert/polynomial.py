@@ -12,11 +12,16 @@ exponent).
 Multivariate polynomials keep exact rational coefficients only, since the
 locus identities they exist to express are exact.  Elimination of u goes
 through Sylvester resultants; the squarefree/content normalization uses a
-primitive-PRS gcd, the only factorization machinery in the package.
+primitive-PRS gcd which, with its integer twin for dense polynomials below,
+is the only factorization machinery in the package.
 
 Determinants of matrices with polynomial entries are computed division-free
 (dynamic programming over column subsets), which treats t exactly for every
 coefficient kind.
+
+Dense univariate polynomials (coefficient lists, low degree first) serve
+the root finders: an integer primitive-PRS gcd for the Riley polynomial,
+one Newton polish, and a Horner root test with a rounding-error bound.
 """
 
 import operator
@@ -843,3 +848,101 @@ def factor_multiplicity(p, factor):
         except InexactDivision:
             return m
         m += 1
+
+
+# ---------------------------------------------------------------------------
+# dense univariate polynomials: coefficient lists, low degree first
+
+def _int_primitive(a):
+    # a nonzero and trimmed: divide out the content, leading coefficient > 0
+    c = 0
+    for x in a:
+        c = _int_gcd(c, x)
+    if a[-1] < 0:
+        c = -c
+    return [x // c for x in a]
+
+
+def _int_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def int_poly_gcd(a, b):
+    """Primitive-PRS gcd of two integer polynomials given as coefficient
+    lists, low degree first; primitive with positive leading coefficient,
+    ``[]`` when both are zero."""
+    a, b = _int_trim(list(a)), _int_trim(list(b))
+    if not b:
+        return _int_primitive(a) if a else []
+    if not a:
+        return _int_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _int_primitive(a), _int_primitive(b)
+    n, lb = len(b) - 1, b[-1]
+    while True:
+        # pseudo-remainder of a by b: each round cancels the top coefficient
+        r = a
+        while len(r) > n:
+            lr, shift = r[-1], len(r) - 1 - n
+            r = [lb * x for x in r]
+            for i, x in enumerate(b):
+                r[shift + i] -= lr * x
+            _int_trim(r)
+        if not r:
+            return b
+        a, b = b, _int_primitive(r)
+        n, lb = len(b) - 1, b[-1]
+
+
+def newton_polish(coeffs, dcoeffs, y, steps, rtol):
+    """Newton iteration from ``y`` on the complex polynomial ``coeffs`` with
+    derivative ``dcoeffs`` (both low degree first).
+
+    Stops after ``steps`` steps, at a zero derivative, or once a step falls
+    below ``rtol * max(1, |y|)``.  The Horner loops are written out here: a
+    function call per evaluation costs about a third more.
+    """
+    rc, rd = coeffs[::-1], dcoeffs[::-1]
+    for _ in range(steps):
+        dv = 0j
+        for c in rd:
+            dv = dv * y + c
+        if dv == 0:
+            break
+        v = 0j
+        for c in rc:
+            v = v * y + c
+        step = v / dv
+        y = y - step
+        if abs(step) < rtol * max(1.0, abs(y)):
+            break
+    return y
+
+
+# unit roundoff of IEEE double precision
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def horner_within_rounding(coeffs, y):
+    """Whether the Horner value of ``coeffs`` (complex, low degree first) at
+    ``y`` is within its rounding-error bound gamma_4n * sum |c_i| |y|^i, so
+    y is an exact root of a polynomial whose coefficients differ from
+    ``coeffs`` by relative amounts below 2 gamma_4n.
+
+    Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed.),
+    5.1: Horner's rule in degree n computes g(y) with error at most
+    gamma_2n * sum |c_i| |y|^i in real arithmetic.  A complex product is
+    exact to a factor 1 + delta with |delta| <= sqrt(2) gamma_2 (3.6),
+    below gamma_3, so complex Horner has gamma_4n in place of gamma_2n.
+    """
+    v = 0j
+    mag = 0.0
+    ay = abs(y)
+    for c in reversed(coeffs):
+        v = v * y + c
+        mag = mag * ay + abs(c)
+    nu = 4 * (len(coeffs) - 1) * _UNIT_ROUNDOFF
+    return abs(v) <= nu / (1 - nu) * mag

@@ -9,6 +9,7 @@ which is checked at construction.
 """
 
 import operator
+from itertools import product
 
 from . import linalg as _la
 from . import scalar as _s
@@ -17,7 +18,7 @@ from .errors import (AlphabetMismatch, MixedExtension, MixedScalarKind,
                      ReducibleOnly, ScalarEmbedding)
 from .freegroup import GroupRingElem, Word, fox_sweep
 from .linalg import Matrix
-from .polynomial import MultiPoly, grid_mul, mp_gcd
+from .polynomial import horner_within_rounding, int_poly_gcd, newton_polish
 
 
 class Representation:
@@ -240,31 +241,58 @@ def check_self_dual(rep):
 
 # parabolic solving
 
-def _poly_from_multipoly(p):
-    # univariate in the u slot -> dense complex coefficient list, low first
-    deg = p.degree_in("u")
-    out = [0j] * (deg + 1)
-    for ex, c in p.terms.items():
-        assert ex[0] == ex[1] == ex[2] == 0
-        out[ex[3]] += complex(c)
+def _add_shifted(a, b, sign, shift):
+    # a + sign * y^shift * b on integer coefficient lists, low degree first
+    out = a + [0] * (len(b) + shift - len(a))
+    for i, x in enumerate(b):
+        out[i + shift] += sign * x
     return out
 
 
-def _horner(coeffs, y):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * y + c
-    return acc
+def riley_polynomial(relator):
+    """The gcd of the four entries of R - I, where R is the image of the
+    relator under a -> ((1,1),(0,1)), b -> ((1,0),(y,1)).
+
+    Integer coefficients, low degree first, primitive with positive leading
+    coefficient; ``[]`` when the relator dies identically.
+    """
+    # the running product as two columns (m00, m10) and (m01, m11); a letter
+    # multiplies on the right, which is one column operation
+    m00, m01, m10, m11 = [1], [0], [0], [1]
+    for l in relator.letters:
+        if l in (1, -1):
+            # a^+-1: col2 +-= col1
+            m01 = _add_shifted(m01, m00, l, 0)
+            m11 = _add_shifted(m11, m10, l, 0)
+        else:
+            # b^+-1: col1 +-= y col2
+            m00 = _add_shifted(m00, m01, l // 2, 1)
+            m10 = _add_shifted(m10, m11, l // 2, 1)
+    g = []
+    for entry in (_add_shifted(m00, [1], -1, 0), m01, m10,
+                  _add_shifted(m11, [1], -1, 0)):
+        g = int_poly_gcd(g, entry)
+    return g
 
 
-def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25,
-                    tol=1e-12):
+def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25):
     """All parameters y in the grid box making a ((1,1),(0,1)), ((1,0),(y,1))
     pair kill the relator, sorted by (real, imaginary).
 
-    The relator defect entries are exact integer polynomials in y; their gcd
-    is the Riley-style root polynomial, scanned on the grid and polished by
-    Newton iteration with the exact derivative.
+    The roots are those of the Riley polynomial g, the gcd of the relator
+    defect entries (:func:`riley_polynomial`); g divides every entry, so a
+    root of g kills the relator.  Newton iteration with the exact
+    derivative runs from each grid start in turn.  An iterate is kept if it
+    lies in the box, is not within 1e-7 of a kept root, and its Horner
+    value is within the rounding-error bound of Horner's rule
+    (:func:`~torsioncert.polynomial.horner_within_rounding`), so iterates
+    that never converged are dropped.  The scan stops once it has kept as
+    many roots as g has distinct roots, deg g - deg gcd(g, g'), counted
+    exactly.
+
+    The scan stays in pure Python rather than ``numpy.roots``: importing
+    numpy alone takes about 0.1 s, which ``torsion --parabolic`` never pays
+    otherwise, and the roots here are pinned to the bit.
     """
     alphabet = pres.alphabet
     if len(alphabet) < 2:
@@ -277,51 +305,32 @@ def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25,
         raise ValueError("generators are not both meridional "
                          "(relator exponent sums %r)" % (es,))
 
-    one = MultiPoly.constant(1)
-    yvar = MultiPoly.variable("u")
-    A = [[one, one], [MultiPoly.zero(), one]]
-    Ainv = [[one, -one], [MultiPoly.zero(), one]]
-    B = [[one, MultiPoly.zero()], [yvar, one]]
-    Binv = [[one, MultiPoly.zero()], [-yvar, one]]
-    table = {1: A, -1: Ainv, 2: B, -2: Binv}
-    acc = [[one, MultiPoly.zero()], [MultiPoly.zero(), one]]
-    for l in relator.letters:
-        acc = grid_mul(acc, table[l])
-    defect = [acc[0][0] - one, acc[0][1], acc[1][0], acc[1][1] - one]
-    g = MultiPoly.zero()
-    for entry in defect:
-        g = mp_gcd(g, entry)
-    if g.is_zero():
+    g = riley_polynomial(relator)
+    if not g:
         # relator dies identically; any irreducible parameter works
-        g = yvar
-    if g.degree_in("u") == 0:
+        g = [0, 1]
+    if len(g) == 1:
         raise NoRootFound("defect polynomials share no root")
+    dg = [i * c for i, c in enumerate(g)][1:]
+    distinct = len(g) - len(int_poly_gcd(g, dg))
 
-    coeffs = _poly_from_multipoly(g)
+    coeffs = [complex(c) for c in g]
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    defect_polys = [_poly_from_multipoly(e) for e in defect]
-
     roots = []
     steps = int(round((grid_hi - grid_lo) / grid_step)) + 1
-    for ri in range(steps):
-        for ii in range(steps):
-            y = complex(grid_lo + ri * grid_step, grid_lo + ii * grid_step)
-            for _ in range(80):
-                dv = _horner(dcoeffs, y)
-                if dv == 0:
-                    break
-                step = _horner(coeffs, y) / dv
-                y = y - step
-                if abs(step) < 1e-15 * max(1.0, abs(y)):
-                    break
-            if not (grid_lo - 1e-6 <= y.real <= grid_hi + 1e-6 and
-                    grid_lo - 1e-6 <= y.imag <= grid_hi + 1e-6):
-                continue
-            if max(abs(_horner(p, y)) for p in defect_polys) > \
-                    max(1.0, abs(y)) ** len(relator) * 1e-10:
-                continue
-            if not any(abs(y - r) < 1e-7 for r in roots):
-                roots.append(y)
+    for ri, ii in product(range(steps), repeat=2):
+        y = newton_polish(coeffs, dcoeffs,
+                          complex(grid_lo + ri * grid_step,
+                                  grid_lo + ii * grid_step), 80, 1e-15)
+        if not (grid_lo - 1e-6 <= y.real <= grid_hi + 1e-6 and
+                grid_lo - 1e-6 <= y.imag <= grid_hi + 1e-6):
+            continue
+        if any(abs(y - r) < 1e-7 for r in roots):
+            continue
+        if horner_within_rounding(coeffs, y):
+            roots.append(y)
+            if len(roots) == distinct:
+                break
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import torsioncert
 from torsioncert.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -92,6 +95,21 @@ class TestTorsion:
                            "--genus-check")
         assert code == 0
         assert "verdict: equality" in out
+
+    def test_parabolic_genus_check_leaves_numpy_unimported(self):
+        # importing numpy costs about as much as this whole command
+        script = ("import contextlib, io, sys\n"
+                  "from torsioncert import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = cli.main(['torsion', 'fig8.pres',\n"
+                  "                     '--parabolic', '--genus-check'])\n"
+                  "assert code == 0, code\n"
+                  "assert 'numpy' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(torsioncert.__file__))
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=path))
 
     def test_structured_fields(self, capsys):
         code, out, _ = run(capsys, "--structured", "torsion", "trefoil.pres",

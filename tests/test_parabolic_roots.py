@@ -4,7 +4,9 @@ The roots that ``parabolic_roots`` returns for the bundled trefoil and
 figure-eight presentations and for fourteen two-bridge knots K(p/q)
 (p = 5, 7, ..., 17, the two smallest odd q prime to p) are recorded as
 float hex in ``fixtures/parabolic_roots.json`` and must come back with
-every bit equal.
+every bit equal.  The integer Riley polynomial behind them must equal the
+gcd that ``grid_mul`` and ``mp_gcd`` give over MultiPoly on the same
+knots.
 
 To re-record after a deliberate change of the roots::
 
@@ -19,7 +21,8 @@ import pytest
 
 import torsioncert
 from torsioncert.freegroup import Alphabet, Word
-from torsioncert.representation import parabolic_roots
+from torsioncert.polynomial import MultiPoly, grid_mul, mp_gcd
+from torsioncert.representation import parabolic_roots, riley_polynomial
 from torsioncert.twisted import Presentation, presentation_from_text
 
 from helpers import two_bridge_relator
@@ -57,6 +60,28 @@ def _recorded():
 @pytest.mark.parametrize("name", sorted(knots()))
 def test_roots_match_fixture_bit_for_bit(name):
     assert hex_roots(knots()[name]) == _recorded()[name]
+
+
+def multipoly_riley(relator):
+    one, zero = MultiPoly.constant(1), MultiPoly.zero()
+    y = MultiPoly.variable("u")
+    table = {1: [[one, one], [zero, one]], -1: [[one, -one], [zero, one]],
+             2: [[one, zero], [y, one]], -2: [[one, zero], [-y, one]]}
+    acc = [[one, zero], [zero, one]]
+    for l in relator.letters:
+        acc = grid_mul(acc, table[l])
+    g = zero
+    for entry in (acc[0][0] - one, acc[0][1], acc[1][0], acc[1][1] - one):
+        g = mp_gcd(g, entry)
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(knots()))
+def test_integer_riley_polynomial_matches_multipoly_gcd(name):
+    relator = knots()[name].relators[0]
+    g = riley_polynomial(relator)
+    assert MultiPoly({(0, 0, 0, i): c for i, c in enumerate(g) if c}) \
+        == multipoly_riley(relator)
 
 
 if __name__ == "__main__":

@@ -8,10 +8,13 @@ from torsioncert.polynomial import (
     LaurentPoly,
     MultiPoly,
     factor_multiplicity,
+    horner_within_rounding,
+    int_poly_gcd,
     laurent_str,
     laurent_unit_match,
     mp_gcd,
     multi_str,
+    newton_polish,
     parse_laurent,
     parse_multi,
     poly_matrix_det,
@@ -264,3 +267,45 @@ class TestFactorTools:
         q = primitive_normalize(p)
         assert q == parse_multi("x^2 - 2*x")
         assert primitive_normalize(-q) == q
+
+
+class TestDenseUnivariate:
+    def test_int_gcd_matches_sympy(self):
+        rng = rng_for(19, 11)
+        t = sympy.Symbol("t")
+        for _ in range(30):
+            g, a, b = ([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+                       for _ in range(3))
+            pa = sympy.Poly(g[::-1], t) * sympy.Poly(a[::-1], t)
+            pb = sympy.Poly(g[::-1], t) * sympy.Poly(b[::-1], t)
+            ours = int_poly_gcd(pa.all_coeffs()[::-1], pb.all_coeffs()[::-1])
+            theirs = sympy.gcd(pa, pb)
+            if theirs.is_zero:
+                assert ours == []
+                continue
+            theirs = theirs.primitive()[1]
+            if theirs.LC() < 0:
+                theirs = -theirs
+            assert ours == [int(c) for c in theirs.all_coeffs()[::-1]]
+
+    def test_int_gcd_normalization(self):
+        assert int_poly_gcd([], [0, 0]) == []
+        assert int_poly_gcd([], [-4, -6, 0]) == [2, 3]
+        assert int_poly_gcd([2, 2], [4, 4]) == [1, 1]
+        assert int_poly_gcd([1, 1], [1, -1]) == [1]
+        # (y - 1)^2 (y + 2) against its derivative leaves y - 1
+        g = [2, -3, 0, 1]
+        assert int_poly_gcd(g, [-3, 0, 3]) == [-1, 1]
+
+    def test_newton_polish_and_root_test(self):
+        # y^2 + y + 1 from near its root exp(2 pi i / 3)
+        coeffs = [1 + 0j, 1 + 0j, 1 + 0j]
+        dcoeffs = [1 + 0j, 2 + 0j]
+        y = newton_polish(coeffs, dcoeffs, complex(0, 1), 80, 1e-15)
+        assert y == pytest.approx(complex(-0.5, 3 ** 0.5 / 2), abs=1e-15)
+        assert horner_within_rounding(coeffs, y)
+        assert not horner_within_rounding(coeffs, y + 1e-9)
+        # a capped iteration is returned unconverged, and the test says so
+        far = newton_polish(coeffs, dcoeffs, complex(3, 3), 2, 1e-15)
+        assert not horner_within_rounding(coeffs, far)
+        assert horner_within_rounding([0j, 1 + 0j], 0j)

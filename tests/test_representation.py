@@ -22,8 +22,10 @@ from torsioncert.representation import (
     SymPowerRep,
     check_self_dual,
     circle_homology,
+    parabolic_roots,
     rep_from_text,
     rep_to_text,
+    riley_polynomial,
     solve_parabolic,
     sym_power,
 )
@@ -31,7 +33,7 @@ from torsioncert.scalar import ComplexF, QuadExt
 from torsioncert.seeds import rng_for
 from torsioncert.twisted import Presentation
 
-from helpers import mat2_mul, random_sl2, random_word
+from helpers import mat2_mul, random_sl2, random_word, two_bridge_relator
 
 XY = Alphabet("x y")
 AB = Alphabet("a b")
@@ -242,6 +244,24 @@ class TestSolveParabolic:
         dev = max(abs(complex(r[i, j] - Matrix.identity(2)[i, j]))
                   for i in range(2) for j in range(2))
         assert dev < 1e-9
+
+    @pytest.mark.parametrize("p,q", [(13, 11), (17, 13), (17, 15), (19, 7),
+                                     (19, 15), (19, 17)])
+    def test_two_bridge_roots_kill_the_relator(self, p, q):
+        # on these knots a tolerance growing like |y|^len(relator) once let
+        # through Newton iterates that never converged
+        pres = Presentation(AB, [Word(AB, two_bridge_relator(p, q))])
+        g = riley_polynomial(pres.relators[0])
+        roots = parabolic_roots(pres)
+        assert len(g) - 1 == len(roots) == (p - 1) // 2
+        for y in roots:
+            assert abs(sum(c * y ** i for i, c in enumerate(g))) < 1e-9
+        for k in range(len(roots)):
+            rep = solve_parabolic(pres, which=k)
+            r = rep.eval_word(pres.relators[0])
+            dev = max(abs(complex(r[i, j] - Matrix.identity(2)[i, j]))
+                      for i in range(2) for j in range(2))
+            assert dev < 1e-10
 
     def test_single_generator_is_reducible_only(self):
         pres = Presentation(Alphabet("a"), [])
