@@ -47,6 +47,12 @@ ARGVS = [
      "--oracle"],
     ["charlift", "(1, 1, 1)", "--sym-power", "3"],
     ["certify", "pants.sut", "--char", "(4, 4, 5)", "--sym-power", "6"],
+    ["charlift", "(3.0, 1.0, 2.0)"],
+    ["charlift", "(1.5+0.5i, 2.0, 3.25-1i)", "--sym-power", "3"],
+    ["certify", "pants.sut", "--char", "(3.0, 1.0, 2.0)"],
+    ["certify", "pants.sut", "--char", "(0.25, -1.75, 2.5)", "--sym-power",
+     "3"],
+    ["locus", "--N", "4", "--samples", "10"],
 ]
 
 
