@@ -4,12 +4,14 @@ matrix pairs, and the loci L_N where the pants certificate degenerates.
 A character is the triple (tr x, tr y, tr xy).  Lifting rebuilds a matrix
 pair realizing those traces, exactly over the rationals (passing to a
 quadratic extension when the middle trace forces one) and in complex
-floats otherwise.  The locus machinery evaluates certificate determinants
-through symmetric powers of the lift, eliminates the extension variable
-symbolically for N = 2, and verifies the printed N = 3, 4 surfaces by
-sampling.  The symbolic N = 2 certificate matrix comes from the same prefix
-sweep as every other Fox Jacobian (``freegroup.fox_sweep``), run over 2 x 2
-grids of polynomials reduced modulo u^2 - z u + 1.
+floats otherwise; float values are Python ``complex``, checked finite
+where they are stored.  The locus machinery evaluates certificate
+determinants through symmetric powers of the lift, eliminates the
+extension variable symbolically for N = 2, and verifies the printed
+N = 3, 4 surfaces by sampling.  The symbolic N = 2 certificate matrix
+comes from the same prefix sweep as every other Fox Jacobian
+(``freegroup.fox_sweep``), run over 2 x 2 grids of polynomials reduced
+modulo u^2 - z u + 1.
 """
 
 import cmath
@@ -17,7 +19,7 @@ import warnings
 from fractions import Fraction
 
 from . import scalar as _s
-from .errors import (DegenerateInput, EliminationDegenerate,
+from .errors import (DegenerateInput, DivisionByZero, EliminationDegenerate,
                      IrreducibilityWarning)
 from .freegroup import Alphabet, fox_sweep
 from .linalg import Matrix, det_with_scale
@@ -34,7 +36,7 @@ class Character:
 
     Components are normalized to one scalar kind: integers become
     rationals, and any float or complex component pushes all three into
-    ComplexF.
+    finite complex floats.
     """
 
     def __init__(self, xbar, ybar, zbar):
@@ -77,7 +79,7 @@ def commutator_trace(c):
     """tr of the commutator through the trace identity
     xbar^2 + ybar^2 + zbar^2 - xbar ybar zbar - 2."""
     x, y, z = c.as_tuple()
-    return x * x + y * y + z * z - x * y * z - 2
+    return _s.check_finite(x * x + y * y + z * z - x * y * z - 2)
 
 
 def is_reducible_character(c):
@@ -95,9 +97,9 @@ def lift(c, warn=True):
     and y to [[ybar,-u],[1/u,0]] where u + 1/u = zbar.
 
     Rational characters lift exactly, with u in a quadratic extension when
-    zbar^2 - 4 is not a rational square; everything else lifts in ComplexF
-    with the principal branch picking u.  Reducible characters are flagged
-    through a warning and still lifted.
+    zbar^2 - 4 is not a rational square; everything else lifts in complex
+    floats with the principal branch picking u.  Reducible characters are
+    flagged through a warning and still lifted.
     """
     x, y, z = c.as_tuple()
     if c.kind == "rational":
@@ -115,9 +117,14 @@ def lift(c, warn=True):
                 uin = u.inverse()
     else:
         zc = _s.to_complex(z)
-        u = (zc + cmath.sqrt(zc * zc - 4)) / 2
-        u = _s.ComplexF(u)
-        uin = u.inverse()
+        u = _s.ComplexF((zc + cmath.sqrt(zc * zc - 4)) / 2)
+        # the textbook quotient, not the builtin's 1 / u (Smith's
+        # algorithm), whose last bits differ
+        den = u.real * u.real + u.imag * u.imag
+        if den == 0.0:
+            raise DivisionByZero("complex division by zero")
+        uin = _s.ComplexF((u.real + 0.0 * u.imag) / den,
+                          (0.0 * u.real - u.imag) / den)
         x = _s.to_complexf(x)
         y = _s.to_complexf(y)
     ax = Matrix([[0, 1], [-1, x]])

@@ -3,18 +3,21 @@
 Exact determinants go through Bareiss single-step fraction-free elimination
 (division by the previous pivot is exact, and intermediate entries stay
 polynomial-sized instead of blowing up the way naive Gaussian elimination
-does on Fox matrices).  ComplexF determinants use partially pivoted
+does on Fox matrices).  Float determinants use partially pivoted
 elimination, and floating ranks use a largest-pivot threshold rule scaled by
 the max row norm.
 
 Matrices are immutable.  Plain ints ride along as honorary rationals and are
 promoted on construction when other entries are richer; mixing quadratic
-extension entries with floating complex entries is an error.
+extension entries with floating complex entries is an error.  Float entries
+are Python ``complex``, checked finite when a matrix is built, so an
+overflowing product or sum raises ``NonFinite``.
 
 Text form: rows separated by ``;``, entries by ``,``, scalars in the scalar
 grammar, e.g. ``0,1;-1,4``.
 """
 
+import math
 from fractions import Fraction
 
 from . import scalar as _s
@@ -142,21 +145,14 @@ class Matrix:
         t = self.entries[0][0]
         for i in range(1, self.rows):
             t = t + self.entries[i][i]
-        return _simplify(t)
-
-    def is_square(self):
-        return self.rows == self.cols
+        return _s.check_finite(_simplify(t))
 
     def map(self, fn):
         return Matrix([[fn(a) for a in r] for r in self.entries])
 
     def max_row_norm(self):
         """Largest row 2-norm, as a float through the complex embedding."""
-        best = 0.0
-        for r in self.entries:
-            s = sum(_s.magnitude(a) ** 2 for a in r) ** 0.5
-            best = max(best, s)
-        return best
+        return max(math.hypot(*map(_s.magnitude, r)) for r in self.entries)
 
     def delete_column(self, j):
         if not 0 <= j < self.cols:
@@ -193,7 +189,7 @@ def _dot(ra, cb):
 
 
 def det(m):
-    """Determinant: Bareiss for exact kinds, partial pivoting for ComplexF."""
+    """Determinant: Bareiss for exact kinds, partial pivoting for floats."""
     if not isinstance(m, Matrix):
         raise TypeError("expected a Matrix")
     if m.rows != m.cols:
@@ -205,7 +201,7 @@ def det(m):
 
 
 def det_with_scale(m):
-    """ComplexF determinant plus a noise scale for relative zero tests.
+    """Float determinant plus a noise scale for relative zero tests.
 
     The scale is the product over elimination steps of the largest entry
     magnitude in the remaining submatrix (clamped below by 1), which tracks
@@ -228,7 +224,7 @@ def _bareiss_det(m):
     for k in range(n - 1):
         piv = None
         for r in range(k, n):
-            if not _is_exact_zero(a[r][k]):
+            if a[r][k]:
                 piv = r
                 break
         if piv is None:
@@ -246,12 +242,6 @@ def _bareiss_det(m):
             rowi[k] = 0
         denom = pk
     return _simplify(a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1])
-
-
-def _is_exact_zero(x):
-    if isinstance(x, _s.QuadExt):
-        return not x
-    return x == 0
 
 
 def _exact_div(num, denom):
@@ -313,7 +303,7 @@ def _exact_rank(m):
     for c in range(nc):
         piv = None
         for i in range(r, nr):
-            if not _is_exact_zero(a[i][c]):
+            if a[i][c]:
                 piv = i
                 break
         if piv is None:
@@ -321,7 +311,7 @@ def _exact_rank(m):
         a[r], a[piv] = a[piv], a[r]
         pk = a[r][c]
         for i in range(r + 1, nr):
-            if _is_exact_zero(a[i][c]):
+            if not a[i][c]:
                 continue
             f = a[i][c] / pk
             for j in range(c, nc):
@@ -394,7 +384,7 @@ def inverse(m):
     for k in range(n):
         piv = None
         for r in range(k, n):
-            if not _is_exact_zero(aug[r][k]):
+            if aug[r][k]:
                 piv = r
                 break
         if piv is None:
@@ -403,7 +393,7 @@ def inverse(m):
         pk = aug[k][k]
         aug[k] = [x / pk for x in aug[k]]
         for r in range(n):
-            if r != k and not _is_exact_zero(aug[r][k]):
+            if r != k and aug[r][k]:
                 f = aug[r][k]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
     return Matrix([[_simplify(aug[i][n + j]) for j in range(n)]

@@ -7,7 +7,8 @@ coefficients stored; the zero polynomial is the empty map and its degree
 span is the NEG_INFINITY sentinel.  Torsion quotients are only defined up
 to units +-t^k, so polynomials are never normalized behind the caller's
 back; the unit-invariant quantity is the degree span (max minus min
-exponent).
+exponent).  Float coefficients are checked finite as they are stored, so
+an overflowing product raises ``NonFinite``.
 
 Multivariate polynomials keep exact rational coefficients only, since the
 locus identities they exist to express are exact.  Elimination of u goes
@@ -38,11 +39,8 @@ NEG_INFINITY = float("-inf")
 
 
 def _coeff_is_zero(c):
-    if isinstance(c, _s.QuadExt):
-        return not c
-    if isinstance(c, _s.ComplexF):
-        return c.re == 0.0 and c.im == 0.0
-    return c == 0
+    # every stored coefficient passes here, so floats are checked finite here
+    return not _s.check_finite(c)
 
 
 def _cop(a, b, op):
@@ -85,10 +83,6 @@ class LaurentPoly:
     @classmethod
     def one(cls):
         return cls({0: 1})
-
-    @classmethod
-    def t_power(cls, k, coeff=1):
-        return cls({k: coeff})
 
     @classmethod
     def constant(cls, c):
@@ -192,9 +186,6 @@ class LaurentPoly:
             term = c * t ** e if e >= 0 else c * (1 / t) ** (-e)
             out = term if out is None else out + term
         return 0 if out is None else out
-
-    def map_coeffs(self, fn):
-        return LaurentPoly({e: fn(c) for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
@@ -450,9 +441,6 @@ class MultiPoly:
     def is_constant(self):
         return all(all(e == 0 for e in ex) for ex in self.terms)
 
-    def constant_value(self):
-        return self.terms.get((0, 0, 0, 0), Fraction(0))
-
     def __add__(self, other):
         other = _mp_coerce(other)
         if other is None:
@@ -703,16 +691,6 @@ def _as_univar(p, i):
     return {k: MultiPoly(t) for k, t in out.items()}
 
 
-def _from_univar(coeffs, i):
-    terms = {}
-    for k, poly in coeffs.items():
-        for ex, c in poly.terms.items():
-            nex = list(ex)
-            nex[i] = k
-            terms[tuple(nex)] = c
-    return MultiPoly(terms)
-
-
 def mp_content(p, i):
     """Content of p seen as univariate in variable i: gcd of coefficients."""
     coeffs = list(_as_univar(p, i).values())
@@ -762,7 +740,14 @@ def _pseudo_rem(p, q, i):
 
 
 def mp_gcd(p, q):
-    """Primitive-PRS gcd over Q[x, y, z, u], normalized primitive."""
+    """A gcd over Q[x, y, z, u] by a primitive pseudo-remainder sequence.
+
+    The result is fixed up to a rational factor only: its leading
+    coefficient is made positive, but no rational content is divided out
+    (the content of a polynomial with constant coefficients counts as 1),
+    so ``mp_gcd(2u + 2, 4u + 4)`` is ``4*u + 4``.  ``primitive_normalize``
+    gives the canonical form.
+    """
     if p.is_zero():
         return _normalize_sign(q)
     if q.is_zero():

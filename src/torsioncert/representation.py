@@ -122,7 +122,7 @@ class Representation:
         return out
 
     def to_complexf(self):
-        """The same representation with entries pushed into ComplexF."""
+        """The same representation with entries as finite complex floats."""
         return Representation(self.alphabet,
                               [m.map(_s.to_complexf) for m in self.images],
                               sl_flag=self.sl_flag)
@@ -336,8 +336,8 @@ def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25):
 
 def solve_parabolic(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25,
                     which=0, signs=(1, 1)):
-    """A parabolic ComplexF representation of a two-generator one-relator
-    presentation with meridional generators.
+    """A parabolic complex-float representation of a two-generator
+    one-relator presentation with meridional generators.
 
     Images are [[1,1],[0,1]] and [[1,0],[y,1]] (traces exactly 2 by
     construction) with y the ``which``-th root from :func:`parabolic_roots`;

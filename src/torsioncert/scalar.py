@@ -6,7 +6,11 @@ Three scalar kinds share one zero-test contract:
   anywhere a rational is),
 * ``QuadExt``, elements a + b*sqrt(d) of a quadratic field Q(sqrt(d)) with a
   fixed squarefree discriminant d (mixing two different d is an error),
-* ``ComplexF``, IEEE double complex numbers whose operations must stay finite.
+* floats, which are Python ``complex`` (``float`` is accepted anywhere a
+  complex is).  Arithmetic is the builtin's; finiteness is checked where
+  the package stores a float value: matrix entries (``to_complexf``),
+  Laurent coefficients, ``ComplexF`` construction, and the traces that
+  reach output without being stored (``check_finite``).
 
 A ``QuadExt`` stores four integers ``(p, q, den, d)`` with value
 (p + q*sqrt(d))/den, kept reduced: ``den > 0`` and ``gcd(p, q, den) == 1``.
@@ -15,7 +19,7 @@ builds a Fraction: results are reduced by one three-argument gcd, and the
 discriminant, checked once when a value is built from rationals, is not
 checked again.  ``a`` and ``b`` give the rational parts as Fractions.
 
-Exact kinds test zero exactly.  ComplexF tests ``|x| <= tol * scale`` where
+Exact kinds test zero exactly.  Floats test ``|x| <= tol * scale`` where
 ``scale`` is a caller-supplied magnitude reference (say, a matrix norm) and
 ``tol`` defaults to the module tolerance, 1e-9.  The module tolerance is set
 once at program start and treated as read-only afterwards.
@@ -24,6 +28,7 @@ Text grammar: rationals ``p/q``, quadratic elements ``a + b*sqrt(d)``,
 complex numbers ``re+imi`` printed with 17 significant digits.
 """
 
+import cmath
 import math
 import re as _re
 from fractions import Fraction
@@ -35,7 +40,7 @@ _tolerance = _DEFAULT_TOLERANCE
 
 
 def zero_tolerance():
-    """The module-wide relative tolerance for ComplexF zero tests."""
+    """The module-wide relative tolerance for float zero tests."""
     return _tolerance
 
 
@@ -281,111 +286,29 @@ def _divide(p1, q1, den1, p2, q2, den2, d):
                  den1 * n, d)
 
 
-class ComplexF:
-    """Double-precision complex scalar; every operation must stay finite."""
+class ComplexF(complex):
+    """A finite double-precision complex number, checked when it is built.
 
-    __slots__ = ("re", "im")
+    Arithmetic is the builtin ``complex``'s and returns a plain ``complex``.
+    ``ComplexF(z)`` on a complex ``z`` stores ``z.imag + 0.0``, which turns
+    a negative zero imaginary part into +0.0.
+    """
 
-    def __init__(self, re, im=0.0):
+    __slots__ = ()
+
+    def __new__(cls, re, im=0.0):
         if isinstance(re, complex):
             re, im = re.real, re.imag + im
-        object.__setattr__(self, "re", float(re))
-        object.__setattr__(self, "im", float(im))
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise NonFinite("non-finite complex value %r + %r i" % (re, im))
+        return complex.__new__(cls, float(re), float(im))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexF values are immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, ComplexF):
-            return other
-        if isinstance(other, (int, float, Fraction)):
-            return ComplexF(float(other), 0.0)
-        if isinstance(other, complex):
-            return ComplexF(other.real, other.imag)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexF(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexF(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexF(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexF(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        den = o.re * o.re + o.im * o.im
-        if den == 0.0:
-            raise DivisionByZero("complex division by zero")
-        return ComplexF((self.re * o.re + self.im * o.im) / den,
-                        (self.im * o.re - self.re * o.im) / den)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return ComplexF(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return math.hypot(self.re, self.im)
-
-    def conjugate(self):
-        return ComplexF(self.re, -self.im)
-
-    def inverse(self):
-        return ComplexF(1.0, 0.0) / self
-
-    def __complex__(self):
-        return complex(self.re, self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash(complex(self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0.0 or self.im != 0.0
+    def __init__(self, re, im=0.0):
+        check_finite(self)
 
     def __str__(self):
         return scalar_str(self)
 
     def __repr__(self):
-        return "ComplexF(%r, %r)" % (self.re, self.im)
+        return "ComplexF(%r, %r)" % (self.real, self.imag)
 
 
 def kind_of(x):
@@ -394,7 +317,7 @@ def kind_of(x):
         return "rational"
     if isinstance(x, QuadExt):
         return "quadext"
-    if isinstance(x, (ComplexF, float, complex)):
+    if isinstance(x, (float, complex)):
         return "complex"
     raise TypeError("not a scalar: %r" % (x,))
 
@@ -446,21 +369,20 @@ def to_complex(x):
     return complex(x)
 
 
+def check_finite(x):
+    """x itself; a float or complex x must be finite (else NonFinite)."""
+    if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+        raise NonFinite("non-finite complex value %r + %r i"
+                        % (x.real, x.imag))
+    return x
+
+
 def to_complexf(x):
-    """Embed any scalar kind into ComplexF."""
-    if isinstance(x, ComplexF):
-        return x
+    """Embed any scalar kind as a finite complex: complex input is returned
+    as it is once checked finite, any other kind becomes a ComplexF."""
+    if isinstance(x, complex):
+        return check_finite(x)
     return ComplexF(to_complex(x))
-
-
-def scalar_inv(x):
-    """Multiplicative inverse with a DivisionByZero error on zero input."""
-    k = kind_of(x)
-    if k == "rational":
-        if x == 0:
-            raise DivisionByZero("inverse of zero")
-        return Fraction(1, 1) / x
-    return x.inverse()
 
 
 # text form
@@ -482,7 +404,7 @@ def scalar_str(x):
         op = " + " if x.b > 0 else " - "
         return scalar_str(x.a) + op + bpart
     x = to_complexf(x)
-    return "%.17g%+.17gi" % (x.re, x.im)
+    return "%.17g%+.17gi" % (x.real, x.imag)
 
 
 _RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")

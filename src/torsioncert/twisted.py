@@ -432,7 +432,7 @@ def conjecture_check(pres, rep, trace_tol=1e-6):
         longitude_trace = tr
         if not _s.zero_test(tr + 2, tol=trace_tol, scale=1.0):
             raise LongitudeTraceViolation(
-                "longitude trace %s, expected -2" % (tr,))
+                "longitude trace %s, expected -2" % _s.scalar_str(tr))
     result = wada_torsion(pres, rep)
     target = 4 * pres.genus_hint - 2
     if result.degree == target:

@@ -212,6 +212,32 @@ class TestMalformedLiterals:
         assert "Traceback" not in err
 
 
+# float characters whose values overflow, or whose lift divides by zero:
+# each must end in a typed error, not a traceback
+OVERFLOWING_FLOAT_RUNS = [
+    ["certify", "pants.sut", "--char", "(1e300, 1.0, 2.0)"],
+    ["certify", "pants.sut", "--char", "(1e200, 1.0, 2.0)"],
+    ["torsion", "fig8.pres", "--char", "(1e200, 1.0, 2.0)"],
+    ["charlift", "(1e200, 1.0, 1.0)"],
+    ["charlift", "(1.0, 1.0, -1e150)"],
+    ["certify", "pants.sut", "--char", "(1.0, 1.0, -1e150)"],
+    ["charlift", "(1.0, 1.0, -1e170)"],
+]
+
+
+class TestOverflowingFloats:
+    """A float input that overflows exits 2 with a one-line error."""
+
+    @pytest.mark.parametrize("argv", OVERFLOWING_FLOAT_RUNS, ids=" ".join)
+    def test_exit_two_with_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestValidate:
     def test_bundle_is_clean(self, capsys):
         code, out, _ = run(capsys, "validate")

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from torsioncert import scalar as scalar_module
+from torsioncert.charvar import Character, lift
 from torsioncert.errors import (DivisionByZero, MixedExtension, NonFinite,
                                ParseError)
+from torsioncert.linalg import Matrix
+from torsioncert.polynomial import LaurentPoly
 from torsioncert.scalar import (
     ComplexF,
     QuadExt,
@@ -16,7 +19,6 @@ from torsioncert.scalar import (
     kind_of,
     magnitude,
     parse_scalar,
-    scalar_inv,
     scalar_str,
     sqrt_decompose,
     to_complex,
@@ -282,16 +284,151 @@ class TestComplexF:
     def test_nonfinite_guard(self):
         with pytest.raises(NonFinite):
             ComplexF(float("inf"), 0.0)
-        with pytest.raises(DivisionByZero):
-            ComplexF(1.0, 0.0) / ComplexF(0.0, 0.0)
-        big = ComplexF(1e308, 0.0)
         with pytest.raises(NonFinite):
-            big * big
+            ComplexF(complex(1.0, float("nan")))
+        # arithmetic may overflow; storing the result may not
+        big = ComplexF(1e200)
+        with pytest.raises(NonFinite):
+            Matrix([[big]]) * Matrix([[big]])
+        with pytest.raises(NonFinite):
+            LaurentPoly({0: big, 1: 1.0}) * LaurentPoly({0: big})
+        with pytest.raises(NonFinite):
+            Matrix([[big, 0], [0, big]]).det()
+        with pytest.raises(NonFinite):
+            Matrix([[ComplexF(1e308), 0], [0, ComplexF(1e308)]]).trace()
 
     def test_conjugate_inverse(self):
         a = ComplexF(2.0, -1.0)
-        assert complex(a.conjugate()) == complex(2, 1)
-        assert complex(a * a.inverse()) == pytest.approx(1 + 0j)
+        assert conjugate(a) == complex(2, 1)
+        rep = lift(Character(1.0, 1.0, ComplexF(3.0, -1.0)), warn=False)
+        (_, minus_u), (u_inverse, _) = rep.image(1).entries
+        assert -minus_u * u_inverse == pytest.approx(1 + 0j)
+        # u = 0 here: the lift raises the typed error, not ZeroDivisionError
+        with pytest.raises(DivisionByZero):
+            lift(Character(1.0, 1.0, -1e150), warn=False)
+
+
+# -- ComplexF against the formulas of its former arithmetic -------------------
+
+class _OldComplexF:
+    """Textbook complex arithmetic, one operation at a time, on a pair of
+    floats: the bit-level reference for the builtin ``complex``."""
+
+    def __init__(self, re, im=0.0):
+        if isinstance(re, complex):
+            re, im = re.real, re.imag + im
+        self.re, self.im = float(re), float(im)
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, _OldComplexF):
+            return other
+        if isinstance(other, (int, float, Fraction)):
+            return _OldComplexF(float(other), 0.0)
+        return _OldComplexF(other.real, other.imag)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return _OldComplexF(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return _OldComplexF(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return _OldComplexF(o.re - self.re, o.im - self.im)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return _OldComplexF(self.re * o.re - self.im * o.im,
+                            self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _OldComplexF(-self.re, -self.im)
+
+    def inverse(self):
+        one, o = _OldComplexF(1.0, 0.0), self
+        den = o.re * o.re + o.im * o.im
+        return _OldComplexF((one.re * o.re + one.im * o.im) / den,
+                            (one.im * o.re - one.re * o.im) / den)
+
+
+def _bits(z):
+    if isinstance(z, _OldComplexF):
+        return (z.re.hex(), z.im.hex())
+    assert type(z) in (complex, ComplexF)
+    return (z.real.hex(), z.imag.hex())
+
+
+def _random_part(rng):
+    return rng.choice([0.0, -0.0, rng.uniform(-4.0, 4.0),
+                       rng.uniform(-1e60, 1e60), rng.uniform(-1e-60, 1e-60),
+                       float(rng.randint(-5, 5))])
+
+
+def _random_complexf_pair(rng):
+    re, im = _random_part(rng), _random_part(rng)
+    return ComplexF(re, im), _OldComplexF(re, im)
+
+
+def _random_real_operand(rng):
+    return rng.choice([rng.randint(-9, 9), random_fraction(rng),
+                       rng.uniform(-4.0, 4.0), 0.0, -0.0])
+
+
+class TestComplexFMatchesFormerArithmetic:
+    """Sums, differences and products of ComplexF values are the builtin
+    ``complex``'s; these compare them by float hex, signed zeros included,
+    with the formulas ComplexF used to carry."""
+
+    def test_operations(self):
+        rng = rng_for(17, 0)
+        for _ in range(400):
+            x, xr = _random_complexf_pair(rng)
+            y, yr = _random_complexf_pair(rng)
+            z, zr = _random_complexf_pair(rng)
+            assert type(x * y) is complex
+            for new, old in [(x + y, xr + yr), (x - y, xr - yr),
+                             (x * y, xr * yr), (-x, -xr),
+                             (x * x + y * y + z * z - x * y * z - 2,
+                              xr * xr + yr * yr + zr * zr - xr * yr * zr - 2)]:
+                assert _bits(new) == _bits(old)
+
+    def test_real_operands_on_either_side(self):
+        rng = rng_for(17, 1)
+        for _ in range(400):
+            x, xr = _random_complexf_pair(rng)
+            v = _random_real_operand(rng)
+            for new, old in [(x + v, xr + v), (v + x, v + xr),
+                             (x - v, xr - v), (v - x, v - xr),
+                             (x * v, xr * v), (v * x, v * xr)]:
+                assert _bits(new) == _bits(old)
+
+    def test_construction_from_complex(self):
+        rng = rng_for(17, 2)
+        for _ in range(200):
+            z = complex(_random_part(rng), _random_part(rng))
+            assert _bits(ComplexF(z)) == _bits(_OldComplexF(z))
+        assert _bits(ComplexF(complex(1.0, -0.0))) == ((1.0).hex(), "0x0.0p+0")
+
+    def test_lift_inverse(self):
+        """The lift's 1/u is the former textbook quotient to the bit; the
+        builtin's Smith division differs from it on about half the draws."""
+        rng = rng_for(17, 3)
+        smith_differs = 0
+        for _ in range(200):
+            z = ComplexF(rng.uniform(-6.0, 6.0), rng.uniform(-3.0, 3.0))
+            rep = lift(Character(ComplexF(1.0), ComplexF(1.0), z), warn=False)
+            (_, minus_u), (u_inverse, _) = rep.image(1).entries
+            u = -minus_u
+            assert _bits(u_inverse) == _bits(_OldComplexF(u).inverse())
+            smith_differs += _bits(1 / u) != _bits(u_inverse)
+        assert smith_differs > 0
 
 
 class TestParseScalar:
@@ -323,8 +460,7 @@ class TestHelpers:
         assert zero_test(ComplexF(5e-7, 0.0), scale=1e3)
         assert not zero_test(Fraction(1, 10 ** 20), scale=1e9)
 
-    def test_scalar_inv_and_magnitude(self):
-        assert scalar_inv(Fraction(2, 3)) == Fraction(3, 2)
+    def test_magnitude_and_conjugate(self):
         assert magnitude(QuadExt(1, 1, -3)) == pytest.approx(2.0)
         assert conjugate(ComplexF(1.0, 1.0)) == ComplexF(1.0, -1.0)
 
