@@ -85,8 +85,10 @@ def commutator_trace(c):
 def is_reducible_character(c):
     """Whether the character's lifts share an eigenvector, detected by the
     commutator trace landing on 2."""
-    return _s.zero_test(commutator_trace(c) - 2,
-                        scale=max(1.0, _s.magnitude(commutator_trace(c))))
+    t = commutator_trace(c)
+    # exact kinds test zero exactly, whatever the scale
+    return _s.zero_test(t - 2, scale=1.0 if _s.is_exact(t)
+                        else max(1.0, _s.magnitude(t)))
 
 
 _XY = Alphabet("x y")

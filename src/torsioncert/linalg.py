@@ -7,22 +7,30 @@ does on Fox matrices).  Float determinants use partially pivoted
 elimination, and floating ranks use a largest-pivot threshold rule scaled by
 the max row norm.
 
-Matrices are immutable.  Plain ints ride along as honorary rationals and are
-promoted on construction when other entries are richer; mixing quadratic
-extension entries with floating complex entries is an error.  Float entries
-are Python ``complex``, checked finite when a matrix is built, so an
-overflowing product or sum raises ``NonFinite``.
+Matrices are immutable.  Entries are promoted once, where they enter the
+package: ``Matrix(rows)`` (parsing, matrices built by callers, ``map``)
+looks at every entry, lets plain ints ride along as honorary rationals that
+are promoted when other entries are richer, and rejects quadratic-extension
+entries mixed with floating complex ones.  Results built from matrices of
+one kind (sums, products, scalings by an int or a scalar of that kind,
+negation, transposes, submatrices, deleted columns, block assemblies,
+inverses) keep that kind without looking at every entry again: rational
+arithmetic results are only reduced to ints where they are whole, and
+complex ones only checked finite, so an overflowing product or sum still
+raises ``NonFinite``.  Operands of two kinds take the full path of
+``Matrix(rows)``.
 
 Text form: rows separated by ``;``, entries by ``,``, scalars in the scalar
 grammar, e.g. ``0,1;-1,4``.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
 from . import scalar as _s
-from .errors import (DimensionMismatch, DivisionByZero, MixedScalarKind,
-                     NotSquare, ParseError)
+from .errors import (DimensionMismatch, DivisionByZero, MixedExtension,
+                     MixedScalarKind, NotSquare, ParseError)
 
 
 def _simplify(x):
@@ -43,9 +51,8 @@ def _promote_entries(rows):
     if "quadext" in kinds and "complex" in kinds:
         raise MixedScalarKind("quadratic-extension and complex entries mixed")
     if len(quad_d) > 1:
-        # let QuadExt arithmetic raise the precise error
         a, b = sorted(quad_d)[:2]
-        _ = _s.QuadExt(0, 1, a) + _s.QuadExt(0, 1, b)
+        raise MixedExtension("cannot mix sqrt(%d) with sqrt(%d)" % (a, b))
     if "complex" in kinds:
         return [[_s.to_complexf(e) for e in row] for row in rows], "complex"
     if "quadext" in kinds:
@@ -54,6 +61,12 @@ def _promote_entries(rows):
                  for e in row] for row in rows], "quadext"
     return [[_simplify(Fraction(e) if isinstance(e, Fraction) else e)
              for e in row] for row in rows], "rational"
+
+
+# the scalar kind of an operand, by exact type; others take the full path
+_KIND_OF_TYPE = {int: "rational", Fraction: "rational",
+                 _s.QuadExt: "quadext", float: "complex", complex: "complex",
+                 _s.ComplexF: "complex"}
 
 
 class Matrix:
@@ -69,21 +82,37 @@ class Matrix:
         if any(len(r) != w for r in rows):
             raise DimensionMismatch("ragged rows")
         rows, kind = _promote_entries(rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", w)
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "scalar_kind", kind)
+        _store(self, tuple(tuple(r) for r in rows), kind)
+
+    @classmethod
+    def _of(cls, rows, kind):
+        """The matrix of ``rows``, ring-arithmetic results on entries that
+        all had the scalar kind ``kind``.
+
+        Rational entries are reduced to ints where they are whole, and
+        complex entries are checked finite; rows with a non-finite entry
+        take the full path, which raises ``NonFinite`` naming it.
+        """
+        if kind == "rational":
+            return _trusted(tuple(tuple(map(_simplify, r)) for r in rows),
+                            kind)
+        # a non-finite entry makes the sum non-finite; finite entries whose
+        # sum overflows only cost the full path
+        if kind == "complex" and not cmath.isfinite(sum(map(sum, rows))):
+            return cls(rows)
+        return _trusted(tuple(map(tuple, rows)), kind)
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
+                              for i in range(n)), "rational")
 
     @classmethod
     def zero(cls, rows, cols=None):
-        return cls([[0] * (cols or rows) for _ in range(rows)])
+        return _trusted(((0,) * (cols or rows),) * rows, "rational")
 
     def __getitem__(self, ij):
         i, j = ij
@@ -105,21 +134,35 @@ class Matrix:
             raise DimensionMismatch(
                 "%dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
 
+    def _result(self, rows, other_kind):
+        """The matrix of ``rows``: trusted when this matrix and the other
+        operand had one kind, else through the full path."""
+        if other_kind == self.scalar_kind:
+            return Matrix._of(rows, other_kind)
+        return Matrix(rows)
+
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        return self._result([[a + b for a, b in zip(ra, rb)]
+                             for ra, rb in zip(self.entries, other.entries)],
+                            other.scalar_kind)
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix([[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        return self._result([[a - b for a, b in zip(ra, rb)]
+                             for ra, rb in zip(self.entries, other.entries)],
+                            other.scalar_kind)
 
     def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.entries])
+        # negation keeps entries whole, reduced and finite
+        return _trusted(tuple(tuple(-a for a in r) for r in self.entries),
+                        self.scalar_kind)
 
     def scale(self, c):
-        return Matrix([[c * a for a in r] for r in self.entries])
+        rows = [[c * a for a in r] for r in self.entries]
+        if type(c) is int:
+            return Matrix._of(rows, self.scalar_kind)
+        return self._result(rows, _KIND_OF_TYPE.get(type(c)))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -128,7 +171,8 @@ class Matrix:
             raise DimensionMismatch(
                 "%dx%d times %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         bt = list(zip(*other.entries))
-        return Matrix([[_dot(ra, cb) for cb in bt] for ra in self.entries])
+        return self._result([[_dot(ra, cb) for cb in bt]
+                             for ra in self.entries], other.scalar_kind)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -137,7 +181,7 @@ class Matrix:
         return self * other
 
     def transpose(self):
-        return Matrix(list(zip(*self.entries)))
+        return _trusted(tuple(zip(*self.entries)), self.scalar_kind)
 
     def trace(self):
         if self.rows != self.cols:
@@ -159,10 +203,12 @@ class Matrix:
             raise IndexError("no column %d" % j)
         if self.cols == 1:
             raise DimensionMismatch("cannot delete the only column")
-        return Matrix([r[:j] + r[j + 1:] for r in self.entries])
+        return _trusted(tuple(r[:j] + r[j + 1:] for r in self.entries),
+                        self.scalar_kind)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
+        return _trusted(tuple(tuple(self.entries[i][j] for j in col_idx)
+                              for i in row_idx), self.scalar_kind)
 
     def det(self):
         return det(self)
@@ -180,12 +226,40 @@ class Matrix:
         return "Matrix(%r)" % matrix_str(self)
 
 
+_set_rows = Matrix.rows.__set__
+_set_cols = Matrix.cols.__set__
+_set_entries = Matrix.entries.__set__
+_set_kind = Matrix.scalar_kind.__set__
+
+
+def _store(m, entries, kind):
+    _set_rows(m, len(entries))
+    _set_cols(m, len(entries[0]))
+    _set_entries(m, entries)
+    _set_kind(m, kind)
+
+
+def _trusted(entries, kind):
+    """The matrix of a tuple of row tuples whose entries already have the
+    scalar kind ``kind`` and are reduced and finite; no entry is read."""
+    if not entries or not entries[0]:
+        raise ValueError("matrix needs at least one row and column")
+    m = object.__new__(Matrix)
+    _store(m, entries, kind)
+    return m
+
+
+def _field(m):
+    """The scalar kind of m, or the discriminant d for Q(sqrt d) entries."""
+    return m.entries[0][0].d if m.scalar_kind == "quadext" else m.scalar_kind
+
+
 def _dot(ra, cb):
     acc = None
     for a, b in zip(ra, cb):
         term = a * b
         acc = term if acc is None else acc + term
-    return _simplify(acc)
+    return acc
 
 
 def det(m):
@@ -375,8 +449,9 @@ def inverse(m):
                 if r != k and aug[r][k] != 0:
                     f = aug[r][k]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
-        return Matrix([[_s.ComplexF(aug[i][n + j]) for j in range(n)]
-                       for i in range(n)])
+        return _trusted(tuple(tuple(_s.ComplexF(aug[i][n + j])
+                                    for j in range(n)) for i in range(n)),
+                        "complex")
     a = [[Fraction(e) if isinstance(e, int) else e for e in r]
          for r in m.entries]
     aug = [row + [1 if i == j else 0 for j in range(n)]
@@ -396,25 +471,31 @@ def inverse(m):
             if r != k and aug[r][k]:
                 f = aug[r][k]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
-    return Matrix([[_simplify(aug[i][n + j]) for j in range(n)]
-                   for i in range(n)])
+    # every row was divided by its pivot, so rational entries are
+    # Fractions and quadratic ones QuadExt
+    return _trusted(tuple(tuple(_simplify(aug[i][n + j]) for j in range(n))
+                          for i in range(n)), m.scalar_kind)
 
 
 def block_assemble(blocks):
     """Concatenate a grid of matrices into one matrix.
 
     ``blocks`` is a list of block-rows; heights must agree along each block
-    row and widths along each block column.
+    row and widths along each block column.  Blocks of one kind (and one
+    Q(sqrt d)) keep their entries as they are; blocks of several kinds take
+    the full path of ``Matrix(rows)``.
     """
     if not blocks or not blocks[0]:
         raise ValueError("empty block grid")
     widths = [b.cols for b in blocks[0]]
+    fields = set()
     out_rows = []
     for brow in blocks:
         if len(brow) != len(widths):
             raise DimensionMismatch("ragged block grid")
         h = brow[0].rows
         for b, w in zip(brow, widths):
+            fields.add(_field(b))
             if b.rows != h:
                 raise DimensionMismatch("block heights differ within a row")
             if b.cols != w:
@@ -423,7 +504,9 @@ def block_assemble(blocks):
             row = []
             for b in brow:
                 row.extend(b.entries[i])
-            out_rows.append(row)
+            out_rows.append(tuple(row))
+    if len(fields) == 1:
+        return _trusted(tuple(out_rows), blocks[0][0].scalar_kind)
     return Matrix(out_rows)
 
 

@@ -9,6 +9,7 @@ which is checked at construction.
 """
 
 import operator
+from functools import cached_property
 from itertools import product
 
 from . import linalg as _la
@@ -39,15 +40,9 @@ class Representation:
         if len(kinds) > 1:
             # promote rationals into a richer kind if one is present
             if kinds == {"rational", "quadext"} or kinds == {"rational", "complex"}:
-                rich = (kinds - {"rational"}).pop()
-                if rich == "complex":
-                    images = [m.map(_s.to_complexf) for m in images]
-                else:
-                    d = next(e.d for m in images if m.scalar_kind == "quadext"
-                             for row in m.entries for e in row
-                             if isinstance(e, _s.QuadExt))
-                    images = [m.map(lambda v: v if isinstance(v, _s.QuadExt)
-                                    else _s.QuadExt(v, 0, d)) for m in images]
+                embed = _embedding((kinds - {"rational"}).pop(), images)
+                images = [m.map(embed) if m.scalar_kind == "rational" else m
+                          for m in images]
             else:
                 raise ValueError("images mix scalar kinds %r" % kinds)
         self.alphabet = alphabet
@@ -58,13 +53,28 @@ class Representation:
         self._inv = {}
         for i, m in enumerate(self.images):
             d = m.det()
-            scale = max(1.0, m.max_row_norm())
+            # exact kinds test zero exactly, whatever the scale
+            scale = max(1.0, m.max_row_norm()) \
+                if self.scalar_kind == "complex" else 1.0
             if _s.zero_test(d, scale=scale):
                 raise ValueError("image of generator %r is singular"
                                  % alphabet.names[i])
             if self.sl_flag and not _s.zero_test(d - 1, scale=scale):
                 raise ValueError("sl_flag set but det(image %r) = %s"
                                  % (alphabet.names[i], d))
+
+    @cached_property
+    def units(self):
+        """The identity and the zero matrix in this representation's scalar
+        kind, so that arithmetic with the images keeps that kind."""
+        n, kind = self.n, self.scalar_kind
+        if kind == "rational":
+            return Matrix.identity(n), Matrix.zero(n)
+        embed = _embedding(kind, self.images)
+        one, zero = embed(1), embed(0)
+        return (Matrix._of([[one if i == j else zero for j in range(n)]
+                            for i in range(n)], kind),
+                Matrix._of([[zero] * n] * n, kind))
 
     def image(self, i):
         return self.images[i]
@@ -86,22 +96,39 @@ class Representation:
                                    % (w.alphabet, self.alphabet))
 
     def eval_word(self, w):
-        """The product of generator images along the word; identity for 1."""
+        """The product of generator images along the word; the rational
+        identity for 1."""
         self._check_word(w)
-        out = Matrix.identity(self.n)
+        if not w.letters:
+            return Matrix.identity(self.n)
+        out = self.units[0]
         for l in w.letters:
             out = out * self.letter_image(l)
         return out
 
     def fox_row(self, w):
         """The images of the Fox derivatives of w by each generator, as a
-        list of n x n blocks: the terms of :func:`fox_sweep` summed in word
-        order."""
+        list of n x n blocks, with the values of :meth:`fox_blocks`.
+
+        As in term-by-term evaluation, a block with no term is the rational
+        zero and a block whose one term is the empty prefix the rational
+        identity.
+        """
+        one, zero = self.units
+        return [Matrix.zero(self.n) if b is zero else
+                Matrix.identity(self.n) if b is one else b
+                for b in self.fox_blocks(w)]
+
+    def fox_blocks(self, w):
+        """The Fox derivatives of w as :meth:`fox_row` gives them, every
+        block in the representation's own kind: the terms of
+        :func:`fox_sweep` from :attr:`units` summed in word order, so no
+        product or sum changes kind."""
         self._check_word(w)
-        blocks = [Matrix.zero(self.n)] * len(self.alphabet)
-        for j, sign, p in fox_sweep(w, self.letter_image,
-                                    Matrix.identity(self.n), operator.mul):
-            blocks[j] = blocks[j] + p.scale(sign)
+        one, zero = self.units
+        blocks = [zero] * len(self.alphabet)
+        for j, sign, p in fox_sweep(w, self.letter_image, one, operator.mul):
+            blocks[j] = one if p is one else blocks[j] + p.scale(sign)
         return blocks
 
     def eval_ring_elem(self, e):
@@ -146,7 +173,12 @@ class Representation:
 
 
 class SymPowerRep(Representation):
-    """The N-dimensional symmetric-power representation of a rank-2 base."""
+    """The N-dimensional symmetric-power representation of a rank-2 base.
+
+    Exact inverse images are symmetric powers of the base's inverses, since
+    Sym(A)^-1 = Sym(A^-1); float ones keep Gauss-Jordan elimination, whose
+    bits are the ones printed.
+    """
 
     def __init__(self, base, N):
         if base.n != 2:
@@ -155,6 +187,13 @@ class SymPowerRep(Representation):
         self.N = N
         images = [sym_power(m, N) for m in base.images]
         super().__init__(base.alphabet, images, sl_flag=base.sl_flag)
+
+    def image_inverse(self, i):
+        if self.scalar_kind == "complex":
+            return super().image_inverse(i)
+        if i not in self._inv:
+            self._inv[i] = sym_power(self.base.image_inverse(i), self.N)
+        return self._inv[i]
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())
@@ -182,7 +221,17 @@ def sym_power(m, N):
             for j, cj in enumerate(right):
                 col[i + j] = col[i + j] + ci * cj
         cols.append(col)
-    return Matrix([[cols[k][l] for k in range(N)] for l in range(N)])
+    return Matrix._of([[cols[k][l] for k in range(N)] for l in range(N)],
+                      m.scalar_kind)
+
+
+def _embedding(kind, images):
+    """The map taking a rational entry into ``kind``, the kind of the
+    richer images."""
+    if kind == "complex":
+        return _s.to_complexf
+    d = next(m for m in images if m.scalar_kind == "quadext").entries[0][0].d
+    return lambda v: v if isinstance(v, _s.QuadExt) else _s.QuadExt(v, 0, d)
 
 
 def _binomial_coeffs(p, q, n):

@@ -357,15 +357,19 @@ def magnitude(x):
 
 
 def to_complex(x):
-    """Embed any scalar kind into a Python complex."""
+    """Embed any scalar kind into a Python complex; an exact value beyond
+    the float range raises NonFinite."""
     k = kind_of(x)
-    if k == "rational":
-        return complex(float(x), 0.0)
-    if k == "quadext":
-        root = math.sqrt(abs(x.d))
-        if x.d > 0:
-            return complex(float(x.a) + float(x.b) * root, 0.0)
-        return complex(float(x.a), float(x.b) * root)
+    try:
+        if k == "rational":
+            return complex(float(x), 0.0)
+        if k == "quadext":
+            root = math.sqrt(abs(x.d))
+            if x.d > 0:
+                return complex(float(x.a) + float(x.b) * root, 0.0)
+            return complex(float(x.a), float(x.b) * root)
+    except OverflowError:
+        raise NonFinite("exact value too large for a float") from None
     return complex(x)
 
 
@@ -408,10 +412,12 @@ def scalar_str(x):
 
 
 _RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
-_FLOAT_PART = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_UNSIGNED_FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# a real part must be followed by a signed imaginary part; alone, the
+# imaginary part may be unsigned ("2i") or bare ("i", "-i")
 _COMPLEX_RE = _re.compile(
-    r"^(?P<re>%s)?(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$"
-    % _FLOAT_PART)
+    r"^(?:(?P<re>[+-]?%s)(?=[+-]))?(?P<im>[+-]?(?:%s)?)i$"
+    % (_UNSIGNED_FLOAT, _UNSIGNED_FLOAT))
 _QUAD_RE = _re.compile(
     r"^(?:(?P<a>[+-]?\d+(?:/\d+)?)\s*(?=$|[+-]))?\s*"
     r"(?:(?P<sign>[+-])?\s*(?:(?P<b>\d+(?:/\d+)?)\s*\*\s*)?"
@@ -468,17 +474,18 @@ def parse_scalar(text, kind=None):
         except ValueError as e:
             raise ParseError(str(e)) from None
     if kind == "complex":
+        # spaces may stand around signs and before the i, not inside a number
+        if _re.search(r"[\d.eE]\s+[\d.eE]", s):
+            raise ParseError("bad complex literal %r" % text)
         compact = s.replace(" ", "")
         if compact.endswith("i"):
             m = _COMPLEX_RE.match(compact)
             if m:
                 re_part = float(m.group("re")) if m.group("re") else 0.0
                 im_text = m.group("im")
-                if im_text in ("+", "-"):
+                if im_text in ("", "+", "-"):
                     im_text += "1"
                 return ComplexF(re_part, float(im_text))
-            if compact in ("i",):
-                return ComplexF(0.0, 1.0)
             raise ParseError("bad complex literal %r" % text)
         try:
             return ComplexF(float(compact), 0.0)

@@ -79,7 +79,7 @@ def fox_matrix(data, rep):
     if rep.alphabet != data.alphabet:
         raise AlphabetMismatch("representation over %r, data over %r"
                                % (rep.alphabet, data.alphabet))
-    return _la.block_assemble([rep.fox_row(w) for w in data.images])
+    return _la.block_assemble([rep.fox_blocks(w) for w in data.images])
 
 
 def _fresh_surface_names(ambient):

@@ -240,9 +240,9 @@ def build_complex(pres, rep, twist=None, check=True):
     one = pres.alphabet.identity()
 
     if twist is None:
-        d1_blocks = [[rep.image(j) - Matrix.identity(n)] for j in range(k)]
+        d1_blocks = [[rep.image(j) - rep.units[0]] for j in range(k)]
         d1 = _la.block_assemble(d1_blocks) if k else Matrix.zero(0)
-        d2 = _la.block_assemble([rep.fox_row(rel) for rel in pres.relators]) \
+        d2 = _la.block_assemble([rep.fox_blocks(rel) for rel in pres.relators]) \
             if r else None
         cx = TwistedComplex(d2, d1, (n, k * n, r * n), False, rep.scalar_kind)
         if check and r:

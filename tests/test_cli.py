@@ -238,6 +238,56 @@ class TestOverflowingFloats:
         assert "Traceback" not in err
 
 
+class TestUnsignedImaginaryLiterals:
+    """``2i`` means ``+2i`` in a character, and ``1e300i`` overflows."""
+
+    @pytest.mark.parametrize("route", ["certify", "charlift"])
+    @pytest.mark.parametrize("text, signed", [("2i", "+2i"), (".5i", "+.5i")])
+    def test_same_output_as_the_signed_literal(self, capsys, route, text,
+                                               signed):
+        def argv(literal):
+            char = "(%s, 1.0, 2.0)" % literal
+            if route == "certify":
+                return ["certify", "pants.sut", "--char", char]
+            return ["charlift", char]
+
+        code, out, err = run(capsys, *argv(text))
+        assert code in (0, 1) and err == ""
+        assert (code, out) == run(capsys, *argv(signed))[:2]
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "pants.sut", "--char", "(1.0, 1.0, 1e300i)"],
+        ["charlift", "(1.0, 1.0, 1e300i)"]], ids=" ".join)
+    def test_overflow_exits_two_with_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "literal" not in err
+        assert err.count("\n") == 1
+
+
+class TestHugeExactValues:
+    """Exact characters never pass through floats; mixed with floats, an
+    exact value beyond the float range is a typed error."""
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize("command, line", [
+        (["certify", "pants.sut", "--char"], "is_product: true"),
+        (["charlift"], "scalar_kind: rational")], ids=str)
+    def test_exact_character(self, capsys, command, line):
+        code, out, err = run(capsys, *command, "(%s, 1, 2)" % self.BIG)
+        assert code == 0 and err == ""
+        assert line in out.splitlines()
+
+    @pytest.mark.parametrize("command", [["certify", "pants.sut", "--char"],
+                                         ["charlift"]], ids=" ".join)
+    def test_mixed_with_a_float(self, capsys, command):
+        code, out, err = run(capsys, *command, "(%s, 1.0, 2)" % self.BIG)
+        assert code == 2 and out == ""
+        assert err == "error: exact value too large for a float\n"
+
+
 class TestValidate:
     def test_bundle_is_clean(self, capsys):
         code, out, _ = run(capsys, "validate")

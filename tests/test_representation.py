@@ -171,6 +171,38 @@ class TestSymPower:
         w = random_word(rng, XY)
         assert rep3.eval_word(w) == sym_power(base.eval_word(w), 3)
 
+    def test_exact_inverse_images_equal_gauss_jordan(self):
+        # Sym(A)^-1 = Sym(A^-1); entries must agree in value and in type
+        rng = rng_for(23, 9)
+        bases = [rand_rep(rng),
+                 Representation(XY, [Matrix([[Fraction(2, 3), 5],
+                                             [Fraction(-1, 4), 1]]),
+                                     Matrix([[3, Fraction(1, 2)],
+                                             [Fraction(7, 5), -2]])]),
+                 Representation(XY, [Matrix([[QuadExt(1, 1, 2), 3],
+                                             [QuadExt(0, -1, 2), 2]]),
+                                     Matrix([[1, QuadExt(Fraction(1, 2), 1, 2)],
+                                             [QuadExt(0, 1, 2), -1]])]),
+                 Representation(XY, [Matrix([[QuadExt(1, 1, -3), 3],
+                                             [QuadExt(0, -1, -3), 2]]),
+                                     Matrix([[2, 1], [1, 1]])])]
+        for base in bases:
+            for N in range(2, 7):
+                rep = SymPowerRep(base, N)
+                for i in range(2):
+                    closed = rep.image_inverse(i)
+                    gauss = rep.images[i].inverse()
+                    assert closed.scalar_kind == gauss.scalar_kind
+                    assert [[repr(e) for e in r] for r in closed.entries] == \
+                        [[repr(e) for e in r] for r in gauss.entries]
+
+    def test_float_inverse_images_keep_gauss_jordan(self):
+        base = Representation(XY, [Matrix([[0.5 + 1j, 2.0], [1.0, 3.0]]),
+                                   Matrix([[1.0, -1.5], [0.25j, 2.0]])])
+        rep = SymPowerRep(base, 4)
+        for i in range(2):
+            assert rep.image_inverse(i) == rep.images[i].inverse()
+
 
 class TestCircleHomology:
     def test_identity_gives_full_rank(self):

@@ -442,6 +442,24 @@ class TestParseScalar:
         with pytest.raises(ParseError):
             parse_scalar("2/0", kind="quadext")
 
+    def test_spaces_around_signs(self):
+        assert parse_scalar(" 1 + 2 i ") == parse_scalar("1+2i")
+        assert parse_scalar("- 2.5 i") == parse_scalar("-2.5i")
+
+    @pytest.mark.parametrize("text, signed", [
+        ("2i", "+2i"), (".5i", "+.5i"), ("1e300i", "+1e300i"),
+        ("1e+5i", "+1e5i"), ("2.i", "+2.0i"), ("i", "+1i")])
+    def test_unsigned_imaginary_literal(self, text, signed):
+        assert parse_scalar(text) == parse_scalar(signed) == \
+            parse_scalar(text, kind="complex")
+        assert parse_scalar(text).real == 0.0
+
+    @pytest.mark.parametrize("text", ["1+e5i", "e5i", "1+2+3i", "ii", "+-2i",
+                                      ".i", "1 2i", "1 2.5", "1e 5", "1. 5i"])
+    def test_bad_complex_literal(self, text):
+        with pytest.raises(ParseError, match="bad complex literal"):
+            parse_scalar(text)
+
 
 class TestHelpers:
     def test_kind_of(self):
