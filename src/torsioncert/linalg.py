@@ -112,7 +112,8 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows, cols=None):
-        return _trusted(((0,) * (cols or rows),) * rows, "rational")
+        return _trusted(((0,) * (rows if cols is None else cols),) * rows,
+                        "rational")
 
     def __getitem__(self, ij):
         i, j = ij

@@ -22,7 +22,8 @@ coefficient kind.
 
 Dense univariate polynomials (coefficient lists, low degree first) serve
 the root finders: an integer primitive-PRS gcd for the Riley polynomial,
-one Newton polish, and a Horner root test with a rounding-error bound.
+one Newton polish (which can stop inside the gamma-theorem basin of a root
+already found), and a Horner root test with a rounding-error bound.
 """
 
 import operator
@@ -742,10 +743,14 @@ def _pseudo_rem(p, q, i):
 def mp_gcd(p, q):
     """A gcd over Q[x, y, z, u] by a primitive pseudo-remainder sequence.
 
-    The result is fixed up to a rational factor only: its leading
-    coefficient is made positive, but no rational content is divided out
-    (the content of a polynomial with constant coefficients counts as 1),
-    so ``mp_gcd(2u + 2, 4u + 4)`` is ``4*u + 4``.  ``primitive_normalize``
+    Each pseudo-remainder is divided by its content in the main variable
+    and then made integer-primitive (``primitive_normalize``), so the
+    coefficients stay small.  The result is fixed up to a rational factor
+    only: its leading coefficient is positive, but a gcd read off an input
+    unchanged keeps that input's rational content (the content of a
+    polynomial with constant coefficients counts as 1).  So
+    ``mp_gcd(u^2 - 1, 3u^2 + 3u)`` is ``u + 1`` while
+    ``mp_gcd(2u + 2, 4u + 4)`` is ``4*u + 4``.  ``primitive_normalize``
     gives the canonical form.
     """
     if p.is_zero():
@@ -772,7 +777,7 @@ def mp_gcd(p, q):
             a, b = b, r
             break
         rc = mp_content(r, i)
-        a, b = b, mp_divexact(r, rc)
+        a, b = b, primitive_normalize(mp_divexact(r, rc))
     g = mp_divexact(a, mp_content(a, i))
     return _normalize_sign(c * g)
 
@@ -882,16 +887,28 @@ def int_poly_gcd(a, b):
         n, lb = len(b) - 1, b[-1]
 
 
-def newton_polish(coeffs, dcoeffs, y, steps, rtol):
+def newton_polish(coeffs, dcoeffs, y, steps, rtol, basins=None):
     """Newton iteration from ``y`` on the complex polynomial ``coeffs`` with
     derivative ``dcoeffs`` (both low degree first).
 
     Stops after ``steps`` steps, at a zero derivative, or once a step falls
     below ``rtol * max(1, |y|)``.  The Horner loops are written out here: a
     function call per evaluation costs about a third more.
+
+    ``basins`` is an optional list of pairs (r, rho), a root already found
+    and its radius from :func:`newton_basin_radius`.  An iterate within
+    rho of some r, with at least six steps still to run, ends the run at
+    once and the result is None: from inside that radius Newton converges
+    to r quadratically, so the full run would have ended next to r anyway.
     """
     rc, rd = coeffs[::-1], dcoeffs[::-1]
-    for _ in range(steps):
+    # a basin can end the run at the start of steps 0 .. watch - 1
+    watch = steps - _BASIN_STEPS + 1 if basins else 0
+    for k in range(steps):
+        if k < watch:
+            for r, rho in basins:
+                if abs(y - r) < rho:
+                    return None
         dv = 0j
         for c in rd:
             dv = dv * y + c
@@ -905,6 +922,50 @@ def newton_polish(coeffs, dcoeffs, y, steps, rtol):
         if abs(step) < rtol * max(1.0, abs(y)):
             break
     return y
+
+
+# steps a run must have left to stop inside a basin: from within the
+# radius, six exact Newton steps shrink the distance by 2^-63
+_BASIN_STEPS = 6
+
+# Smale's gamma-theorem: Newton converges quadratically to a simple root
+# from within (3 - sqrt 7) / (2 gamma) of it
+_GAMMA_THEOREM = (3 - 7 ** 0.5) / 2
+
+
+def newton_basin_radius(coeffs, r):
+    """Half the gamma-theorem radius (3 - sqrt 7) / (2 gamma) of ``r`` as a
+    root of the complex polynomial ``coeffs`` (low degree first), where
+    gamma = max_{k >= 2} |g^(k)(r) / (k! g'(r))|^(1/(k-1)); 0 when the
+    computed g'(r) is 0.
+
+    Smale's gamma-theorem (Blum, Cucker, Shub and Smale, *Complexity and
+    Real Computation*, 1998, ch. 8, Thm 1): from any z within that radius
+    of a simple root, the Newton iterates z_k satisfy
+    |z_k - r| <= 2^(1 - 2^k) |z - r|.  The factor one half leaves room for
+    r being a float approximation of the root and for the rounding of the
+    Taylor coefficients g^(k)(r) / k!, which come from repeated synthetic
+    division by (y - r), O(deg^2) work.
+    """
+    rest = list(reversed(coeffs))
+    taylor = []
+    while rest:
+        acc = 0j
+        quot = []
+        for c in rest:
+            acc = acc * r + c
+            quot.append(acc)
+        taylor.append(quot.pop())
+        rest = quot
+    if len(taylor) < 2 or taylor[1] == 0:
+        return 0.0
+    d1 = abs(taylor[1])
+    gamma = max([(abs(a) / d1) ** (1.0 / (k - 1))
+                 for k, a in enumerate(taylor[2:], 2)], default=0.0)
+    if gamma == 0:
+        # g is linear: one Newton step from anywhere lands on r
+        return float("inf")
+    return 0.5 * _GAMMA_THEOREM / gamma
 
 
 # unit roundoff of IEEE double precision

@@ -19,7 +19,8 @@ from .errors import (AlphabetMismatch, MixedExtension, MixedScalarKind,
                      ReducibleOnly, ScalarEmbedding)
 from .freegroup import GroupRingElem, Word, fox_sweep
 from .linalg import Matrix
-from .polynomial import horner_within_rounding, int_poly_gcd, newton_polish
+from .polynomial import (horner_within_rounding, int_poly_gcd,
+                         newton_basin_radius, newton_polish)
 
 
 class Representation:
@@ -339,6 +340,18 @@ def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25):
     many roots as g has distinct roots, deg g - deg gcd(g, g'), counted
     exactly.
 
+    Each kept root r also gets a basin radius rho_r, half of Smale's
+    gamma-theorem radius (:func:`~torsioncert.polynomial.newton_basin_radius`;
+    Blum, Cucker, Shub and Smale, *Complexity and Real Computation*, ch. 8).
+    A later run that comes within rho_r of r with at least six steps left
+    stops there as a duplicate: Newton from inside that radius converges to
+    r quadratically, so the full run would have ended within 1e-7 of r (or
+    outside the box, with r on its edge) and been dropped.  Only discarded
+    starts stop early, so the kept roots, their order, the early stop and
+    every returned bit are those of the scan without radii.  When g has a
+    repeated root no radius is kept: a float root of a multiple factor has
+    no quadratic basin.
+
     The scan stays in pure Python rather than ``numpy.roots``: importing
     numpy alone takes about 0.1 s, which ``torsion --parabolic`` never pays
     otherwise, and the roots here are pinned to the bit.
@@ -365,12 +378,17 @@ def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25):
 
     coeffs = [complex(c) for c in g]
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    squarefree = distinct == len(g) - 1
     roots = []
+    basins = []
     steps = int(round((grid_hi - grid_lo) / grid_step)) + 1
     for ri, ii in product(range(steps), repeat=2):
         y = newton_polish(coeffs, dcoeffs,
                           complex(grid_lo + ri * grid_step,
-                                  grid_lo + ii * grid_step), 80, 1e-15)
+                                  grid_lo + ii * grid_step), 80, 1e-15,
+                          basins)
+        if y is None:
+            continue
         if not (grid_lo - 1e-6 <= y.real <= grid_hi + 1e-6 and
                 grid_lo - 1e-6 <= y.imag <= grid_hi + 1e-6):
             continue
@@ -380,6 +398,8 @@ def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25):
             roots.append(y)
             if len(roots) == distinct:
                 break
+            if squarefree:
+                basins.append((y, newton_basin_radius(coeffs, y)))
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 

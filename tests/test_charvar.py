@@ -1,5 +1,6 @@
 """Trace characters, exact lifts, and the elimination of the base locus."""
 
+import time
 import warnings
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from torsioncert.charvar import (
     locus_polynomial,
     locus_verify,
     parse_character,
+    sym_fox_grid,
 )
 from torsioncert.errors import (
     DegenerateInput,
@@ -199,6 +201,37 @@ class TestEliminateL2:
             dval = locus_det(c, data)
             pval = poly.evaluate((c.xbar, c.ybar, c.zbar, 0))
             assert (dval == 0) == (pval == 0)
+
+    def test_longer_images_match_sympy(self):
+        # with the integer content left in its pseudo-remainders, mp_gcd
+        # ran past 60 s on these images
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        data = SuturedHandlebodyData(
+            XY, [Word.from_string(XY, "XXY"),
+                 Word.from_string(XY, "YXYxxY")])
+        t0 = time.perf_counter()
+        poly = eliminate_L2(data)
+        elapsed = time.perf_counter() - t0
+        gens = sympy.symbols("x y z u")
+        z, u = gens[2:]
+
+        def as_sympy(p):
+            return sympy.Poly.from_dict(
+                {ex: sympy.Rational(c.numerator, c.denominator)
+                 for ex, c in p.terms.items()}, *gens)
+
+        # sympy's own determinant of the certificate grid, reduced modulo
+        # u^2 - z u + 1; it has no u term left, so no resultant is needed
+        grid = DomainMatrix.from_Matrix(sympy.Matrix(
+            [[as_sympy(e).as_expr() for e in row]
+             for row in sym_fox_grid(data)]))
+        full = sympy.Poly(grid.domain.to_sympy(grid.det()), u).rem(
+            sympy.Poly(u ** 2 - z * u + 1, u))
+        assert full.degree() == 0
+        expect = sympy.sqf_part(sympy.Poly(full.as_expr(), *gens))
+        assert as_sympy(poly).monic() == expect.monic()
+        assert elapsed < 10
 
 
 class TestLocusPolynomials:

@@ -156,6 +156,13 @@ class TestStructure:
         assert m.trace() == 5
         assert m.transpose() == Matrix([[1, 3], [2, 4]])
 
+    def test_zero_shapes(self):
+        assert Matrix.zero(2) == Matrix([[0, 0], [0, 0]])
+        assert Matrix.zero(1, 3) == Matrix([[0, 0, 0]])
+        for shape in [(0,), (0, 2), (2, 0)]:
+            with pytest.raises(ValueError):
+                Matrix.zero(*shape)
+
     def test_mixed_entry_promotion(self):
         m = Matrix([[1, Fraction(1, 2)], [QuadExt(0, 1, 5), 0]])
         assert det(m) == QuadExt(0, Fraction(-1, 2), 5)

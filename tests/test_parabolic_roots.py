@@ -8,6 +8,12 @@ every bit equal.  The integer Riley polynomial behind them must equal the
 gcd that ``grid_mul`` and ``mp_gcd`` give over MultiPoly on the same
 knots.
 
+The scan stops a Newton run early once it enters the gamma-theorem basin
+of a root already kept.  That must change no returned bit: a copy of the
+scan without the basin stop is compared with it on every K(p/q) with odd
+q and p <= 17, and the radius itself is checked to be one that short
+Newton runs from its rim come home from.
+
 To re-record after a deliberate change of the roots::
 
     PYTHONPATH=src python tests/test_parabolic_roots.py
@@ -16,12 +22,16 @@ To re-record after a deliberate change of the roots::
 import json
 import math
 import os
+from itertools import product
 
 import pytest
 
 import torsioncert
 from torsioncert.freegroup import Alphabet, Word
-from torsioncert.polynomial import MultiPoly, grid_mul, mp_gcd
+from torsioncert.polynomial import (MultiPoly, grid_mul,
+                                    horner_within_rounding, int_poly_gcd,
+                                    mp_gcd, newton_basin_radius,
+                                    newton_polish)
 from torsioncert.representation import parabolic_roots, riley_polynomial
 from torsioncert.twisted import Presentation, presentation_from_text
 
@@ -33,6 +43,9 @@ DATA = os.path.join(os.path.dirname(torsioncert.__file__), "data")
 AB = Alphabet("a b")
 TWO_BRIDGE = [(p, q) for p in range(5, 18, 2)
               for q in [q for q in range(1, p, 2) if math.gcd(p, q) == 1][:2]]
+# every two-bridge knot K(p/q) with odd q and p <= 17: 32 knots
+CENSUS = [(p, q) for p in range(3, 18, 2)
+          for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
 
 def _bundled(name):
@@ -48,8 +61,12 @@ def knots():
     return out
 
 
+def _hex(roots):
+    return [[y.real.hex(), y.imag.hex()] for y in roots]
+
+
 def hex_roots(pres):
-    return [[y.real.hex(), y.imag.hex()] for y in parabolic_roots(pres)]
+    return _hex(parabolic_roots(pres))
 
 
 def _recorded():
@@ -82,6 +99,83 @@ def test_integer_riley_polynomial_matches_multipoly_gcd(name):
     g = riley_polynomial(relator)
     assert MultiPoly({(0, 0, 0, i): c for i, c in enumerate(g) if c}) \
         == multipoly_riley(relator)
+
+
+def _two_bridge(p, q):
+    return Presentation(AB, [Word(AB, two_bridge_relator(p, q))])
+
+
+def scan_without_basins(pres):
+    """The grid scan of ``parabolic_roots`` as it was before the basin
+    stop: every start runs its Newton iteration to the end, with the same
+    box filter, 1e-7 de-duplication, root test and early stop."""
+    g = riley_polynomial(pres.relators[0])
+    dg = [i * c for i, c in enumerate(g)][1:]
+    distinct = len(g) - len(int_poly_gcd(g, dg))
+    coeffs = [complex(c) for c in g]
+    rc = coeffs[::-1]
+    rd = [i * c for i, c in enumerate(coeffs)][1:][::-1]
+    roots = []
+    for ri, ii in product(range(33), repeat=2):
+        y = complex(-4.0 + ri * 0.25, -4.0 + ii * 0.25)
+        for _ in range(80):
+            dv = 0j
+            for c in rd:
+                dv = dv * y + c
+            if dv == 0:
+                break
+            v = 0j
+            for c in rc:
+                v = v * y + c
+            step = v / dv
+            y = y - step
+            if abs(step) < 1e-15 * max(1.0, abs(y)):
+                break
+        if not (-4.0 - 1e-6 <= y.real <= 4.0 + 1e-6 and
+                -4.0 - 1e-6 <= y.imag <= 4.0 + 1e-6):
+            continue
+        if any(abs(y - r) < 1e-7 for r in roots):
+            continue
+        if horner_within_rounding(coeffs, y):
+            roots.append(y)
+            if len(roots) == distinct:
+                break
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+@pytest.mark.parametrize("p,q", CENSUS)
+def test_basin_stop_changes_no_root(p, q):
+    pres = _two_bridge(p, q)
+    assert hex_roots(pres) == _hex(scan_without_basins(pres))
+
+
+@pytest.mark.parametrize("p,q", CENSUS)
+def test_short_runs_from_the_basin_rim_come_home(p, q):
+    # the radius is half the gamma-theorem one; six steps from just inside
+    # it must land where the de-duplication would have caught the run
+    pres = _two_bridge(p, q)
+    g = riley_polynomial(pres.relators[0])
+    coeffs = [complex(c) for c in g]
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    for r in parabolic_roots(pres):
+        rho = newton_basin_radius(coeffs, r)
+        assert rho > 0
+        if rho == math.inf:
+            # a linear g: one step from anywhere lands on r
+            assert len(g) == 2
+            continue
+        for k in range(8):
+            start = r + 0.99 * rho * complex(math.cos(k * math.pi / 4),
+                                             math.sin(k * math.pi / 4))
+            y = newton_polish(coeffs, dcoeffs, start, 6, 1e-15)
+            assert abs(y - r) < 1e-7
+
+
+def test_no_basin_at_a_double_root():
+    # (y - 1)^2 (y + 2): g'(1) = 0, so runs never stop early near 1
+    coeffs = [2 + 0j, -3 + 0j, 0j, 1 + 0j]
+    assert newton_basin_radius(coeffs, 1 + 0j) == 0.0
+    assert newton_basin_radius(coeffs, -2 + 0j) > 0.0
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from torsioncert.polynomial import (
     laurent_unit_match,
     mp_gcd,
     multi_str,
+    newton_basin_radius,
     newton_polish,
     parse_laurent,
     parse_multi,
@@ -247,6 +248,11 @@ class TestFactorTools:
             quot = sympy.simplify(ours / theirs)
             assert quot.is_rational and quot != 0
 
+    def test_gcd_remainders_are_made_primitive(self):
+        # the remainder -3u - 3 loses its content before the next division
+        assert mp_gcd(parse_multi("u^2 - 1"),
+                      parse_multi("3*u^2 + 3*u")) == parse_multi("u + 1")
+
     def test_squarefree_part(self):
         x = MultiPoly.variable("x")
         y = MultiPoly.variable("y")
@@ -309,3 +315,19 @@ class TestDenseUnivariate:
         far = newton_polish(coeffs, dcoeffs, complex(3, 3), 2, 1e-15)
         assert not horner_within_rounding(coeffs, far)
         assert horner_within_rounding([0j, 1 + 0j], 0j)
+
+    def test_newton_polish_stops_inside_a_basin(self):
+        coeffs = [1 + 0j, 1 + 0j, 1 + 0j]
+        dcoeffs = [1 + 0j, 2 + 0j]
+        r = complex(-0.5, 3 ** 0.5 / 2)
+        rho = newton_basin_radius(coeffs, r)
+        basins = [(r, rho)]
+        start = r + 0.5 * rho
+        assert newton_polish(coeffs, dcoeffs, start, 80, 1e-15, basins) is None
+        # with fewer than six steps left the run goes on to its end
+        y = newton_polish(coeffs, dcoeffs, start, 5, 1e-15, basins)
+        assert y == pytest.approx(r, abs=1e-12)
+        # a run that never enters a radius is the plain run
+        far = complex(3, -3)
+        assert newton_polish(coeffs, dcoeffs, far, 80, 1e-15, basins) \
+            == newton_polish(coeffs, dcoeffs, far, 80, 1e-15)
