@@ -1,11 +1,13 @@
 """Dense matrices over the scalar kinds, with exact and floating kernels.
 
-Exact determinants go through Bareiss single-step fraction-free elimination
-(division by the previous pivot is exact, and intermediate entries stay
-polynomial-sized instead of blowing up the way naive Gaussian elimination
-does on Fox matrices).  Float determinants use partially pivoted
-elimination, and floating ranks use a largest-pivot threshold rule scaled by
-the max row norm.
+Exact determinants and ranks share one Bareiss single-step fraction-free
+row echelon (division by the previous pivot is exact, so integer matrices
+never leave Z, and intermediate entries stay polynomial-sized instead of
+blowing up the way naive Gaussian elimination does on Fox matrices); it
+skips columns without a pivot, so it runs on rectangular matrices too.
+Float determinants use partially pivoted elimination, and floating ranks
+use a largest-pivot threshold rule scaled by the max row norm.  Inverses of
+every kind come from one Gauss-Jordan loop.
 
 Matrices are immutable.  Entries are promoted once, where they enter the
 package: ``Matrix(rows)`` (parsing, matrices built by callers, ``map``)
@@ -265,14 +267,7 @@ def _dot(ra, cb):
 
 def det(m):
     """Determinant: Bareiss for exact kinds, partial pivoting for floats."""
-    if not isinstance(m, Matrix):
-        raise TypeError("expected a Matrix")
-    if m.rows != m.cols:
-        raise NotSquare("determinant of a %dx%d matrix" % (m.rows, m.cols))
-    if m.scalar_kind == "complex":
-        value, _ = _float_det(m)
-        return value
-    return _bareiss_det(m)
+    return det_with_scale(m)[0]
 
 
 def det_with_scale(m):
@@ -284,6 +279,8 @@ def det_with_scale(m):
     float result is trustworthy down to roughly eps * scale.  Exact kinds
     return scale 1.0.
     """
+    if not isinstance(m, Matrix):
+        raise TypeError("expected a Matrix")
     if m.rows != m.cols:
         raise NotSquare("determinant of a %dx%d matrix" % (m.rows, m.cols))
     if m.scalar_kind != "complex":
@@ -291,32 +288,44 @@ def det_with_scale(m):
     return _float_det(m)
 
 
-def _bareiss_det(m):
-    n = m.rows
+def _echelon(m):
+    """Fraction-free (Bareiss) row echelon form of an exact matrix.
+
+    Returns (rank, last pivot, sign of the row swaps).  A column with no
+    pivot at or below the current row is skipped; every entry stays a
+    minor of m, so the division by the previous pivot is exact and integer
+    input only ever sees integer quotients.  For a square m of full rank
+    the last pivot is det(m) up to that sign.
+    """
     a = [list(r) for r in m.entries]
-    sign = 1
-    denom = 1
-    for k in range(n - 1):
-        piv = None
-        for r in range(k, n):
-            if a[r][k]:
-                piv = r
-                break
+    nr, nc = m.rows, m.cols
+    r, sign, denom = 0, 1, 1
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
         if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowi, rowk = a[i], a[k]
-            for j in range(k + 1, n):
-                num = rowi[j] * pk - aik * rowk[j]
-                rowi[j] = _exact_div(num, denom)
-            rowi[k] = 0
+        rowk = a[r]
+        pk = rowk[c]
+        for i in range(r + 1, nr):
+            rowi = a[i]
+            aik = rowi[c]
+            for j in range(c + 1, nc):
+                rowi[j] = _exact_div(rowi[j] * pk - aik * rowk[j], denom)
         denom = pk
-    return _simplify(a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1])
+        r += 1
+        if r == nr:
+            break
+    return r, denom, sign
+
+
+def _bareiss_det(m):
+    found, pivot, sign = _echelon(m)
+    if found < m.rows:
+        return 0
+    return pivot if sign > 0 else -pivot
 
 
 def _exact_div(num, denom):
@@ -371,30 +380,8 @@ def rank(m, tol=None):
 
 
 def _exact_rank(m):
-    a = [[Fraction(e) if isinstance(e, int) else e for e in r]
-         for r in m.entries]
-    nr, nc = m.rows, m.cols
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pk = a[r][c]
-        for i in range(r + 1, nr):
-            if not a[i][c]:
-                continue
-            f = a[i][c] / pk
-            for j in range(c, nc):
-                a[i][j] = a[i][j] - f * a[r][j]
-        r += 1
-        if r == nr:
-            break
-    return r
+    return _echelon(m)[0]
+
 
 def _float_rank(m, tol):
     if tol is None:
@@ -428,54 +415,43 @@ def _float_rank(m, tol):
 
 
 def inverse(m):
-    """Matrix inverse by Gauss-Jordan elimination (field division)."""
+    """Matrix inverse by Gauss-Jordan elimination (field division).
+
+    The pivot is the entry of largest modulus for floats and the first
+    nonzero one for exact kinds, whose ints are lifted to Fractions so that
+    the division is exact.  Float results are rebuilt as ``ComplexF``, which
+    checks them finite.
+    """
+    if not isinstance(m, Matrix):
+        raise TypeError("expected a Matrix")
     if m.rows != m.cols:
         raise NotSquare("inverse of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
     if m.scalar_kind == "complex":
-        a = [[complex(e) for e in r] for r in m.entries]
-        aug = [row + [1.0 + 0j if i == j else 0j for j in range(n)]
-               for i, row in enumerate(a)]
-        for k in range(n):
-            piv, best = None, 0.0
-            for r in range(k, n):
-                if abs(aug[r][k]) > best:
-                    piv, best = r, abs(aug[r][k])
-            if piv is None or best == 0.0:
-                raise DivisionByZero("matrix is singular")
-            aug[k], aug[piv] = aug[piv], aug[k]
-            pk = aug[k][k]
-            aug[k] = [x / pk for x in aug[k]]
-            for r in range(n):
-                if r != k and aug[r][k] != 0:
-                    f = aug[r][k]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
-        return _trusted(tuple(tuple(_s.ComplexF(aug[i][n + j])
-                                    for j in range(n)) for i in range(n)),
-                        "complex")
-    a = [[Fraction(e) if isinstance(e, int) else e for e in r]
-         for r in m.entries]
-    aug = [row + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(a)]
+        size, lift, out, one, zero = abs, complex, _s.ComplexF, 1 + 0j, 0j
+    else:
+        size, lift, out, one, zero = bool, _to_field, _simplify, 1, 0
+    aug = [[lift(e) for e in row] + [one if i == j else zero for j in range(n)]
+           for i, row in enumerate(m.entries)]
     for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if aug[r][k]:
-                piv = r
-                break
-        if piv is None:
+        col = [size(row[k]) for row in aug[k:]]
+        best = max(col)
+        if not best:
             raise DivisionByZero("matrix is singular")
+        piv = k + col.index(best)
         aug[k], aug[piv] = aug[piv], aug[k]
         pk = aug[k][k]
         aug[k] = [x / pk for x in aug[k]]
         for r in range(n):
-            if r != k and aug[r][k]:
-                f = aug[r][k]
+            f = aug[r][k]
+            if r != k and f:
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
-    # every row was divided by its pivot, so rational entries are
-    # Fractions and quadratic ones QuadExt
-    return _trusted(tuple(tuple(_simplify(aug[i][n + j]) for j in range(n))
-                          for i in range(n)), m.scalar_kind)
+    return _trusted(tuple(tuple(map(out, row[n:])) for row in aug),
+                    m.scalar_kind)
+
+
+def _to_field(x):
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def block_assemble(blocks):

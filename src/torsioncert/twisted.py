@@ -11,6 +11,7 @@ degree bounds the complexity of spanning surfaces, and the genus check
 comparing that degree against 4g - 2.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -95,76 +96,47 @@ def abelianization(pres):
 
     Requires the abelianized group to be infinite cyclic: the exponent-sum
     matrix must have corank exactly one and unit elementary divisors, the
-    latter checked through the gcd of its maximal minors.
+    latter checked through the gcd of its maximal minors.  The maximal
+    minors of k - 1 rows are the cofactors of their generalized cross
+    product, so the first such rows with a nonzero minor give the kernel:
+    their signed minors, divided by their gcd, leading entry positive.
     """
     k = len(pres.alphabet)
-    rows = [list(r.exponent_sum()) for r in pres.relators]
-
-    # rational kernel of the exponent-sum matrix
-    work = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    col = 0
-    ri = 0
-    for col in range(k):
-        piv = None
-        for i in range(ri, len(work)):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[ri], work[piv] = work[piv], work[ri]
-        inv = 1 / work[ri][col]
-        work[ri] = [v * inv for v in work[ri]]
-        for i in range(len(work)):
-            if i != ri and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[ri])]
-        pivots.append(col)
-        ri += 1
-    rank = len(pivots)
+    rows = [r.exponent_sum() for r in pres.relators]
+    rank = Matrix(rows).rank() if rows else 0
     if rank != k - 1:
         raise NotInfiniteCyclic(
             "abelianization has rank %d relations on %d generators"
             % (rank, k))
 
-    # torsion-freeness: gcd of all (k-1)-minors must be 1
-    if rank > 0:
-        import itertools
-        g = 0
-        for rsel in itertools.combinations(range(len(rows)), rank):
-            for csel in itertools.combinations(range(k), rank):
-                minor = Matrix([[rows[i][j] for j in csel] for i in rsel])
-                g = math.gcd(g, abs(int(minor.det())))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g != 1:
-            raise NotInfiniteCyclic(
-                "abelianization has torsion (minor gcd %d)" % g)
-
-    free = [c for c in range(k) if c not in pivots][0]
-    vec = [Fraction(0)] * k
-    vec[free] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        vec[pc] = -work[i][free]
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
+    kernel = None
     g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    phi = AbelianizationMap(ints)
+    for rsel in itertools.combinations(rows, rank):
+        minors = [(-1) ** j * _minor(rsel, j) for j in range(k)]
+        if kernel is None and any(minors):
+            kernel = minors
+        g = math.gcd(g, *minors)
+        if g == 1:
+            break
+    if g != 1:
+        raise NotInfiniteCyclic(
+            "abelianization has torsion (minor gcd %d)" % g)
+
+    g = math.gcd(*kernel)
+    if next(v for v in kernel if v) < 0:
+        g = -g
+    phi = AbelianizationMap(v // g for v in kernel)
     for r in pres.relators:
         if phi.weight(r) != 0:
             raise NotInfiniteCyclic("relator %s has nonzero weight" % r)
     return phi
+
+
+def _minor(rows, j):
+    """The integer determinant of ``rows`` with column j deleted."""
+    if not rows:
+        return 1
+    return int(Matrix([r[:j] + r[j + 1:] for r in rows]).det())
 
 
 def trivial_rep(alphabet, n=1):

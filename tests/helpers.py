@@ -34,8 +34,9 @@ def perm_det(rows):
 
 
 def minor_rank(m):
-    """Rank by enumerating square minors with the permutation determinant."""
-    rows = [[Fraction(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    """Rank by enumerating square minors with the permutation determinant;
+    entries of any ring."""
+    rows = m.entries
     for size in range(min(m.rows, m.cols), 0, -1):
         for rsel in combinations(range(m.rows), size):
             for csel in combinations(range(m.cols), size):

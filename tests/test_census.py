@@ -1,7 +1,7 @@
 """Two-bridge census: the hyperbolic torsion polynomial detects the genus
 and fibredness at every parabolic root.
 
-For every two-bridge knot K(p/q) with odd q and p <= 17, and at every
+For every two-bridge knot K(p/q) with odd q and p <= 21, and at every
 irreducible root y of its Riley polynomial, the torsion T of the parabolic
 representation a -> ((1,1),(0,1)), b -> ((1,0),(y,1)) must have
 
@@ -27,7 +27,7 @@ from torsioncert.twisted import Presentation, wada_torsion
 from helpers import two_bridge_relator
 
 AB = Alphabet("a b")
-CENSUS = [(p, q) for p in range(3, 18, 2)
+CENSUS = [(p, q) for p in range(3, 22, 2)
           for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
 

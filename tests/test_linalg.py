@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsioncert import linalg as linalg_module
 from torsioncert.errors import DivisionByZero, DimensionMismatch, NotSquare
 from torsioncert.linalg import (
     Matrix,
@@ -24,6 +25,22 @@ from helpers import minor_rank, perm_det, random_fraction, random_sl2
 def rand_rational_matrix(rng, rows, cols):
     return Matrix([[random_fraction(rng) for _ in range(cols)]
                    for _ in range(rows)])
+
+
+def rand_quadext(rng):
+    return QuadExt(random_fraction(rng, 4, 3), random_fraction(rng, 4, 3), 5)
+
+
+def low_rank_product(rng, rows, cols, inner, entry):
+    """A rows x cols product of rows x inner and inner x cols factors, with
+    about a third of its columns zeroed so that elimination skips them."""
+    a = [[entry(rng) for _ in range(inner)] for _ in range(rows)]
+    b = [[entry(rng) for _ in range(cols)] for _ in range(inner)]
+    zeroed = {j for j in range(cols) if rng.random() < 0.35}
+    return Matrix([[0 * a[0][0] if j in zeroed else
+                    sum((a[i][t] * b[t][j] for t in range(1, inner)),
+                        a[i][0] * b[0][j])
+                    for j in range(cols)] for i in range(rows)])
 
 
 class TestDeterminant:
@@ -79,6 +96,11 @@ class TestDeterminant:
         with pytest.raises(NotSquare):
             det(Matrix([[1, 2, 3], [4, 5, 6]]))
 
+    def test_non_matrix_rejected(self):
+        for fn in (det, det_with_scale, rank, inverse):
+            with pytest.raises(TypeError):
+                fn([[1]])
+
 
 class TestRank:
     def test_against_minor_enumeration(self):
@@ -103,6 +125,64 @@ class TestRank:
             b = rand_rational_matrix(rng, 1, 3)
             assert rank(a * b) <= 1
 
+    def test_fraction_entries(self):
+        rng = rng_for(17, 11)
+        for _ in range(30):
+            r, c = rng.randint(1, 4), rng.randint(1, 4)
+            m = rand_rational_matrix(rng, r, c)
+            assert rank(m) == minor_rank(m)
+
+    def test_quadext_entries(self):
+        rng = rng_for(17, 12)
+        for _ in range(30):
+            r, c = rng.randint(1, 4), rng.randint(1, 4)
+            m = Matrix([[rand_quadext(rng) for _ in range(c)]
+                        for _ in range(r)])
+            assert m.scalar_kind == "quadext"
+            assert rank(m) == minor_rank(m)
+
+    def test_low_rank_products_skip_columns(self):
+        # rank below the number of rows and of columns, with zero columns
+        # anywhere, so that pivot-free columns are skipped mid-elimination
+        rng = rng_for(17, 13)
+        entries = [lambda g: g.randint(-3, 3), random_fraction, rand_quadext]
+        for trial in range(60):
+            entry = entries[trial % 3]
+            r, c = rng.randint(2, 5), rng.randint(2, 5)
+            inner = rng.randint(1, min(r, c) - 1) if min(r, c) > 1 else 1
+            m = low_rank_product(rng, r, c, inner, entry)
+            assert rank(m) == minor_rank(m) <= inner
+            assert rank(m.transpose()) == rank(m)
+
+    def test_integer_input_gives_integer_quotients(self, monkeypatch):
+        # Bareiss divisions of an integer matrix are exact in Z: the
+        # elimination never leaves the integers, on singular and rectangular
+        # input too
+        seen = []
+        real_div = linalg_module._exact_div
+
+        def recording_div(num, denom):
+            q = real_div(num, denom)
+            seen.append((num, denom, q))
+            return q
+
+        monkeypatch.setattr(linalg_module, "_exact_div", recording_div)
+        rng = rng_for(17, 14)
+        for _ in range(100):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            if rng.random() < 0.5:
+                m = low_rank_product(rng, r, c, rng.randint(1, 3),
+                                     lambda g: g.randint(-4, 4))
+            else:
+                m = Matrix([[rng.randint(-5, 5) for _ in range(c)]
+                            for _ in range(r)])
+            assert rank(m) == minor_rank(m)
+            if r == c:
+                assert det(m) == perm_det(m.entries)
+        assert sum(abs(denom) > 1 for _, denom, _ in seen) > 100
+        for num, denom, q in seen:
+            assert type(q) is int and q * denom == num, (num, denom, q)
+
 
 class TestInverse:
     def test_round_trip(self):
@@ -124,6 +204,80 @@ class TestInverse:
         u = QuadExt(Fraction(5, 2), Fraction(1, 2), 21)
         m = Matrix([[QuadExt(4, 0, 21), -u], [u.inverse(), QuadExt(0, 0, 21)]])
         assert m * inverse(m) == Matrix.identity(2)
+
+
+def _former_complex_inverse(rows):
+    """The Gauss-Jordan loop complex inverses used to have, frozen as the
+    bit-level reference: partial pivoting on the largest modulus, the first
+    one on ties.  None when a column has no nonzero pivot."""
+    n = len(rows)
+    a = [[complex(e) for e in r] for r in rows]
+    aug = [row + [1.0 + 0j if i == j else 0j for j in range(n)]
+           for i, row in enumerate(a)]
+    for k in range(n):
+        piv, best = None, 0.0
+        for r in range(k, n):
+            if abs(aug[r][k]) > best:
+                piv, best = r, abs(aug[r][k])
+        if piv is None or best == 0.0:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pk = aug[k][k]
+        aug[k] = [x / pk for x in aug[k]]
+        for r in range(n):
+            if r != k and aug[r][k] != 0:
+                f = aug[r][k]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
+    return [[ComplexF(aug[i][n + j]) for j in range(n)] for i in range(n)]
+
+
+def _hex_rows(rows):
+    return [[(z.real.hex(), z.imag.hex()) for z in r] for r in rows]
+
+
+def _random_complex_entry(rng):
+    # zeros, signed zeros and repeated moduli exercise pivot ties and skips
+    return rng.choice([
+        complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+        complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+        complex(rng.randint(-2, 2), rng.randint(-2, 2)),
+        complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e-3, 1e-3)),
+        complex(0.0, -0.0), complex(-0.0, 0.0)])
+
+
+class TestFloatInverseMatchesFormerLoop:
+    """The float branch of the one Gauss-Jordan loop gives the inverses of
+    the former complex-only loop, compared by float hex."""
+
+    def test_random_matrices(self):
+        rng = rng_for(17, 15)
+        inverted = 0
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            rows = [[_random_complex_entry(rng) for _ in range(n)]
+                    for _ in range(n)]
+            want = _former_complex_inverse(rows)
+            if want is None:
+                with pytest.raises(DivisionByZero):
+                    inverse(Matrix(rows))
+                continue
+            got = inverse(Matrix(rows))
+            assert got.scalar_kind == "complex"
+            assert _hex_rows(got.entries) == _hex_rows(want)
+            inverted += 1
+        assert inverted > 300
+
+    def test_singular_rejected(self):
+        rng = rng_for(17, 16)
+        for n in range(1, 9):
+            row = [_random_complex_entry(rng) for _ in range(n)]
+            cases = [[[0j] * n for _ in range(n)]]
+            if n > 1:
+                cases.append([list(row) for _ in range(n)])
+            for rows in cases:
+                assert _former_complex_inverse(rows) is None
+                with pytest.raises(DivisionByZero):
+                    inverse(Matrix(rows))
 
 
 class TestStructure:

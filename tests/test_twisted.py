@@ -1,5 +1,6 @@
 """Twisted chain complexes, Wada torsion, and the genus comparison."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,43 @@ class TestAbelianization:
         # a^2 b^2 abelianizes to Z + Z/2
         with pytest.raises(NotInfiniteCyclic):
             abelianization(Presentation(AB, [Word.from_string(AB, "aabb")]))
+
+    def test_against_sympy(self):
+        """Exponents equal sympy's primitive kernel vector, and
+        NotInfiniteCyclic is raised exactly when sympy finds the wrong
+        rank or an invariant factor above 1."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        rng = rng_for(23, 0)
+        outcomes = {"cyclic": 0, "rank": 0, "torsion": 0}
+        for _ in range(600):
+            k = rng.randint(1, 4)
+            alphabet = Alphabet(" ".join("abcd"[:k]))
+            count = rng.randint(0, 5)
+            relators = []
+            while len(relators) < count:
+                w = random_word(rng, alphabet, max_len=7)
+                if len(w) and w.is_cyclically_reduced():
+                    relators.append(w)
+            pres = Presentation(alphabet, relators)
+            rows = [r.exponent_sum() for r in relators]
+            m = sympy.Matrix(rows) if rows else sympy.zeros(1, k)
+            if m.rank() != k - 1:
+                outcomes["rank"] += 1
+                with pytest.raises(NotInfiniteCyclic):
+                    abelianization(pres)
+                continue
+            if any(f > 1 for f in invariant_factors(m, domain=sympy.ZZ)):
+                outcomes["torsion"] += 1
+                with pytest.raises(NotInfiniteCyclic):
+                    abelianization(pres)
+                continue
+            (v,) = m.nullspace()
+            v = [int(x * math.lcm(*(int(y.q) for y in v))) for x in v]
+            g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+            outcomes["cyclic"] += 1
+            assert abelianization(pres).exponents == tuple(x // g for x in v)
+        assert min(outcomes.values()) >= 25, outcomes
 
 
 class TestTwistedComplex:
