@@ -312,6 +312,49 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", path)
         assert code == 0
 
+    @pytest.mark.parametrize("name, message", [
+        ("bad_alexander.pres",
+         "%s: recorded polynomial disagrees with the computed one"),
+        ("bad_images.sut",
+         "need 2 images for rank 2, got 1 (unbalanced data)"),
+        ("bad_letter.pres",
+         "line 4: letter 'c' not in alphabet Alphabet('a b')"),
+        ("bad_matrix.rep", "image of generator 'x' is singular"),
+        ("bad_relator.pres", "relator Aba is not cyclically reduced"),
+    ])
+    def test_fixture_message(self, capsys, name, message):
+        path = os.path.join(FIXTURES, name)
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % (message.replace("%s", path))
+
+
+BUNDLED_TEXT = {
+    "trefoil.pres": "name: trefoil\ngenerators: a b\nrelators:\nabaBAB\n"
+                    "meridian: a\nlongitude: abababAAAAAA\ngenus: 1\n"
+                    "alexander: 1 - t + t^2\n",
+    "fig8.pres": "name: fig8\ngenerators: a b\nrelators:\naBAbaBabAB\n"
+                 "meridian: a\nlongitude: bABaaBAb\ngenus: 1\n"
+                 "alexander: 1 - 3*t + t^2\n",
+    "pants.sut": "name: pants\nambient: x y\nimages:\nx\nyxyXY\n",
+    "schottky.rep": "alphabet: x y\nscalar: rational\nsl: true\n"
+                    "x: 1,1;2,3\ny: 1,-2;-1,3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_TEXT))
+def test_bundled_file_prints_pinned_bytes(name):
+    from torsioncert import representation, suturedcert, twisted
+    read, write = {
+        ".pres": (twisted.presentation_from_text,
+                  twisted.presentation_to_text),
+        ".sut": (suturedcert.sutured_from_text, suturedcert.sutured_to_text),
+        ".rep": (representation.rep_from_text, representation.rep_to_text),
+    }[os.path.splitext(name)[1]]
+    path = os.path.join(os.path.dirname(torsioncert.__file__), "data", name)
+    with open(path, encoding="utf-8") as fh:
+        assert write(read(fh.read())) == BUNDLED_TEXT[name]
+
 
 class TestConfig:
     def test_structured_output_is_deterministic(self, capsys):
