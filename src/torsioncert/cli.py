@@ -58,10 +58,6 @@ def _emit(config, pairs):
             sys.stdout.write("%s: %s\n" % (key, value))
 
 
-def _scalar_out(v):
-    return _s.scalar_str(v)
-
-
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -148,7 +144,7 @@ def cmd_certify(config, args):
         pairs.append(("character", repr(char)))
     if N is not None:
         pairs.append(("sym_power", N))
-    pairs += [("determinant", _scalar_out(cert.determinant)),
+    pairs += [("determinant", _s.scalar_str(cert.determinant)),
               ("is_product", cert.is_product)]
     if cert.oracle_h1 is not None:
         pairs.append(("oracle_h1", cert.oracle_h1))
@@ -182,7 +178,7 @@ def cmd_torsion(config, args):
                   ("verdict", verdict.verdict)]
         if verdict.longitude_trace is not None:
             pairs.append(("longitude_trace",
-                          _scalar_out(verdict.longitude_trace)))
+                          _s.scalar_str(verdict.longitude_trace)))
         code = 0 if verdict.verdict == "equality" else 1
     _emit(config, pairs)
     return code
@@ -249,7 +245,7 @@ def cmd_charlift(config, args):
     pairs = [("character", repr(c)),
              ("scalar_kind", rep.scalar_kind),
              ("reducible", reducible),
-             ("commutator_trace", _scalar_out(_cv.commutator_trace(c)))]
+             ("commutator_trace", _s.scalar_str(_cv.commutator_trace(c)))]
     for name, m in zip(rep.alphabet.names, rep.images):
         pairs.append(("image_%s" % name, matrix_str(m)))
     if args.sym_power is not None:
@@ -263,35 +259,31 @@ def cmd_charlift(config, args):
     return 1 if reducible else 0
 
 
+# data-file suffix -> (reader, writer, description of what was read)
+_FORMATS = {
+    ".pres": (_tw.presentation_from_text, _tw.presentation_to_text,
+              lambda pres: "presentation %r" % (pres.name or "unnamed")),
+    ".sut": (_sc.sutured_from_text, _sc.sutured_to_text,
+             lambda data: "sutured data %r" % (data.name or "unnamed")),
+    ".rep": (_rp.rep_from_text, _rp.rep_to_text,
+             lambda rep: rep.description()),
+}
+
+
 def _validate_one(path):
     text = _read(path)
-    if path.endswith(".pres"):
-        pres = _tw.presentation_from_text(text)
-        again = _tw.presentation_from_text(_tw.presentation_to_text(pres))
-        if _tw.presentation_to_text(again) != _tw.presentation_to_text(pres):
-            raise TorsionCertError("%s: print/parse round trip drifted"
-                                   % path)
-        if not _tw.check_alexander(pres):
-            raise TorsionCertError(
-                "%s: recorded polynomial disagrees with the computed one"
-                % path)
-        return "presentation %r" % (pres.name or "unnamed")
-    if path.endswith(".sut"):
-        data = _sc.sutured_from_text(text)
-        if _sc.sutured_to_text(_sc.sutured_from_text(
-                _sc.sutured_to_text(data))) != _sc.sutured_to_text(data):
-            raise TorsionCertError("%s: print/parse round trip drifted"
-                                   % path)
-        return "sutured data %r" % (data.name or "unnamed")
-    if path.endswith(".rep"):
-        rep = _rp.rep_from_text(text)
-        if _rp.rep_to_text(_rp.rep_from_text(
-                _rp.rep_to_text(rep))) != _rp.rep_to_text(rep):
-            raise TorsionCertError("%s: print/parse round trip drifted"
-                                   % path)
-        return rep.description()
-    raise TorsionCertError("%s: unknown file type (want .pres/.sut/.rep)"
-                           % path)
+    suffix = next((s for s in _FORMATS if path.endswith(s)), None)
+    if suffix is None:
+        raise TorsionCertError("%s: unknown file type (want .pres/.sut/.rep)"
+                               % path)
+    read, write, describe = _FORMATS[suffix]
+    obj = read(text)
+    if write(read(write(obj))) != write(obj):
+        raise TorsionCertError("%s: print/parse round trip drifted" % path)
+    if suffix == ".pres" and not _tw.check_alexander(obj):
+        raise TorsionCertError(
+            "%s: recorded polynomial disagrees with the computed one" % path)
+    return describe(obj)
 
 
 def cmd_validate(config, args):
@@ -300,7 +292,7 @@ def cmd_validate(config, args):
         paths = sorted(
             os.path.join(config.data_dir, f)
             for f in os.listdir(config.data_dir)
-            if f.endswith((".pres", ".sut", ".rep")))
+            if f.endswith(tuple(_FORMATS)))
     pairs = []
     for path in paths:
         located = _locate(config, path)

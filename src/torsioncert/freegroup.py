@@ -21,6 +21,9 @@ the prefix of length i (P_0 the identity),
 
 so :func:`fox_sweep` yields one signed prefix image per letter at the cost
 of one product per letter, for any ring the caller multiplies in.
+
+:func:`read_sections` is the one reader of the ``key: value`` data files
+(``.pres``, ``.sut``, ``.rep``) whose parsers build on these words.
 """
 
 from fractions import Fraction
@@ -398,6 +401,49 @@ def parse_ring_elem(alphabet, text):
     w, c = _parse_ring_term(alphabet, "".join(buf))
     terms[w] = terms.get(w, 0) + sign * c
     return GroupRingElem(alphabet, terms)
+
+
+def read_sections(text, keys, block=None):
+    """The ``key: value`` lines of a data file, read in one pass.
+
+    Blank lines and lines starting with ``#`` are skipped.  Every key must
+    be one of ``keys`` and appear at most once.  Bare lines are allowed only
+    after the ``block`` header, and a value on that header line counts as
+    its first bare line.  Returns ``(fields, lines)``: ``fields`` maps each
+    key read to ``(line number, value)`` in file order, and ``lines`` lists
+    the block's ``(line number, text)``.
+    """
+    fields, lines = {}, []
+    in_block = False
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition(":")
+        if not sep:
+            if not in_block:
+                raise ParseError("line %d: expected 'key: value'" % ln)
+            lines.append((ln, line))
+            continue
+        key, val = key.strip(), val.strip()
+        if key not in keys:
+            raise ParseError("line %d: unknown key %r" % (ln, key))
+        if key in fields:
+            raise ParseError("line %d: duplicate %r" % (ln, key))
+        fields[key] = (ln, val)
+        in_block = key == block
+        if in_block and val:
+            lines.append((ln, val))
+    return fields, lines
+
+
+def parse_at(parse, ln, text):
+    """``parse(text)``, with a ValueError or KeyError it raises reported as
+    a ParseError at line ``ln``."""
+    try:
+        return parse(text)
+    except (ValueError, KeyError) as exc:
+        raise ParseError("line %d: %s" % (ln, exc)) from None
 
 
 def _gen_index(alphabet, g):

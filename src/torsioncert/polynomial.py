@@ -201,10 +201,6 @@ class LaurentPoly:
         return "LaurentPoly(%r)" % laurent_str(self)
 
 
-def degree_span(p):
-    return p.degree_span()
-
-
 def rational_degree(num, den):
     """Degree of the quotient num/den: span(num) - span(den).
 

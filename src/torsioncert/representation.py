@@ -9,6 +9,7 @@ which is checked at construction.
 """
 
 import operator
+import string
 from functools import cached_property
 from itertools import product
 
@@ -17,7 +18,8 @@ from . import scalar as _s
 from .errors import (AlphabetMismatch, MixedExtension, MixedScalarKind,
                      NoRootFound, NotSL2, NotTwoByTwo, ParseError,
                      ReducibleOnly, ScalarEmbedding)
-from .freegroup import GroupRingElem, Word, fox_sweep
+from .freegroup import (Alphabet, GroupRingElem, Word, fox_sweep, parse_at,
+                        read_sections)
 from .linalg import Matrix
 from .polynomial import (horner_within_rounding, int_poly_gcd,
                          newton_basin_radius, newton_polish)
@@ -38,6 +40,11 @@ class Representation:
             if not isinstance(m, Matrix) or m.rows != m.cols or m.rows != n:
                 raise ValueError("images must be square matrices of one size")
         kinds = {m.scalar_kind for m in images}
+        # one field per kind, except that quadext images may differ in d
+        fields = {_la._field(m) for m in images}
+        if len(fields) > len(kinds):
+            a, b = sorted(fields - kinds)[:2]
+            raise MixedExtension("cannot mix sqrt(%d) with sqrt(%d)" % (a, b))
         if len(kinds) > 1:
             # promote rationals into a richer kind if one is present
             if kinds == {"rational", "quadext"} or kinds == {"rational", "complex"}:
@@ -107,22 +114,9 @@ class Representation:
             out = out * self.letter_image(l)
         return out
 
-    def fox_row(self, w):
-        """The images of the Fox derivatives of w by each generator, as a
-        list of n x n blocks, with the values of :meth:`fox_blocks`.
-
-        As in term-by-term evaluation, a block with no term is the rational
-        zero and a block whose one term is the empty prefix the rational
-        identity.
-        """
-        one, zero = self.units
-        return [Matrix.zero(self.n) if b is zero else
-                Matrix.identity(self.n) if b is one else b
-                for b in self.fox_blocks(w)]
-
     def fox_blocks(self, w):
-        """The Fox derivatives of w as :meth:`fox_row` gives them, every
-        block in the representation's own kind: the terms of
+        """The images of the Fox derivatives of w by each generator, as a
+        list of n x n blocks in the representation's own kind: the terms of
         :func:`fox_sweep` from :attr:`units` summed in word order, so no
         product or sum changes kind."""
         self._check_word(w)
@@ -428,8 +422,9 @@ def solve_parabolic(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25,
     return Representation(pres.alphabet, [A, B], sl_flag=True)
 
 
-# text form: "alphabet:" and "scalar:" header lines, then "<gen>: <matrix>"
-# per generator in the rows;entries matrix grammar
+# every other key of a .rep file names a generator, a single letter
+_REP_KEYS = ("alphabet", "scalar", "sl", *string.ascii_lowercase)
+
 
 def rep_to_text(rep):
     lines = ["alphabet: %s" % " ".join(rep.alphabet.names),
@@ -442,46 +437,32 @@ def rep_to_text(rep):
 
 
 def rep_from_text(text):
-    from .freegroup import Alphabet
-    alphabet = None
-    kind = None
-    sl_flag = False
-    body = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ParseError("line %d: expected 'key: value'" % ln)
-        key, _, val = line.partition(":")
-        key = key.strip()
-        val = val.strip()
-        if key == "alphabet":
-            alphabet = Alphabet(val)
-        elif key == "scalar":
-            if val not in ("rational", "quadext", "complex"):
-                raise ParseError("line %d: unknown scalar kind %r" % (ln, val))
-            kind = val
-        elif key == "sl":
-            sl_flag = val.lower() in ("true", "yes", "1")
-        else:
-            if alphabet is None:
-                raise ParseError("line %d: matrix before alphabet header" % ln)
-            if key not in alphabet.names:
-                raise ParseError("line %d: %r is not a generator" % (ln, key))
-            if key in body:
-                raise ParseError("line %d: duplicate matrix for %r" % (ln, key))
-            try:
-                body[key] = _la.parse_matrix(val, kind=kind)
-            except (ParseError, ValueError) as exc:
-                raise ParseError("line %d: %s" % (ln, exc)) from None
-    if alphabet is None or kind is None:
+    """A representation from the ``.rep`` format of
+    :func:`~torsioncert.freegroup.read_sections`: ``alphabet:``,
+    ``scalar:``, an optional ``sl:`` and one ``<generator>: <matrix>`` line
+    per generator, each matrix read under the file's scalar kind."""
+    fields, _ = read_sections(text, _REP_KEYS)
+    if "alphabet" not in fields or "scalar" not in fields:
         raise ParseError("missing alphabet or scalar header")
+    alphabet = parse_at(Alphabet, *fields.pop("alphabet"))
+    ln, kind = fields.pop("scalar")
+    if kind not in ("rational", "quadext", "complex"):
+        raise ParseError("line %d: unknown scalar kind %r" % (ln, kind))
+    ln, sl = fields.pop("sl", (0, "false"))
+    if sl not in ("true", "false"):
+        raise ParseError("line %d: sl must be true or false, got %r"
+                         % (ln, sl))
+    body = {}
+    for key, (ln, val) in fields.items():
+        if key not in alphabet.names:
+            raise ParseError("line %d: %r is not a generator" % (ln, key))
+        body[key] = parse_at(lambda s: _la.parse_matrix(s, kind=kind), ln,
+                             val)
     missing = [n for n in alphabet.names if n not in body]
     if missing:
         raise ParseError("no matrix for generator(s) %s" % ", ".join(missing))
     try:
         return Representation(alphabet, [body[n] for n in alphabet.names],
-                              sl_flag=sl_flag)
+                              sl_flag=sl == "true")
     except ValueError as exc:
         raise ParseError(str(exc)) from None

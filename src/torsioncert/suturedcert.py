@@ -11,7 +11,7 @@ enlarged alphabet and compares ranks.
 from . import linalg as _la
 from . import scalar as _s
 from .errors import AlphabetMismatch, OracleMismatch, ParseError
-from .freegroup import Alphabet, Word
+from .freegroup import Alphabet, Word, parse_at, read_sections
 from .representation import Representation
 from .twisted import Presentation, build_complex, homology_dims
 
@@ -165,9 +165,6 @@ def pants_example():
         name="pants")
 
 
-# text form: optional "name:", "ambient:" header, "images:" block with one
-# word per line
-
 def sutured_to_text(data):
     lines = []
     if data.name:
@@ -180,44 +177,16 @@ def sutured_to_text(data):
 
 
 def sutured_from_text(text):
-    name = ""
-    alphabet = None
-    image_strs = []
-    in_images = False
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition(":")
-        key = key.strip()
-        if sep and key in ("name", "ambient", "images"):
-            in_images = False
-            val = val.strip()
-            if key == "name":
-                name = val
-            elif key == "ambient":
-                try:
-                    alphabet = Alphabet(val)
-                except ValueError as exc:
-                    raise ParseError("line %d: %s" % (ln, exc)) from None
-            else:
-                in_images = True
-                if val:
-                    image_strs.append((ln, val))
-        elif in_images and not sep:
-            image_strs.append((ln, line))
-        elif in_images:
-            raise ParseError("line %d: unknown key %r" % (ln, key))
-        else:
-            raise ParseError("line %d: expected 'key: value'" % ln)
-    if alphabet is None:
+    """Sutured data from the ``.sut`` format of
+    :func:`~torsioncert.freegroup.read_sections`, with an ``images:`` block
+    of words."""
+    fields, image_lines = read_sections(text, ("name", "ambient", "images"),
+                                        block="images")
+    if "ambient" not in fields:
         raise ParseError("missing ambient line")
-    images = []
-    for ln, s in image_strs:
-        try:
-            images.append(Word.from_string(alphabet, s))
-        except (ValueError, KeyError) as exc:
-            raise ParseError("line %d: %s" % (ln, exc)) from None
+    alphabet = parse_at(Alphabet, *fields["ambient"])
+    images = [parse_at(alphabet.word, *line) for line in image_lines]
+    name = fields["name"][1] if "name" in fields else ""
     try:
         return SuturedHandlebodyData(alphabet, images, name=name)
     except ValueError as exc:

@@ -21,7 +21,8 @@ from .errors import (AlphabetMismatch, AllColumnsDegenerate, ChainCondition,
                      LongitudeTraceViolation, MissingGenusHint,
                      NotDeficiencyOne, NotInfiniteCyclic, OracleMismatch,
                      ParseError)
-from .freegroup import Alphabet, Word, fox_sweep
+from .freegroup import (Alphabet, Word, fox_sweep, parse_at,
+                        read_sections)
 from .linalg import Matrix
 from .polynomial import (LaurentPoly, NEG_INFINITY, grid_mul, laurent_str,
                          laurent_unit_match, parse_laurent, poly_matrix_det,
@@ -417,8 +418,9 @@ def conjecture_check(pres, rep, trace_tol=1e-6):
                         longitude_trace)
 
 
-# presentation file grammar: "name:", "generators:", a "relators:" block of
-# bare words, optional "meridian:", "longitude:", "genus:", "alexander:"
+_PRES_KEYS = ("name", "generators", "relators", "meridian", "longitude",
+              "genus", "alexander")
+
 
 def presentation_to_text(pres):
     lines = []
@@ -440,60 +442,19 @@ def presentation_to_text(pres):
 
 
 def presentation_from_text(text):
-    name = ""
-    alphabet = None
-    relator_strs = []
-    fields = {}
-    in_relators = False
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition(":")
-        key = key.strip()
-        if sep and key in ("name", "generators", "relators", "meridian",
-                           "longitude", "genus", "alexander"):
-            in_relators = False
-            val = val.strip()
-            if key == "name":
-                name = val
-            elif key == "generators":
-                try:
-                    alphabet = Alphabet(val)
-                except ValueError as exc:
-                    raise ParseError("line %d: %s" % (ln, exc)) from None
-            elif key == "relators":
-                in_relators = True
-                if val:
-                    relator_strs.append((ln, val))
-            else:
-                if key in fields:
-                    raise ParseError("line %d: duplicate %r" % (ln, key))
-                fields[key] = (ln, val)
-        elif in_relators and not sep:
-            relator_strs.append((ln, line))
-        elif in_relators:
-            # a colon inside the relator block means an unknown header
-            raise ParseError("line %d: unknown key %r" % (ln, key))
-        else:
-            raise ParseError("line %d: expected 'key: value'" % ln)
-    if alphabet is None:
+    """A presentation from the ``.pres`` format of
+    :func:`~torsioncert.freegroup.read_sections`, with a ``relators:``
+    block of words."""
+    fields, relator_lines = read_sections(text, _PRES_KEYS, block="relators")
+    if "generators" not in fields:
         raise ParseError("missing generators line")
-
-    def to_word(ln, s):
-        try:
-            return Word.from_string(alphabet, s)
-        except (ValueError, KeyError) as exc:
-            raise ParseError("line %d: %s" % (ln, exc)) from None
-
-    relators = [to_word(ln, s) for ln, s in relator_strs]
-    meridian = longitude = None
-    genus = None
-    alexander = None
+    alphabet = parse_at(Alphabet, *fields["generators"])
+    relators = [parse_at(alphabet.word, *line) for line in relator_lines]
+    meridian = longitude = genus = alexander = None
     if "meridian" in fields:
-        meridian = to_word(*fields["meridian"])
+        meridian = parse_at(alphabet.word, *fields["meridian"])
     if "longitude" in fields:
-        longitude = to_word(*fields["longitude"])
+        longitude = parse_at(alphabet.word, *fields["longitude"])
     if "genus" in fields:
         ln, val = fields["genus"]
         try:
@@ -504,11 +465,9 @@ def presentation_from_text(text):
         if genus < 0:
             raise ParseError("line %d: genus must be nonnegative" % ln)
     if "alexander" in fields:
-        ln, val = fields["alexander"]
-        try:
-            alexander = parse_laurent(val, kind="rational")
-        except (ParseError, ValueError) as exc:
-            raise ParseError("line %d: %s" % (ln, exc)) from None
+        alexander = parse_at(lambda s: parse_laurent(s, kind="rational"),
+                             *fields["alexander"])
+    name = fields["name"][1] if "name" in fields else ""
     try:
         return Presentation(alphabet, relators, name=name, meridian=meridian,
                             longitude=longitude, genus_hint=genus,

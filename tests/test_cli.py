@@ -321,6 +321,7 @@ class TestValidate:
          "line 4: letter 'c' not in alphabet Alphabet('a b')"),
         ("bad_matrix.rep", "image of generator 'x' is singular"),
         ("bad_relator.pres", "relator Aba is not cyclically reduced"),
+        ("mixed_field.rep", "cannot mix sqrt(2) with sqrt(3)"),
     ])
     def test_fixture_message(self, capsys, name, message):
         path = os.path.join(FIXTURES, name)

@@ -72,16 +72,21 @@ def test_generic_sweep_in_the_integers():
 
 
 def test_matrix_blocks_equal_evaluated_derivatives():
+    # a block with no term, or whose one term is the empty prefix, is the
+    # zero or identity of the representation's kind where term-by-term
+    # evaluation gives the rational one, so only its value is compared
     for case in range(4):
         rng = rng_for(41, case)
         for rep in scalar_reps(rng):
             for _ in range(6):
                 w = random_word(rng, rep.alphabet, 10)
-                row = rep.fox_row(w)
+                row = rep.fox_blocks(w)
                 for j in range(len(rep.alphabet)):
-                    oracle = rep.eval_ring_elem(fox_derivative(w, j))
+                    derivative = fox_derivative(w, j)
+                    oracle = rep.eval_ring_elem(derivative)
                     assert row[j] == oracle
-                    assert entries(row[j]) == entries(oracle)
+                    if any(v.letters for v in derivative.terms):
+                        assert entries(row[j]) == entries(oracle)
 
 
 def twisted_oracle(w, j, rep, twist):

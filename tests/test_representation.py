@@ -13,7 +13,6 @@ from torsioncert.errors import (
     NotTwoByTwo,
     ParseError,
     ReducibleOnly,
-    ScalarEmbedding,
 )
 from torsioncert.freegroup import Alphabet, Word, parse_ring_elem
 from torsioncert.linalg import Matrix, det
@@ -114,13 +113,13 @@ class TestRepresentation:
 
     def test_mixed_extensions_rejected(self):
         # sqrt(5) and sqrt(-3) images cannot share a representation
-        with pytest.raises((MixedExtension, ScalarEmbedding)):
-            rep = Representation(
+        with pytest.raises(MixedExtension,
+                           match=r"cannot mix sqrt\(-3\) with sqrt\(5\)"):
+            Representation(
                 XY, [Matrix([[QuadExt(1, 1, 5), QuadExt(0, 0, 5)],
                              [QuadExt(0, 0, 5), QuadExt(1, -1, 5)]]),
                      Matrix([[QuadExt(1, 1, -3), QuadExt(0, 0, -3)],
                              [QuadExt(0, 0, -3), QuadExt(1, -1, -3)]])])
-            rep.eval_word(Word.from_string(XY, "xy"))
 
     def test_conjugated(self):
         rng = rng_for(23, 4)
@@ -318,6 +317,32 @@ class TestSerialization:
         assert all(back.image(i) == rep.image(i) for i in range(2))
         assert back.sl_flag == rep.sl_flag
         assert rep_to_text(back) == text
+
+    @pytest.mark.parametrize("text, expected", [
+        ("alphabet: x\nalphabet: x y\nscalar: rational\nx: 1,0;0,1\n",
+         "error: line 2: duplicate 'alphabet'"),
+        ("alphabet: x\nscalar: rational\nscalar: complex\nx: 1,0;0,1\n",
+         "error: line 3: duplicate 'scalar'"),
+        ("alphabet: x\nscalar: rational\nx: 1,0;0,1\nx: 2,0;0,1\n",
+         "error: line 4: duplicate 'x'"),
+        ("alphabet: x\nscalar: rational\nfoo: 1,0;0,1\n",
+         "error: line 3: unknown key 'foo'"),
+        ("alphabet: x\nscalar: rational\nsl: maybe\nx: 1,0;0,1\n",
+         "error: line 3: sl must be true or false, got 'maybe'"),
+        # each matrix is read under the file's scalar kind
+        ("alphabet: x\nx: 1.5,0;0,2\nscalar: rational\n",
+         "error: line 2: bad rational literal '1.5'"),
+        ("alphabet: x\nx: 1,1;0,1\nscalar: complex\n",
+         "alphabet: x\nscalar: complex\nx: 1+0i,1+0i;0+0i,1+0i\n"),
+        ("x: 1,1;0,1\nsl: true\nalphabet: x\nscalar: rational\n",
+         "alphabet: x\nscalar: rational\nsl: true\nx: 1,1;0,1\n"),
+    ], ids=range(8))
+    def test_reader(self, text, expected):
+        try:
+            got = rep_to_text(rep_from_text(text))
+        except ParseError as exc:
+            got = "error: %s" % exc
+        assert got == expected
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

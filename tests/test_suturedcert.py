@@ -177,6 +177,23 @@ class TestSerialization:
         assert back.name == data.name
         assert sutured_to_text(back) == text
 
+    @pytest.mark.parametrize("text, expected", [
+        ("ambient: x y\nambient: x y z\nimages:\nx\ny\nz\n",
+         "error: line 2: duplicate 'ambient'"),
+        ("name: one\nname: two\nambient: x y\nimages:\nx\ny\n",
+         "error: line 2: duplicate 'name'"),
+        ("ambient: x y\nimages:\nx\nimages:\ny\n",
+         "error: line 4: duplicate 'images'"),
+        ("ambient: x y\ngenus: 1\nimages:\nx\ny\n",
+         "error: line 2: unknown key 'genus'"),
+    ], ids=range(4))
+    def test_reader(self, text, expected):
+        try:
+            got = sutured_to_text(sutured_from_text(text))
+        except ParseError as exc:
+            got = "error: %s" % exc
+        assert got == expected
+
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             sutured_from_text("name: broken\nambient: x y\nimages:\n  x\n")

@@ -298,6 +298,23 @@ class TestSerialization:
             alexander_check=parse_laurent("1 + t"))
         assert not check_alexander(pres)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("generators: a b\ngenerators: a b c\nrelators:\nabAB\n",
+         "error: line 2: duplicate 'generators'"),
+        ("name: one\nname: two\ngenerators: a b\nrelators:\nabAB\n",
+         "error: line 2: duplicate 'name'"),
+        ("generators: a b\nrelators:\nabAB\nrelators:\nbaBA\n",
+         "error: line 4: duplicate 'relators'"),
+        ("generators: a b\nsl: true\nrelators:\nabAB\n",
+         "error: line 2: unknown key 'sl'"),
+    ], ids=range(4))
+    def test_reader(self, text, expected):
+        try:
+            got = presentation_to_text(presentation_from_text(text))
+        except ParseError as exc:
+            got = "error: %s" % exc
+        assert got == expected
+
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             presentation_from_text("relators:\nabAB\n")
