@@ -277,7 +277,10 @@ def _validate_one(path):
         raise TorsionCertError("%s: unknown file type (want .pres/.sut/.rep)"
                                % path)
     read, write, describe = _FORMATS[suffix]
-    obj = read(text)
+    try:
+        obj = read(text)
+    except (TorsionCertError, ValueError) as exc:
+        raise TorsionCertError("%s: %s" % (path, exc)) from None
     if write(read(write(obj))) != write(obj):
         raise TorsionCertError("%s: print/parse round trip drifted" % path)
     if suffix == ".pres" and not _tw.check_alexander(obj):

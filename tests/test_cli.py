@@ -327,7 +327,9 @@ class TestValidate:
         path = os.path.join(FIXTURES, name)
         code, out, err = run(capsys, "validate", path)
         assert (code, out) == (2, "")
-        assert err == "error: %s\n" % (message.replace("%s", path))
+        # every message names the file first; a reader's message follows
+        expected = message if "%s" in message else "%s: " + message
+        assert err == "error: %s\n" % expected.replace("%s", path)
 
 
 BUNDLED_TEXT = {
