@@ -23,9 +23,9 @@ from .errors import (DegenerateInput, DivisionByZero, EliminationDegenerate,
                      IrreducibilityWarning)
 from .freegroup import Alphabet, fox_sweep
 from .linalg import Matrix, det_with_scale
-from .polynomial import (MultiPoly, factor_multiplicity, grid_mul,
-                         newton_polish, poly_matrix_det, primitive_normalize,
-                         resultant_in_u, squarefree_part)
+from .polynomial import (MultiPoly, grid_mul, newton_polish,
+                         poly_matrix_det, primitive_normalize,
+                         squarefree_part)
 from .representation import Representation, SymPowerRep
 from .seeds import rng_for
 from .suturedcert import fox_matrix, pants_example
@@ -161,7 +161,6 @@ _PX = MultiPoly.variable("x")
 _PY = MultiPoly.variable("y")
 _PZ = MultiPoly.variable("z")
 _PU = MultiPoly.variable("u")
-_U_RELATION = _PU * _PU - _PZ * _PU + MultiPoly.constant(1)
 _ZU_MINUS_1 = _PZ * _PU - MultiPoly.constant(1)
 
 
@@ -208,50 +207,26 @@ def sym_fox_grid(data):
     return grid
 
 
-def _eliminated_det(data):
-    # the certificate determinant with u eliminated, before normalization
-    if len(data.alphabet) != 2:
-        raise DegenerateInput("symbolic elimination handles rank 2 only")
-    dete = reduce_u(poly_matrix_det(sym_fox_grid(data)))
-    if dete.is_zero():
-        raise EliminationDegenerate("certificate determinant is "
-                                    "identically zero")
-    if dete.degree_in("u") == 0:
-        return dete
-    result = resultant_in_u(dete, _U_RELATION)
-    if result.is_zero():
-        raise EliminationDegenerate(
-            "resultant vanished identically; the determinant shares a "
-            "factor with the trace relation")
-    return result
-
-
-def _squarefree_locus(full):
-    if full.total_degree() == 0:
-        return _ONE_P
-    return primitive_normalize(squarefree_part(full))
-
-
 def eliminate_L2(data):
     """The u-free defining polynomial of the N = 2 failure locus.
 
-    Evaluates the certificate matrix symbolically over the quotient ring,
-    takes its determinant, eliminates u by the resultant with the trace
-    relation, and returns the squarefree primitive normalization.  The
-    pants instance must come out as the plane x + y - z - 3 up to sign.
+    Evaluates the certificate matrix symbolically over the quotient ring
+    and takes its determinant.  Both roots u of u^2 - z u + 1 lift the same
+    character, to conjugate pairs at generic points, and the determinant is
+    a conjugation invariant; so after reduction it has no u term.  Returns
+    1 for a nonzero constant determinant and the squarefree primitive
+    normalization otherwise.  The pants instance must come out as the plane
+    x + y - z - 3 up to sign.
     """
-    return _squarefree_locus(_eliminated_det(data))
-
-
-def elimination_multiplicity(data, factor=None):
-    """(polynomial, multiplicity) of the u-eliminated determinant; the
-    multiplicity is how many times the squarefree part divides the full
-    resultant."""
-    full = _eliminated_det(data)
-    poly = _squarefree_locus(full)
-    if factor is None:
-        factor = poly
-    return poly, factor_multiplicity(full, factor)
+    if len(data.alphabet) != 2:
+        raise DegenerateInput("symbolic elimination handles rank 2 only")
+    det = reduce_u(poly_matrix_det(sym_fox_grid(data)))
+    if det.is_zero():
+        raise EliminationDegenerate("certificate determinant is "
+                                    "identically zero")
+    if det.is_constant():
+        return _ONE_P
+    return primitive_normalize(squarefree_part(det))
 
 
 # the printed failure loci for the third and fourth symmetric powers,
@@ -292,13 +267,10 @@ def locus_polynomial(N):
 class LocusReport:
     """Aggregated pass/fail counts of a sampling verification run."""
 
-    def __init__(self, N, samples, seed, tol, off_tol, off_delta, corrupt):
+    def __init__(self, N, samples, seed, corrupt):
         self.N = N
         self.samples = samples
         self.seed = seed
-        self.tol = tol
-        self.off_tol = off_tol
-        self.off_delta = off_delta
         self.corrupt = corrupt
         self.on_checked = 0
         self.on_passed = 0
@@ -343,14 +315,19 @@ def _eval_xy(p, xv, yv):
     return acc
 
 
+# how far off the surface, in z, each on-locus root is moved for the
+# off-locus check
+_OFF_DELTA = 0.35
+
+
 def locus_verify(N, samples=100, seed=7, tol=1e-6, off_tol=1e-3,
-                 off_delta=0.35, corrupt=False, data=None):
+                 corrupt=False):
     """Sample the printed locus polynomial for one symmetric power.
 
     For each sample an (x, y) pair is drawn, the polynomial is solved for
-    z numerically, and the certificate determinant is required to vanish
-    relatively at each root and to exceed off_tol at a z perturbed by
-    off_delta.  ``corrupt`` bumps the polynomial's constant term as a
+    z numerically, and the pants certificate determinant is required to
+    vanish relatively at each root and to exceed off_tol at that root moved
+    by _OFF_DELTA.  ``corrupt`` bumps the polynomial's constant term as a
     negative control, so on-locus checks must fail.
     """
     if N not in (3, 4):
@@ -358,9 +335,8 @@ def locus_verify(N, samples=100, seed=7, tol=1e-6, off_tol=1e-3,
     poly = locus_polynomial(N)
     if corrupt:
         poly = poly + _ONE_P
-    if data is None:
-        data = pants_example()
-    report = LocusReport(N, samples, seed, tol, off_tol, off_delta, corrupt)
+    data = pants_example()
+    report = LocusReport(N, samples, seed, corrupt)
     for i in range(samples):
         rng = rng_for(seed, i)
         xv = rng.uniform(-3.0, 3.0)
@@ -374,7 +350,7 @@ def locus_verify(N, samples=100, seed=7, tol=1e-6, off_tol=1e-3,
             elif len(report.failures) < 10:
                 report.failures.append(
                     ("on", i, xv, yv, z, abs(det), scale))
-            zoff = z + off_delta
+            zoff = z + _OFF_DELTA
             coff = Character(_s.ComplexF(xv), _s.ComplexF(yv),
                              _s.ComplexF(zoff))
             doff, soff = locus_det_scaled(coff, data, N)

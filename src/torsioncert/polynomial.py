@@ -11,8 +11,9 @@ exponent).  Float coefficients are checked finite as they are stored, so
 an overflowing product raises ``NonFinite``.
 
 Multivariate polynomials keep exact rational coefficients only, since the
-locus identities they exist to express are exact.  Elimination of u goes
-through Sylvester resultants; the squarefree/content normalization uses a
+locus identities they exist to express are exact.  No elimination step is
+needed for u: the certificate determinant, reduced modulo u^2 - z u + 1, is
+already free of u.  The squarefree/content normalization uses a
 primitive-PRS gcd which, with its integer twin for dense polynomials below,
 is the only factorization machinery in the package.
 
@@ -336,28 +337,19 @@ def laurent_unit_match(p, q, tol=None):
 
 
 def poly_matrix_det(rows):
-    """Determinant of a square grid of LaurentPoly (or any ring) entries.
+    """Determinant of a square grid of LaurentPoly or MultiPoly entries.
 
-    Division-free: dynamic programming over column subsets, so degrees in t
-    stay exact whatever the coefficients are.  Cost n * 2^n ring products,
-    fine at deficiency-one desk scale.
+    Division-free: dynamic programming over column subsets, so degrees stay
+    exact whatever the coefficients are.  Cost n * 2^n ring products, fine
+    at deficiency-one desk scale.
     """
     n = len(rows)
     assert all(len(r) == n for r in rows), "determinant needs a square grid"
     if n == 0:
         raise ValueError("empty matrix")
-    zero = rows[0][0] - rows[0][0]
-
-    def ringzero(v):
-        if isinstance(v, LaurentPoly):
-            return v.is_zero()
-        if isinstance(v, MultiPoly):
-            return v.is_zero()
-        return v == zero
-
     cur = {}
     for j in range(n):
-        if not ringzero(rows[0][j]):
+        if not rows[0][j].is_zero():
             cur[1 << j] = rows[0][j]
     for k in range(1, n):
         nxt = {}
@@ -365,7 +357,7 @@ def poly_matrix_det(rows):
         for mask, val in cur.items():
             for j in range(n):
                 bit = 1 << j
-                if mask & bit or ringzero(row[j]):
+                if mask & bit or row[j].is_zero():
                     continue
                 term = val * row[j]
                 if bin(mask >> (j + 1)).count("1") & 1:
@@ -376,7 +368,7 @@ def poly_matrix_det(rows):
                 else:
                     nxt[key] = term
         cur = nxt
-    return cur.get((1 << n) - 1, zero)
+    return cur.get((1 << n) - 1, rows[0][0] - rows[0][0])
 
 
 def grid_mul(a, b):
@@ -819,21 +811,6 @@ def squarefree_part(p):
     if g.is_constant():
         return p
     return primitive_normalize(mp_divexact(p, g))
-
-
-def factor_multiplicity(p, factor):
-    """Largest m with factor^m dividing p (both nonzero, factor nonconstant)."""
-    if factor.is_constant():
-        raise ValueError("multiplicity of a constant factor is not defined")
-    m = 0
-    r = primitive_normalize(p)
-    factor = primitive_normalize(factor)
-    while True:
-        try:
-            r = mp_divexact(r, factor)
-        except InexactDivision:
-            return m
-        m += 1
 
 
 # ---------------------------------------------------------------------------

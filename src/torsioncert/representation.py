@@ -319,7 +319,16 @@ def riley_polynomial(relator):
     return g
 
 
-def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25):
+# Newton starts for the parabolic scan: a grid of step 1/4 over the box
+# [-4, 4]^2.  The two parabolics freely generate a free group when
+# |y| >= 4 (Lyndon and Ullman, Canad. J. Math. 21, 1969), so a y that
+# kills a nontrivial relator has |y| < 4 and lies in the box.
+_GRID_LO = -4.0
+_GRID_HI = 4.0
+_GRID_STEP = 0.25
+
+
+def parabolic_roots(pres):
     """All parameters y in the grid box making a ((1,1),(0,1)), ((1,0),(y,1))
     pair kill the relator, sorted by (real, imaginary).
 
@@ -375,16 +384,16 @@ def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25):
     squarefree = distinct == len(g) - 1
     roots = []
     basins = []
-    steps = int(round((grid_hi - grid_lo) / grid_step)) + 1
+    steps = int(round((_GRID_HI - _GRID_LO) / _GRID_STEP)) + 1
     for ri, ii in product(range(steps), repeat=2):
         y = newton_polish(coeffs, dcoeffs,
-                          complex(grid_lo + ri * grid_step,
-                                  grid_lo + ii * grid_step), 80, 1e-15,
+                          complex(_GRID_LO + ri * _GRID_STEP,
+                                  _GRID_LO + ii * _GRID_STEP), 80, 1e-15,
                           basins)
         if y is None:
             continue
-        if not (grid_lo - 1e-6 <= y.real <= grid_hi + 1e-6 and
-                grid_lo - 1e-6 <= y.imag <= grid_hi + 1e-6):
+        if not (_GRID_LO - 1e-6 <= y.real <= _GRID_HI + 1e-6 and
+                _GRID_LO - 1e-6 <= y.imag <= _GRID_HI + 1e-6):
             continue
         if any(abs(y - r) < 1e-7 for r in roots):
             continue
@@ -397,8 +406,7 @@ def parabolic_roots(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25):
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
-def solve_parabolic(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25,
-                    which=0, signs=(1, 1)):
+def solve_parabolic(pres, which=0, signs=(1, 1)):
     """A parabolic complex-float representation of a two-generator
     one-relator presentation with meridional generators.
 
@@ -407,7 +415,7 @@ def solve_parabolic(pres, grid_lo=-4.0, grid_hi=4.0, grid_step=0.25,
     irreducible roots only.  ``signs`` multiplies each generator image by
     +-1 for callers who want the sign-twisted lift.
     """
-    roots = parabolic_roots(pres, grid_lo, grid_hi, grid_step)
+    roots = parabolic_roots(pres)
     irreducible = [y for y in roots if abs(y) > 1e-8]
     if not irreducible:
         if roots:

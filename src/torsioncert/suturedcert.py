@@ -121,12 +121,12 @@ def oracle_dims(data, rep):
     big, relators = enlarged_presentation(data)
     big_rep = extend_rep(data, rep)
     pres = Presentation(big, relators, name=data.name or "enlarged")
-    cx = build_complex(pres, big_rep)
-    dims = homology_dims(cx)
+    d2, d1 = build_complex(pres, big_rep)
+    dims = homology_dims(d2, d1)
     n = rep.n
     k = len(data.alphabet)
     # relative cochains: only ambient-edge columns survive collapsing B
-    sub = cx.d2.submatrix(range(cx.d2.rows), range(k * n))
+    sub = d2.submatrix(range(d2.rows), range(k * n))
     rel_h1 = k * n - sub.rank()
     chi = 1 - 2 * k + k
     return dims, rel_h1, chi

@@ -179,80 +179,68 @@ def _poly_grid_max_mag(grid):
     return max(mags) if mags else 0.0
 
 
-class TwistedComplex:
-    """Boundary data of the presentation complex with module coefficients.
-
-    d2 has a block row per relator and a block column per generator
-    (Fox-derivative blocks); d1 is the block column of generator images
-    minus the identity.  Untwisted complexes carry scalar matrices;
-    twisted ones carry grids of Laurent polynomials.
-    """
-
-    def __init__(self, d2, d1, dims, twisted, scalar_kind):
-        self.d2 = d2
-        self.d1 = d1
-        self.dims = dims  # (c0, c1, c2)
-        self.twisted = twisted
-        self.scalar_kind = scalar_kind
-
-
-def build_complex(pres, rep, twist=None, check=True):
-    """Boundary matrices of the presentation complex through the coefficient
-    system; verifies the chain condition d2 . d1 = 0 unless check is off.
-
-    The chain condition holds exactly when the representation kills every
-    relator (within tolerance in floating kinds), so it doubles as a check
-    that rep really is a representation of the presented group.
-    """
+def _same_alphabet(pres, rep):
     if rep.alphabet != pres.alphabet:
         raise AlphabetMismatch("representation over %r, presentation over %r"
                                % (rep.alphabet, pres.alphabet))
+
+
+def build_complex(pres, rep):
+    """Scalar boundary matrices (d2, d1) of the presentation complex
+    through rep, after verifying the chain condition d2 . d1 = 0.
+
+    d2 has a block row per relator and a block column per generator
+    (Fox-derivative blocks), and is None when there are no relators; d1 is
+    the block column of generator images minus the identity.  The chain
+    condition holds exactly when the representation kills every relator
+    (within tolerance in floating kinds), so it doubles as a check that
+    rep really is a representation of the presented group.
+    """
+    _same_alphabet(pres, rep)
+    n = rep.n
+    d1 = _la.block_assemble([[rep.image(j) - rep.units[0]]
+                             for j in range(len(pres.alphabet))])
+    if not pres.relators:
+        return None, d1
+    d2 = _la.block_assemble([rep.fox_blocks(rel) for rel in pres.relators])
+    prod = d2 * d1
+    scale = max(1.0, d2.max_row_norm() * d1.max_row_norm())
+    for i in range(prod.rows):
+        for j in range(prod.cols):
+            if not _s.zero_test(prod[i, j], scale=scale):
+                raise ChainCondition(
+                    "d2 . d1 != 0: representation does not kill "
+                    "relator %d" % (i // n))
+    return d2, d1
+
+
+def twisted_boundaries(pres, rep, phi):
+    """Boundary grids (d2, d1) of Laurent polynomials through the composite
+    of t^phi and rep, laid out as in :func:`build_complex` (d2 has no rows
+    without relators), after verifying the chain condition."""
+    _same_alphabet(pres, rep)
     n = rep.n
     k = len(pres.alphabet)
-    r = len(pres.relators)
-    one = pres.alphabet.identity()
-
-    if twist is None:
-        d1_blocks = [[rep.image(j) - rep.units[0]] for j in range(k)]
-        d1 = _la.block_assemble(d1_blocks) if k else Matrix.zero(0)
-        d2 = _la.block_assemble([rep.fox_blocks(rel) for rel in pres.relators]) \
-            if r else None
-        cx = TwistedComplex(d2, d1, (n, k * n, r * n), False, rep.scalar_kind)
-        if check and r:
-            prod = d2 * d1
-            scale = max(1.0, d2.max_row_norm() * d1.max_row_norm())
-            for i in range(prod.rows):
-                for j in range(prod.cols):
-                    if not _s.zero_test(prod[i, j], scale=scale):
-                        raise ChainCondition(
-                            "d2 . d1 != 0: representation does not kill "
-                            "relator %d" % (i // n))
-        return cx
-
     d1 = []
     for j in range(k):
-        block = twisted_eval_word_minus_one(Word(pres.alphabet, (j + 1,)),
-                                            rep, twist)
-        d1.extend(block)
+        d1.extend(twisted_eval_word_minus_one(Word(pres.alphabet, (j + 1,)),
+                                              rep, phi))
     d2 = []
     for rel in pres.relators:
-        row_blocks = twisted_fox_row(rel, rep, twist)
+        row_blocks = twisted_fox_row(rel, rep, phi)
         for i in range(n):
             d2.append([row_blocks[j][i][l] for j in range(k)
                        for l in range(n)])
-    cx = TwistedComplex(d2, d1, (n, k * n, r * n), True, rep.scalar_kind)
-    if check and r and k:
-        prod = grid_mul(d2, d1)
-        scale = max(1.0, k * n * _poly_grid_max_mag(d2)
-                    * _poly_grid_max_mag(d1))
-        for i, row in enumerate(prod):
-            for e in row:
-                for c in e.coeffs.values():
-                    if not _s.zero_test(c, scale=scale):
-                        raise ChainCondition(
-                            "d2 . d1 != 0: twisted system does not kill "
-                            "relator %d" % (i // n))
-    return cx
+    prod = grid_mul(d2, d1)
+    scale = max(1.0, k * n * _poly_grid_max_mag(d2) * _poly_grid_max_mag(d1))
+    for i, row in enumerate(prod):
+        for e in row:
+            for c in e.coeffs.values():
+                if not _s.zero_test(c, scale=scale):
+                    raise ChainCondition(
+                        "d2 . d1 != 0: twisted system does not kill "
+                        "relator %d" % (i // n))
+    return d2, d1
 
 
 def twisted_eval_word_minus_one(w, rep, twist):
@@ -265,15 +253,12 @@ def twisted_eval_word_minus_one(w, rep, twist):
     return out
 
 
-def homology_dims(cx):
-    """(h0, h1, h2) by rank-nullity on scalar boundary matrices."""
-    if cx.twisted:
-        raise ValueError("homology dims need scalar coefficients; "
-                         "evaluate the twist first")
-    c0, c1, c2 = cx.dims
-    r1 = cx.d1.rank() if c1 and c0 else 0
-    r2 = cx.d2.rank() if cx.d2 is not None and c2 else 0
-    return (c0 - r1, c1 - r1 - r2, c2 - r2)
+def homology_dims(d2, d1):
+    """(h0, h1, h2) by rank-nullity on the scalar boundary matrices of
+    :func:`build_complex`."""
+    r1 = d1.rank()
+    c2, r2 = (d2.rows, d2.rank()) if d2 is not None else (0, 0)
+    return (d1.cols - r1, d1.rows - r1 - r2, c2 - r2)
 
 
 class TorsionResult:
@@ -321,16 +306,15 @@ def wada_torsion(pres, rep):
     """
     if pres.deficiency() != 1:
         raise NotDeficiencyOne("deficiency %d, need 1" % pres.deficiency())
-    phi = abelianization(pres)
-    cx = build_complex(pres, rep, twist=phi)
+    d2, d1 = twisted_boundaries(pres, rep, abelianization(pres))
     n = rep.n
     k = len(pres.alphabet)
     exact = rep.scalar_kind != "complex"
-    scale = max(1.0, _poly_grid_max_mag(cx.d1))
+    scale = max(1.0, _poly_grid_max_mag(d1))
 
     dens = []
     for j in range(k):
-        dens.append(poly_matrix_det(cx.d1[j * n:(j + 1) * n]))
+        dens.append(poly_matrix_det(d1[j * n:(j + 1) * n]))
     valid = [j for j in range(k)
              if not _poly_is_zero(dens[j], scale ** n)]
     if not valid:
@@ -338,7 +322,7 @@ def wada_torsion(pres, rep):
             "every generator image has det(t^phi a(g) - 1) = 0")
 
     def numerator_for(j):
-        rows = [row[:j * n] + row[(j + 1) * n:] for row in cx.d2]
+        rows = [row[:j * n] + row[(j + 1) * n:] for row in d2]
         if not rows:
             # one free generator, no relators: empty determinant is 1
             return LaurentPoly.one()
@@ -389,12 +373,12 @@ class GenusVerdict:
                 % (self.verdict, self.degree, self.target, self.genus_hint))
 
 
-def conjecture_check(pres, rep, trace_tol=1e-6):
+def conjecture_check(pres, rep):
     """Compare the torsion degree against 4 genus - 2.
 
     Requires a genus hint.  When a longitude is recorded and the
     representation is rank 2 with determinant 1, its trace must be -2
-    within trace_tol; a violation signals a bad lift rather than a genus
+    within 1e-6; a violation signals a bad lift rather than a genus
     discrepancy, and is raised as its own error.
     """
     if pres.genus_hint is None:
@@ -403,7 +387,7 @@ def conjecture_check(pres, rep, trace_tol=1e-6):
     if pres.longitude is not None and rep.n == 2 and rep.sl_flag:
         tr = rep.eval_word(pres.longitude).trace()
         longitude_trace = tr
-        if not _s.zero_test(tr + 2, tol=trace_tol, scale=1.0):
+        if not _s.zero_test(tr + 2, tol=1e-6, scale=1.0):
             raise LongitudeTraceViolation(
                 "longitude trace %s, expected -2" % _s.scalar_str(tr))
     result = wada_torsion(pres, rep)

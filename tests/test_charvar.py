@@ -10,7 +10,6 @@ from torsioncert.charvar import (
     Character,
     commutator_trace,
     eliminate_L2,
-    elimination_multiplicity,
     is_reducible_character,
     lift,
     locus_det,
@@ -156,11 +155,6 @@ class TestEliminateL2:
     def test_pants_gives_the_plane(self):
         poly = eliminate_L2(pants_example())
         assert poly == parse_multi("x + y - z - 3")
-
-    def test_multiplicity_one(self):
-        poly, mult = elimination_multiplicity(pants_example())
-        assert poly == parse_multi("x + y - z - 3")
-        assert mult == 1
 
     def test_identity_inclusion_has_empty_locus(self):
         data = SuturedHandlebodyData(

@@ -7,7 +7,6 @@ import pytest
 from torsioncert.polynomial import (
     LaurentPoly,
     MultiPoly,
-    factor_multiplicity,
     horner_within_rounding,
     int_poly_gcd,
     laurent_str,
@@ -259,14 +258,6 @@ class TestFactorTools:
         p = (x + y) ** 3 * (x - 2)
         sf = primitive_normalize(squarefree_part(p))
         assert sf == primitive_normalize((x + y) * (x - 2))
-
-    def test_factor_multiplicity(self):
-        x = MultiPoly.variable("x")
-        y = MultiPoly.variable("y")
-        p = (x + y - 3) ** 2 * (x - y)
-        assert factor_multiplicity(p, x + y - 3) == 2
-        assert factor_multiplicity(p, x - y) == 1
-        assert factor_multiplicity(p, x + 1) == 0
 
     def test_primitive_normalize(self):
         p = parse_multi("4*x^2 - 8*x")

@@ -30,15 +30,17 @@ from torsioncert.twisted import (
     build_complex,
     check_alexander,
     conjecture_check,
+    homology_dims,
     presentation_from_text,
     presentation_to_text,
     trivial_rep,
+    twisted_boundaries,
     twisted_eval_word_minus_one,
     twisted_fox_row,
     wada_torsion,
 )
 
-from helpers import random_sl2, random_word
+from helpers import minor_rank, random_sl2, random_word
 
 AB = Alphabet("a b")
 
@@ -163,10 +165,9 @@ class TestTwistedComplex:
     def test_chain_condition_holds(self):
         pres = trefoil()
         rep = solve_parabolic(pres)
-        cx = build_complex(pres, rep, twist=abelianization(pres))
-        assert cx.twisted
-        assert len(cx.d2) == 2 and len(cx.d2[0]) == 4
-        assert len(cx.d1) == 4 and len(cx.d1[0]) == 2
+        d2, d1 = twisted_boundaries(pres, rep, abelianization(pres))
+        assert len(d2) == 2 and len(d2[0]) == 4
+        assert len(d1) == 4 and len(d1[0]) == 2
 
     def test_chain_condition_catches_non_representation(self):
         pres = trefoil()
@@ -174,7 +175,20 @@ class TestTwistedComplex:
         bad = Representation(AB, [random_sl2(rng), random_sl2(rng)],
                              sl_flag=True)
         with pytest.raises(ChainCondition):
-            build_complex(pres, bad, twist=abelianization(pres))
+            twisted_boundaries(pres, bad, abelianization(pres))
+
+    def test_no_relators_gives_no_d2(self):
+        # the free group of rank 2: a wedge of two circles
+        free = Presentation(AB, [])
+        assert homology_dims(*build_complex(free, trivial_rep(AB))) \
+            == (1, 2, 0)
+        rng = rng_for(37, 2)
+        rep = Representation(AB, [random_sl2(rng), random_sl2(rng)],
+                             sl_flag=True)
+        d2, d1 = build_complex(free, rep)
+        assert d2 is None and (d1.rows, d1.cols) == (4, 2)
+        r1 = minor_rank(d1)
+        assert homology_dims(d2, d1) == (2 - r1, 4 - r1, 0)
 
     def test_word_minus_one_matches_fox_expansion(self):
         # Phi(w) - I = sum_j Phi(dw/dx_j) (Phi(x_j) - I) after twisting
