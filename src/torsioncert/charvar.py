@@ -23,7 +23,7 @@ from .errors import (DegenerateInput, DivisionByZero, EliminationDegenerate,
                      IrreducibilityWarning)
 from .freegroup import Alphabet, fox_sweep
 from .linalg import Matrix, det_with_scale
-from .polynomial import (MultiPoly, grid_mul, newton_polish,
+from .polynomial import (MultiPoly, grid_mul, multi_eval, newton_polish,
                          poly_matrix_det, primitive_normalize,
                          squarefree_part)
 from .representation import Representation, SymPowerRep
@@ -296,7 +296,8 @@ def _z_root_candidates(poly, xv, yv):
     zdeg = poly.degree_in("z")
     coeffs = []
     for k in range(zdeg, -1, -1):
-        coeffs.append(complex(_eval_xy(poly.coeff_in("z", k), xv, yv)))
+        coeffs.append(complex(multi_eval(poly.coeff_in("z", k),
+                                         (xv, yv, 0, 0))))
     while coeffs and abs(coeffs[0]) < 1e-13:
         coeffs = coeffs[1:]
     if len(coeffs) <= 1:
@@ -306,13 +307,6 @@ def _z_root_candidates(poly, xv, yv):
     deriv = [k * c for k, c in enumerate(low_first)][1:]
     return [newton_polish(low_first, deriv, complex(r), 40, 1e-14)
             for r in roots]
-
-
-def _eval_xy(p, xv, yv):
-    acc = 0.0 + 0.0j
-    for ex, cf in p.terms.items():
-        acc += complex(cf) * (xv ** ex[0]) * (yv ** ex[1])
-    return acc
 
 
 # how far off the surface, in z, each on-locus root is moved for the

@@ -215,7 +215,7 @@ def cmd_locus(config, args):
             c = _cv.Character(rng.randint(-6, 6), rng.randint(-6, 6),
                               rng.randint(-6, 6))
             det = _cv.locus_det(c, pants, 2)
-            on_plane = (c.xbar + c.ybar - c.zbar == 3)
+            on_plane = plane.evaluate((c.xbar, c.ybar, c.zbar, 0)) == 0
             if (det == 0) == on_plane:
                 agree += 1
         _emit(config, [("N", 2), ("plane", multi_str(plane)),

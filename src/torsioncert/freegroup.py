@@ -20,7 +20,8 @@ the prefix of length i (P_0 the identity),
                    - sum of P_i over positions with l_i = x_j^-1,
 
 so :func:`fox_sweep` yields one signed prefix image per letter at the cost
-of one product per letter, for any ring the caller multiplies in.
+of one product per letter, for any ring the caller multiplies in.  Over
+words themselves it gives the group-ring derivative, :func:`fox_derivative`.
 
 :func:`read_sections` is the one reader of the ``key: value`` data files
 (``.pres``, ``.sut``, ``.rep``) whose parsers build on these words.
@@ -81,49 +82,11 @@ class Alphabet:
         except KeyError:
             raise ValueError("no generator %r in %r" % (name, self)) from None
 
-    def generator(self, i):
-        return Generator(self, i)
-
-    def generators(self):
-        return [Generator(self, i) for i in range(len(self.names))]
-
     def word(self, text):
         return Word.from_string(self, text)
 
     def identity(self):
         return Word(self, ())
-
-
-class Generator:
-    """One generator of an alphabet: its position and single-letter name."""
-
-    __slots__ = ("alphabet", "index")
-
-    def __init__(self, alphabet, index):
-        if not 0 <= index < len(alphabet):
-            raise ValueError("generator index %d out of range" % index)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("generators are immutable")
-
-    @property
-    def name(self):
-        return self.alphabet.names[self.index]
-
-    def word(self):
-        return Word(self.alphabet, (self.index + 1,), _reduced=True)
-
-    def __eq__(self, other):
-        return isinstance(other, Generator) and \
-            self.alphabet == other.alphabet and self.index == other.index
-
-    def __hash__(self):
-        return hash((self.alphabet, self.index))
-
-    def __repr__(self):
-        return "Generator(%r)" % self.name
 
 
 def _reduce(letters):
@@ -446,46 +409,6 @@ def parse_at(parse, ln, text):
         raise ParseError("line %d: %s" % (ln, exc)) from None
 
 
-def _gen_index(alphabet, g):
-    if isinstance(g, Generator):
-        if g.alphabet != alphabet:
-            raise AlphabetMismatch("generator %r not over %r" % (g, alphabet))
-        return g.index
-    if isinstance(g, str):
-        return alphabet.index(g)
-    if isinstance(g, int):
-        if not 0 <= g < len(alphabet):
-            raise ValueError("generator index %d out of range" % g)
-        return g
-    raise TypeError("not a generator: %r" % (g,))
-
-
-def fox_derivative(w, g):
-    """Fox derivative of a word with respect to a generator.
-
-    >>> A = Alphabet("x y")
-    >>> print(fox_derivative(A.word("xyX"), "x"))
-    1 - x*y*X
-    >>> print(fox_derivative(A.word("yxyXY"), "y"))
-    1 + y*x - y*x*y*X*Y
-    """
-    if not isinstance(w, Word):
-        raise TypeError("expected a Word, got %r" % (w,))
-    alphabet = w.alphabet
-    gi = _gen_index(alphabet, g)
-    want = gi + 1
-    terms = {}
-    prefix = alphabet.identity()
-    for l in w.letters:
-        if l == want:
-            terms[prefix] = terms.get(prefix, 0) + 1
-        elif l == -want:
-            key = prefix * Word(alphabet, (-want,), _reduced=True)
-            terms[key] = terms.get(key, 0) - 1
-        prefix = prefix * Word(alphabet, (l,), _reduced=True)
-    return GroupRingElem(alphabet, terms)
-
-
 def fox_sweep(w, image, one, mul):
     """The terms ``(j, sign, P)`` of every evaluated Fox derivative of
     ``w``, one per letter in word order, as in the module docstring.
@@ -503,9 +426,21 @@ def fox_sweep(w, image, one, mul):
             yield -l - 1, -1, prefix
 
 
-def fox_derivative_elem(e, g):
-    """Fox derivative extended Z-linearly to group-ring elements."""
-    out = GroupRingElem.zero(e.alphabet)
-    for w, c in e.terms.items():
-        out = out + fox_derivative(w, g).scale(c)
-    return out
+def fox_derivative(w, j):
+    """Fox derivative of a word by generator number ``j``: the terms of
+    :func:`fox_sweep` over words, collected into the group ring.
+
+    >>> A = Alphabet("x y")
+    >>> print(fox_derivative(A.word("xyX"), 0))
+    1 - x*y*X
+    >>> print(fox_derivative(A.word("yxyXY"), 1))
+    1 + y*x - y*x*y*X*Y
+    """
+    alphabet = w.alphabet
+    terms = {}
+    for i, sign, prefix in fox_sweep(
+            w, lambda l: Word(alphabet, (l,), _reduced=True),
+            alphabet.identity(), Word.__mul__):
+        if i == j:
+            terms[prefix] = terms.get(prefix, 0) + sign
+    return GroupRingElem(alphabet, terms)

@@ -121,9 +121,6 @@ class Matrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
 
@@ -179,9 +176,6 @@ class Matrix:
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def __matmul__(self, other):
-        return self * other
 
     def transpose(self):
         return _trusted(tuple(zip(*self.entries)), self.scalar_kind)

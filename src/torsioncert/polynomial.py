@@ -86,10 +86,6 @@ class LaurentPoly:
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def constant(cls, c):
-        return cls({0: c})
-
     def is_zero(self):
         return not self.coeffs
 
@@ -244,7 +240,8 @@ def laurent_str(p):
 
 
 def _split_terms(text):
-    # split on top-level + and -, respecting parentheses and exponent signs
+    # split on top-level + and -, respecting parentheses and exponent signs;
+    # one leading sign is allowed, any other sign needs a term on each side
     terms, sign, buf, depth = [], 1, [], 0
     prev = ""
     for ch in text:
@@ -252,18 +249,22 @@ def _split_terms(text):
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0 and prev not in "^eE*(," and buf:
-            terms.append((sign, "".join(buf).strip()))
+        if ch in "+-" and depth == 0 and not (prev and prev in "^eE*(,"):
+            term = "".join(buf).strip()
+            if term:
+                terms.append((sign, term))
+            elif prev:
+                raise ParseError("sign without a term in %r" % text)
             sign = -1 if ch == "-" else 1
             buf = []
-        elif ch in "+-" and depth == 0 and not buf:
-            sign = sign * (-1 if ch == "-" else 1)
         else:
             buf.append(ch)
         if not ch.isspace():
             prev = ch
-    if buf:
-        terms.append((sign, "".join(buf).strip()))
+    term = "".join(buf).strip()
+    if not term:
+        raise ParseError("sign without a term in %r" % text)
+    terms.append((sign, term))
     return terms
 
 
@@ -279,8 +280,6 @@ def parse_laurent(text, kind=None):
         return LaurentPoly.zero()
     coeffs = {}
     for sign, term in _split_terms(s):
-        if not term:
-            raise ParseError("bad Laurent literal %r" % text)
         m = _T_RE.match(term)
         if m:
             e = int(m.group("exp")) if m.group("exp") else 1
@@ -486,11 +485,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(ex[i] for ex in self.terms)
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(ex) for ex in self.terms)
 
     def derivative(self, var):
         i = MP_VARS.index(var) if isinstance(var, str) else var

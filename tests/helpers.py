@@ -1,9 +1,10 @@
 """Shared test utilities: independent little oracles and random generators.
 
-The oracles here deliberately avoid the package's own linear algebra so
-that agreement between the two routes means something: determinants come
-from the permutation expansion, ranks from minor enumeration, and matrix
-products from plain tuple arithmetic.
+The oracles here deliberately avoid the package's own linear algebra and
+Fox calculus so that agreement between the two routes means something:
+determinants come from the permutation expansion, ranks from minor
+enumeration, matrix products from plain tuple arithmetic, and Fox
+derivatives from the textbook prefix-word rule.
 """
 
 from fractions import Fraction
@@ -44,6 +45,24 @@ def minor_rank(m):
                 if perm_det(sub) != 0:
                     return size
     return 0
+
+
+def fox_terms(w, j):
+    """The terms {word: coefficient} of the Fox derivative of ``w`` by
+    generator number ``j``, by the prefix-word rule: each letter x_j adds
+    the prefix before it, each x_j^-1 subtracts the prefix through it."""
+    alphabet = w.alphabet
+    want = j + 1
+    terms = {}
+    prefix = alphabet.identity()
+    for l in w.letters:
+        if l == want:
+            terms[prefix] = terms.get(prefix, 0) + 1
+        elif l == -want:
+            key = prefix * Word(alphabet, (-want,))
+            terms[key] = terms.get(key, 0) - 1
+        prefix = prefix * Word(alphabet, (l,))
+    return {v: c for v, c in terms.items() if c}
 
 
 def mat2_mul(a, b):

@@ -128,6 +128,19 @@ class TestLocus:
         assert "samples: 100" in out
         assert "agreements: 100" in out
 
+    def test_plane_samples_check_the_printed_polynomial(self, capsys,
+                                                        monkeypatch):
+        # a wrong eliminated plane must show up as disagreeing samples
+        from torsioncert import charvar
+        from torsioncert.polynomial import parse_multi
+        monkeypatch.setattr(charvar, "eliminate_L2",
+                            lambda data: parse_multi("x + y - z - 4"))
+        code, out, _ = run(capsys, "--structured", "locus", "--N", "2",
+                           "--samples", "40")
+        doc = json.loads(out)
+        assert doc["plane"] == "x + y - z - 4"
+        assert (code, doc["agreements"]) == (1, 38)
+
     def test_verify_small(self, capsys):
         code, out, _ = run(capsys, "locus", "--N", "3", "--samples", "10")
         assert code == 0
@@ -321,6 +334,8 @@ class TestValidate:
          "line 4: letter 'c' not in alphabet Alphabet('a b')"),
         ("bad_matrix.rep", "image of generator 'x' is singular"),
         ("bad_relator.pres", "relator Aba is not cyclically reduced"),
+        ("bad_sign.pres",
+         "line 8: sign without a term in '1 - t + t^2 -'"),
         ("mixed_field.rep", "cannot mix sqrt(2) with sqrt(3)"),
     ])
     def test_fixture_message(self, capsys, name, message):

@@ -1,17 +1,19 @@
 """The prefix sweep against term-by-term evaluation of Fox derivatives.
 
-Every Fox Jacobian in the package comes from ``freegroup.fox_sweep``; the
-oracle here expands ``fox_derivative`` into its group-ring terms and
-evaluates each term from scratch.  Scalar blocks must agree entry for entry,
-floating ones down to the sign of zero, since the sweep performs the same
-products and sums in the same order.
+Every Fox derivative and Jacobian in the package comes from
+``freegroup.fox_sweep``; the oracle here expands the prefix-word rule of
+``helpers.fox_terms`` into group-ring terms and evaluates each term from
+scratch.  Scalar blocks must agree entry for entry, floating ones down to
+the sign of zero, since the sweep performs the same products and sums in
+the same order.
 """
 
 import operator
 from fractions import Fraction
 
 from torsioncert.charvar import Character, lift, reduce_u, sym_fox_grid
-from torsioncert.freegroup import Alphabet, Word, fox_derivative, fox_sweep
+from torsioncert.freegroup import (Alphabet, GroupRingElem, Word,
+                                  fox_derivative, fox_sweep)
 from torsioncert.linalg import Matrix
 from torsioncert.polynomial import LaurentPoly, MultiPoly
 from torsioncert.representation import (Representation, SymPowerRep,
@@ -22,7 +24,8 @@ from torsioncert.suturedcert import SuturedHandlebodyData
 from torsioncert.twisted import (AbelianizationMap, Presentation,
                                  twisted_fox_row)
 
-from helpers import mat2_mul, random_fraction, random_sl2, random_word
+from helpers import (fox_terms, mat2_mul, random_fraction, random_sl2,
+                     random_word)
 
 XY = Alphabet("x y")
 XYZ = Alphabet("x y z")
@@ -71,6 +74,20 @@ def test_generic_sweep_in_the_integers():
     assert terms == [(0, 1, 1), (1, 1, 2), (0, -1, 3)]
 
 
+def test_group_ring_derivative_equals_prefix_rule():
+    # the sweep over words against the prefix-word rule, on the identity,
+    # on reduced words and on letter strings that cancel as they reduce
+    rng = rng_for(41, 30)
+    words = [XYZ.identity(), XYZ.word("xX"), XYZ.word("xyzZYX")]
+    for _ in range(300):
+        words.append(random_word(rng, XYZ, 12))
+        words.append(Word(XYZ, [rng.choice((-3, -2, -1, 1, 2, 3))
+                                for _ in range(rng.randint(0, 12))]))
+    for w in words:
+        for j in range(3):
+            assert fox_derivative(w, j).terms == fox_terms(w, j)
+
+
 def test_matrix_blocks_equal_evaluated_derivatives():
     # a block with no term, or whose one term is the empty prefix, is the
     # zero or identity of the representation's kind where term-by-term
@@ -82,10 +99,11 @@ def test_matrix_blocks_equal_evaluated_derivatives():
                 w = random_word(rng, rep.alphabet, 10)
                 row = rep.fox_blocks(w)
                 for j in range(len(rep.alphabet)):
-                    derivative = fox_derivative(w, j)
-                    oracle = rep.eval_ring_elem(derivative)
+                    terms = fox_terms(w, j)
+                    oracle = rep.eval_ring_elem(
+                        GroupRingElem(rep.alphabet, terms))
                     assert row[j] == oracle
-                    if any(v.letters for v in derivative.terms):
+                    if any(v.letters for v in terms):
                         assert entries(row[j]) == entries(oracle)
 
 
@@ -93,7 +111,7 @@ def twisted_oracle(w, j, rep, twist):
     # sum of c * t^phi(v) * alpha(v) over the terms c v of dw/dx_j
     n = rep.n
     grid = [[LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
-    for v, c in fox_derivative(w, j).terms.items():
+    for v, c in fox_terms(w, j).items():
         m = rep.eval_word(v)
         shift = twist.weight(v)
         for i in range(n):
@@ -144,7 +162,7 @@ def test_symbolic_blocks_equal_evaluated_derivatives():
         for i, w in enumerate(data.images):
             for j in range(2):
                 oracle = [[_ZERO, _ZERO], [_ZERO, _ZERO]]
-                for v, c in fox_derivative(w, j).terms.items():
+                for v, c in fox_terms(w, j).items():
                     m = symbolic_word(v)
                     for bi in range(2):
                         for bj in range(2):

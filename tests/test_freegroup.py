@@ -8,7 +8,6 @@ from torsioncert.freegroup import (
     GroupRingElem,
     Word,
     fox_derivative,
-    fox_derivative_elem,
     parse_ring_elem,
 )
 from torsioncert.seeds import rng_for
@@ -142,16 +141,3 @@ class TestFoxCalculus:
                 gen = GroupRingElem.from_word(Word(XY, (j + 1,)))
                 total = total + fox_derivative(w, j) * (gen - GroupRingElem.one(XY))
             assert total == GroupRingElem.from_word(w) - GroupRingElem.one(XY)
-
-    def test_elem_linearity(self):
-        rng = rng_for(13, 6)
-        for _ in range(30):
-            a = GroupRingElem.from_word(random_word(rng, XY, 6), rng.randint(-3, 3))
-            b = GroupRingElem.from_word(random_word(rng, XY, 6), rng.randint(-3, 3))
-            for j in (0, 1):
-                assert fox_derivative_elem(a + b, j) == \
-                    fox_derivative_elem(a, j) + fox_derivative_elem(b, j)
-
-    def test_derivative_by_name(self):
-        w = Word.from_string(XY, "yxyXY")
-        assert fox_derivative(w, "y") == fox_derivative(w, 1)

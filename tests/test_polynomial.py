@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsioncert.errors import ParseError
 from torsioncert.polynomial import (
     LaurentPoly,
     MultiPoly,
@@ -211,6 +212,30 @@ class TestMultiPoly:
         p = parse_multi("x*y + x^3 + y^2")
         ex, c = p.leading_term()
         assert c == 1 and p.degree_in("x") == 3
+
+
+class TestLiteralSigns:
+    @pytest.mark.parametrize("parse, text", [
+        (parse_laurent, "1 + t +"), (parse_laurent, "t - "),
+        (parse_laurent, "1 ++ t"), (parse_laurent, "1 + + t"),
+        (parse_laurent, "--t"), (parse_laurent, "-"),
+        (parse_multi, "1 + x +"), (parse_multi, "x - "),
+        (parse_multi, "1 ++ x"), (parse_multi, "1 + + x"),
+        (parse_multi, "--x"), (parse_multi, "+"),
+    ])
+    def test_sign_without_a_term_is_rejected(self, parse, text):
+        with pytest.raises(ParseError, match="sign without a term"):
+            parse(text)
+
+    def test_leading_and_exponent_signs_still_parse(self):
+        assert parse_laurent("- 2 + 3*t") == LaurentPoly({0: -2, 1: 3})
+        assert parse_laurent("+t") == LaurentPoly({1: 1})
+        assert parse_laurent("t^-2") == LaurentPoly({-2: 1})
+        assert abs(parse_laurent("1e-5*t").coefficient(1) - 1e-5) < 1e-20
+        assert parse_laurent("(1.5+0.5i)*t") == \
+            LaurentPoly({1: ComplexF(1.5, 0.5)})
+        assert parse_multi("- 2*x + y") == \
+            MultiPoly.variable("y") - MultiPoly.variable("x").scale(2)
 
 
 class TestFactorTools:

@@ -40,7 +40,7 @@ AB = Alphabet("a b")
 
 def rand_rep(rng, alphabet=XY):
     return Representation(alphabet,
-                          [random_sl2(rng) for _ in alphabet.generators()],
+                          [random_sl2(rng) for _ in alphabet.names],
                           sl_flag=True)
 
 
@@ -59,7 +59,7 @@ class TestRepresentation:
         rng = rng_for(23, 1)
         rep = rand_rep(rng)
         imgs = {}
-        for i, g in enumerate(XY.generators()):
+        for i in range(len(XY.names)):
             m = rep.image(i)
             imgs[i + 1] = ((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1]))
             mi = rep.image_inverse(i)
