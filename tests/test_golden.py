@@ -53,6 +53,13 @@ ARGVS = [
     ["certify", "pants.sut", "--char", "(0.25, -1.75, 2.5)", "--sym-power",
      "3"],
     ["locus", "--N", "4", "--samples", "10"],
+    ["certify", "pants.sut", "--char", "(1/2, 1/3, 5/2)", "--sym-power", "7",
+     "--oracle"],
+    ["certify", "pants.sut", "--char", "(4, 4, 5)", "--sym-power", "10",
+     "--oracle"],
+    ["certify", "pants.sut", "--char", "(-7, 2, 17/4)", "--oracle"],
+    ["certify", "pants.sut", "--char", "(2/3, -5/4, 7/2)", "--sym-power",
+     "5"],
 ]
 
 
