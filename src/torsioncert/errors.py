@@ -43,6 +43,11 @@ class MixedScalarKind(TorsionCertError, TypeError):
     """Operands carry different scalar kinds (rational / quadext / complex)."""
 
 
+class InexactDivision(TorsionCertError, ArithmeticError):
+    """A division of the exact kernel that must be exact left a remainder
+    (a bug)."""
+
+
 # polynomial
 
 class ZeroDenominator(TorsionCertError, ZeroDivisionError):

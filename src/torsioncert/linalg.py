@@ -1,10 +1,18 @@
 """Dense matrices over the scalar kinds, with exact and floating kernels.
 
 Exact determinants and ranks share one Bareiss single-step fraction-free
-row echelon (division by the previous pivot is exact, so integer matrices
-never leave Z, and intermediate entries stay polynomial-sized instead of
-blowing up the way naive Gaussian elimination does on Fox matrices); it
-skips columns without a pivot, so it runs on rectangular matrices too.
+row echelon (Bareiss, *Math. Comp.* 22, 1968) that runs on integer
+numerators: each row is multiplied by the lcm of its denominators, and the
+elimination then runs over Z, or over Z[sqrt d] on pairs of ints, where
+the division by the previous pivot is exact (every entry is a minor), so
+no Fraction or ``QuadExt`` is built until the determinant is divided by
+the row multipliers at the end.  Intermediate entries stay
+polynomial-sized instead of blowing up the way naive Gaussian elimination
+does on Fox matrices, and a division that leaves a remainder raises
+``InexactDivision``.  The echelon skips columns without a pivot, so it runs
+on rectangular matrices too.  Exact Fox blocks
+(``Representation.fox_blocks``) use the same integer numerators, written
+by ``_numerators`` and read back by ``_from_numerators``.
 Float determinants use partially pivoted elimination, and floating ranks
 use a largest-pivot threshold rule scaled by the max row norm.  Inverses of
 every kind come from one Gauss-Jordan loop.
@@ -29,10 +37,11 @@ grammar, e.g. ``0,1;-1,4``.
 import cmath
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import scalar as _s
-from .errors import (DimensionMismatch, DivisionByZero, MixedExtension,
-                     MixedScalarKind, NotSquare, ParseError)
+from .errors import (DimensionMismatch, DivisionByZero, InexactDivision,
+                     MixedExtension, MixedScalarKind, NotSquare, ParseError)
 
 
 def _simplify(x):
@@ -283,16 +292,31 @@ def det_with_scale(m):
 
 
 def _echelon(m):
-    """Fraction-free (Bareiss) row echelon form of an exact matrix.
+    """Fraction-free (Bareiss) row echelon form of an exact matrix, on
+    integer numerators.
 
-    Returns (rank, last pivot, sign of the row swaps).  A column with no
-    pivot at or below the current row is skipped; every entry stays a
-    minor of m, so the division by the previous pivot is exact and integer
-    input only ever sees integer quotients.  For a square m of full rank
-    the last pivot is det(m) up to that sign.
+    Returns (rank, last pivot, sign of the row swaps, product of the row
+    multipliers).  The pivot is an int, or a (p, q) pair standing for
+    p + q*sqrt(d) over Q(sqrt d).  A column with no pivot at or below the
+    current row is skipped; every entry stays a minor of the scaled
+    matrix, so the division by the previous pivot is exact.  For a square
+    m of full rank the last pivot over the multipliers is det(m) up to
+    that sign.
     """
-    a = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
+    rows = [_row_numerators(r) for r in m.entries]
+    scale = math.prod(den for _, _, den in rows)
+    if m.scalar_kind == "quadext":
+        found, pivot, sign = _echelon_zd([p for p, _, _ in rows],
+                                         [q for _, q, _ in rows],
+                                         _field(m), m.cols)
+    else:
+        found, pivot, sign = _echelon_z([p for p, _, _ in rows], m.cols)
+    return found, pivot, sign, scale
+
+
+def _echelon_z(a, nc):
+    """Bareiss on the int rows ``a`` in place: (rank, last pivot, sign)."""
+    nr = len(a)
     r, sign, denom = 0, 1, 1
     for c in range(nc):
         piv = next((i for i in range(r, nr) if a[i][c]), None)
@@ -301,13 +325,13 @@ def _echelon(m):
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        rowk = a[r]
-        pk = rowk[c]
+        pk = a[r][c]
+        tail = a[r][c + 1:]
         for i in range(r + 1, nr):
             rowi = a[i]
             aik = rowi[c]
-            for j in range(c + 1, nc):
-                rowi[j] = _exact_div(rowi[j] * pk - aik * rowk[j], denom)
+            new = [x * pk - aik * y for x, y in zip(rowi[c + 1:], tail)]
+            rowi[c + 1:] = new if denom == 1 else _exact_quotients(new, denom)
         denom = pk
         r += 1
         if r == nr:
@@ -315,24 +339,139 @@ def _echelon(m):
     return r, denom, sign
 
 
+def _echelon_zd(ap, aq, d, nc):
+    """Bareiss over Z[sqrt d] in place, on rows ``ap[i] + aq[i]*sqrt d``
+    of ints: (rank, last pivot as a (p, q) pair, sign).
+
+    The previous pivot p + q*sqrt d divides through its conjugate: the
+    numerator is multiplied by p - q*sqrt d, and both of its parts by the
+    integer norm p^2 - d*q^2, which is nonzero because d is not a square.
+    """
+    nr = len(ap)
+    r, sign, dp, dq = 0, 1, 1, 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if ap[i][c] or aq[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            ap[r], ap[piv] = ap[piv], ap[r]
+            aq[r], aq[piv] = aq[piv], aq[r]
+            sign = -sign
+        kp, kq = ap[r][c], aq[r][c]
+        dkq = d * kq
+        tp, tq = ap[r][c + 1:], aq[r][c + 1:]
+        div = dp * dp - d * dq * dq if dq else dp
+        for i in range(r + 1, nr):
+            rp, rq = ap[i], aq[i]
+            ip, iq = rp[c], rq[c]
+            diq = d * iq
+            cols = list(zip(rp[c + 1:], rq[c + 1:], tp, tq))
+            # row_i * pivot - a_ic * row_k
+            xp = [x * kp + y * dkq - ip * u - diq * v for x, y, u, v in cols]
+            xq = [x * kq + y * kp - ip * v - iq * u for x, y, u, v in cols]
+            if dq:
+                xp, xq = ([u * dp - d * v * dq for u, v in zip(xp, xq)],
+                          [v * dp - u * dq for u, v in zip(xp, xq)])
+            if div != 1:
+                xp = _exact_quotients(xp, div)
+                xq = _exact_quotients(xq, div)
+            rp[c + 1:] = xp
+            rq[c + 1:] = xq
+        dp, dq = kp, kq
+        r += 1
+        if r == nr:
+            break
+    return r, (dp, dq), sign
+
+
+def _exact_quotients(values, denom):
+    """Each of the ints ``values`` divided by ``denom``, which must divide
+    every one of them: a remainder raises InexactDivision."""
+    out = []
+    for v in values:
+        q, rem = divmod(v, denom)
+        if rem:
+            raise InexactDivision("Bareiss division of %d by %d leaves %d"
+                                  % (v, denom, rem))
+        out.append(q)
+    return out
+
+
 def _bareiss_det(m):
-    found, pivot, sign = _echelon(m)
+    found, pivot, sign, scale = _echelon(m)
     if found < m.rows:
         return 0
-    return pivot if sign > 0 else -pivot
+    if m.scalar_kind == "quadext":
+        p, q = pivot
+        return _s._quad(sign * p, sign * q, scale, _field(m))
+    return _ratio(sign * pivot, scale)
 
 
-def _exact_div(num, denom):
-    if denom == 1:
-        return _simplify(num)
-    if isinstance(num, int) and isinstance(denom, int):
-        # exact in Z for integer matrices; rational entries make the
-        # quotient exact in Q only
-        q, r = divmod(num, denom)
-        return Fraction(num, denom) if r else q
-    if isinstance(denom, _s.QuadExt):
-        return num / denom
-    return _simplify(Fraction(num) / denom if isinstance(num, int) else num / denom)
+def _ratio(num, den):
+    """num/den for ints, den > 0: an int where it is whole, else a
+    Fraction."""
+    if den == 1:
+        return num
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
+
+
+def _row_numerators(row):
+    """(P, Q, den) with row = (P + Q*sqrt d)/den entrywise, P and Q lists of
+    ints and den > 0 the lcm of the row's denominators; Q is None for a
+    rational row."""
+    if type(row[0]) is _s.QuadExt:
+        den = math.lcm(*(e._den for e in row))
+        return ([e._p * (den // e._den) for e in row],
+                [e._q * (den // e._den) for e in row], den)
+    den = math.lcm(*(e.denominator for e in row))
+    if den == 1:
+        return list(row), None, 1
+    return [e.numerator * (den // e.denominator) for e in row], None, den
+
+
+def _numerators(m):
+    """An exact matrix on integer numerators: (P, Q, den) with m = (P +
+    Q*sqrt d)/den, P and Q lists of int rows and den > 0 the lcm of all
+    denominators; Q is None for rational matrices."""
+    rows = [_row_numerators(r) for r in m.entries]
+    den = math.lcm(*(dr for _, _, dr in rows))
+    p = [[x * (den // dr) for x in pr] if dr != den else pr
+         for pr, _, dr in rows]
+    if m.scalar_kind != "quadext":
+        return p, None, den
+    return p, [[x * (den // dr) for x in qr] if dr != den else qr
+               for _, qr, dr in rows], den
+
+
+def _numerator_mul(a, b, d):
+    """The product of two matrices on integer numerators, (P, Q, den)
+    triples of :func:`_numerators` over one Q(sqrt d) (d unused for
+    rational ones)."""
+    ap, aq, ad = a
+    bp, bq, bd = b
+    bpt = list(zip(*bp))
+    if aq is None:
+        return ([[sum(map(mul, r, c)) for c in bpt] for r in ap], None,
+                ad * bd)
+    bqt = list(zip(*bq))
+    cols = list(zip(bpt, bqt))
+    return ([[sum(map(mul, rp, cp)) + d * sum(map(mul, rq, cq))
+              for cp, cq in cols] for rp, rq in zip(ap, aq)],
+            [[sum(map(mul, rp, cq)) + sum(map(mul, rq, cp))
+              for cp, cq in cols] for rp, rq in zip(ap, aq)],
+            ad * bd)
+
+
+def _from_numerators(p, q, den, d=None):
+    """The matrix (p + q*sqrt d)/den of int rows p and q (q None for a
+    rational one), with one reduction per entry."""
+    if q is None:
+        return _trusted(tuple(tuple(_ratio(x, den) for x in r) for r in p),
+                        "rational")
+    quad = _s._quad
+    return _trusted(tuple(tuple(quad(x, y, den, d) for x, y in zip(rp, rq))
+                          for rp, rq in zip(p, q)), "quadext")
 
 
 def _float_det(m):

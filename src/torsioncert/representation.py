@@ -8,6 +8,7 @@ each generator of an alphabet.  ``sl_flag`` asserts determinant-1 images,
 which is checked at construction.
 """
 
+import math
 import operator
 import string
 from functools import cached_property
@@ -53,12 +54,7 @@ class Representation:
                           for m in images]
             else:
                 raise ValueError("images mix scalar kinds %r" % kinds)
-        self.alphabet = alphabet
-        self.images = tuple(images)
-        self.n = n
-        self.sl_flag = bool(sl_flag)
-        self.scalar_kind = self.images[0].scalar_kind
-        self._inv = {}
+        self._store(alphabet, images, sl_flag)
         for i, m in enumerate(self.images):
             d = m.det()
             # exact kinds test zero exactly, whatever the scale
@@ -70,6 +66,17 @@ class Representation:
             if self.sl_flag and not _s.zero_test(d - 1, scale=scale):
                 raise ValueError("sl_flag set but det(image %r) = %s"
                                  % (alphabet.names[i], d))
+
+    def _store(self, alphabet, images, sl_flag):
+        """Set the fields from images of one kind, with empty caches of
+        inverse images and of letter images on integer numerators."""
+        self.alphabet = alphabet
+        self.images = tuple(images)
+        self.n = self.images[0].rows
+        self.sl_flag = bool(sl_flag)
+        self.scalar_kind = self.images[0].scalar_kind
+        self._inv = {}
+        self._num = {}
 
     @cached_property
     def units(self):
@@ -114,17 +121,53 @@ class Representation:
             out = out * self.letter_image(l)
         return out
 
+    def _letter_numerators(self, l):
+        """The image of the signed letter l on integer numerators, (P, Q,
+        den) as in ``linalg._numerators``; computed once per letter."""
+        if l not in self._num:
+            self._num[l] = _la._numerators(self.letter_image(l))
+        return self._num[l]
+
     def fox_blocks(self, w):
         """The images of the Fox derivatives of w by each generator, as a
-        list of n x n blocks in the representation's own kind: the terms of
-        :func:`fox_sweep` from :attr:`units` summed in word order, so no
-        product or sum changes kind."""
+        list of n x n blocks in the representation's own kind.
+
+        Float blocks sum the terms of :func:`fox_sweep` from :attr:`units`
+        in word order, so no product or sum changes kind.  Exact blocks run
+        the same sweep on integer numerators: each letter image is written
+        once as (P + Q*sqrt d)/den with int rows, the prefix products stay
+        in the integers, each term is scaled by the product of the
+        denominators of the letters after its prefix, and the terms of a
+        block are summed as ints over the product D of all the word's
+        denominators, so each entry is reduced once, as a Fraction or
+        ``QuadExt`` over D.
+        """
         self._check_word(w)
-        one, zero = self.units
-        blocks = [zero] * len(self.alphabet)
-        for j, sign, p in fox_sweep(w, self.letter_image, one, operator.mul):
-            blocks[j] = one if p is one else blocks[j] + p.scale(sign)
-        return blocks
+        k = len(self.alphabet)
+        if self.scalar_kind == "complex":
+            one, zero = self.units
+            blocks = [zero] * k
+            for j, sign, p in fox_sweep(w, self.letter_image, one,
+                                        operator.mul):
+                blocks[j] = one if p is one else blocks[j] + p.scale(sign)
+            return blocks
+        n = self.n
+        d = _la._field(self.images[0]) \
+            if self.scalar_kind == "quadext" else None
+        zero = [[0] * n for _ in range(n)]
+        nothing = (zero, None if d is None else zero)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        total = math.prod(self._letter_numerators(l)[2] for l in w.letters)
+        sums = [None] * k
+        for j, sign, (p, q, den) in fox_sweep(
+                w, self._letter_numerators, (eye, nothing[1], 1),
+                lambda a, b: _la._numerator_mul(a, b, d)):
+            f = sign * (total // den)
+            sp, sq = sums[j] or (None, None)
+            sums[j] = (_add_scaled(sp, p, f),
+                       None if q is None else _add_scaled(sq, q, f))
+        return [_la._from_numerators(*(s or nothing), total, d)
+                for s in sums]
 
     def eval_ring_elem(self, e):
         """Sum of coeff * eval_word over the terms; a ring homomorphism."""
@@ -181,7 +224,12 @@ class SymPowerRep(Representation):
         self.base = base
         self.N = N
         images = [sym_power(m, N) for m in base.images]
-        super().__init__(base.alphabet, images, sl_flag=base.sl_flag)
+        if base.scalar_kind == "complex":
+            super().__init__(base.alphabet, images, sl_flag=base.sl_flag)
+        else:
+            # det Sym(A) = det(A)^(N(N-1)/2): the checked base images make
+            # these nonsingular, and of determinant 1 under sl_flag
+            self._store(base.alphabet, images, base.sl_flag)
 
     def image_inverse(self, i):
         if self.scalar_kind == "complex":
@@ -192,6 +240,23 @@ class SymPowerRep(Representation):
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())
+
+
+def _add_scaled(acc, rows, f):
+    """acc + f * rows on int rows; f * rows when acc is None."""
+    if acc is None:
+        return [[f * x for x in r] for r in rows]
+    return [[a + f * x for a, x in zip(ra, r)] for ra, r in zip(acc, rows)]
+
+
+def _trusted_rep(alphabet, images, inverses):
+    """The representation of ``images``, one kind and known invertible,
+    with the given inverse images: nothing is checked or computed, so the
+    caller vouches for both."""
+    rep = object.__new__(Representation)
+    rep._store(alphabet, images, False)
+    rep._inv.update(enumerate(inverses))
+    return rep
 
 
 def sym_power(m, N):

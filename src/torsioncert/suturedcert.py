@@ -12,7 +12,7 @@ from . import linalg as _la
 from . import scalar as _s
 from .errors import AlphabetMismatch, OracleMismatch, ParseError
 from .freegroup import Alphabet, Word, parse_at, read_sections
-from .representation import Representation
+from .representation import Representation, _trusted_rep
 from .twisted import Presentation, build_complex, homology_dims
 
 
@@ -108,10 +108,24 @@ def enlarged_presentation(data):
 def extend_rep(data, rep):
     """The representation of the enlarged alphabet agreeing with rep on
     ambient generators and sending each surface generator to the image of
-    its word, so every enlarged relator dies."""
+    its word, so every enlarged relator dies.
+
+    Over exact kinds nothing is checked or inverted again: the surface
+    images are products of rep's invertible images, and the inverse of
+    each is the image of the inverse word.
+    """
     big, _ = enlarged_presentation(data)
-    images = list(rep.images) + [rep.eval_word(w) for w in data.images]
-    return Representation(big, images, sl_flag=False)
+    if rep.scalar_kind == "complex":
+        images = list(rep.images) + [rep.eval_word(w) for w in data.images]
+        return Representation(big, images, sl_flag=False)
+    # eval_word gives the empty word the rational identity; the surface
+    # images must have rep's own kind
+    surface = [(rep.eval_word(w), rep.eval_word(w.inverse())) if w.letters
+               else (rep.units[0],) * 2 for w in data.images]
+    return _trusted_rep(
+        big, list(rep.images) + [m for m, _ in surface],
+        [rep.image_inverse(i) for i in range(len(rep.alphabet))]
+        + [m for _, m in surface])
 
 
 def oracle_dims(data, rep):

@@ -204,7 +204,9 @@ def build_complex(pres, rep):
         return None, d1
     d2 = _la.block_assemble([rep.fox_blocks(rel) for rel in pres.relators])
     prod = d2 * d1
-    scale = max(1.0, d2.max_row_norm() * d1.max_row_norm())
+    # exact kinds test zero exactly, and their entries may not fit a float
+    scale = max(1.0, d2.max_row_norm() * d1.max_row_norm()) \
+        if rep.scalar_kind == "complex" else 1.0
     for i in range(prod.rows):
         for j in range(prod.cols):
             if not _s.zero_test(prod[i, j], scale=scale):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from torsioncert import linalg as linalg_module
-from torsioncert.errors import DivisionByZero, DimensionMismatch, NotSquare
+from torsioncert.errors import (DivisionByZero, DimensionMismatch,
+                               InexactDivision, NotSquare)
 from torsioncert.linalg import (
     Matrix,
     block_assemble,
@@ -155,33 +156,44 @@ class TestRank:
             assert rank(m.transpose()) == rank(m)
 
     def test_integer_input_gives_integer_quotients(self, monkeypatch):
-        # Bareiss divisions of an integer matrix are exact in Z: the
-        # elimination never leaves the integers, on singular and rectangular
-        # input too
+        # every Bareiss division is exact in Z, on integer, Fraction and
+        # Q(sqrt 5) input (rows scaled to integer numerators), singular and
+        # rectangular input too; the kernel divides only through
+        # _exact_quotients, so recording it sees every division
         seen = []
-        real_div = linalg_module._exact_div
+        real_div = linalg_module._exact_quotients
 
-        def recording_div(num, denom):
-            q = real_div(num, denom)
-            seen.append((num, denom, q))
-            return q
+        def recording_div(values, denom):
+            out = real_div(values, denom)
+            seen.append((values, denom, out))
+            return out
 
-        monkeypatch.setattr(linalg_module, "_exact_div", recording_div)
+        monkeypatch.setattr(linalg_module, "_exact_quotients", recording_div)
         rng = rng_for(17, 14)
-        for _ in range(100):
-            r, c = rng.randint(1, 5), rng.randint(1, 5)
-            if rng.random() < 0.5:
-                m = low_rank_product(rng, r, c, rng.randint(1, 3),
-                                     lambda g: g.randint(-4, 4))
-            else:
-                m = Matrix([[rng.randint(-5, 5) for _ in range(c)]
-                            for _ in range(r)])
-            assert rank(m) == minor_rank(m)
-            if r == c:
-                assert det(m) == perm_det(m.entries)
-        assert sum(abs(denom) > 1 for _, denom, _ in seen) > 100
-        for num, denom, q in seen:
-            assert type(q) is int and q * denom == num, (num, denom, q)
+        entries = [lambda g: g.randint(-4, 4),
+                   lambda g: random_fraction(g, 4, 3), rand_quadext]
+        for entry in entries:
+            del seen[:]
+            for _ in range(100):
+                r, c = rng.randint(1, 5), rng.randint(1, 5)
+                if rng.random() < 0.5:
+                    m = low_rank_product(rng, r, c, rng.randint(1, 3), entry)
+                else:
+                    m = Matrix([[entry(rng) for _ in range(c)]
+                                for _ in range(r)])
+                assert rank(m) == minor_rank(m)
+                if r == c:
+                    assert det(m) == perm_det(m.entries)
+            quotients = [(v, denom, q) for values, denom, out in seen
+                         for v, q in zip(values, out)]
+            assert sum(abs(denom) > 1 for _, denom, _ in quotients) > 100
+            for num, denom, q in quotients:
+                assert type(q) is int and q * denom == num, (num, denom, q)
+
+    def test_inexact_division_raises(self):
+        assert linalg_module._exact_quotients([6, -9], 3) == [2, -3]
+        with pytest.raises(InexactDivision):
+            linalg_module._exact_quotients([6, 7], 3)
 
 
 class TestInverse:
