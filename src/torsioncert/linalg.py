@@ -436,12 +436,14 @@ def _numerators(m):
     denominators; Q is None for rational matrices."""
     rows = [_row_numerators(r) for r in m.entries]
     den = math.lcm(*(dr for _, _, dr in rows))
-    p = [[x * (den // dr) for x in pr] if dr != den else pr
-         for pr, _, dr in rows]
+
+    def lift(part, dr):
+        return part if dr == den else [x * (den // dr) for x in part]
+
+    p = [lift(pr, dr) for pr, _, dr in rows]
     if m.scalar_kind != "quadext":
         return p, None, den
-    return p, [[x * (den // dr) for x in qr] if dr != den else qr
-               for _, qr, dr in rows], den
+    return p, [lift(qr, dr) for _, qr, dr in rows], den
 
 
 def _numerator_mul(a, b, d):

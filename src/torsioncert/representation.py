@@ -5,7 +5,9 @@ presentations.
 
 A representation assigns an invertible n x n matrix over one scalar kind to
 each generator of an alphabet.  ``sl_flag`` asserts determinant-1 images,
-which is checked at construction.
+which is checked at construction, except where it follows from images
+already checked: exact symmetric powers, and the enlarged representations
+of ``suturedcert.extend_rep``.
 """
 
 import math
@@ -155,19 +157,18 @@ class Representation:
         d = _la._field(self.images[0]) \
             if self.scalar_kind == "quadext" else None
         zero = [[0] * n for _ in range(n)]
-        nothing = (zero, None if d is None else zero)
+        no_q = None if d is None else zero
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         total = math.prod(self._letter_numerators(l)[2] for l in w.letters)
-        sums = [None] * k
+        sums = [(zero, no_q)] * k
         for j, sign, (p, q, den) in fox_sweep(
-                w, self._letter_numerators, (eye, nothing[1], 1),
+                w, self._letter_numerators, (eye, no_q, 1),
                 lambda a, b: _la._numerator_mul(a, b, d)):
             f = sign * (total // den)
-            sp, sq = sums[j] or (None, None)
+            sp, sq = sums[j]
             sums[j] = (_add_scaled(sp, p, f),
                        None if q is None else _add_scaled(sq, q, f))
-        return [_la._from_numerators(*(s or nothing), total, d)
-                for s in sums]
+        return [_la._from_numerators(sp, sq, total, d) for sp, sq in sums]
 
     def eval_ring_elem(self, e):
         """Sum of coeff * eval_word over the terms; a ring homomorphism."""
@@ -213,9 +214,11 @@ class Representation:
 class SymPowerRep(Representation):
     """The N-dimensional symmetric-power representation of a rank-2 base.
 
-    Exact inverse images are symmetric powers of the base's inverses, since
-    Sym(A)^-1 = Sym(A^-1); float ones keep Gauss-Jordan elimination, whose
-    bits are the ones printed.
+    Exact images are not checked again: det Sym(A) = det(A)^(N(N-1)/2),
+    so the base's check covers them.  Exact inverse images are symmetric
+    powers of the base's inverses, since Sym(A)^-1 = Sym(A^-1).  Float
+    images keep the determinant check and Gauss-Jordan inverses, whose bits
+    are the ones printed.
     """
 
     def __init__(self, base, N):
@@ -227,8 +230,6 @@ class SymPowerRep(Representation):
         if base.scalar_kind == "complex":
             super().__init__(base.alphabet, images, sl_flag=base.sl_flag)
         else:
-            # det Sym(A) = det(A)^(N(N-1)/2): the checked base images make
-            # these nonsingular, and of determinant 1 under sl_flag
             self._store(base.alphabet, images, base.sl_flag)
 
     def image_inverse(self, i):
@@ -243,9 +244,7 @@ class SymPowerRep(Representation):
 
 
 def _add_scaled(acc, rows, f):
-    """acc + f * rows on int rows; f * rows when acc is None."""
-    if acc is None:
-        return [[f * x for x in r] for r in rows]
+    """acc + f * rows on int rows."""
     return [[a + f * x for a, x in zip(ra, r)] for ra, r in zip(acc, rows)]
 
 

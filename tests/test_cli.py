@@ -293,6 +293,20 @@ class TestHugeExactValues:
         assert code == 0 and err == ""
         assert line in out.splitlines()
 
+    def test_exact_oracle(self, capsys):
+        # the oracle's chain condition tests exact zeros without a float
+        # noise scale
+        char = "(1%s, 1, 2)" % ("0" * 310)
+        code, plain, _ = run(capsys, "--structured", "certify", "pants.sut",
+                             "--char", char)
+        assert code == 0
+        code, out, err = run(capsys, "--structured", "certify", "pants.sut",
+                             "--char", char, "--oracle")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["oracle_h1"] == 0 and doc["is_product"] is True
+        assert doc["determinant"] == json.loads(plain)["determinant"]
+
     @pytest.mark.parametrize("command", [["certify", "pants.sut", "--char"],
                                          ["charlift"]], ids=" ".join)
     def test_mixed_with_a_float(self, capsys, command):

@@ -35,9 +35,11 @@ def rational_entry(rng, den):
 
 
 def quad_entry(d):
+    # half the entries rational, so that rational pivots of either sign
+    # occur among the irrational ones
     def draw(rng, den):
-        return QuadExt(Fraction(rng.randint(-4, 4), den),
-                       Fraction(rng.randint(-3, 3), den), d)
+        b = rng.randint(-3, 3) if rng.random() < 0.5 else 0
+        return QuadExt(Fraction(rng.randint(-4, 4), den), Fraction(b, den), d)
     return draw
 
 
