@@ -77,6 +77,8 @@ class Representation:
         self.n = self.images[0].rows
         self.sl_flag = bool(sl_flag)
         self.scalar_kind = self.images[0].scalar_kind
+        self._d = _la._field(self.images[0]) \
+            if self.scalar_kind == "quadext" else None
         self._inv = {}
         self._num = {}
 
@@ -97,8 +99,12 @@ class Representation:
         return self.images[i]
 
     def image_inverse(self, i):
+        """The inverse image of generator i: read off its numerators where
+        the representation was built with them, else by Gauss-Jordan."""
         if i not in self._inv:
-            self._inv[i] = self.images[i].inverse()
+            num = self._num.get(-i - 1)
+            self._inv[i] = self.images[i].inverse() if num is None \
+                else _la._from_numerators(*num, self._d)
         return self._inv[i]
 
     def letter_image(self, l):
@@ -113,11 +119,9 @@ class Representation:
                                    % (w.alphabet, self.alphabet))
 
     def eval_word(self, w):
-        """The product of generator images along the word; the rational
-        identity for 1."""
+        """The product of generator images along the word, from the
+        identity of :attr:`units`, so 1 too has the representation's kind."""
         self._check_word(w)
-        if not w.letters:
-            return Matrix.identity(self.n)
         out = self.units[0]
         for l in w.letters:
             out = out * self.letter_image(l)
@@ -129,6 +133,13 @@ class Representation:
         if l not in self._num:
             self._num[l] = _la._numerators(self.letter_image(l))
         return self._num[l]
+
+    @cached_property
+    def _one_numerators(self):
+        """The identity on integer numerators."""
+        n = self.n
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        return eye, None if self._d is None else [[0] * n] * n, 1
 
     def fox_blocks(self, w):
         """The images of the Fox derivatives of w by each generator, as a
@@ -153,16 +164,12 @@ class Representation:
                                         operator.mul):
                 blocks[j] = one if p is one else blocks[j] + p.scale(sign)
             return blocks
-        n = self.n
-        d = _la._field(self.images[0]) \
-            if self.scalar_kind == "quadext" else None
-        zero = [[0] * n for _ in range(n)]
-        no_q = None if d is None else zero
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        d = self._d
+        zero = [[0] * self.n] * self.n
         total = math.prod(self._letter_numerators(l)[2] for l in w.letters)
-        sums = [(zero, no_q)] * k
+        sums = [(zero, None if d is None else zero)] * k
         for j, sign, (p, q, den) in fox_sweep(
-                w, self._letter_numerators, (eye, no_q, 1),
+                w, self._letter_numerators, self._one_numerators,
                 lambda a, b: _la._numerator_mul(a, b, d)):
             f = sign * (total // den)
             sp, sq = sums[j]
@@ -214,11 +221,12 @@ class Representation:
 class SymPowerRep(Representation):
     """The N-dimensional symmetric-power representation of a rank-2 base.
 
-    Exact images are not checked again: det Sym(A) = det(A)^(N(N-1)/2),
-    so the base's check covers them.  Exact inverse images are symmetric
-    powers of the base's inverses, since Sym(A)^-1 = Sym(A^-1).  Float
-    images keep the determinant check and Gauss-Jordan inverses, whose bits
-    are the ones printed.
+    Exact images and inverse images are :func:`sym_power` of the base's
+    letter images on integer numerators (Sym(A)^-1 = Sym(A^-1)), which seed
+    the numerators of :meth:`fox_blocks`; only the images are reduced, and
+    they are not checked again: det Sym(A) = det(A)^(N(N-1)/2), so the
+    base's check covers them.  Float images keep the determinant check and
+    Gauss-Jordan inverses, whose bits are the ones printed.
     """
 
     def __init__(self, base, N):
@@ -226,18 +234,17 @@ class SymPowerRep(Representation):
             raise NotTwoByTwo("symmetric powers take a rank-2 base")
         self.base = base
         self.N = N
-        images = [sym_power(m, N) for m in base.images]
         if base.scalar_kind == "complex":
-            super().__init__(base.alphabet, images, sl_flag=base.sl_flag)
-        else:
-            self._store(base.alphabet, images, base.sl_flag)
-
-    def image_inverse(self, i):
-        if self.scalar_kind == "complex":
-            return super().image_inverse(i)
-        if i not in self._inv:
-            self._inv[i] = sym_power(self.base.image_inverse(i), self.N)
-        return self._inv[i]
+            super().__init__(base.alphabet,
+                             [sym_power(m, N) for m in base.images],
+                             sl_flag=base.sl_flag)
+            return
+        d, k = base._d, len(base.alphabet)
+        num = {l: _sym_numerators(_la._numerators(base.letter_image(l)), N, d)
+               for l in range(-k, k + 1) if l}
+        self._store(base.alphabet, [_la._from_numerators(*num[i], d)
+                                    for i in range(1, k + 1)], base.sl_flag)
+        self._num.update(num)
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())
@@ -248,13 +255,13 @@ def _add_scaled(acc, rows, f):
     return [[a + f * x for a, x in zip(ra, r)] for ra, r in zip(acc, rows)]
 
 
-def _trusted_rep(alphabet, images, inverses):
-    """The representation of ``images``, one kind and known invertible,
-    with the given inverse images: nothing is checked or computed, so the
-    caller vouches for both."""
+def _trusted_rep(alphabet, images, num):
+    """The representation of exact ``images``, known invertible, with
+    ``num`` mapping every signed letter to its image on integer numerators:
+    nothing is checked or computed, so the caller vouches for both."""
     rep = object.__new__(Representation)
     rep._store(alphabet, images, False)
-    rep._inv.update(enumerate(inverses))
+    rep._num.update(num)
     return rep
 
 
@@ -264,24 +271,55 @@ def sym_power(m, N):
     Basis order e1^(N-1), e1^(N-2)e2, ..., e2^(N-1); the image of the k-th
     basis vector is (m11 e1 + m21 e2)^(N-1-k) (m12 e1 + m22 e2)^k expanded
     binomially.  No normalization factors, so integer input gives integer
-    entries.  sym_power(m, 2) is m itself.
+    entries.  sym_power(m, 2) is m itself.  Exact input is expanded on its
+    integer numerators (:func:`_sym_numerators`) and reduced once per
+    entry; complex input is expanded on its entries.
     """
     if not isinstance(m, Matrix) or m.rows != 2 or m.cols != 2:
         raise NotTwoByTwo("sym_power needs a 2x2 matrix")
+    if m.scalar_kind == "complex":
+        return Matrix._of(_sym_rows(m.entries, N, _PLAIN), "complex")
+    d = _la._field(m) if m.scalar_kind == "quadext" else None
+    return _la._from_numerators(*_sym_numerators(_la._numerators(m), N, d), d)
+
+
+# the ring operations of _sym_rows: (mul, add, one, zero)
+_PLAIN = (operator.mul, operator.add, 1, 0)
+
+
+def _sym_numerators(num, N, d):
+    """:func:`sym_power` on integer numerators: (P, Q, den) of a 2x2 matrix
+    as in ``linalg._numerators`` to those of its symmetric power, over
+    den^(N-1).  Over Q(sqrt d) the expansion runs on (p, q) pairs standing
+    for p + q*sqrt d."""
+    p, q, den = num
+    if q is None:
+        return _sym_rows(p, N, _PLAIN), None, den ** (N - 1)
+    ring = (lambda x, y: (x[0] * y[0] + d * x[1] * y[1],
+                          x[0] * y[1] + x[1] * y[0]),
+            lambda x, y: (x[0] + y[0], x[1] + y[1]), (1, 0), (0, 0))
+    rows = _sym_rows([list(zip(rp, rq)) for rp, rq in zip(p, q)], N, ring)
+    return ([[x for x, _ in r] for r in rows],
+            [[y for _, y in r] for r in rows], den ** (N - 1))
+
+
+def _sym_rows(entries, N, ring):
+    """The rows of the symmetric power of the 2x2 ``entries`` by the
+    binomial rule of :func:`sym_power`, in the ring operations ``ring``."""
     if not isinstance(N, int) or N < 2:
         raise ValueError("N must be an integer >= 2")
-    (a, c), (b, d) = m.entries  # column 1 is (a, b), column 2 is (c, d)
+    mul, add, _, zero = ring
+    (a, c), (b, d) = entries  # column 1 is (a, b), column 2 is (c, d)
+    left = _binomial_powers(a, b, N - 1, ring)
+    right = _binomial_powers(c, d, N - 1, ring)
     cols = []
-    for k in range(N - 1 + 1):
-        left = _binomial_coeffs(a, b, N - 1 - k)
-        right = _binomial_coeffs(c, d, k)
-        col = [0] * N
-        for i, ci in enumerate(left):
-            for j, cj in enumerate(right):
-                col[i + j] = col[i + j] + ci * cj
+    for k in range(N):
+        col = [zero] * N
+        for i, ci in enumerate(left[N - 1 - k]):
+            for j, cj in enumerate(right[k]):
+                col[i + j] = add(col[i + j], mul(ci, cj))
         cols.append(col)
-    return Matrix._of([[cols[k][l] for k in range(N)] for l in range(N)],
-                      m.scalar_kind)
+    return [[cols[k][l] for k in range(N)] for l in range(N)]
 
 
 def _embedding(kind, images):
@@ -293,15 +331,18 @@ def _embedding(kind, images):
     return lambda v: v if isinstance(v, _s.QuadExt) else _s.QuadExt(v, 0, d)
 
 
-def _binomial_coeffs(p, q, n):
-    # coefficients of (p e1 + q e2)^n by e2-degree: [p^n, n p^(n-1) q, ...]
-    out = [1]
+def _binomial_powers(p, q, n, ring):
+    """The coefficients of (p e1 + q e2)^e by e2-degree for e = 0..n:
+    [p^e, e p^(e-1) q, ...]."""
+    mul, add, one, zero = ring
+    out = [[one]]
     for _ in range(n):
-        nxt = [0] * (len(out) + 1)
-        for i, c in enumerate(out):
-            nxt[i] = nxt[i] + c * p
-            nxt[i + 1] = nxt[i + 1] + c * q
-        out = nxt
+        prev = out[-1]
+        nxt = [zero] * (len(prev) + 1)
+        for i, c in enumerate(prev):
+            nxt[i] = add(nxt[i], mul(c, p))
+            nxt[i + 1] = add(nxt[i + 1], mul(c, q))
+        out.append(nxt)
     return out
 
 

@@ -8,6 +8,8 @@ optional oracle rebuilds the verdict from the presentation 2-complex on an
 enlarged alphabet and compares ranks.
 """
 
+from functools import reduce
+
 from . import linalg as _la
 from . import scalar as _s
 from .errors import AlphabetMismatch, OracleMismatch, ParseError
@@ -110,40 +112,48 @@ def extend_rep(data, rep):
     ambient generators and sending each surface generator to the image of
     its word, so every enlarged relator dies.
 
-    Over exact kinds nothing is checked or inverted again: the surface
-    images are products of rep's invertible images, and the inverse of
-    each is the image of the inverse word.
+    Over exact kinds nothing is checked or inverted again: each surface
+    image, and its inverse as the image of the inverse word, is a fold of
+    ``linalg._numerator_mul`` over rep's letter numerators.  Those
+    numerators seed the enlarged representation's own, so only the surface
+    images are reduced.
     """
     big, _ = enlarged_presentation(data)
     if rep.scalar_kind == "complex":
         images = list(rep.images) + [rep.eval_word(w) for w in data.images]
         return Representation(big, images, sl_flag=False)
-    # eval_word gives the empty word the rational identity; the surface
-    # images must have rep's own kind
-    surface = [(rep.eval_word(w), rep.eval_word(w.inverse())) if w.letters
-               else (rep.units[0],) * 2 for w in data.images]
-    return _trusted_rep(
-        big, list(rep.images) + [m for m, _ in surface],
-        [rep.image_inverse(i) for i in range(len(rep.alphabet))]
-        + [m for _, m in surface])
+    k = len(rep.alphabet)
+    num = {l: rep._letter_numerators(l) for l in range(-k, k + 1) if l}
+    for i, w in enumerate(data.images, k + 1):
+        for l, v in ((i, w), (-i, w.inverse())):
+            num[l] = reduce(lambda a, b: _la._numerator_mul(a, b, rep._d),
+                            map(num.get, v.letters), rep._one_numerators)
+    surface = [_la._from_numerators(*num[i], rep._d)
+               for i in range(k + 1, 2 * k + 1)]
+    return _trusted_rep(big, list(rep.images) + surface, num)
+
+
+def _relative_h1(data, rep):
+    """The relative h1 of the enlarged presentation complex with the
+    surface edges collapsed, with the complex's boundary matrices (d2,
+    d1)."""
+    big, relators = enlarged_presentation(data)
+    pres = Presentation(big, relators, name=data.name or "enlarged")
+    d2, d1 = build_complex(pres, extend_rep(data, rep))
+    kn = len(data.alphabet) * rep.n
+    # relative cochains: only ambient-edge columns survive collapsing B
+    return kn - d2.submatrix(range(d2.rows), range(kn)).rank(), d2, d1
 
 
 def oracle_dims(data, rep):
     """(h0, h1, h2) of the enlarged presentation complex, its relative h1
     with the surface edges collapsed, and the complex's cell-count Euler
-    characteristic 1 - 2k + k."""
-    big, relators = enlarged_presentation(data)
-    big_rep = extend_rep(data, rep)
-    pres = Presentation(big, relators, name=data.name or "enlarged")
-    d2, d1 = build_complex(pres, big_rep)
-    dims = homology_dims(d2, d1)
-    n = rep.n
+    characteristic 1 - 2k + k.  The relative h1, all that :func:`certify`
+    reads, comes from the same builder without the two ranks of
+    ``homology_dims``."""
+    rel_h1, d2, d1 = _relative_h1(data, rep)
     k = len(data.alphabet)
-    # relative cochains: only ambient-edge columns survive collapsing B
-    sub = d2.submatrix(range(d2.rows), range(k * n))
-    rel_h1 = k * n - sub.rank()
-    chi = 1 - 2 * k + k
-    return dims, rel_h1, chi
+    return homology_dims(d2, d1), rel_h1, 1 - 2 * k + k
 
 
 def certify(data, rep, with_oracle=False):
@@ -160,7 +170,7 @@ def certify(data, rep, with_oracle=False):
                        det_scale=scale,
                        extended=len(data.alphabet) > 2)
     if with_oracle:
-        _, rel_h1, _ = oracle_dims(data, rep)
+        rel_h1 = _relative_h1(data, rep)[0]
         cert.oracle_h1 = rel_h1
         if is_product != (rel_h1 == 0):
             raise OracleMismatch(

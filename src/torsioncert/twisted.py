@@ -165,7 +165,7 @@ def twisted_fox_row(w, rep, twist):
 
     blocks = [[[LaurentPoly.zero()] * n for _ in range(n)]
               for _ in rep.alphabet.names]
-    for j, sign, (m, shift) in fox_sweep(w, image, (Matrix.identity(n), 0),
+    for j, sign, (m, shift) in fox_sweep(w, image, (rep.units[0], 0),
                                          _monomial_mul):
         grid = blocks[j]
         for i in range(n):
@@ -194,7 +194,9 @@ def build_complex(pres, rep):
     the block column of generator images minus the identity.  The chain
     condition holds exactly when the representation kills every relator
     (within tolerance in floating kinds), so it doubles as a check that
-    rep really is a representation of the presented group.
+    rep really is a representation of the presented group.  Exact kinds
+    test it on the integer numerators of d2 and d1
+    (``linalg._numerator_mul``), so the product is never reduced.
     """
     _same_alphabet(pres, rep)
     n = rep.n
@@ -203,16 +205,19 @@ def build_complex(pres, rep):
     if not pres.relators:
         return None, d1
     d2 = _la.block_assemble([rep.fox_blocks(rel) for rel in pres.relators])
-    prod = d2 * d1
-    # exact kinds test zero exactly, and their entries may not fit a float
-    scale = max(1.0, d2.max_row_norm() * d1.max_row_norm()) \
-        if rep.scalar_kind == "complex" else 1.0
-    for i in range(prod.rows):
-        for j in range(prod.cols):
-            if not _s.zero_test(prod[i, j], scale=scale):
-                raise ChainCondition(
-                    "d2 . d1 != 0: representation does not kill "
-                    "relator %d" % (i // n))
+    if rep.scalar_kind == "complex":
+        scale = max(1.0, d2.max_row_norm() * d1.max_row_norm())
+        nonzero = [[not _s.zero_test(e, scale=scale) for e in row]
+                   for row in (d2 * d1).entries]
+    else:
+        # (P + Q*sqrt d)/den is zero exactly when P and Q are
+        p, q, _ = _la._numerator_mul(_la._numerators(d2),
+                                     _la._numerators(d1), rep._d)
+        nonzero = p if q is None else [a + b for a, b in zip(p, q)]
+    bad = next((i for i, row in enumerate(nonzero) if any(row)), None)
+    if bad is not None:
+        raise ChainCondition("d2 . d1 != 0: representation does not kill "
+                             "relator %d" % (bad // n))
     return d2, d1
 
 

@@ -9,6 +9,7 @@ derivatives from the textbook prefix-word rule.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 from torsioncert.freegroup import Word
 from torsioncert.linalg import Matrix
@@ -63,6 +64,27 @@ def fox_terms(w, j):
             terms[key] = terms.get(key, 0) - 1
         prefix = prefix * Word(alphabet, (l,))
     return {v: c for v, c in terms.items() if c}
+
+
+def sym_power_oracle(rows, N):
+    """The N-th symmetric power of the 2x2 ``rows`` by the binomial
+    theorem, entries of any ring: column k is (a e1 + b e2)^(N-1-k)
+    (c e1 + d e2)^k for the columns (a, b) and (c, d), and row l takes its
+    coefficient of e1^(N-1-l) e2^l."""
+    (a, c), (b, d) = rows
+    out = []
+    for l in range(N):
+        row = []
+        for k in range(N):
+            total = 0
+            for i in range(max(0, l - k), min(l, N - 1 - k) + 1):
+                j = l - i
+                total = total + (comb(N - 1 - k, i) * comb(k, j)
+                                 * a ** (N - 1 - k - i) * b ** i
+                                 * c ** (k - j) * d ** j)
+            row.append(total)
+        out.append(row)
+    return out
 
 
 def mat2_mul(a, b):

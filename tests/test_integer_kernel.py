@@ -13,14 +13,21 @@ from fractions import Fraction
 import pytest
 
 from torsioncert import linalg as linalg_module
+from torsioncert.charvar import Character, lift
+from torsioncert.errors import ChainCondition
 from torsioncert.freegroup import Alphabet, GroupRingElem, Word
 from torsioncert.linalg import Matrix, det, rank
-from torsioncert.representation import Representation, SymPowerRep
-from torsioncert.scalar import QuadExt
+from torsioncert.representation import (Representation, SymPowerRep,
+                                        sym_power)
+from torsioncert.scalar import ComplexF, QuadExt
 from torsioncert.seeds import rng_for
-from torsioncert.suturedcert import SuturedHandlebodyData, certify, extend_rep
+from torsioncert.suturedcert import (SuturedHandlebodyData, certify,
+                                     enlarged_presentation, extend_rep,
+                                     oracle_dims)
+from torsioncert.twisted import Presentation, build_complex
 
-from helpers import fox_terms, minor_rank, perm_det, random_word
+from helpers import (fox_terms, minor_rank, perm_det, random_sl2,
+                     random_word, sym_power_oracle)
 
 XY = Alphabet("x y")
 XYZ = Alphabet("x y z")
@@ -206,3 +213,144 @@ def test_one_determinant_and_no_inversion_per_certificate(monkeypatch):
             certify(data, rep, with_oracle=True)
             runs += 1
     assert calls == {"det": runs, "inverse": 0}
+
+
+def integer_entry(rng, den):
+    return rng.randint(-5, 5)
+
+
+def exact_bases(rng):
+    """Rank-2 GL bases over Z, over Q with a denominator per letter, and
+    over Q(sqrt d) for each d of DISCRIMINANTS."""
+    draws = [integer_entry, rational_entry]
+    draws += [quad_entry(d) for d in DISCRIMINANTS]
+    return [gl_rep(rng, XY, 2, draw) for draw in draws]
+
+
+def entry_reprs(rows):
+    return [[repr(e) for e in row] for row in rows]
+
+
+def test_exact_sym_power_equals_the_binomial_theorem():
+    rng = rng_for(73, 50)
+    for base in exact_bases(rng):
+        for i, a in enumerate(base.images):
+            ainv = base.image_inverse(i)
+            for N in range(2, 9):
+                sym = sym_power(a, N)
+                assert sym.scalar_kind == base.scalar_kind
+                assert entry_reprs(sym.entries) == \
+                    entry_reprs(Matrix(sym_power_oracle(a.entries, N)).entries)
+                assert sym * sym_power(ainv, N) == Matrix.identity(N)
+
+
+def test_exact_sym_power_rep_seeds_its_numerators(monkeypatch):
+    # images and inverse images come from the base's numerators, and the
+    # Fox blocks read them without going back to the reduced entries
+    rng = rng_for(73, 51)
+    made = []
+    real = linalg_module._numerators
+    monkeypatch.setattr(linalg_module, "_numerators",
+                        lambda m: made.append(m) or real(m))
+    for base in exact_bases(rng):
+        for N in (3, 6):
+            rep = SymPowerRep(base, N)
+            for i in range(2):
+                assert rep.images[i] == Matrix(
+                    sym_power_oracle(base.images[i].entries, N))
+                inv = rep.image_inverse(i)
+                assert inv.scalar_kind == rep.scalar_kind
+                assert inv == Matrix(
+                    sym_power_oracle(base.image_inverse(i).entries, N))
+                assert rep.images[i] * inv == Matrix.identity(N)
+            del made[:]
+            rep.fox_blocks(random_word(rng, XY, 8))
+            assert made == []
+
+
+def unit_reps(rng):
+    integer = Representation(XY, [random_sl2(rng), random_sl2(rng)])
+    sqrt21 = lift(Character(4, 4, 5), warn=False)
+    complexf = lift(Character(ComplexF(2.5, 0.5), ComplexF(-1.0),
+                              ComplexF(0.75, 1.0)), warn=False)
+    return [integer, sqrt21, SymPowerRep(sqrt21, 3), complexf]
+
+
+def test_the_empty_word_has_the_representations_kind():
+    rng = rng_for(73, 52)
+    kinds = []
+    for rep in unit_reps(rng):
+        one = rep.eval_word(XY.identity())
+        unit = rep.eval_ring_elem(GroupRingElem.one(XY))
+        for m in (one, unit):
+            assert m.scalar_kind == rep.scalar_kind
+            assert m == Matrix.identity(rep.n)
+        kinds.append(rep.scalar_kind)
+    assert kinds == ["rational", "quadext", "quadext", "complex"]
+
+
+def commuting_rep(rng, draw):
+    """x -> A, y -> A^2 for a GL image A other than the identity."""
+    a = gl_rep(rng, XY, 2, draw).images[0]
+    return Representation(XY, [a, a * a])
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational"]
+                         + ["sqrt%d" % d for d in DISCRIMINANTS])
+def test_exact_chain_condition_names_the_relator(kind):
+    # x -> A, y -> A^2 kills the commutator, x^2 y^-1 and y x^-2, but not
+    # x^3 y^-1
+    rng = rng_for(73, 53)
+    draw = {"integer": integer_entry, "rational": rational_entry,
+            **{"sqrt%d" % d: quad_entry(d) for d in DISCRIMINANTS}}[kind]
+    rep = commuting_rep(rng, draw)
+    killed = [XY.word(w) for w in ("xyXY", "xxY", "yXX")]
+    for bad in range(4):
+        pres = Presentation(XY, killed[:bad] + [XY.word("xxxY")]
+                            + killed[bad:])
+        with pytest.raises(ChainCondition, match="relator %d$" % bad):
+            build_complex(pres, rep)
+    d2, d1 = build_complex(Presentation(XY, killed), rep)
+    assert d2.scalar_kind == d1.scalar_kind == rep.scalar_kind
+    if kind.startswith("sqrt"):
+        # x -> y -> ((1, sqrt d), (0, 1)) misses the relator x only in the
+        # sqrt d part of d2 . d1
+        d = int(kind[4:])
+        shear = Matrix([[QuadExt(1, 0, d), QuadExt(0, 1, d)],
+                        [QuadExt(0, 0, d), QuadExt(1, 0, d)]])
+        pres = Presentation(XY, [XY.word("xY"), XY.word("x")])
+        with pytest.raises(ChainCondition, match="relator 1$"):
+            build_complex(pres, Representation(XY, [shear, shear]))
+
+
+def test_extended_reps_pass_the_exact_chain_condition():
+    rng = rng_for(73, 54)
+    for rep in exact_reps(rng):
+        k = len(rep.alphabet)
+        data = SuturedHandlebodyData(
+            rep.alphabet, [random_word(rng, rep.alphabet, 6)
+                           for _ in range(k - 1)] + [rep.alphabet.identity()])
+        big, relators = enlarged_presentation(data)
+        d2, d1 = build_complex(Presentation(big, relators),
+                               extend_rep(data, rep))
+        assert (d2.rows, d1.cols) == (k * rep.n, rep.n)
+
+
+def test_certificate_oracle_reads_the_relative_h1_of_oracle_dims():
+    # 306 seeded exact representations, rank-3 alphabets among them; a
+    # repeated surface word makes a share of them non-products
+    seen = {True: 0, False: 0}
+    for case in range(34):
+        rng = rng_for(73, 100 + case)
+        for rep in exact_reps(rng):
+            alphabet = rep.alphabet
+            images = [random_word(rng, alphabet, 6) for _ in alphabet.names]
+            if rng.random() < 0.3:
+                images[-1] = images[0]
+            data = SuturedHandlebodyData(alphabet, images)
+            cert = certify(data, rep, with_oracle=True)
+            dims, rel_h1, chi = oracle_dims(data, rep)
+            assert cert.oracle_h1 == rel_h1
+            assert dims[0] - dims[1] + dims[2] == chi * rep.n
+            seen[cert.is_product] += 1
+    assert sum(seen.values()) == 306 and min(seen.values()) > 30
