@@ -139,7 +139,7 @@ class Representation:
         """The identity on integer numerators."""
         n = self.n
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        return eye, None if self._d is None else [[0] * n] * n, 1
+        return eye, None if self._d is None else [[0] * n for _ in range(n)], 1
 
     def fox_blocks(self, w):
         """The images of the Fox derivatives of w by each generator, as a
@@ -148,7 +148,8 @@ class Representation:
         Float blocks sum the terms of :func:`fox_sweep` from :attr:`units`
         in word order, so no product or sum changes kind.  Exact blocks run
         the same sweep on integer numerators: each letter image is written
-        once as (P + Q*sqrt d)/den with int rows, the prefix products stay
+        once as (P + Q*sqrt d)/den with int rows, unless a symmetric power
+        or ``extend_rep`` was built with them, the prefix products stay
         in the integers, each term is scaled by the product of the
         denominators of the letters after its prefix, and the terms of a
         block are summed as ints over the product D of all the word's
@@ -164,8 +165,8 @@ class Representation:
                                         operator.mul):
                 blocks[j] = one if p is one else blocks[j] + p.scale(sign)
             return blocks
-        d = self._d
-        zero = [[0] * self.n] * self.n
+        d, n = self._d, self.n
+        zero = [[0] * n for _ in range(n)]
         total = math.prod(self._letter_numerators(l)[2] for l in w.letters)
         sums = [(zero, None if d is None else zero)] * k
         for j, sign, (p, q, den) in fox_sweep(
