@@ -60,6 +60,11 @@ ARGVS = [
     ["certify", "pants.sut", "--char", "(-7, 2, 17/4)", "--oracle"],
     ["certify", "pants.sut", "--char", "(2/3, -5/4, 7/2)", "--sym-power",
      "5"],
+    ["certify", "pants.sut", "--char", "(1.5+0.5i, 2.0, 3.25-1i)",
+     "--oracle"],
+    ["certify", "pants.sut", "--char", "(1.5+0.5i, 2.0, 3.25-1i)",
+     "--sym-power", "3", "--oracle"],
+    ["certify", "pants.sut", "--char", "(3.0, 1.0, 2.0)", "--oracle"],
 ]
 
 
