@@ -22,8 +22,8 @@ from . import scalar as _s
 from .errors import (DegenerateInput, DivisionByZero, EliminationDegenerate,
                      IrreducibilityWarning)
 from .freegroup import Alphabet, fox_sweep
-from .linalg import Matrix, det_with_scale
-from .polynomial import (MultiPoly, grid_mul, multi_eval, newton_polish,
+from .linalg import Matrix, det_with_scale, grid_mul
+from .polynomial import (MultiPoly, multi_eval, newton_polish,
                          poly_matrix_det, primitive_normalize,
                          squarefree_part)
 from .representation import Representation, SymPowerRep

@@ -172,7 +172,7 @@ def cmd_torsion(config, args):
               ("genus_bound", str(result.genus_bound_int()))]
     code = 0
     if args.genus_check:
-        verdict = _tw.conjecture_check(pres, rep)
+        verdict = _tw.conjecture_check(pres, rep, result)
         pairs += [("genus_hint", verdict.genus_hint),
                   ("target_degree", verdict.target),
                   ("verdict", verdict.verdict)]

@@ -44,8 +44,8 @@ class MixedScalarKind(TorsionCertError, TypeError):
 
 
 class InexactDivision(TorsionCertError, ArithmeticError):
-    """A division of the exact kernel that must be exact left a remainder
-    (a bug)."""
+    """A division that must be exact left a remainder (in the exact
+    kernel, a bug)."""
 
 
 # polynomial

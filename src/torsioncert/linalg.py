@@ -10,12 +10,14 @@ the row multipliers at the end.  Intermediate entries stay
 polynomial-sized instead of blowing up the way naive Gaussian elimination
 does on Fox matrices, and a division that leaves a remainder raises
 ``InexactDivision``.  The echelon skips columns without a pivot, so it runs
-on rectangular matrices too.  Exact Fox blocks
-(``Representation.fox_blocks``) use the same integer numerators, written
-by ``_numerators`` and read back by ``_from_numerators``.
-Float determinants use partially pivoted elimination, and floating ranks
-use a largest-pivot threshold rule scaled by the max row norm.  Inverses of
-every kind come from one Gauss-Jordan loop.
+on rectangular matrices too.  Fox blocks, symmetric powers, surface
+images and chain checks of every kind run on numerators too
+(``_numerators``, ``_numerator_mul``, ``_from_numerators``, keyed on
+``_field``): a complex matrix is its own rows over 1, multiplied by the
+left folds of ``grid_mul`` as in ``Matrix.__mul__``.  Float determinants
+use partially pivoted elimination, and floating ranks use a largest-pivot
+threshold rule scaled by the max row norm.  Inverses of every kind come
+from one Gauss-Jordan loop.
 
 Matrices are immutable.  Entries are promoted once, where they enter the
 package: ``Matrix(rows)`` (parsing, matrices built by callers, ``map``)
@@ -37,7 +39,8 @@ grammar, e.g. ``0,1;-1,4``.
 import cmath
 import math
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 from . import scalar as _s
 from .errors import (DimensionMismatch, DivisionByZero, InexactDivision,
@@ -179,9 +182,8 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 "%dx%d times %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        bt = list(zip(*other.entries))
-        return self._result([[_dot(ra, cb) for cb in bt]
-                             for ra in self.entries], other.scalar_kind)
+        return self._result(grid_mul(self.entries, other.entries),
+                            other.scalar_kind)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -260,12 +262,11 @@ def _field(m):
     return m.entries[0][0].d if m.scalar_kind == "quadext" else m.scalar_kind
 
 
-def _dot(ra, cb):
-    acc = None
-    for a, b in zip(ra, cb):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
+def grid_mul(a, b):
+    """Product of two grids (lists of rows) of ring elements, as a grid;
+    each entry is the left fold of its products, from the first one."""
+    cols = list(zip(*b))
+    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
 
 
 def det(m):
@@ -431,9 +432,11 @@ def _row_numerators(row):
 
 
 def _numerators(m):
-    """An exact matrix on integer numerators: (P, Q, den) with m = (P +
-    Q*sqrt d)/den, P and Q lists of int rows and den > 0 the lcm of all
-    denominators; Q is None for rational matrices."""
+    """m on numerators: (P, Q, den) with m = (P + Q*sqrt d)/den, P and Q
+    lists of int rows, den > 0 the lcm of all denominators and Q None for
+    rational matrices; a complex matrix is its own rows over 1."""
+    if m.scalar_kind == "complex":
+        return [list(r) for r in m.entries], None, 1
     rows = [_row_numerators(r) for r in m.entries]
     den = math.lcm(*(dr for _, _, dr in rows))
 
@@ -446,34 +449,52 @@ def _numerators(m):
     return p, [lift(qr, dr) for _, qr, dr in rows], den
 
 
-def _numerator_mul(a, b, d):
-    """The product of two matrices on integer numerators, (P, Q, den)
-    triples of :func:`_numerators` over one Q(sqrt d) (d unused for
-    rational ones)."""
+def _numerator_mul(a, b, field):
+    """The product of two (P, Q, den) triples of :func:`_numerators` over
+    one :func:`_field`; complex entries are the left folds of
+    :func:`grid_mul`, as in ``Matrix.__mul__``."""
     ap, aq, ad = a
     bp, bq, bd = b
-    bpt = list(zip(*bp))
     if aq is None:
-        return ([[sum(map(mul, r, c)) for c in bpt] for r in ap], None,
-                ad * bd)
-    bqt = list(zip(*bq))
-    cols = list(zip(bpt, bqt))
-    return ([[sum(map(mul, rp, cp)) + d * sum(map(mul, rq, cq))
+        return grid_mul(ap, bp), None, ad * bd
+    cols = list(zip(zip(*bp), zip(*bq)))
+    return ([[sum(map(mul, rp, cp)) + field * sum(map(mul, rq, cq))
               for cp, cq in cols] for rp, rq in zip(ap, aq)],
             [[sum(map(mul, rp, cq)) + sum(map(mul, rq, cp))
               for cp, cq in cols] for rp, rq in zip(ap, aq)],
             ad * bd)
 
 
-def _from_numerators(p, q, den, d=None):
-    """The matrix (p + q*sqrt d)/den of int rows p and q (q None for a
-    rational one), with one reduction per entry."""
-    if q is None:
+def _from_numerators(p, q, den, field):
+    """The matrix (p + q*sqrt d)/den over :func:`_field` ``field``, with
+    one reduction per exact entry; complex rows (den 1) are checked finite
+    once, through ``Matrix._of``."""
+    if field == "complex":
+        return Matrix._of(p, field)
+    if field == "rational":
         return _trusted(tuple(tuple(_ratio(x, den) for x in r) for r in p),
                         "rational")
     quad = _s._quad
-    return _trusted(tuple(tuple(quad(x, y, den, d) for x, y in zip(rp, rq))
+    return _trusted(tuple(tuple(quad(x, y, den, field) for x, y in zip(rp, rq))
                           for rp, rq in zip(p, q)), "quadext")
+
+
+def nonzero_row_of_product(a, b):
+    """The first row of a . b with an entry that is not zero, or None.
+
+    The product runs on :func:`_numerators`, unreduced: (P + Q*sqrt d)/den
+    is zero exactly when P and Q are.  A float entry is zero when its
+    modulus is at most ``zero_tolerance() * max(1, |a| |b|)`` in max row
+    norms, which a non-finite one never is.
+    """
+    p, q, _ = _numerator_mul(_numerators(a), _numerators(b), _field(a))
+    tol = 0
+    if a.scalar_kind == "complex":
+        tol = _s.zero_tolerance() * max(1.0, a.max_row_norm()
+                                        * b.max_row_norm())
+    rows = p if q is None else [rp + rq for rp, rq in zip(p, q)]
+    return next((i for i, row in enumerate(rows)
+                 if not all(abs(x) <= tol for x in row)), None)
 
 
 def _float_det(m):

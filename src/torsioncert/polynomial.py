@@ -27,15 +27,13 @@ one Newton polish (which can stop inside the gamma-theorem basin of a root
 already found), and a Horner root test with a rounding-error bound.
 """
 
-import operator
 import re as _re
 from fractions import Fraction
-from functools import reduce
 from math import gcd as _int_gcd
 
 from . import scalar as _s
-from .errors import (DegenerateInput, MixedScalarKind, ParseError,
-                     ZeroDenominator)
+from .errors import (DegenerateInput, DivisionByZero, InexactDivision,
+                     MixedScalarKind, ParseError, ZeroDenominator)
 
 NEG_INFINITY = float("-inf")
 
@@ -370,13 +368,6 @@ def poly_matrix_det(rows):
     return cur.get((1 << n) - 1, rows[0][0] - rows[0][0])
 
 
-def grid_mul(a, b):
-    """Product of two grids (lists of rows) of ring elements, as a grid."""
-    cols = list(zip(*b))
-    return [[reduce(operator.add, map(operator.mul, row, col))
-             for col in cols] for row in a]
-
-
 # ---------------------------------------------------------------------------
 # multivariate polynomials over Q in x, y, z, u
 
@@ -683,14 +674,11 @@ def mp_content(p, i):
     return g
 
 
-class InexactDivision(ArithmeticError):
-    pass
-
-
 def mp_divexact(p, q):
-    """Exact division p / q; raises InexactDivision on a remainder."""
+    """Exact division p / q; raises InexactDivision on a remainder and
+    DivisionByZero on a zero q."""
     if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
+        raise DivisionByZero("division by the zero polynomial")
     if p.is_zero():
         return p
     r = p

@@ -6,14 +6,15 @@ presentations.
 A representation assigns an invertible n x n matrix over one scalar kind to
 each generator of an alphabet.  ``sl_flag`` asserts determinant-1 images,
 which is checked at construction, except where it follows from images
-already checked: exact symmetric powers, and the enlarged representations
-of ``suturedcert.extend_rep``.
+already checked: exact symmetric powers and extensions.  Words, Fox
+blocks, symmetric powers and extensions of every kind are evaluated on the
+images' numerators (``linalg._numerators``).
 """
 
 import math
 import operator
 import string
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 
 from . import linalg as _la
@@ -71,14 +72,13 @@ class Representation:
 
     def _store(self, alphabet, images, sl_flag):
         """Set the fields from images of one kind, with empty caches of
-        inverse images and of letter images on integer numerators."""
+        inverse images and of letter images on numerators."""
         self.alphabet = alphabet
         self.images = tuple(images)
         self.n = self.images[0].rows
         self.sl_flag = bool(sl_flag)
         self.scalar_kind = self.images[0].scalar_kind
-        self._d = _la._field(self.images[0]) \
-            if self.scalar_kind == "quadext" else None
+        self._field = _la._field(self.images[0])
         self._inv = {}
         self._num = {}
 
@@ -86,14 +86,19 @@ class Representation:
     def units(self):
         """The identity and the zero matrix in this representation's scalar
         kind, so that arithmetic with the images keeps that kind."""
-        n, kind = self.n, self.scalar_kind
-        if kind == "rational":
-            return Matrix.identity(n), Matrix.zero(n)
-        embed = _embedding(kind, self.images)
-        one, zero = embed(1), embed(0)
-        return (Matrix._of([[one if i == j else zero for j in range(n)]
-                            for i in range(n)], kind),
-                Matrix._of([[zero] * n] * n, kind))
+        return tuple(_la._from_numerators(*u, self._field)
+                     for u in self._unit_numerators)
+
+    @cached_property
+    def _unit_numerators(self):
+        """The identity and zero on numerators, in ints for exact kinds and
+        complex entries for floats."""
+        n = self.n
+        unit = complex if self.scalar_kind == "complex" else int
+        one = [[unit(i == j) for j in range(n)] for i in range(n)]
+        zero = [[unit(0)] * n for _ in range(n)]
+        q = zero if self.scalar_kind == "quadext" else None
+        return (one, q, 1), (zero, q, 1)
 
     def image(self, i):
         return self.images[i]
@@ -104,7 +109,7 @@ class Representation:
         if i not in self._inv:
             num = self._num.get(-i - 1)
             self._inv[i] = self.images[i].inverse() if num is None \
-                else _la._from_numerators(*num, self._d)
+                else _la._from_numerators(*num, self._field)
         return self._inv[i]
 
     def letter_image(self, l):
@@ -119,64 +124,64 @@ class Representation:
                                    % (w.alphabet, self.alphabet))
 
     def eval_word(self, w):
-        """The product of generator images along the word, from the
-        identity of :attr:`units`, so 1 too has the representation's kind."""
+        """The product of generator images along the word, on numerators
+        from the identity, so 1 too has the representation's kind."""
         self._check_word(w)
-        out = self.units[0]
-        for l in w.letters:
-            out = out * self.letter_image(l)
-        return out
+        return _la._from_numerators(*self._word_numerators(w), self._field)
 
     def _letter_numerators(self, l):
-        """The image of the signed letter l on integer numerators, (P, Q,
-        den) as in ``linalg._numerators``; computed once per letter."""
+        """The image of the signed letter l on numerators, (P, Q, den) as
+        in ``linalg._numerators``; computed once per letter."""
         if l not in self._num:
             self._num[l] = _la._numerators(self.letter_image(l))
         return self._num[l]
 
-    @cached_property
-    def _one_numerators(self):
-        """The identity on integer numerators."""
-        n = self.n
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        return eye, None if self._d is None else [[0] * n for _ in range(n)], 1
+    def _word_numerators(self, w):
+        """The image of the word w on numerators."""
+        return reduce(lambda a, b: _la._numerator_mul(a, b, self._field),
+                      map(self._letter_numerators, w.letters),
+                      self._unit_numerators[0])
 
     def fox_blocks(self, w):
         """The images of the Fox derivatives of w by each generator, as a
         list of n x n blocks in the representation's own kind.
 
-        Float blocks sum the terms of :func:`fox_sweep` from :attr:`units`
-        in word order, so no product or sum changes kind.  Exact blocks run
-        the same sweep on integer numerators: each letter image is written
-        once as (P + Q*sqrt d)/den with int rows, unless a symmetric power
-        or ``extend_rep`` was built with them, the prefix products stay
-        in the integers, each term is scaled by the product of the
-        denominators of the letters after its prefix, and the terms of a
-        block are summed as ints over the product D of all the word's
-        denominators, so each entry is reduced once, as a Fraction or
-        ``QuadExt`` over D.
+        The terms of :func:`fox_sweep` run on the letters' numerators:
+        each term is scaled by the product of the denominators of the
+        letters after its prefix, and a block sums its terms over the
+        product D of all the word's denominators, so each exact entry is
+        reduced once, as a Fraction or ``QuadExt`` over D.  A float block
+        has the bits of a sweep over matrices and is checked finite once.
         """
         self._check_word(w)
-        k = len(self.alphabet)
-        if self.scalar_kind == "complex":
-            one, zero = self.units
-            blocks = [zero] * k
-            for j, sign, p in fox_sweep(w, self.letter_image, one,
-                                        operator.mul):
-                blocks[j] = one if p is one else blocks[j] + p.scale(sign)
-            return blocks
-        d, n = self._d, self.n
-        zero = [[0] * n for _ in range(n)]
+        field = self._field
+        one, (zero, _, _) = self._unit_numerators
         total = math.prod(self._letter_numerators(l)[2] for l in w.letters)
-        sums = [(zero, None if d is None else zero)] * k
+        sums = [(zero, zero)] * len(self.alphabet)
         for j, sign, (p, q, den) in fox_sweep(
-                w, self._letter_numerators, self._one_numerators,
-                lambda a, b: _la._numerator_mul(a, b, d)):
+                w, self._letter_numerators, one,
+                lambda a, b: _la._numerator_mul(a, b, field)):
             f = sign * (total // den)
             sp, sq = sums[j]
             sums[j] = (_add_scaled(sp, p, f),
                        None if q is None else _add_scaled(sq, q, f))
-        return [_la._from_numerators(sp, sq, total, d) for sp, sq in sums]
+        return [_la._from_numerators(sp, sq, total, field)
+                for sp, sq in sums]
+
+    def extended(self, alphabet, words):
+        """The representation of ``alphabet``, whose first generators are
+        this one's, sending each further one to the image of the next of
+        ``words``, derived by :func:`_derive`."""
+        k = len(self.alphabet)
+
+        def numerators(l):
+            if abs(l) <= k:
+                return self._letter_numerators(l)
+            w = words[abs(l) - k - 1]
+            return self._word_numerators(w if l > 0 else w.inverse())
+
+        return _derive(object.__new__(Representation), alphabet,
+                       self._field, numerators, False, self.images)
 
     def eval_ring_elem(self, e):
         """Sum of coeff * eval_word over the terms; a ring homomorphism."""
@@ -185,7 +190,7 @@ class Representation:
         if e.alphabet != self.alphabet:
             raise AlphabetMismatch("element over %r, rep over %r"
                                    % (e.alphabet, self.alphabet))
-        out = Matrix.zero(self.n)
+        out = self.units[1]
         try:
             for w, c in e.terms.items():
                 out = out + self.eval_word(w).scale(c)
@@ -222,12 +227,11 @@ class Representation:
 class SymPowerRep(Representation):
     """The N-dimensional symmetric-power representation of a rank-2 base.
 
-    Exact images and inverse images are :func:`sym_power` of the base's
-    letter images on integer numerators (Sym(A)^-1 = Sym(A^-1)), which seed
-    the numerators of :meth:`fox_blocks`; only the images are reduced, and
-    they are not checked again: det Sym(A) = det(A)^(N(N-1)/2), so the
-    base's check covers them.  Float images keep the determinant check and
-    Gauss-Jordan inverses, whose bits are the ones printed.
+    Images are :func:`sym_power` of the base's letter images on
+    numerators, derived by :func:`_derive`.  Exact inverse images are those
+    of the inverse letters (Sym(A)^-1 = Sym(A^-1)), and the images are not
+    checked again: det Sym(A) = det(A)^(N(N-1)/2), so the base's check
+    covers them.  Float images keep the check and Gauss-Jordan inverses.
     """
 
     def __init__(self, base, N):
@@ -235,17 +239,10 @@ class SymPowerRep(Representation):
             raise NotTwoByTwo("symmetric powers take a rank-2 base")
         self.base = base
         self.N = N
-        if base.scalar_kind == "complex":
-            super().__init__(base.alphabet,
-                             [sym_power(m, N) for m in base.images],
-                             sl_flag=base.sl_flag)
-            return
-        d, k = base._d, len(base.alphabet)
-        num = {l: _sym_numerators(_la._numerators(base.letter_image(l)), N, d)
-               for l in range(-k, k + 1) if l}
-        self._store(base.alphabet, [_la._from_numerators(*num[i], d)
-                                    for i in range(1, k + 1)], base.sl_flag)
-        self._num.update(num)
+        field = base._field
+        _derive(self, base.alphabet, field,
+                lambda l: _sym_numerators(base._letter_numerators(l), N,
+                                          field), base.sl_flag)
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())
@@ -256,12 +253,25 @@ def _add_scaled(acc, rows, f):
     return [[a + f * x for a, x in zip(ra, r)] for ra, r in zip(acc, rows)]
 
 
-def _trusted_rep(alphabet, images, num):
-    """The representation of exact ``images``, known invertible, with
-    ``num`` mapping every signed letter to its image on integer numerators:
-    nothing is checked or computed, so the caller vouches for both."""
-    rep = object.__new__(Representation)
-    rep._store(alphabet, images, False)
+def _derive(rep, alphabet, field, numerators, sl_flag, given=()):
+    """Set ``rep`` up on ``alphabet`` from a checked representation over
+    ``field``: signed letter l has the image ``numerators(l)`` on
+    numerators, and ``given`` are the images of the first generators.
+
+    Exact images are trusted: nothing is checked, and inverse images are
+    read off the inverse letters' numerators.  Float images keep the
+    constructor's determinant check and Gauss-Jordan inverses, whose bits
+    are the ones printed, so ``numerators`` sees generators only.
+    """
+    k = len(alphabet)
+    exact = field != "complex"
+    num = {l: numerators(l) for l in range(-k if exact else 1, k + 1) if l}
+    images = list(given) + [_la._from_numerators(*num[i], field)
+                            for i in range(len(given) + 1, k + 1)]
+    if exact:
+        rep._store(alphabet, images, sl_flag)
+    else:
+        Representation.__init__(rep, alphabet, images, sl_flag)
     rep._num.update(num)
     return rep
 
@@ -274,29 +284,28 @@ def sym_power(m, N):
     binomially.  No normalization factors, so integer input gives integer
     entries.  sym_power(m, 2) is m itself.  Exact input is expanded on its
     integer numerators (:func:`_sym_numerators`) and reduced once per
-    entry; complex input is expanded on its entries.
+    entry; complex input, its own rows over 1, is checked finite once.
     """
     if not isinstance(m, Matrix) or m.rows != 2 or m.cols != 2:
         raise NotTwoByTwo("sym_power needs a 2x2 matrix")
-    if m.scalar_kind == "complex":
-        return Matrix._of(_sym_rows(m.entries, N, _PLAIN), "complex")
-    d = _la._field(m) if m.scalar_kind == "quadext" else None
-    return _la._from_numerators(*_sym_numerators(_la._numerators(m), N, d), d)
+    field = _la._field(m)
+    return _la._from_numerators(
+        *_sym_numerators(_la._numerators(m), N, field), field)
 
 
 # the ring operations of _sym_rows: (mul, add, one, zero)
 _PLAIN = (operator.mul, operator.add, 1, 0)
 
 
-def _sym_numerators(num, N, d):
-    """:func:`sym_power` on integer numerators: (P, Q, den) of a 2x2 matrix
-    as in ``linalg._numerators`` to those of its symmetric power, over
+def _sym_numerators(num, N, field):
+    """:func:`sym_power` on numerators: (P, Q, den) of a 2x2 matrix as in
+    ``linalg._numerators`` to those of its symmetric power, over
     den^(N-1).  Over Q(sqrt d) the expansion runs on (p, q) pairs standing
     for p + q*sqrt d."""
     p, q, den = num
     if q is None:
         return _sym_rows(p, N, _PLAIN), None, den ** (N - 1)
-    ring = (lambda x, y: (x[0] * y[0] + d * x[1] * y[1],
+    ring = (lambda x, y: (x[0] * y[0] + field * x[1] * y[1],
                           x[0] * y[1] + x[1] * y[0]),
             lambda x, y: (x[0] + y[0], x[1] + y[1]), (1, 0), (0, 0))
     rows = _sym_rows([list(zip(rp, rq)) for rp, rq in zip(p, q)], N, ring)

@@ -5,16 +5,13 @@ The certificate is the determinant of the block matrix of Fox derivatives
 of those images pushed through a representation: nonzero exactly when the
 sutured manifold is a homology product for that coefficient system.  An
 optional oracle rebuilds the verdict from the presentation 2-complex on an
-enlarged alphabet and compares ranks.
+enlarged alphabet (``Representation.extended``) and compares ranks.
 """
-
-from functools import reduce
 
 from . import linalg as _la
 from . import scalar as _s
 from .errors import AlphabetMismatch, OracleMismatch, ParseError
 from .freegroup import Alphabet, Word, parse_at, read_sections
-from .representation import Representation, _trusted_rep
 from .twisted import Presentation, build_complex, homology_dims
 
 
@@ -112,25 +109,11 @@ def extend_rep(data, rep):
     ambient generators and sending each surface generator to the image of
     its word, so every enlarged relator dies.
 
-    Over exact kinds nothing is checked or inverted again: each surface
-    image, and its inverse as the image of the inverse word, is a fold of
-    ``linalg._numerator_mul`` over rep's letter numerators.  Those
-    numerators seed the enlarged representation's own, so only the surface
-    images are reduced.
+    Surface images are products of rep's letter images on numerators.
+    Over exact kinds nothing is checked or inverted again: a surface
+    generator's inverse is the image of its inverse word.
     """
-    big, _ = enlarged_presentation(data)
-    if rep.scalar_kind == "complex":
-        images = list(rep.images) + [rep.eval_word(w) for w in data.images]
-        return Representation(big, images, sl_flag=False)
-    k = len(rep.alphabet)
-    num = {l: rep._letter_numerators(l) for l in range(-k, k + 1) if l}
-    for i, w in enumerate(data.images, k + 1):
-        for l, v in ((i, w), (-i, w.inverse())):
-            num[l] = reduce(lambda a, b: _la._numerator_mul(a, b, rep._d),
-                            map(num.get, v.letters), rep._one_numerators)
-    surface = [_la._from_numerators(*num[i], rep._d)
-               for i in range(k + 1, 2 * k + 1)]
-    return _trusted_rep(big, list(rep.images) + surface, num)
+    return rep.extended(enlarged_presentation(data)[0], data.images)
 
 
 def _relative_h1(data, rep):
@@ -139,7 +122,7 @@ def _relative_h1(data, rep):
     d1)."""
     big, relators = enlarged_presentation(data)
     pres = Presentation(big, relators, name=data.name or "enlarged")
-    d2, d1 = build_complex(pres, extend_rep(data, rep))
+    d2, d1 = build_complex(pres, rep.extended(big, data.images))
     kn = len(data.alphabet) * rep.n
     # relative cochains: only ambient-edge columns survive collapsing B
     return kn - d2.submatrix(range(d2.rows), range(kn)).rank(), d2, d1

@@ -5,7 +5,8 @@ The chain groups come from a one-vertex CW structure: one 0-cell, an edge
 per generator, a face per relator.  Boundary matrices are Fox-derivative
 blocks pushed through t^phi . alpha, acting on row vectors from the left;
 each relator's blocks come from one prefix sweep (``freegroup.fox_sweep``)
-whose ring elements are monomials t^phi(p) alpha(p).
+whose ring elements are monomials t^phi(p) alpha(p).  The scalar complex
+checks d2 . d1 = 0 with one zero test for every kind.
 From the deficiency-1 case we extract the torsion polynomial ratio whose
 degree bounds the complexity of spanning surfaces, and the genus check
 comparing that degree against 4g - 2.
@@ -23,8 +24,8 @@ from .errors import (AlphabetMismatch, AllColumnsDegenerate, ChainCondition,
                      ParseError)
 from .freegroup import (Alphabet, Word, fox_sweep, parse_at,
                         read_sections)
-from .linalg import Matrix
-from .polynomial import (LaurentPoly, NEG_INFINITY, grid_mul, laurent_str,
+from .linalg import Matrix, grid_mul
+from .polynomial import (LaurentPoly, NEG_INFINITY, laurent_str,
                          laurent_unit_match, parse_laurent, poly_matrix_det,
                          rational_degree)
 from .representation import Representation
@@ -194,9 +195,8 @@ def build_complex(pres, rep):
     the block column of generator images minus the identity.  The chain
     condition holds exactly when the representation kills every relator
     (within tolerance in floating kinds), so it doubles as a check that
-    rep really is a representation of the presented group.  Exact kinds
-    test it on the integer numerators of d2 and d1
-    (``linalg._numerator_mul``), so the product is never reduced.
+    rep really is a representation of the presented group.  The product
+    is never formed as a matrix (``linalg.nonzero_row_of_product``).
     """
     _same_alphabet(pres, rep)
     n = rep.n
@@ -205,16 +205,7 @@ def build_complex(pres, rep):
     if not pres.relators:
         return None, d1
     d2 = _la.block_assemble([rep.fox_blocks(rel) for rel in pres.relators])
-    if rep.scalar_kind == "complex":
-        scale = max(1.0, d2.max_row_norm() * d1.max_row_norm())
-        nonzero = [[not _s.zero_test(e, scale=scale) for e in row]
-                   for row in (d2 * d1).entries]
-    else:
-        # (P + Q*sqrt d)/den is zero exactly when P and Q are
-        p, q, _ = _la._numerator_mul(_la._numerators(d2),
-                                     _la._numerators(d1), rep._d)
-        nonzero = p if q is None else [a + b for a, b in zip(p, q)]
-    bad = next((i for i, row in enumerate(nonzero) if any(row)), None)
+    bad = _la.nonzero_row_of_product(d2, d1)
     if bad is not None:
         raise ChainCondition("d2 . d1 != 0: representation does not kill "
                              "relator %d" % (bad // n))
@@ -380,13 +371,15 @@ class GenusVerdict:
                 % (self.verdict, self.degree, self.target, self.genus_hint))
 
 
-def conjecture_check(pres, rep):
+def conjecture_check(pres, rep, result=None):
     """Compare the torsion degree against 4 genus - 2.
 
     Requires a genus hint.  When a longitude is recorded and the
     representation is rank 2 with determinant 1, its trace must be -2
     within 1e-6; a violation signals a bad lift rather than a genus
-    discrepancy, and is raised as its own error.
+    discrepancy, and is raised as its own error.  ``result`` is the
+    :func:`wada_torsion` of pres and rep, computed after those checks
+    unless the caller has it already.
     """
     if pres.genus_hint is None:
         raise MissingGenusHint("presentation carries no genus hint")
@@ -397,7 +390,8 @@ def conjecture_check(pres, rep):
         if not _s.zero_test(tr + 2, tol=1e-6, scale=1.0):
             raise LongitudeTraceViolation(
                 "longitude trace %s, expected -2" % _s.scalar_str(tr))
-    result = wada_torsion(pres, rep)
+    if result is None:
+        result = wada_torsion(pres, rep)
     target = 4 * pres.genus_hint - 2
     if result.degree == target:
         verdict = "equality"

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import torsioncert
+from torsioncert import twisted
 from torsioncert.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -95,6 +96,29 @@ class TestTorsion:
                            "--genus-check")
         assert code == 0
         assert "verdict: equality" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["fig8.pres", "--parabolic"], ["trefoil.pres", "--parabolic"],
+        ["trefoil.pres", "--trivial-rep"]], ids=" ".join)
+    def test_genus_check_computes_the_torsion_once(self, capsys, monkeypatch,
+                                                   argv):
+        calls = []
+        real = twisted.wada_torsion
+        monkeypatch.setattr(twisted, "wada_torsion",
+                            lambda pres, rep: calls.append(1)
+                            or real(pres, rep))
+        code, out, _ = run(capsys, "torsion", *argv, "--genus-check")
+        assert code in (0, 1) and "verdict: " in out
+        assert len(calls) == 1
+
+    def test_torsion_errors_come_before_the_genus_hint(self, capsys,
+                                                       tmp_path):
+        pres = tmp_path / "free.pres"
+        pres.write_text("generators: a b c\nrelators:\nabAB\n")
+        code, _, err = run(capsys, "torsion", str(pres), "--trivial-rep",
+                           "--genus-check")
+        assert code == 2
+        assert err == "error: deficiency 2, need 1\n"
 
     def test_parabolic_genus_check_leaves_numpy_unimported(self):
         # importing numpy costs about as much as this whole command

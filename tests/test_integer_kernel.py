@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from torsioncert import linalg as linalg_module
+from torsioncert import suturedcert as suturedcert_module
 from torsioncert.charvar import Character, lift
 from torsioncert.errors import ChainCondition
 from torsioncert.freegroup import Alphabet, GroupRingElem, Word
@@ -289,6 +290,16 @@ def test_the_empty_word_has_the_representations_kind():
     assert kinds == ["rational", "quadext", "quadext", "complex"]
 
 
+def test_the_zero_element_has_the_representations_kind():
+    rng = rng_for(73, 56)
+    for rep in unit_reps(rng):
+        zero = rep.eval_ring_elem(GroupRingElem.zero(XY))
+        assert zero.scalar_kind == rep.scalar_kind
+        assert zero == Matrix.zero(rep.n)
+        assert all(type(e) is type(rep.units[1][0, 0])
+                   for row in zero.entries for e in row)
+
+
 def commuting_rep(rng, draw):
     """x -> A, y -> A^2 for a GL image A other than the identity."""
     a = gl_rep(rng, XY, 2, draw).images[0]
@@ -334,6 +345,24 @@ def test_extended_reps_pass_the_exact_chain_condition():
         d2, d1 = build_complex(Presentation(big, relators),
                                extend_rep(data, rep))
         assert (d2.rows, d1.cols) == (k * rep.n, rep.n)
+
+
+def test_an_oracle_verdict_builds_the_enlarged_presentation_once(
+        monkeypatch):
+    calls = []
+    real = suturedcert_module.enlarged_presentation
+    monkeypatch.setattr(suturedcert_module, "enlarged_presentation",
+                        lambda data: calls.append(data) or real(data))
+    rng = rng_for(73, 55)
+    reps = exact_reps(rng) + unit_reps(rng)
+    for rep in reps:
+        alphabet = rep.alphabet
+        data = SuturedHandlebodyData(alphabet, [random_word(rng, alphabet, 5)
+                                                for _ in alphabet.names])
+        del calls[:]
+        certify(data, rep, with_oracle=True)
+        assert calls == [data]
+        assert extend_rep(data, rep).alphabet == real(data)[0]
 
 
 def test_certificate_oracle_reads_the_relative_h1_of_oracle_dims():

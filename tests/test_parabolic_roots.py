@@ -28,10 +28,10 @@ import pytest
 
 import torsioncert
 from torsioncert.freegroup import Alphabet, Word
-from torsioncert.polynomial import (MultiPoly, grid_mul,
-                                    horner_within_rounding, int_poly_gcd,
-                                    mp_gcd, newton_basin_radius,
-                                    newton_polish)
+from torsioncert.linalg import grid_mul
+from torsioncert.polynomial import (MultiPoly, horner_within_rounding,
+                                    int_poly_gcd, mp_gcd,
+                                    newton_basin_radius, newton_polish)
 from torsioncert.representation import parabolic_roots, riley_polynomial
 from torsioncert.twisted import Presentation, presentation_from_text
 

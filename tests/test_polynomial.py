@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from torsioncert.errors import ParseError
+from torsioncert.errors import (DivisionByZero, InexactDivision, ParseError,
+                                TorsionCertError)
 from torsioncert.polynomial import (
     LaurentPoly,
     MultiPoly,
@@ -12,6 +13,7 @@ from torsioncert.polynomial import (
     int_poly_gcd,
     laurent_str,
     laurent_unit_match,
+    mp_divexact,
     mp_gcd,
     multi_str,
     newton_basin_radius,
@@ -347,3 +349,16 @@ class TestDenseUnivariate:
         far = complex(3, -3)
         assert newton_polish(coeffs, dcoeffs, far, 80, 1e-15, basins) \
             == newton_polish(coeffs, dcoeffs, far, 80, 1e-15)
+
+
+def test_divexact_raises_typed_errors():
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    assert mp_divexact(x * y - x, y - MultiPoly.constant(1)) == x
+    with pytest.raises(InexactDivision) as err:
+        mp_divexact(x + y, x)
+    assert isinstance(err.value, TorsionCertError)
+    assert isinstance(err.value, ArithmeticError)
+    with pytest.raises(DivisionByZero) as err:
+        mp_divexact(x, MultiPoly.zero())
+    assert isinstance(err.value, TorsionCertError)
+    assert isinstance(err.value, ZeroDivisionError)

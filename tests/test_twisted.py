@@ -14,10 +14,9 @@ from torsioncert.errors import (
     ParseError,
 )
 from torsioncert.freegroup import Alphabet, Word
-from torsioncert.linalg import Matrix
+from torsioncert.linalg import Matrix, grid_mul
 from torsioncert.polynomial import (
     LaurentPoly,
-    grid_mul,
     laurent_unit_match,
     parse_laurent,
     poly_matrix_det,
