@@ -176,6 +176,20 @@ class TestTwistedComplex:
         with pytest.raises(ChainCondition):
             twisted_boundaries(pres, bad, abelianization(pres))
 
+    def test_float_chain_condition_names_the_relator(self):
+        # a -> A, b -> A^2 kills the commutator, a^2 b^-1 and b a^-2 up to
+        # rounding, but not a^3 b^-1
+        a = Matrix([[1.5 + 0.5j, 2.0], [-1.0, 0.25j]])
+        rep = Representation(AB, [a, a * a])
+        killed = [AB.word(w) for w in ("abAB", "aaB", "bAA")]
+        for bad in range(4):
+            pres = Presentation(AB, killed[:bad] + [AB.word("aaaB")]
+                                + killed[bad:])
+            with pytest.raises(ChainCondition, match="relator %d$" % bad):
+                build_complex(pres, rep)
+        d2, d1 = build_complex(Presentation(AB, killed), rep)
+        assert d2.scalar_kind == d1.scalar_kind == "complex"
+
     def test_no_relators_gives_no_d2(self):
         # the free group of rank 2: a wedge of two circles
         free = Presentation(AB, [])
