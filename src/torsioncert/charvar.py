@@ -23,7 +23,7 @@ from .errors import (DegenerateInput, DivisionByZero, EliminationDegenerate,
                      IrreducibilityWarning)
 from .freegroup import Alphabet, fox_sweep
 from .linalg import Matrix, det_with_scale, grid_mul
-from .polynomial import (MultiPoly, multi_eval, newton_polish,
+from .polynomial import (MultiPoly, _mp, multi_eval, newton_polish,
                          poly_matrix_det, primitive_normalize,
                          squarefree_part)
 from .representation import Representation, SymPowerRep
@@ -161,21 +161,24 @@ _PX = MultiPoly.variable("x")
 _PY = MultiPoly.variable("y")
 _PZ = MultiPoly.variable("z")
 _PU = MultiPoly.variable("u")
-_ZU_MINUS_1 = _PZ * _PU - MultiPoly.constant(1)
 
 
 def reduce_u(p):
     """Rewrite u-powers above 1 through u^2 = z u - 1."""
     while p.degree_in("u") >= 2:
-        keep = {}
-        acc = MultiPoly.zero()
+        terms = {}
+        get = terms.get
         for ex, cf in p.terms.items():
-            if ex[3] < 2:
-                keep[ex] = cf
+            a, b, c, k = ex
+            if k < 2:
+                terms[ex] = get(ex, 0) + cf
             else:
-                base = MultiPoly({(ex[0], ex[1], ex[2], ex[3] - 2): cf})
-                acc = acc + base * _ZU_MINUS_1
-        p = MultiPoly(keep) + acc
+                # cf x^a y^b z^c u^k = cf x^a y^b z^c u^(k-2) (z u - 1)
+                hi = (a, b, c + 1, k - 1)
+                lo = (a, b, c, k - 2)
+                terms[hi] = get(hi, 0) + cf
+                terms[lo] = get(lo, 0) - cf
+        p = _mp(terms)
     return p
 
 

@@ -76,6 +76,11 @@ class NoRootFound(TorsionCertError, RuntimeError):
     """Grid scan for a parabolic representation exhausted without a root."""
 
 
+class IncompleteRootScan(NoRootFound):
+    """The parabolic grid scan kept fewer roots than the Riley polynomial
+    has distinct roots."""
+
+
 class ReducibleOnly(TorsionCertError, RuntimeError):
     """Every parabolic solution shares an eigenvector (abelian-image case)."""
 

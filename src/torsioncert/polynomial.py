@@ -8,10 +8,17 @@ span is the NEG_INFINITY sentinel.  Torsion quotients are only defined up
 to units +-t^k, so polynomials are never normalized behind the caller's
 back; the unit-invariant quantity is the degree span (max minus min
 exponent).  Float coefficients are checked finite as they are stored, so
-an overflowing product raises ``NonFinite``.
+an overflowing product raises ``NonFinite``.  The public constructors check
+their input; arithmetic builds its results through trusted ones, which only
+drop zeros (and check floats finite), since sums of int exponents need no
+check.
 
 Multivariate polynomials keep exact rational coefficients only, since the
-locus identities they exist to express are exact.  No elimination step is
+locus identities they exist to express are exact.  A coefficient is stored
+as a Python int when it is integral and as a Fraction otherwise, so the
+integer polynomials of the elimination run on int arithmetic; exact
+division divides ints with ``divmod`` and falls back to a Fraction only
+for a non-integral quotient, never to a float.  No elimination step is
 needed for u: the certificate determinant, reduced modulo u^2 - z u + 1, is
 already free of u.  The squarefree/content normalization uses a
 primitive-PRS gcd which, with its integer twin for dense polynomials below,
@@ -28,6 +35,7 @@ already found), and a Horner root test with a rounding-error bound.
 """
 
 import re as _re
+from cmath import isfinite as _isfinite
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -43,13 +51,23 @@ def _coeff_is_zero(c):
     return not _s.check_finite(c)
 
 
-def _cop(a, b, op):
-    try:
-        return op(a, b)
-    except TypeError:
-        raise MixedScalarKind(
-            "cannot combine %s and %s coefficients"
-            % (_s.kind_of(a), _s.kind_of(b))) from None
+def _mixed(a, b):
+    return MixedScalarKind("cannot combine %s and %s coefficients"
+                           % (_s.kind_of(a), _s.kind_of(b)))
+
+
+def _lp(coeffs):
+    # a LaurentPoly on int exponents: zeros are dropped, floats checked
+    # finite (a zero is finite, so only nonzero ones need the check)
+    clean = {}
+    for e, c in coeffs.items():
+        if c:
+            if isinstance(c, (float, complex)) and not _isfinite(c):
+                _s.check_finite(c)
+            clean[e] = c
+    p = object.__new__(LaurentPoly)
+    object.__setattr__(p, "coeffs", clean)
+    return p
 
 
 class LaurentPoly:
@@ -91,12 +109,15 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            if e in coeffs:
-                coeffs[e] = _cop(coeffs[e], c, lambda a, b: a + b)
-            else:
-                coeffs[e] = c
-        return LaurentPoly(coeffs)
+        try:
+            for e, c in other.coeffs.items():
+                if e in coeffs:
+                    coeffs[e] = coeffs[e] + c
+                else:
+                    coeffs[e] = c
+        except TypeError:
+            raise _mixed(coeffs[e], c) from None
+        return _lp(coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -104,33 +125,47 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return _lp({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             coeffs = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = e1 + e2
-                    t = _cop(c1, c2, lambda a, b: a * b)
-                    if e in coeffs:
-                        coeffs[e] = _cop(coeffs[e], t, lambda a, b: a + b)
-                    else:
-                        coeffs[e] = t
-            return LaurentPoly(coeffs)
+            try:
+                for e1, c1 in self.coeffs.items():
+                    for e2, c2 in other.coeffs.items():
+                        e = e1 + e2
+                        t = c1 * c2
+                        if e in coeffs:
+                            coeffs[e] = coeffs[e] + t
+                        else:
+                            coeffs[e] = t
+            except TypeError:
+                # the product failed, or else the sum after it did
+                try:
+                    t = c1 * c2
+                except TypeError:
+                    raise _mixed(c1, c2) from None
+                raise _mixed(coeffs[e], t) from None
+            return _lp(coeffs)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        return LaurentPoly(
-            {e: _cop(c, cc, lambda a, b: a * b)
-             for e, cc in self.coeffs.items()})
+        coeffs = {}
+        try:
+            for e, cc in self.coeffs.items():
+                coeffs[e] = c * cc
+        except TypeError:
+            raise _mixed(c, cc) from None
+        return _lp(coeffs)
 
     def shift(self, k):
         """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        coeffs = {e + k: c for e, c in self.coeffs.items()}
+        # a non-int k makes non-int exponents, which the constructor rejects
+        return _lp(coeffs) if isinstance(k, int) else LaurentPoly(coeffs)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -378,8 +413,11 @@ _ARITY = 4
 class MultiPoly:
     """Polynomial in x, y, z, u with exact rational coefficients.
 
-    Terms map exponent 4-tuples to nonzero Fractions.  Printed in graded
-    lexicographic order, highest first: ``2*x*y*z - x^2 - y^2 - 3*z^2 + 3``.
+    Terms map exponent 4-tuples to nonzero coefficients: an int when the
+    coefficient is integral, a Fraction otherwise (the two compare and hash
+    alike, so ``MultiPoly({e: Fraction(2)}) == MultiPoly({e: 2})``).
+    Printed in graded lexicographic order, highest first:
+    ``2*x*y*z - x^2 - y^2 - 3*z^2 + 3``.
     """
 
     __slots__ = ("terms",)
@@ -393,7 +431,7 @@ class MultiPoly:
                 raise ValueError("bad exponent vector %r" % (ex,))
             c = Fraction(c)
             if c != 0:
-                clean[ex] = c
+                clean[ex] = c.numerator if c.denominator == 1 else c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -405,14 +443,14 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0, 0, 0): Fraction(c)})
+        return cls({_ZERO_EX: c})
 
     @classmethod
     def variable(cls, name):
         i = MP_VARS.index(name)
         ex = [0] * _ARITY
         ex[i] = 1
-        return cls({tuple(ex): Fraction(1)})
+        return cls({tuple(ex): 1})
 
     def is_zero(self):
         return not self.terms
@@ -426,8 +464,8 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for ex, c in other.terms.items():
-            terms[ex] = terms.get(ex, Fraction(0)) + c
-        return MultiPoly(terms)
+            terms[ex] = terms.get(ex, 0) + c
+        return _mp(terms)
 
     __radd__ = __add__
 
@@ -444,18 +482,19 @@ class MultiPoly:
         return other + (-self)
 
     def __neg__(self):
-        return MultiPoly({ex: -c for ex, c in self.terms.items()})
+        return _mp({ex: -c for ex, c in self.terms.items()})
 
     def __mul__(self, other):
         other = _mp_coerce(other)
         if other is None:
             return NotImplemented
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                ex = tuple(a + b for a, b in zip(e1, e2))
-                terms[ex] = terms.get(ex, Fraction(0)) + c1 * c2
-        return MultiPoly(terms)
+        get = terms.get
+        for (a0, a1, a2, a3), c1 in self.terms.items():
+            for (b0, b1, b2, b3), c2 in other.terms.items():
+                ex = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                terms[ex] = get(ex, 0) + c1 * c2
+        return _mp(terms)
 
     __rmul__ = __mul__
 
@@ -468,8 +507,9 @@ class MultiPoly:
         return out
 
     def scale(self, c):
-        c = Fraction(c)
-        return MultiPoly({ex: c * cc for ex, cc in self.terms.items()})
+        if c.__class__ is not int:
+            c = Fraction(c)
+        return _mp({ex: c * cc for ex, cc in self.terms.items()})
 
     def degree_in(self, var):
         i = MP_VARS.index(var) if isinstance(var, str) else var
@@ -485,8 +525,8 @@ class MultiPoly:
                 continue
             nex = list(ex)
             nex[i] -= 1
-            terms[tuple(nex)] = terms.get(tuple(nex), Fraction(0)) + c * ex[i]
-        return MultiPoly(terms)
+            terms[tuple(nex)] = c * ex[i]
+        return _mp(terms)
 
     def coeff_in(self, var, k):
         """The coefficient of var^k, a MultiPoly with that variable cleared."""
@@ -497,7 +537,7 @@ class MultiPoly:
                 nex = list(ex)
                 nex[i] = 0
                 terms[tuple(nex)] = c
-        return MultiPoly(terms)
+        return _mp(terms)
 
     def evaluate(self, point):
         return multi_eval(self, point)
@@ -523,11 +563,29 @@ class MultiPoly:
         return "MultiPoly(%r)" % multi_str(self)
 
 
+_ZERO_EX = (0, 0, 0, 0)
+
+
+def _mp(terms):
+    """A MultiPoly on trusted terms: exponent 4-tuples of ints mapped to
+    ints or Fractions.  Zeros are dropped and integral Fractions become
+    ints; nothing else is checked."""
+    clean = {}
+    for ex, c in terms.items():
+        if c:
+            if c.__class__ is not int and c.denominator == 1:
+                c = c.numerator
+            clean[ex] = c
+    p = object.__new__(MultiPoly)
+    object.__setattr__(p, "terms", clean)
+    return p
+
+
 def _mp_coerce(v):
     if isinstance(v, MultiPoly):
         return v
     if isinstance(v, (int, Fraction)):
-        return MultiPoly.constant(v)
+        return _mp({_ZERO_EX: v})
     return None
 
 
@@ -662,7 +720,7 @@ def _as_univar(p, i):
         nex = list(ex)
         nex[i] = 0
         out.setdefault(k, {})[tuple(nex)] = c
-    return {k: MultiPoly(t) for k, t in out.items()}
+    return {k: _mp(t) for k, t in out.items()}
 
 
 def mp_content(p, i):
@@ -681,18 +739,33 @@ def mp_divexact(p, q):
         raise DivisionByZero("division by the zero polynomial")
     if p.is_zero():
         return p
-    r = p
+    rem = dict(p.terms)
     quot = {}
-    qex, qc = q.leading_term()
-    while not r.is_zero():
-        rex, rc = r.leading_term()
-        dex = tuple(a - b for a, b in zip(rex, qex))
-        if any(e < 0 for e in dex):
+    (q0, q1, q2, q3), qc = q.leading_term()
+    qterms = q.terms.items()
+    while rem:
+        rex = max(rem, key=_grlex_key)
+        rc = rem[rex]
+        d0, d1, d2, d3 = (rex[0] - q0, rex[1] - q1, rex[2] - q2, rex[3] - q3)
+        if d0 < 0 or d1 < 0 or d2 < 0 or d3 < 0:
             raise InexactDivision("division is not exact")
-        c = rc / qc
-        quot[dex] = quot.get(dex, Fraction(0)) + c
-        r = r - MultiPoly({dex: c}) * q
-    return MultiPoly(quot)
+        # an int quotient when the division of ints leaves no remainder
+        if rc.__class__ is int and qc.__class__ is int:
+            c, m = divmod(rc, qc)
+            if m:
+                c = Fraction(rc, qc)
+        else:
+            c = Fraction(rc, qc)
+        quot[(d0, d1, d2, d3)] = c
+        # subtract c * x^d * q; the leading terms cancel exactly
+        for (e0, e1, e2, e3), v in qterms:
+            ex = (e0 + d0, e1 + d1, e2 + d2, e3 + d3)
+            v = rem.get(ex, 0) - c * v
+            if v:
+                rem[ex] = v
+            else:
+                del rem[ex]
+    return _mp(quot)
 
 
 def _pseudo_rem(p, q, i):
@@ -705,7 +778,7 @@ def _pseudo_rem(p, q, i):
     while not r.is_zero() and r.degree_in(i) >= n:
         m = r.degree_in(i)
         lr = r.coeff_in(i, m)
-        shift = MultiPoly({tuple(e * (m - n) for e in vi): Fraction(1)})
+        shift = _mp({tuple(e * (m - n) for e in vi): 1})
         r = d * r - lr * shift * q
     return r
 
@@ -767,15 +840,23 @@ def primitive_normalize(p):
     """
     if p.is_zero():
         return p
+    terms = p.terms
     denlcm = 1
-    for c in p.terms.values():
-        denlcm = denlcm * c.denominator // _int_gcd(denlcm, c.denominator)
-    scaled = {ex: c * denlcm for ex, c in p.terms.items()}
-    g = 0
-    for c in scaled.values():
-        g = _int_gcd(g, abs(int(c)))
-    out = MultiPoly({ex: Fraction(int(c) // g) for ex, c in scaled.items()})
-    return _normalize_sign(out)
+    for c in terms.values():
+        if c.__class__ is not int:
+            d = c.denominator
+            denlcm = denlcm * d // _int_gcd(denlcm, d)
+    if denlcm != 1:
+        terms = {ex: c * denlcm if c.__class__ is int
+                 else c.numerator * (denlcm // c.denominator)
+                 for ex, c in terms.items()}
+    g = _int_gcd(*terms.values())
+    _, lc = p.leading_term()
+    if lc < 0:
+        g = -g
+    if g == 1 and terms is p.terms:
+        return p
+    return _mp({ex: c // g for ex, c in terms.items()})
 
 
 def squarefree_part(p):

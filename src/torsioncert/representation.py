@@ -19,9 +19,9 @@ from itertools import product
 
 from . import linalg as _la
 from . import scalar as _s
-from .errors import (AlphabetMismatch, MixedExtension, MixedScalarKind,
-                     NoRootFound, NotSL2, NotTwoByTwo, ParseError,
-                     ReducibleOnly, ScalarEmbedding)
+from .errors import (AlphabetMismatch, IncompleteRootScan, MixedExtension,
+                     MixedScalarKind, NoRootFound, NotSL2, NotTwoByTwo,
+                     ParseError, ReducibleOnly, ScalarEmbedding)
 from .freegroup import (Alphabet, GroupRingElem, Word, fox_sweep, parse_at,
                         read_sections)
 from .linalg import Matrix
@@ -58,17 +58,23 @@ class Representation:
             else:
                 raise ValueError("images mix scalar kinds %r" % kinds)
         self._store(alphabet, images, sl_flag)
-        for i, m in enumerate(self.images):
+        self._check_images(0)
+
+    def _check_images(self, start):
+        """Raise unless every image from index ``start`` on is nonsingular,
+        and of determinant 1 under ``sl_flag``."""
+        for i in range(start, len(self.images)):
+            m = self.images[i]
             d = m.det()
             # exact kinds test zero exactly, whatever the scale
             scale = max(1.0, m.max_row_norm()) \
                 if self.scalar_kind == "complex" else 1.0
             if _s.zero_test(d, scale=scale):
                 raise ValueError("image of generator %r is singular"
-                                 % alphabet.names[i])
+                                 % self.alphabet.names[i])
             if self.sl_flag and not _s.zero_test(d - 1, scale=scale):
                 raise ValueError("sl_flag set but det(image %r) = %s"
-                                 % (alphabet.names[i], d))
+                                 % (self.alphabet.names[i], d))
 
     def _store(self, alphabet, images, sl_flag):
         """Set the fields from images of one kind, with empty caches of
@@ -261,17 +267,18 @@ def _derive(rep, alphabet, field, numerators, sl_flag, given=()):
     Exact images are trusted: nothing is checked, and inverse images are
     read off the inverse letters' numerators.  Float images keep the
     constructor's determinant check and Gauss-Jordan inverses, whose bits
-    are the ones printed, so ``numerators`` sees generators only.
+    are the ones printed, so ``numerators`` sees generators only; the
+    check skips ``given``, which passed it in the representation they
+    come from.
     """
     k = len(alphabet)
     exact = field != "complex"
     num = {l: numerators(l) for l in range(-k if exact else 1, k + 1) if l}
     images = list(given) + [_la._from_numerators(*num[i], field)
                             for i in range(len(given) + 1, k + 1)]
-    if exact:
-        rep._store(alphabet, images, sl_flag)
-    else:
-        Representation.__init__(rep, alphabet, images, sl_flag)
+    rep._store(alphabet, images, sl_flag)
+    if not exact:
+        rep._check_images(len(given))
     rep._num.update(num)
     return rep
 
@@ -456,7 +463,8 @@ def parabolic_roots(pres):
     (:func:`~torsioncert.polynomial.horner_within_rounding`), so iterates
     that never converged are dropped.  The scan stops once it has kept as
     many roots as g has distinct roots, deg g - deg gcd(g, g'), counted
-    exactly.
+    exactly; a scan that ends with fewer raises ``IncompleteRootScan``
+    rather than return a short list.
 
     Each kept root r also gets a basin radius rho_r, half of Smale's
     gamma-theorem radius (:func:`~torsioncert.polynomial.newton_basin_radius`;
@@ -518,6 +526,10 @@ def parabolic_roots(pres):
                 break
             if squarefree:
                 basins.append((y, newton_basin_radius(coeffs, y)))
+    if len(roots) < distinct:
+        raise IncompleteRootScan(
+            "the grid scan kept %d of the %d distinct roots of the Riley "
+            "polynomial" % (len(roots), distinct))
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 

@@ -24,7 +24,7 @@ from torsioncert.scalar import ComplexF, QuadExt
 from torsioncert.seeds import rng_for
 from torsioncert.suturedcert import (SuturedHandlebodyData, certify,
                                      enlarged_presentation, extend_rep,
-                                     oracle_dims)
+                                     oracle_dims, pants_example)
 from torsioncert.twisted import Presentation, build_complex
 
 from helpers import (fox_terms, minor_rank, perm_det, random_sl2,
@@ -363,6 +363,24 @@ def test_an_oracle_verdict_builds_the_enlarged_presentation_once(
         certify(data, rep, with_oracle=True)
         assert calls == [data]
         assert extend_rep(data, rep).alphabet == real(data)[0]
+
+
+def test_a_float_oracle_verdict_checks_only_the_surface_images(
+        monkeypatch):
+    # the ambient images passed the determinant check when the lift was
+    # built; extending it checks the two surface images alone
+    calls = []
+    real = linalg_module._float_det
+    monkeypatch.setattr(linalg_module, "_float_det",
+                        lambda m: calls.append(m.rows) or real(m))
+    rep = lift(Character(ComplexF(1.5, 0.5), ComplexF(2.0),
+                         ComplexF(3.25, -1.0)), warn=False)
+    assert calls == [2, 2]
+    del calls[:]
+    cert = certify(pants_example(), rep, with_oracle=True)
+    # the certificate determinant and the two surface images
+    assert calls == [4, 2, 2]
+    assert cert.oracle_h1 is not None
 
 
 def test_certificate_oracle_reads_the_relative_h1_of_oracle_dims():

@@ -14,6 +14,9 @@ scan without the basin stop is compared with it on every K(p/q) with odd
 q and p <= 17, and the radius itself is checked to be one that short
 Newton runs from its rim come home from.
 
+A scan that ends with fewer roots than the Riley polynomial has distinct
+roots raises; K(37/1), the first knot where the grid misses a root, must.
+
 To re-record after a deliberate change of the roots::
 
     PYTHONPATH=src python tests/test_parabolic_roots.py
@@ -27,6 +30,8 @@ from itertools import product
 import pytest
 
 import torsioncert
+from torsioncert.cli import main
+from torsioncert.errors import IncompleteRootScan, NoRootFound
 from torsioncert.freegroup import Alphabet, Word
 from torsioncert.linalg import grid_mul
 from torsioncert.polynomial import (MultiPoly, horner_within_rounding,
@@ -176,6 +181,29 @@ def test_no_basin_at_a_double_root():
     coeffs = [2 + 0j, -3 + 0j, 0j, 1 + 0j]
     assert newton_basin_radius(coeffs, 1 + 0j) == 0.0
     assert newton_basin_radius(coeffs, -2 + 0j) > 0.0
+
+
+def test_a_short_scan_raises_rather_than_return_a_short_list(tmp_path,
+                                                             capsys):
+    # the Riley polynomial of K(37/1) has 18 distinct roots; no grid start
+    # reaches the one near y = -3.885757
+    pres = _two_bridge(37, 1)
+    g = riley_polynomial(pres.relators[0])
+    dg = [i * c for i, c in enumerate(g)][1:]
+    assert len(g) - len(int_poly_gcd(g, dg)) == 18
+    with pytest.raises(IncompleteRootScan,
+                       match="kept 17 of the 18 distinct roots"):
+        parabolic_roots(pres)
+    assert issubclass(IncompleteRootScan, NoRootFound)
+    letters = {1: "a", -1: "A", 2: "b", -2: "B"}
+    path = tmp_path / "k37.pres"
+    path.write_text("generators: a b\nrelators:\n%s\n" % "".join(
+        letters[l] for l in two_bridge_relator(37, 1)))
+    code = main(["torsion", str(path), "--parabolic"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == ("error: the grid scan kept 17 of the 18 distinct "
+                       "roots of the Riley polynomial\n")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from torsioncert.errors import (DivisionByZero, InexactDivision, ParseError,
+from torsioncert.errors import (DivisionByZero, InexactDivision,
+                                MixedScalarKind, NonFinite, ParseError,
                                 TorsionCertError)
 from torsioncert.polynomial import (
     LaurentPoly,
@@ -26,7 +27,7 @@ from torsioncert.polynomial import (
     resultant_in_u,
     squarefree_part,
 )
-from torsioncert.scalar import ComplexF
+from torsioncert.scalar import ComplexF, QuadExt
 from torsioncert.seeds import rng_for
 
 from helpers import perm_det
@@ -71,6 +72,25 @@ def to_sympy_multi(p, syms):
 
 SX, SY, SZ, SU, ST = sympy.symbols("x y z u t")
 SYMS = {"x": SX, "y": SY, "z": SZ, "u": SU}
+
+
+def rand_rational_multi(rng, nvars=2, nterms=3, deg=2):
+    """A random MultiPoly whose coefficients are ints or Fractions."""
+    p = MultiPoly.zero()
+    for _ in range(rng.randint(0, nterms)):
+        term = MultiPoly.constant(Fraction(rng.randint(-6, 6),
+                                           rng.choice((1, 1, 2, 3))))
+        for nm in ("x", "y", "z", "u")[:nvars]:
+            term = term * MultiPoly.variable(nm) ** rng.randint(0, deg)
+        p = p + term
+    return p
+
+
+def stored_canonically(p):
+    """Every coefficient an int, or a Fraction that is not integral."""
+    return all(type(c) is int
+               or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values())
 
 
 class TestLaurentPoly:
@@ -126,6 +146,64 @@ class TestLaurentPoly:
         den = parse_laurent("1 - 2*t + t^2")
         assert rational_degree(num, den) == 2
         assert rational_degree(parse_laurent("3"), parse_laurent("t - 1")) == -1
+
+
+class TestLaurentGuards:
+    """Arithmetic results skip the exponent check of the public
+    constructor, and keep every coefficient check."""
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_quadext_meets_complex(self, op):
+        q = LaurentPoly({0: QuadExt(1, 1, 2), 1: 1})
+        c = LaurentPoly({0: 1j})
+        apply = (lambda a, b: a + b) if op == "+" else (lambda a, b: a * b)
+        with pytest.raises(MixedScalarKind,
+                           match="^cannot combine quadext and complex "
+                                 "coefficients$"):
+            apply(q, c)
+        with pytest.raises(MixedScalarKind,
+                           match="^cannot combine complex and quadext "
+                                 "coefficients$"):
+            apply(c, q)
+
+    def test_a_product_whose_sum_mixes_kinds(self):
+        # every product is defined; adding 1j to sqrt(2) at t^1 is not
+        mixed = LaurentPoly({0: QuadExt(0, 1, 2), 1: 1j})
+        with pytest.raises(MixedScalarKind,
+                           match="^cannot combine quadext and complex "
+                                 "coefficients$"):
+            mixed * parse_laurent("1 + t")
+
+    @pytest.mark.parametrize("kind", [complex, ComplexF])
+    def test_overflowing_product_is_not_finite(self, kind):
+        big = LaurentPoly({0: kind(1e200, 1e200), 1: kind(1.0)})
+        with pytest.raises(NonFinite):
+            big * big
+        with pytest.raises(NonFinite):
+            big.scale(kind(1e200))
+
+    def test_overflowing_float_sum_is_not_finite(self):
+        big = LaurentPoly({0: 1e308})
+        with pytest.raises(NonFinite):
+            big + big
+        with pytest.raises(NonFinite):
+            big - (-big)
+
+    def test_public_constructor_checks_exponents(self):
+        with pytest.raises(TypeError, match="exponent 0.5 is not an integer"):
+            LaurentPoly({0.5: 1})
+        with pytest.raises(TypeError, match="exponent 1.5 is not an integer"):
+            LaurentPoly({1: 1}).shift(0.5)
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly({(0.5, 0, 0, 0): 1})
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly({(0, -1, 0, 0): 1})
+
+    def test_zeros_are_dropped(self):
+        p = parse_laurent("1 + t")
+        assert (p - p).coeffs == {}
+        assert (p * parse_laurent("1 - t")).coeffs == {0: 1, 2: -1}
+        assert LaurentPoly({0: ComplexF(1.0)}).scale(0.0).coeffs == {}
 
 
 class TestUnitMatch:
@@ -210,6 +288,36 @@ class TestMultiPoly:
             p = rand_multi(rng, nvars=3)
             assert parse_multi(multi_str(p)) == p
 
+    def test_integral_coefficients_are_stored_as_ints(self):
+        e = (1, 0, 2, 0)
+        a, b = MultiPoly({e: Fraction(2)}), MultiPoly({e: 2})
+        assert a == b and hash(a) == hash(b) and multi_str(a) == multi_str(b)
+        assert type(a.terms[e]) is int
+        assert type(MultiPoly({e: Fraction(1, 2)}).terms[e]) is Fraction
+        rng = rng_for(19, 12)
+        for _ in range(20):
+            p, q = rand_rational_multi(rng), rand_rational_multi(rng)
+            x = MultiPoly.variable("x")
+            for r in (p + q, p - q, p * q, p.scale(Fraction(2, 3)),
+                      p.scale(3), p.derivative("x"), p.coeff_in("y", 1),
+                      mp_divexact(p * (x + 1), x + 1), -p):
+                assert stored_canonically(r)
+            if not p.is_zero():
+                assert stored_canonically(primitive_normalize(p))
+                assert all(type(c) is int
+                           for c in primitive_normalize(p).terms.values())
+        # 1/2 + 1/2 is the int 1
+        half = MultiPoly.constant(Fraction(1, 2))
+        assert type((half + half).terms[(0, 0, 0, 0)]) is int
+
+    def test_product_matches_sympy(self):
+        rng = rng_for(19, 13)
+        for _ in range(25):
+            p, q = rand_rational_multi(rng), rand_rational_multi(rng)
+            ours = to_sympy_multi(p * q, SYMS)
+            theirs = to_sympy_multi(p, SYMS) * to_sympy_multi(q, SYMS)
+            assert sympy.expand(ours - theirs) == 0
+
     def test_grlex_leading_term(self):
         p = parse_multi("x*y + x^3 + y^2")
         ex, c = p.leading_term()
@@ -278,6 +386,27 @@ class TestFactorTools:
         # the remainder -3u - 3 loses its content before the next division
         assert mp_gcd(parse_multi("u^2 - 1"),
                       parse_multi("3*u^2 + 3*u")) == parse_multi("u + 1")
+
+    def test_gcd_and_squarefree_part_match_sympy(self):
+        rng = rng_for(19, 14)
+        checked = 0
+        while checked < 12:
+            g = rand_rational_multi(rng, nvars=3, nterms=3, deg=2)
+            a = rand_rational_multi(rng, nvars=3, nterms=2, deg=1)
+            b = rand_rational_multi(rng, nvars=3, nterms=2, deg=1)
+            if any(f.is_zero() or f.is_constant() for f in (g, a, b)):
+                continue
+            checked += 1
+            pa, pb = g * a, g * b
+            sa, sb = to_sympy_multi(pa, SYMS), to_sympy_multi(pb, SYMS)
+            # both sides are fixed up to a rational unit only
+            quot = sympy.cancel(to_sympy_multi(mp_gcd(pa, pb), SYMS)
+                                / sympy.gcd(sa, sb))
+            assert quot.is_rational and quot != 0
+            p = pa * g * a
+            quot = sympy.cancel(to_sympy_multi(squarefree_part(p), SYMS)
+                                / sympy.sqf_part(to_sympy_multi(p, SYMS)))
+            assert quot.is_rational and quot != 0
 
     def test_squarefree_part(self):
         x = MultiPoly.variable("x")
@@ -349,6 +478,23 @@ class TestDenseUnivariate:
         far = complex(3, -3)
         assert newton_polish(coeffs, dcoeffs, far, 80, 1e-15, basins) \
             == newton_polish(coeffs, dcoeffs, far, 80, 1e-15)
+
+
+def test_divexact_divides_exactly():
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    one = MultiPoly.constant(1)
+    third = mp_divexact(x + one, x.scale(3) + MultiPoly.constant(3))
+    assert third == MultiPoly.constant(Fraction(1, 3))
+    assert type(third.terms[(0, 0, 0, 0)]) is Fraction
+    # quotients far beyond the float range, with non-dyadic coefficients
+    big = 10 ** 400
+    for quot in (x * y + MultiPoly.constant(big) - y.scale(3 * big + 1),
+                 x.scale(Fraction(big, 7)) + y.scale(Fraction(1, 3 * big))):
+        divisor = x.scale(big) + y - MultiPoly.constant(Fraction(big, 11))
+        assert mp_divexact(quot * divisor, divisor) == quot
+    p = (x - MultiPoly.constant(big)) ** 2 * (y + one)
+    assert squarefree_part(p) == primitive_normalize(
+        (x - MultiPoly.constant(big)) * (y + one))
 
 
 def test_divexact_raises_typed_errors():
