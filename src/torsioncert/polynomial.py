@@ -37,7 +37,7 @@ already found), and a Horner root test with a rounding-error bound.
 import re as _re
 from cmath import isfinite as _isfinite
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _lcm
 
 from . import scalar as _s
 from .errors import (DegenerateInput, DivisionByZero, InexactDivision,
@@ -212,6 +212,9 @@ class LaurentPoly:
         return self.coeffs.get(e, 0)
 
     def evaluate(self, t):
+        if isinstance(t, int):
+            # 1 / t on an int is a float; a Fraction inverts exactly
+            t = Fraction(t)
         out = None
         for e, c in self.coeffs.items():
             term = c * t ** e if e >= 0 else c * (1 / t) ** (-e)
@@ -758,9 +761,9 @@ def mp_divexact(p, q):
             c = Fraction(rc, qc)
         quot[(d0, d1, d2, d3)] = c
         # subtract c * x^d * q; the leading terms cancel exactly
-        for (e0, e1, e2, e3), v in qterms:
+        for (e0, e1, e2, e3), qv in qterms:
             ex = (e0 + d0, e1 + d1, e2 + d2, e3 + d3)
-            v = rem.get(ex, 0) - c * v
+            v = rem.get(ex, 0) - c * qv
             if v:
                 rem[ex] = v
             else:
@@ -840,23 +843,15 @@ def primitive_normalize(p):
     """
     if p.is_zero():
         return p
-    terms = p.terms
-    denlcm = 1
-    for c in terms.values():
-        if c.__class__ is not int:
-            d = c.denominator
-            denlcm = denlcm * d // _int_gcd(denlcm, d)
-    if denlcm != 1:
-        terms = {ex: c * denlcm if c.__class__ is int
-                 else c.numerator * (denlcm // c.denominator)
-                 for ex, c in terms.items()}
-    g = _int_gcd(*terms.values())
+    # an int is its own numerator over 1
+    den = _lcm(*(c.denominator for c in p.terms.values()))
+    ints = {ex: c.numerator * (den // c.denominator)
+            for ex, c in p.terms.items()}
+    g = _int_gcd(*ints.values())
     _, lc = p.leading_term()
     if lc < 0:
         g = -g
-    if g == 1 and terms is p.terms:
-        return p
-    return _mp({ex: c // g for ex, c in terms.items()})
+    return _mp({ex: c // g for ex, c in ints.items()})
 
 
 def squarefree_part(p):

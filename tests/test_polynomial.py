@@ -119,6 +119,13 @@ class TestLaurentPoly:
             expect = to_sympy_laurent(p, ST).subs(ST, sympy.Rational(3, 2))
             assert sympy.Rational(val) == expect
 
+    def test_evaluate_at_an_int_stays_exact(self):
+        p = parse_laurent("t^-1 + 1")
+        assert p.evaluate(3) == Fraction(4, 3)
+        assert type(p.evaluate(3)) is Fraction
+        assert LaurentPoly({-60: 1}).evaluate(10 ** 6) == \
+            Fraction(1, 10 ** 360)
+
     def test_degree_span(self):
         p = parse_laurent("t^-2 + 5*t^3")
         assert p.min_degree() == -2 and p.max_degree() == 3
