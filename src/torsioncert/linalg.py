@@ -1,36 +1,29 @@
 """Dense matrices over the scalar kinds, with exact and floating kernels.
 
-Exact determinants and ranks share one Bareiss single-step fraction-free
-row echelon (Bareiss, *Math. Comp.* 22, 1968) that runs on integer
-numerators: each row is multiplied by the lcm of its denominators, and the
-elimination then runs over Z, or over Z[sqrt d] on pairs of ints, where
-the division by the previous pivot is exact (every entry is a minor), so
-no Fraction or ``QuadExt`` is built until the determinant is divided by
-the row multipliers at the end.  Intermediate entries stay
-polynomial-sized instead of blowing up the way naive Gaussian elimination
-does on Fox matrices, and a division that leaves a remainder raises
-``InexactDivision``.  The echelon skips columns without a pivot, so it runs
-on rectangular matrices too.  Fox blocks, symmetric powers, surface
-images and chain checks of every kind run on numerators too
-(``_numerators``, ``_numerator_mul``, ``_from_numerators``, keyed on
-``_field``): a complex matrix is its own rows over 1, multiplied by the
-left folds of ``grid_mul`` as in ``Matrix.__mul__``.  Float determinants
-use partially pivoted elimination, and floating ranks use a largest-pivot
-threshold rule scaled by the max row norm.  Inverses of every kind come
-from one Gauss-Jordan loop.
+A ``Matrix`` stores what its kernels compute on: over Q or Q(sqrt d),
+integer numerators over one denominator, (P + Q*sqrt d)/den, reduced so
+that den is the lcm of the entries' denominators; over C, its own rows
+over 1.  ``field`` is ``'rational'``, ``'complex'`` or d.  Arithmetic,
+submatrices, block assembly, symmetric powers, determinants, ranks and the
+chain check run on that storage, and ``entries`` is built from it only
+when read.  Complex arithmetic performs the entries' own float operations
+in their order, and its results are checked finite once (``NonFinite``);
+running products (``running_mul``) are reduced or checked only where
+``product`` or ``signed_sum`` keeps them.
 
-Matrices are immutable.  Entries are promoted once, where they enter the
-package: ``Matrix(rows)`` (parsing, matrices built by callers, ``map``)
-looks at every entry, lets plain ints ride along as honorary rationals that
-are promoted when other entries are richer, and rejects quadratic-extension
-entries mixed with floating complex ones.  Results built from matrices of
-one kind (sums, products, scalings by an int or a scalar of that kind,
-negation, transposes, submatrices, deleted columns, block assemblies,
-inverses) keep that kind without looking at every entry again: rational
-arithmetic results are only reduced to ints where they are whole, and
-complex ones only checked finite, so an overflowing product or sum still
-raises ``NonFinite``.  Operands of two kinds take the full path of
-``Matrix(rows)``.
+Exact determinants and ranks share one Bareiss single-step fraction-free
+row echelon (Bareiss, *Math. Comp.* 22, 1968) over Z, or over Z[sqrt d] on
+pairs of ints, on the numerators with each row divided by its content.
+Every entry is a minor, so the division by the previous pivot is exact (a
+remainder raises ``InexactDivision``); columns without a pivot are
+skipped, so rectangular matrices work too.  Float determinants use partial
+pivoting, floating ranks a largest-pivot threshold scaled by the max row
+norm, and inverses of every kind one Gauss-Jordan loop.
+
+Matrices are immutable.  ``Matrix(rows)`` (parsing, callers' matrices,
+``map``) promotes every entry, ints riding along as honorary rationals.
+Operands over two fields take that full path, except that Q(sqrt d) and
+complex ones raise ``MixedScalarKind``.
 
 Text form: rows separated by ``;``, entries by ``,``, scalars in the scalar
 grammar, e.g. ``0,1;-1,4``.
@@ -38,13 +31,16 @@ grammar, e.g. ``0,1;-1,4``.
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import add, mul
 
 from . import scalar as _s
 from .errors import (DimensionMismatch, DivisionByZero, InexactDivision,
-                     MixedExtension, MixedScalarKind, NotSquare, ParseError)
+                     MixedExtension, MixedScalarKind, NotSquare, NotTwoByTwo,
+                     ParseError)
 
 
 def _simplify(x):
@@ -72,21 +68,17 @@ def _promote_entries(rows):
     if "quadext" in kinds:
         d = quad_d.pop()
         return [[e if isinstance(e, _s.QuadExt) else _s.QuadExt(e, 0, d)
-                 for e in row] for row in rows], "quadext"
+                 for e in row] for row in rows], d
     return [[_simplify(Fraction(e) if isinstance(e, Fraction) else e)
              for e in row] for row in rows], "rational"
 
 
-# the scalar kind of an operand, by exact type; others take the full path
-_KIND_OF_TYPE = {int: "rational", Fraction: "rational",
-                 _s.QuadExt: "quadext", float: "complex", complex: "complex",
-                 _s.ComplexF: "complex"}
-
-
 class Matrix:
-    """An immutable rows x cols matrix with uniform scalar entries."""
+    """An immutable rows x cols matrix over one field: ``_parts`` is (P,),
+    or (P, Q) over Q(sqrt d), grids of ints (complex values over C) over
+    the int ``_denom``."""
 
-    __slots__ = ("rows", "cols", "entries", "scalar_kind")
+    __slots__ = ("rows", "cols", "field", "_parts", "_denom", "_entries")
 
     def __init__(self, rows_of_entries):
         rows = [list(r) for r in rows_of_entries]
@@ -95,39 +87,34 @@ class Matrix:
         w = len(rows[0])
         if any(len(r) != w for r in rows):
             raise DimensionMismatch("ragged rows")
-        rows, kind = _promote_entries(rows)
-        _store(self, tuple(tuple(r) for r in rows), kind)
-
-    @classmethod
-    def _of(cls, rows, kind):
-        """The matrix of ``rows``, ring-arithmetic results on entries that
-        all had the scalar kind ``kind``.
-
-        Rational entries are reduced to ints where they are whole, and
-        complex entries are checked finite; rows with a non-finite entry
-        take the full path, which raises ``NonFinite`` naming it.
-        """
-        if kind == "rational":
-            return _trusted(tuple(tuple(map(_simplify, r)) for r in rows),
-                            kind)
-        # a non-finite entry makes the sum non-finite; finite entries whose
-        # sum overflows only cost the full path
-        if kind == "complex" and not cmath.isfinite(sum(map(sum, rows))):
-            return cls(rows)
-        return _trusted(tuple(map(tuple, rows)), kind)
+        rows, field = _promote_entries(rows)
+        _from_entries(tuple(map(tuple, rows)), field, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
 
     @classmethod
     def identity(cls, n):
-        return _trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
-                              for i in range(n)), "rational")
+        return units(n, "rational")[0]
 
     @classmethod
     def zero(cls, rows, cols=None):
-        return _trusted(((0,) * (rows if cols is None else cols),) * rows,
-                        "rational")
+        return _new("rational",
+                    (((0,) * (rows if cols is None else cols),) * rows,))
+
+    @property
+    def scalar_kind(self):
+        """'rational', 'quadext' or 'complex'."""
+        return "quadext" if type(self.field) is int else self.field
+
+    @property
+    def entries(self):
+        """The rows of entries, built from the numerators once."""
+        e = self._entries
+        if e is None:
+            e = _materialize(self)
+            _set_entries(self, e)
+        return e
 
     def __getitem__(self, ij):
         i, j = ij
@@ -146,35 +133,54 @@ class Matrix:
             raise DimensionMismatch(
                 "%dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
 
-    def _result(self, rows, other_kind):
-        """The matrix of ``rows``: trusted when this matrix and the other
-        operand had one kind, else through the full path."""
-        if other_kind == self.scalar_kind:
-            return Matrix._of(rows, other_kind)
-        return Matrix(rows)
+    def _pointwise(self, other, op):
+        """self op other entrywise, for op add or sub."""
+        self._same_shape(other)
+        f = self.field
+        if f != other.field:
+            return _across_fields(f, other.field, lambda: [
+                list(map(op, ra, rb))
+                for ra, rb in zip(self.entries, other.entries)])
+        den = math.lcm(self._denom, other._denom)
+        fa, fb = den // self._denom, den // other._denom
+        return _finish(_new(f, [
+            [list(map(op, ra, rb)) for ra, rb in zip(_scaled(a, fa),
+                                                     _scaled(b, fb))]
+            for a, b in zip(self._parts, other._parts)], den))
 
     def __add__(self, other):
-        self._same_shape(other)
-        return self._result([[a + b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.entries, other.entries)],
-                            other.scalar_kind)
+        return self._pointwise(other, add)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return self._result([[a - b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.entries, other.entries)],
-                            other.scalar_kind)
+        return self._pointwise(other, operator.sub)
 
     def __neg__(self):
-        # negation keeps entries whole, reduced and finite
-        return _trusted(tuple(tuple(-a for a in r) for r in self.entries),
-                        self.scalar_kind)
+        # negation keeps the numerators reduced and the entries finite
+        return _new(self.field, [[[-x for x in r] for r in part]
+                                 for part in self._parts], self._denom)
 
     def scale(self, c):
-        rows = [[c * a for a in r] for r in self.entries]
-        if type(c) is int:
-            return Matrix._of(rows, self.scalar_kind)
-        return self._result(rows, _KIND_OF_TYPE.get(type(c)))
+        f = self.field
+        cf = c.d if isinstance(c, _s.QuadExt) else _s.kind_of(c)
+        if f == "complex" and cf in (f, "rational"):
+            return _finish(_new(f, ([[c * a for a in r]
+                                     for r in self._parts[0]],)))
+        if cf == "rational":
+            return _finish(_new(f, [_scaled(part, c.numerator)
+                                    for part in self._parts],
+                                self._denom * c.denominator))
+        if cf == f:
+            # (P + Q sqrt d)(p + q sqrt d) = Pp + dQq + (Pq + Qp) sqrt d
+            cp, cq = c._p, c._q
+            rows = list(zip(*self._parts))
+            return _finish(_new(f, (
+                [[x * cp + f * y * cq for x, y in zip(*r)] for r in rows],
+                [[x * cq + y * cp for x, y in zip(*r)] for r in rows]),
+                self._denom * c._den))
+        return _across_fields(f, cf, lambda: [[c * a for a in r]
+                                              for r in self.entries])
+
+    __rmul__ = scale
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -182,14 +188,14 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 "%dx%d times %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        return self._result(grid_mul(self.entries, other.entries),
-                            other.scalar_kind)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if self.field != other.field:
+            return _across_fields(self.field, other.field,
+                                  lambda: grid_mul(self.entries, other.entries))
+        return _finish(running_mul(self, other))
 
     def transpose(self):
-        return _trusted(tuple(zip(*self.entries)), self.scalar_kind)
+        return _new(self.field, [tuple(zip(*part)) for part in self._parts],
+                    self._denom)
 
     def trace(self):
         if self.rows != self.cols:
@@ -211,12 +217,15 @@ class Matrix:
             raise IndexError("no column %d" % j)
         if self.cols == 1:
             raise DimensionMismatch("cannot delete the only column")
-        return _trusted(tuple(r[:j] + r[j + 1:] for r in self.entries),
-                        self.scalar_kind)
+        return self.submatrix(range(self.rows),
+                              [k for k in range(self.cols) if k != j])
 
     def submatrix(self, row_idx, col_idx):
-        return _trusted(tuple(tuple(self.entries[i][j] for j in col_idx)
-                              for i in row_idx), self.scalar_kind)
+        row_idx, col_idx = list(row_idx), list(col_idx)
+        m = _new(self.field, [[[part[i][j] for j in col_idx] for i in row_idx]
+                              for part in self._parts], self._denom)
+        # complex entries were checked when self was built
+        return m if self.field == "complex" else _finish(m)
 
     def det(self):
         return det(self)
@@ -236,30 +245,139 @@ class Matrix:
 
 _set_rows = Matrix.rows.__set__
 _set_cols = Matrix.cols.__set__
-_set_entries = Matrix.entries.__set__
-_set_kind = Matrix.scalar_kind.__set__
+_set_field = Matrix.field.__set__
+_set_parts = Matrix._parts.__set__
+_set_denom = Matrix._denom.__set__
+_set_entries = Matrix._entries.__set__
 
 
-def _store(m, entries, kind):
-    _set_rows(m, len(entries))
-    _set_cols(m, len(entries[0]))
-    _set_entries(m, entries)
-    _set_kind(m, kind)
-
-
-def _trusted(entries, kind):
-    """The matrix of a tuple of row tuples whose entries already have the
-    scalar kind ``kind`` and are reduced and finite; no entry is read."""
-    if not entries or not entries[0]:
+def _new(field, parts, den=1, entries=None, m=None):
+    """The matrix of the grids ``parts`` over ``den`` as given, neither
+    reduced nor checked finite; the grids are never changed afterwards."""
+    p = parts[0]
+    if not p or not p[0]:
         raise ValueError("matrix needs at least one row and column")
-    m = object.__new__(Matrix)
-    _store(m, entries, kind)
+    if m is None:
+        m = object.__new__(Matrix)
+    _set_rows(m, len(p))
+    _set_cols(m, len(p[0]))
+    _set_field(m, field)
+    _set_parts(m, parts)
+    _set_denom(m, den)
+    _set_entries(m, entries)
     return m
 
 
-def _field(m):
-    """The scalar kind of m, or the discriminant d for Q(sqrt d) entries."""
-    return m.entries[0][0].d if m.scalar_kind == "quadext" else m.scalar_kind
+def _finish(m):
+    """m reduced by the gcd of its numerators and denominator, or, over C,
+    checked finite: a non-finite sum takes the full path, which names the
+    entry in ``NonFinite`` (or keeps finite entries whose sum overflows)."""
+    if m.field == "complex":
+        rows = m._parts[0]
+        return m if cmath.isfinite(sum(map(sum, rows))) else Matrix(rows)
+    g = m._denom
+    for r in chain.from_iterable(m._parts):
+        if g == 1:
+            return m
+        g = math.gcd(g, *r)
+    if g == 1:
+        return m
+    return _new(m.field, [[[x // g for x in r] for r in part]
+                          for part in m._parts], m._denom // g)
+
+
+def _scaled(rows, f):
+    return rows if f == 1 else [[x * f for x in r] for r in rows]
+
+
+def _from_entries(entries, field, m=None):
+    """The matrix of promoted ``entries`` over ``field``, which it keeps;
+    exact ones are put over the lcm of their denominators."""
+    if field == "complex":
+        return _new(field, (entries,), 1, entries, m)
+    if field == "rational":
+        den = math.lcm(*(e.denominator for r in entries for e in r))
+        parts = (entries if den == 1 else
+                 [[e.numerator * (den // e.denominator) for e in r]
+                  for r in entries],)
+    else:
+        den = math.lcm(*(e._den for r in entries for e in r))
+        parts = ([[e._p * (den // e._den) for e in r] for r in entries],
+                 [[e._q * (den // e._den) for e in r] for r in entries])
+    return _new(field, parts, den, entries, m)
+
+
+def _materialize(m):
+    """The entries of m from its numerators: ints or Fractions over Q,
+    ``QuadExt`` values over Q(sqrt d), the rows themselves over C."""
+    den = m._denom
+    if den == 1 and len(m._parts) == 1:
+        # complex rows and integer matrices are their own entries
+        return tuple(map(tuple, m._parts[0]))
+    if len(m._parts) == 1:
+        return tuple(tuple(_ratio(x, den) for x in r) for r in m._parts[0])
+    quad, d = _s._quad, m.field
+    return tuple(tuple(quad(x, y, den, d) for x, y in zip(*rows))
+                 for rows in zip(*m._parts))
+
+
+def _across_fields(fa, fb, rows):
+    """The full path for operands over two fields: ``Matrix(rows())``;
+    Q(sqrt d) and complex operands raise ``MixedScalarKind``."""
+    if "complex" in (fa, fb) and (type(fa) is int or type(fb) is int):
+        raise MixedScalarKind("quadratic-extension and complex entries mixed")
+    return Matrix(rows())
+
+
+def running_mul(a, b):
+    """a . b over one field as a step of a running product, neither reduced
+    nor checked finite until :func:`product` or :func:`signed_sum` keeps
+    it."""
+    den = a._denom * b._denom
+    if len(a._parts) == 1:
+        return _new(a.field, (grid_mul(a._parts[0], b._parts[0]),), den)
+    d = a.field
+    bp, bq = b._parts
+    cols = list(zip(zip(*bp), zip(*bq)))
+    rows = list(zip(*a._parts))
+    # (P + Q sqrt d)(P' + Q' sqrt d) = PP' + dQQ' + (PQ' + QP') sqrt d
+    return _new(d, (
+        [[sum(map(mul, rp, cp)) + d * sum(map(mul, rq, cq))
+          for cp, cq in cols] for rp, rq in rows],
+        [[sum(map(mul, rp, cq)) + sum(map(mul, rq, cp))
+          for cp, cq in cols] for rp, rq in rows]), den)
+
+
+def product(factors, start):
+    """The left fold of ``running_mul`` over ``factors`` from ``start``,
+    reduced or checked finite once."""
+    return _finish(reduce(running_mul, factors, start))
+
+
+def signed_sum(terms, zero):
+    """``zero`` plus sign * m over the ``(sign, m)`` terms over ``zero``'s
+    field: exact terms over the lcm of their denominators, reduced once;
+    complex ones as ``a + sign * x`` in order, checked finite once."""
+    if not terms:
+        return zero
+    den = math.lcm(*[m._denom for _, m in terms])
+    parts = []
+    for k, acc in enumerate(zero._parts):
+        for sign, m in terms:
+            f = sign * (den // m._denom)
+            acc = [[a + f * x for a, x in zip(ra, r)]
+                   for ra, r in zip(acc, m._parts[k])]
+        parts.append(acc)
+    return _finish(_new(zero.field, parts, den))
+
+
+def units(n, field):
+    """The n x n identity and zero matrices over ``field``."""
+    unit = complex if field == "complex" else int
+    one = [[unit(i == j) for j in range(n)] for i in range(n)]
+    zero = [[unit(0)] * n for _ in range(n)]
+    surd = (zero,) if type(field) is int else ()
+    return _new(field, (one,) + surd), _new(field, (zero,) + surd)
 
 
 def grid_mul(a, b):
@@ -287,32 +405,31 @@ def det_with_scale(m):
         raise TypeError("expected a Matrix")
     if m.rows != m.cols:
         raise NotSquare("determinant of a %dx%d matrix" % (m.rows, m.cols))
-    if m.scalar_kind != "complex":
+    if m.field != "complex":
         return _bareiss_det(m), 1.0
     return _float_det(m)
 
 
 def _echelon(m):
-    """Fraction-free (Bareiss) row echelon form of an exact matrix, on
-    integer numerators.
+    """Fraction-free (Bareiss) row echelon form of an exact matrix, on its
+    numerators with each row divided by its content.
 
     Returns (rank, last pivot, sign of the row swaps, product of the row
-    multipliers).  The pivot is an int, or a (p, q) pair standing for
+    contents).  The pivot is an int, or a (p, q) pair standing for
     p + q*sqrt(d) over Q(sqrt d).  A column with no pivot at or below the
-    current row is skipped; every entry stays a minor of the scaled
-    matrix, so the division by the previous pivot is exact.  For a square
-    m of full rank the last pivot over the multipliers is det(m) up to
-    that sign.
+    current row is skipped; every entry stays a minor of the divided
+    numerators, so the division by the previous pivot is exact.  For a
+    square m of full rank, det(m) is that sign times the last pivot times
+    the contents, over den^rows.
     """
-    rows = [_row_numerators(r) for r in m.entries]
-    scale = math.prod(den for _, _, den in rows)
-    if m.scalar_kind == "quadext":
-        found, pivot, sign = _echelon_zd([p for p, _, _ in rows],
-                                         [q for _, q, _ in rows],
-                                         _field(m), m.cols)
+    contents = [math.gcd(*chain(*rows)) or 1 for rows in zip(*m._parts)]
+    a = [[list(r) if c == 1 else [x // c for x in r]
+          for r, c in zip(part, contents)] for part in m._parts]
+    if len(a) == 1:
+        found, pivot, sign = _echelon_z(a[0], m.cols)
     else:
-        found, pivot, sign = _echelon_z([p for p, _, _ in rows], m.cols)
-    return found, pivot, sign, scale
+        found, pivot, sign = _echelon_zd(*a, m.field, m.cols)
+    return found, pivot, sign, math.prod(contents)
 
 
 def _echelon_z(a, nc):
@@ -399,13 +516,14 @@ def _exact_quotients(values, denom):
 
 
 def _bareiss_det(m):
-    found, pivot, sign, scale = _echelon(m)
+    found, pivot, sign, content = _echelon(m)
     if found < m.rows:
         return 0
-    if m.scalar_kind == "quadext":
+    den = m._denom ** m.rows
+    if len(m._parts) == 2:
         p, q = pivot
-        return _s._quad(sign * p, sign * q, scale, _field(m))
-    return _ratio(sign * pivot, scale)
+        return _s._quad(sign * content * p, sign * content * q, den, m.field)
+    return _ratio(sign * content * pivot, den)
 
 
 def _ratio(num, den):
@@ -417,84 +535,21 @@ def _ratio(num, den):
     return Fraction(num, den) if rem else q
 
 
-def _row_numerators(row):
-    """(P, Q, den) with row = (P + Q*sqrt d)/den entrywise, P and Q lists of
-    ints and den > 0 the lcm of the row's denominators; Q is None for a
-    rational row."""
-    if type(row[0]) is _s.QuadExt:
-        den = math.lcm(*(e._den for e in row))
-        return ([e._p * (den // e._den) for e in row],
-                [e._q * (den // e._den) for e in row], den)
-    den = math.lcm(*(e.denominator for e in row))
-    if den == 1:
-        return list(row), None, 1
-    return [e.numerator * (den // e.denominator) for e in row], None, den
-
-
-def _numerators(m):
-    """m on numerators: (P, Q, den) with m = (P + Q*sqrt d)/den, P and Q
-    lists of int rows, den > 0 the lcm of all denominators and Q None for
-    rational matrices; a complex matrix is its own rows over 1."""
-    if m.scalar_kind == "complex":
-        return [list(r) for r in m.entries], None, 1
-    rows = [_row_numerators(r) for r in m.entries]
-    den = math.lcm(*(dr for _, _, dr in rows))
-
-    def lift(part, dr):
-        return part if dr == den else [x * (den // dr) for x in part]
-
-    p = [lift(pr, dr) for pr, _, dr in rows]
-    if m.scalar_kind != "quadext":
-        return p, None, den
-    return p, [lift(qr, dr) for _, qr, dr in rows], den
-
-
-def _numerator_mul(a, b, field):
-    """The product of two (P, Q, den) triples of :func:`_numerators` over
-    one :func:`_field`; complex entries are the left folds of
-    :func:`grid_mul`, as in ``Matrix.__mul__``."""
-    ap, aq, ad = a
-    bp, bq, bd = b
-    if aq is None:
-        return grid_mul(ap, bp), None, ad * bd
-    cols = list(zip(zip(*bp), zip(*bq)))
-    return ([[sum(map(mul, rp, cp)) + field * sum(map(mul, rq, cq))
-              for cp, cq in cols] for rp, rq in zip(ap, aq)],
-            [[sum(map(mul, rp, cq)) + sum(map(mul, rq, cp))
-              for cp, cq in cols] for rp, rq in zip(ap, aq)],
-            ad * bd)
-
-
-def _from_numerators(p, q, den, field):
-    """The matrix (p + q*sqrt d)/den over :func:`_field` ``field``, with
-    one reduction per exact entry; complex rows (den 1) are checked finite
-    once, through ``Matrix._of``."""
-    if field == "complex":
-        return Matrix._of(p, field)
-    if field == "rational":
-        return _trusted(tuple(tuple(_ratio(x, den) for x in r) for r in p),
-                        "rational")
-    quad = _s._quad
-    return _trusted(tuple(tuple(quad(x, y, den, field) for x, y in zip(rp, rq))
-                          for rp, rq in zip(p, q)), "quadext")
-
-
 def nonzero_row_of_product(a, b):
     """The first row of a . b with an entry that is not zero, or None.
 
-    The product runs on :func:`_numerators`, unreduced: (P + Q*sqrt d)/den
-    is zero exactly when P and Q are.  A float entry is zero when its
+    The product runs on the numerators, unreduced: (P + Q*sqrt d)/den is
+    zero exactly when P and Q are.  A float entry is zero when its
     modulus is at most ``zero_tolerance() * max(1, |a| |b|)`` in max row
     norms, which a non-finite one never is.
     """
-    p, q, _ = _numerator_mul(_numerators(a), _numerators(b), _field(a))
+    m = running_mul(a, b)
     tol = 0
-    if a.scalar_kind == "complex":
+    if a.field == "complex":
         tol = _s.zero_tolerance() * max(1.0, a.max_row_norm()
                                         * b.max_row_norm())
-    rows = p if q is None else [rp + rq for rp, rq in zip(p, q)]
-    return next((i for i, row in enumerate(rows)
-                 if not all(abs(x) <= tol for x in row)), None)
+    return next((i for i, rows in enumerate(zip(*m._parts))
+                 if not all(abs(x) <= tol for x in chain(*rows))), None)
 
 
 def _float_det(m):
@@ -530,7 +585,7 @@ def rank(m, tol=None):
     """Row rank; exact elimination for exact kinds, thresholded for floats."""
     if not isinstance(m, Matrix):
         raise TypeError("expected a Matrix")
-    if m.scalar_kind != "complex":
+    if m.field != "complex":
         return _exact_rank(m)
     return _float_rank(m, tol)
 
@@ -583,7 +638,7 @@ def inverse(m):
     if m.rows != m.cols:
         raise NotSquare("inverse of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
-    if m.scalar_kind == "complex":
+    if m.field == "complex":
         size, lift, out, one, zero = abs, complex, _s.ComplexF, 1 + 0j, 0j
     else:
         size, lift, out, one, zero = bool, _to_field, _simplify, 1, 0
@@ -602,8 +657,8 @@ def inverse(m):
             f = aug[r][k]
             if r != k and f:
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
-    return _trusted(tuple(tuple(map(out, row[n:])) for row in aug),
-                    m.scalar_kind)
+    return _from_entries(tuple(tuple(map(out, row[n:])) for row in aug),
+                         m.field)
 
 
 def _to_field(x):
@@ -614,33 +669,108 @@ def block_assemble(blocks):
     """Concatenate a grid of matrices into one matrix.
 
     ``blocks`` is a list of block-rows; heights must agree along each block
-    row and widths along each block column.  Blocks of one kind (and one
-    Q(sqrt d)) keep their entries as they are; blocks of several kinds take
-    the full path of ``Matrix(rows)``.
+    row and widths along each block column.  Blocks over one field are
+    joined on their numerators, put over the lcm of their denominators;
+    blocks over several take the full path of ``Matrix(rows)``.
     """
     if not blocks or not blocks[0]:
         raise ValueError("empty block grid")
     widths = [b.cols for b in blocks[0]]
-    fields = set()
-    out_rows = []
     for brow in blocks:
         if len(brow) != len(widths):
             raise DimensionMismatch("ragged block grid")
         h = brow[0].rows
         for b, w in zip(brow, widths):
-            fields.add(_field(b))
             if b.rows != h:
                 raise DimensionMismatch("block heights differ within a row")
             if b.cols != w:
                 raise DimensionMismatch("block widths differ within a column")
-        for i in range(h):
+    fields = {b.field for brow in blocks for b in brow}
+    if len(fields) > 1:
+        return Matrix(_joined(blocks, lambda b: b.entries))
+    den = math.lcm(*[b._denom for brow in blocks for b in brow])
+    # the lcm of reduced denominators leaves the numerators reduced
+    return _new(fields.pop(), [
+        _joined(blocks, lambda b: _scaled(b._parts[k], den // b._denom))
+        for k in range(len(blocks[0][0]._parts))], den)
+
+
+def _joined(blocks, grid_of):
+    """The rows of the block grid, each block read through ``grid_of``."""
+    out = []
+    for brow in blocks:
+        grids = [grid_of(b) for b in brow]
+        for i in range(len(grids[0])):
             row = []
-            for b in brow:
-                row.extend(b.entries[i])
-            out_rows.append(tuple(row))
-    if len(fields) == 1:
-        return _trusted(tuple(out_rows), blocks[0][0].scalar_kind)
-    return Matrix(out_rows)
+            for grid in grids:
+                row += grid[i]
+            out.append(row)
+    return out
+
+
+def sym_power(m, N):
+    """Action of a 2x2 matrix on degree-(N-1) forms in e1, e2.
+
+    Basis order e1^(N-1), e1^(N-2)e2, ..., e2^(N-1); the image of the k-th
+    basis vector is (m11 e1 + m21 e2)^(N-1-k) (m12 e1 + m22 e2)^k expanded
+    binomially.  No normalization factors, so integer input gives integer
+    entries.  sym_power(m, 2) is m itself.  The expansion runs on the
+    numerators, over den^(N-1) and on (p, q) pairs standing for
+    p + q*sqrt d over Q(sqrt d), and is reduced once; complex input, its
+    own rows over 1, is checked finite once.
+    """
+    if not isinstance(m, Matrix) or m.rows != 2 or m.cols != 2:
+        raise NotTwoByTwo("sym_power needs a 2x2 matrix")
+    d, parts = m.field, m._parts
+    if len(parts) == 1:
+        parts = (_sym_rows(parts[0], N, _PLAIN),)
+    else:
+        ring = (lambda x, y: (x[0] * y[0] + d * x[1] * y[1],
+                              x[0] * y[1] + x[1] * y[0]),
+                lambda x, y: (x[0] + y[0], x[1] + y[1]), (1, 0), (0, 0))
+        pairs = _sym_rows([list(zip(*rows)) for rows in zip(*parts)], N,
+                          ring)
+        parts = ([[x for x, _ in r] for r in pairs],
+                 [[y for _, y in r] for r in pairs])
+    return _finish(_new(d, parts, m._denom ** (N - 1)))
+
+
+# the ring operations of _sym_rows: (mul, add, one, zero)
+_PLAIN = (mul, add, 1, 0)
+
+
+def _sym_rows(entries, N, ring):
+    """The rows of the symmetric power of the 2x2 ``entries`` by the
+    binomial rule of :func:`sym_power`, in the ring operations ``ring``."""
+    if not isinstance(N, int) or N < 2:
+        raise ValueError("N must be an integer >= 2")
+    mul_, add_, _, zero = ring
+    (a, c), (b, d) = entries  # column 1 is (a, b), column 2 is (c, d)
+    left = _binomial_powers(a, b, N - 1, ring)
+    right = _binomial_powers(c, d, N - 1, ring)
+    cols = []
+    for k in range(N):
+        col = [zero] * N
+        for i, ci in enumerate(left[N - 1 - k]):
+            for j, cj in enumerate(right[k]):
+                col[i + j] = add_(col[i + j], mul_(ci, cj))
+        cols.append(col)
+    return [[cols[k][l] for k in range(N)] for l in range(N)]
+
+
+def _binomial_powers(p, q, n, ring):
+    """The coefficients of (p e1 + q e2)^e by e2-degree for e = 0..n:
+    [p^e, e p^(e-1) q, ...]."""
+    mul_, add_, one, zero = ring
+    out = [[one]]
+    for _ in range(n):
+        prev = out[-1]
+        nxt = [zero] * (len(prev) + 1)
+        for i, c in enumerate(prev):
+            nxt[i] = add_(nxt[i], mul_(c, p))
+            nxt[i + 1] = add_(nxt[i + 1], mul_(c, q))
+        out.append(nxt)
+    return out
 
 
 def matrix_str(m):

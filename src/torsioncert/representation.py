@@ -7,14 +7,12 @@ A representation assigns an invertible n x n matrix over one scalar kind to
 each generator of an alphabet.  ``sl_flag`` asserts determinant-1 images,
 which is checked at construction, except where it follows from images
 already checked: exact symmetric powers and extensions.  Words, Fox
-blocks, symmetric powers and extensions of every kind are evaluated on the
-images' numerators (``linalg._numerators``).
+blocks, symmetric powers and extensions are products and signed sums of
+``Matrix`` objects, which keep their own numerators
+(``linalg.running_mul``, ``linalg.product``, ``linalg.signed_sum``).
 """
 
-import math
-import operator
 import string
-from functools import cached_property, reduce
 from itertools import product
 
 from . import linalg as _la
@@ -24,7 +22,7 @@ from .errors import (AlphabetMismatch, IncompleteRootScan, MixedExtension,
                      ParseError, ReducibleOnly, ScalarEmbedding)
 from .freegroup import (Alphabet, GroupRingElem, Word, fox_sweep, parse_at,
                         read_sections)
-from .linalg import Matrix
+from .linalg import Matrix, sym_power
 from .polynomial import (horner_within_rounding, int_poly_gcd,
                          newton_basin_radius, newton_polish)
 
@@ -45,14 +43,16 @@ class Representation:
                 raise ValueError("images must be square matrices of one size")
         kinds = {m.scalar_kind for m in images}
         # one field per kind, except that quadext images may differ in d
-        fields = {_la._field(m) for m in images}
+        fields = {m.field for m in images}
         if len(fields) > len(kinds):
             a, b = sorted(fields - kinds)[:2]
             raise MixedExtension("cannot mix sqrt(%d) with sqrt(%d)" % (a, b))
         if len(kinds) > 1:
             # promote rationals into a richer kind if one is present
             if kinds == {"rational", "quadext"} or kinds == {"rational", "complex"}:
-                embed = _embedding((kinds - {"rational"}).pop(), images)
+                f = (fields - {"rational"}).pop()
+                embed = _s.to_complexf if f == "complex" \
+                    else lambda v: _s.QuadExt(v, 0, f)
                 images = [m.map(embed) if m.scalar_kind == "rational" else m
                           for m in images]
             else:
@@ -77,45 +77,26 @@ class Representation:
                                  % (self.alphabet.names[i], d))
 
     def _store(self, alphabet, images, sl_flag):
-        """Set the fields from images of one kind, with empty caches of
-        inverse images and of letter images on numerators."""
+        """Set the fields from images of one kind, with an empty cache of
+        inverse images and the identity and zero over the images' field,
+        so that arithmetic with the images keeps that field."""
         self.alphabet = alphabet
         self.images = tuple(images)
         self.n = self.images[0].rows
         self.sl_flag = bool(sl_flag)
         self.scalar_kind = self.images[0].scalar_kind
-        self._field = _la._field(self.images[0])
+        self.field = self.images[0].field
+        self.units = _la.units(self.n, self.field)
         self._inv = {}
-        self._num = {}
-
-    @cached_property
-    def units(self):
-        """The identity and the zero matrix in this representation's scalar
-        kind, so that arithmetic with the images keeps that kind."""
-        return tuple(_la._from_numerators(*u, self._field)
-                     for u in self._unit_numerators)
-
-    @cached_property
-    def _unit_numerators(self):
-        """The identity and zero on numerators, in ints for exact kinds and
-        complex entries for floats."""
-        n = self.n
-        unit = complex if self.scalar_kind == "complex" else int
-        one = [[unit(i == j) for j in range(n)] for i in range(n)]
-        zero = [[unit(0)] * n for _ in range(n)]
-        q = zero if self.scalar_kind == "quadext" else None
-        return (one, q, 1), (zero, q, 1)
 
     def image(self, i):
         return self.images[i]
 
     def image_inverse(self, i):
-        """The inverse image of generator i: read off its numerators where
-        the representation was built with them, else by Gauss-Jordan."""
+        """The inverse image of generator i, by Gauss-Jordan unless the
+        representation was derived with it."""
         if i not in self._inv:
-            num = self._num.get(-i - 1)
-            self._inv[i] = self.images[i].inverse() if num is None \
-                else _la._from_numerators(*num, self._field)
+            self._inv[i] = self.images[i].inverse()
         return self._inv[i]
 
     def letter_image(self, l):
@@ -130,49 +111,25 @@ class Representation:
                                    % (w.alphabet, self.alphabet))
 
     def eval_word(self, w):
-        """The product of generator images along the word, on numerators
-        from the identity, so 1 too has the representation's kind."""
+        """The product of generator images along the word, from the
+        identity, so 1 too has the representation's kind."""
         self._check_word(w)
-        return _la._from_numerators(*self._word_numerators(w), self._field)
+        return self._word_image(w)
 
-    def _letter_numerators(self, l):
-        """The image of the signed letter l on numerators, (P, Q, den) as
-        in ``linalg._numerators``; computed once per letter."""
-        if l not in self._num:
-            self._num[l] = _la._numerators(self.letter_image(l))
-        return self._num[l]
-
-    def _word_numerators(self, w):
-        """The image of the word w on numerators."""
-        return reduce(lambda a, b: _la._numerator_mul(a, b, self._field),
-                      map(self._letter_numerators, w.letters),
-                      self._unit_numerators[0])
+    def _word_image(self, w):
+        return _la.product(map(self.letter_image, w.letters), self.units[0])
 
     def fox_blocks(self, w):
-        """The images of the Fox derivatives of w by each generator, as a
-        list of n x n blocks in the representation's own kind.
-
-        The terms of :func:`fox_sweep` run on the letters' numerators:
-        each term is scaled by the product of the denominators of the
-        letters after its prefix, and a block sums its terms over the
-        product D of all the word's denominators, so each exact entry is
-        reduced once, as a Fraction or ``QuadExt`` over D.  A float block
-        has the bits of a sweep over matrices and is checked finite once.
-        """
+        """The images of the Fox derivatives of w by each generator, as n x n
+        blocks in the representation's kind: the signed sums of the running
+        prefix products of :func:`fox_sweep`, each reduced or checked finite
+        once."""
         self._check_word(w)
-        field = self._field
-        one, (zero, _, _) = self._unit_numerators
-        total = math.prod(self._letter_numerators(l)[2] for l in w.letters)
-        sums = [(zero, zero)] * len(self.alphabet)
-        for j, sign, (p, q, den) in fox_sweep(
-                w, self._letter_numerators, one,
-                lambda a, b: _la._numerator_mul(a, b, field)):
-            f = sign * (total // den)
-            sp, sq = sums[j]
-            sums[j] = (_add_scaled(sp, p, f),
-                       None if q is None else _add_scaled(sq, q, f))
-        return [_la._from_numerators(sp, sq, total, field)
-                for sp, sq in sums]
+        terms = [[] for _ in self.alphabet.names]
+        for j, sign, prefix in fox_sweep(w, self.letter_image, self.units[0],
+                                         _la.running_mul):
+            terms[j].append((sign, prefix))
+        return [_la.signed_sum(t, self.units[1]) for t in terms]
 
     def extended(self, alphabet, words):
         """The representation of ``alphabet``, whose first generators are
@@ -180,14 +137,14 @@ class Representation:
         ``words``, derived by :func:`_derive`."""
         k = len(self.alphabet)
 
-        def numerators(l):
+        def image(l):
             if abs(l) <= k:
-                return self._letter_numerators(l)
+                return self.letter_image(l)
             w = words[abs(l) - k - 1]
-            return self._word_numerators(w if l > 0 else w.inverse())
+            return self._word_image(w if l > 0 else w.inverse())
 
-        return _derive(object.__new__(Representation), alphabet,
-                       self._field, numerators, False, self.images)
+        return _derive(object.__new__(Representation), alphabet, image,
+                       False, self.images)
 
     def eval_ring_elem(self, e):
         """Sum of coeff * eval_word over the terms; a ring homomorphism."""
@@ -233,11 +190,11 @@ class Representation:
 class SymPowerRep(Representation):
     """The N-dimensional symmetric-power representation of a rank-2 base.
 
-    Images are :func:`sym_power` of the base's letter images on
-    numerators, derived by :func:`_derive`.  Exact inverse images are those
-    of the inverse letters (Sym(A)^-1 = Sym(A^-1)), and the images are not
-    checked again: det Sym(A) = det(A)^(N(N-1)/2), so the base's check
-    covers them.  Float images keep the check and Gauss-Jordan inverses.
+    Images are :func:`sym_power` of the base's letter images, derived by
+    :func:`_derive`.  Exact inverse images are those of the inverse letters
+    (Sym(A)^-1 = Sym(A^-1)), and the images are not checked again:
+    det Sym(A) = det(A)^(N(N-1)/2), so the base's check covers them.  Float
+    images keep the check and Gauss-Jordan inverses.
     """
 
     def __init__(self, base, N):
@@ -245,122 +202,29 @@ class SymPowerRep(Representation):
             raise NotTwoByTwo("symmetric powers take a rank-2 base")
         self.base = base
         self.N = N
-        field = base._field
-        _derive(self, base.alphabet, field,
-                lambda l: _sym_numerators(base._letter_numerators(l), N,
-                                          field), base.sl_flag)
+        _derive(self, base.alphabet,
+                lambda l: sym_power(base.letter_image(l), N), base.sl_flag)
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())
 
 
-def _add_scaled(acc, rows, f):
-    """acc + f * rows on int rows."""
-    return [[a + f * x for a, x in zip(ra, r)] for ra, r in zip(acc, rows)]
-
-
-def _derive(rep, alphabet, field, numerators, sl_flag, given=()):
-    """Set ``rep`` up on ``alphabet`` from a checked representation over
-    ``field``: signed letter l has the image ``numerators(l)`` on
-    numerators, and ``given`` are the images of the first generators.
-
-    Exact images are trusted: nothing is checked, and inverse images are
-    read off the inverse letters' numerators.  Float images keep the
-    constructor's determinant check and Gauss-Jordan inverses, whose bits
-    are the ones printed, so ``numerators`` sees generators only; the
-    check skips ``given``, which passed it in the representation they
-    come from.
-    """
+def _derive(rep, alphabet, image, sl_flag, given=()):
+    """Set ``rep`` up on ``alphabet`` from a checked representation: signed
+    letter l has the image ``image(l)``, and ``given`` are the images of
+    the first generators.  Exact images are trusted, with the inverse
+    letters' images as inverses.  Float images keep the constructor's
+    determinant check (``given`` passed it already) and Gauss-Jordan
+    inverses, whose bits are the ones printed."""
     k = len(alphabet)
-    exact = field != "complex"
-    num = {l: numerators(l) for l in range(-k if exact else 1, k + 1) if l}
-    images = list(given) + [_la._from_numerators(*num[i], field)
-                            for i in range(len(given) + 1, k + 1)]
-    rep._store(alphabet, images, sl_flag)
-    if not exact:
+    rep._store(alphabet, list(given) + [image(l) for l in
+                                        range(len(given) + 1, k + 1)],
+               sl_flag)
+    if rep.field == "complex":
         rep._check_images(len(given))
-    rep._num.update(num)
+    else:
+        rep._inv = {i: image(-i - 1) for i in range(k)}
     return rep
-
-
-def sym_power(m, N):
-    """Action of a 2x2 matrix on degree-(N-1) forms in e1, e2.
-
-    Basis order e1^(N-1), e1^(N-2)e2, ..., e2^(N-1); the image of the k-th
-    basis vector is (m11 e1 + m21 e2)^(N-1-k) (m12 e1 + m22 e2)^k expanded
-    binomially.  No normalization factors, so integer input gives integer
-    entries.  sym_power(m, 2) is m itself.  Exact input is expanded on its
-    integer numerators (:func:`_sym_numerators`) and reduced once per
-    entry; complex input, its own rows over 1, is checked finite once.
-    """
-    if not isinstance(m, Matrix) or m.rows != 2 or m.cols != 2:
-        raise NotTwoByTwo("sym_power needs a 2x2 matrix")
-    field = _la._field(m)
-    return _la._from_numerators(
-        *_sym_numerators(_la._numerators(m), N, field), field)
-
-
-# the ring operations of _sym_rows: (mul, add, one, zero)
-_PLAIN = (operator.mul, operator.add, 1, 0)
-
-
-def _sym_numerators(num, N, field):
-    """:func:`sym_power` on numerators: (P, Q, den) of a 2x2 matrix as in
-    ``linalg._numerators`` to those of its symmetric power, over
-    den^(N-1).  Over Q(sqrt d) the expansion runs on (p, q) pairs standing
-    for p + q*sqrt d."""
-    p, q, den = num
-    if q is None:
-        return _sym_rows(p, N, _PLAIN), None, den ** (N - 1)
-    ring = (lambda x, y: (x[0] * y[0] + field * x[1] * y[1],
-                          x[0] * y[1] + x[1] * y[0]),
-            lambda x, y: (x[0] + y[0], x[1] + y[1]), (1, 0), (0, 0))
-    rows = _sym_rows([list(zip(rp, rq)) for rp, rq in zip(p, q)], N, ring)
-    return ([[x for x, _ in r] for r in rows],
-            [[y for _, y in r] for r in rows], den ** (N - 1))
-
-
-def _sym_rows(entries, N, ring):
-    """The rows of the symmetric power of the 2x2 ``entries`` by the
-    binomial rule of :func:`sym_power`, in the ring operations ``ring``."""
-    if not isinstance(N, int) or N < 2:
-        raise ValueError("N must be an integer >= 2")
-    mul, add, _, zero = ring
-    (a, c), (b, d) = entries  # column 1 is (a, b), column 2 is (c, d)
-    left = _binomial_powers(a, b, N - 1, ring)
-    right = _binomial_powers(c, d, N - 1, ring)
-    cols = []
-    for k in range(N):
-        col = [zero] * N
-        for i, ci in enumerate(left[N - 1 - k]):
-            for j, cj in enumerate(right[k]):
-                col[i + j] = add(col[i + j], mul(ci, cj))
-        cols.append(col)
-    return [[cols[k][l] for k in range(N)] for l in range(N)]
-
-
-def _embedding(kind, images):
-    """The map taking a rational entry into ``kind``, the kind of the
-    richer images."""
-    if kind == "complex":
-        return _s.to_complexf
-    d = next(m for m in images if m.scalar_kind == "quadext").entries[0][0].d
-    return lambda v: v if isinstance(v, _s.QuadExt) else _s.QuadExt(v, 0, d)
-
-
-def _binomial_powers(p, q, n, ring):
-    """The coefficients of (p e1 + q e2)^e by e2-degree for e = 0..n:
-    [p^e, e p^(e-1) q, ...]."""
-    mul, add, one, zero = ring
-    out = [[one]]
-    for _ in range(n):
-        prev = out[-1]
-        nxt = [zero] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            nxt[i] = add(nxt[i], mul(c, p))
-            nxt[i + 1] = add(nxt[i + 1], mul(c, q))
-        out.append(nxt)
-    return out
 
 
 def circle_homology(m):

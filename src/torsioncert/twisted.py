@@ -25,7 +25,7 @@ from .errors import (AlphabetMismatch, AllColumnsDegenerate, ChainCondition,
 from .freegroup import (Alphabet, Word, fox_sweep, parse_at,
                         read_sections)
 from .linalg import Matrix, grid_mul
-from .polynomial import (LaurentPoly, NEG_INFINITY, laurent_str,
+from .polynomial import (LaurentPoly, NEG_INFINITY, _lp, laurent_str,
                          laurent_unit_match, parse_laurent, poly_matrix_det,
                          rational_degree)
 from .representation import Representation
@@ -169,9 +169,9 @@ def twisted_fox_row(w, rep, twist):
     for j, sign, (m, shift) in fox_sweep(w, image, (rep.units[0], 0),
                                          _monomial_mul):
         grid = blocks[j]
-        for i in range(n):
-            for l in range(n):
-                grid[i][l] = grid[i][l] + LaurentPoly({shift: m[i, l] * sign})
+        for i, row in enumerate(m.entries):
+            for l, e in enumerate(row):
+                grid[i][l] = grid[i][l] + _lp({shift: e * sign})
     return blocks
 
 

@@ -247,11 +247,11 @@ def test_exact_sym_power_equals_the_binomial_theorem():
 
 def test_exact_sym_power_rep_seeds_its_numerators(monkeypatch):
     # images and inverse images come from the base's numerators, and the
-    # Fox blocks read them without going back to the reduced entries
+    # Fox blocks run on them without building a Fraction or QuadExt entry
     rng = rng_for(73, 51)
     made = []
-    real = linalg_module._numerators
-    monkeypatch.setattr(linalg_module, "_numerators",
+    real = linalg_module._materialize
+    monkeypatch.setattr(linalg_module, "_materialize",
                         lambda m: made.append(m) or real(m))
     for base in exact_bases(rng):
         for N in (3, 6):

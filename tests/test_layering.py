@@ -1,10 +1,10 @@
-"""Matrices on numerators stay inside ``linalg`` and ``representation``.
+"""Matrices on numerators stay inside ``linalg``.
 
-The (P, Q, den) numerator format of the kernel, and the representation
-helpers that read it, are private to the two modules that define them; the
-other modules reach them through ``Representation.fox_blocks``,
-``Representation.extended`` and ``linalg.nonzero_row_of_product``.  The
-package source is scanned for the names, not imported.
+The (P + Q*sqrt d)/den storage of ``Matrix`` and the helpers that read or
+build it are private to ``linalg``; the other modules reach them through
+``Matrix`` arithmetic, ``running_mul``, ``product``, ``signed_sum``,
+``units``, ``sym_power`` and ``nonzero_row_of_product``.  The package
+source is scanned for the names, not imported.
 """
 
 import ast
@@ -13,11 +13,10 @@ import os
 import torsioncert
 
 PACKAGE = os.path.dirname(torsioncert.__file__)
-OWNERS = {"linalg.py", "representation.py"}
-PRIVATE = {"_numerators", "_from_numerators", "_numerator_mul",
-           "_row_numerators", "_one_numerators", "_letter_numerators",
-           "_trusted_rep", "_unit_numerators", "_word_numerators",
-           "_derive"}
+OWNERS = {"linalg.py"}
+PRIVATE = {"_parts", "_denom", "_entries", "_new", "_finish",
+           "_from_entries", "_materialize", "_sym_rows", "_binomial_powers",
+           "_echelon"}
 
 
 def _names(tree):
