@@ -23,8 +23,8 @@ from .errors import (DegenerateInput, DivisionByZero, EliminationDegenerate,
                      IrreducibilityWarning)
 from .freegroup import Alphabet, fox_sweep
 from .linalg import Matrix, det_with_scale, grid_mul
-from .polynomial import (MultiPoly, _mp, multi_eval, newton_polish,
-                         poly_matrix_det, primitive_normalize,
+from .polynomial import (MultiPoly, _mp, aberth_roots, multi_eval,
+                         newton_polish, poly_matrix_det, primitive_normalize,
                          squarefree_part)
 from .representation import Representation, SymPowerRep
 from .seeds import rng_for
@@ -294,8 +294,6 @@ class LocusReport:
 
 
 def _z_root_candidates(poly, xv, yv):
-    import numpy
-
     zdeg = poly.degree_in("z")
     coeffs = []
     for k in range(zdeg, -1, -1):
@@ -305,11 +303,10 @@ def _z_root_candidates(poly, xv, yv):
         coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return []
-    roots = list(numpy.roots(coeffs))
     low_first = coeffs[::-1]
     deriv = [k * c for k, c in enumerate(low_first)][1:]
-    return [newton_polish(low_first, deriv, complex(r), 40, 1e-14)
-            for r in roots]
+    return [newton_polish(low_first, deriv, r, 40, 1e-14)
+            for r in aberth_roots(low_first)]
 
 
 # how far off the surface, in z, each on-locus root is moved for the

@@ -20,8 +20,10 @@ the prefix of length i (P_0 the identity),
                    - sum of P_i over positions with l_i = x_j^-1,
 
 so :func:`fox_sweep` yields one signed prefix image per letter at the cost
-of one product per letter, for any ring the caller multiplies in.  Over
-words themselves it gives the group-ring derivative, :func:`fox_derivative`.
+of one product per letter, for any ring the caller multiplies in; a
+positive last letter costs none, since P_m is read only when l_m is an
+inverse.  Over words themselves it gives the group-ring derivative,
+:func:`fox_derivative`.
 
 :func:`read_sections` is the one reader of the ``key: value`` data files
 (``.pres``, ``.sut``, ``.rep``) whose parsers build on these words.
@@ -417,10 +419,12 @@ def fox_sweep(w, image, one, mul):
     the identity, and ``mul`` the product of the ring.
     """
     prefix = one
-    for l in w.letters:
+    last = len(w.letters) - 1
+    for k, l in enumerate(w.letters):
         if l > 0:
             yield l - 1, 1, prefix
-            prefix = mul(prefix, image(l))
+            if k < last:
+                prefix = mul(prefix, image(l))
         else:
             prefix = mul(prefix, image(l))
             yield -l - 1, -1, prefix

@@ -31,13 +31,14 @@ coefficient kind.
 Dense univariate polynomials (coefficient lists, low degree first) serve
 the root finders: an integer primitive-PRS gcd for the Riley polynomial,
 one Newton polish (which can stop inside the gamma-theorem basin of a root
-already found), and a Horner root test with a rounding-error bound.
+already found), a Horner root test with a rounding-error bound, and an
+Aberth-Ehrlich solver for all roots at once.
 """
 
 import re as _re
-from cmath import isfinite as _isfinite
+from cmath import isfinite as _isfinite, rect as _rect
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _lcm
+from math import gcd as _int_gcd, lcm as _lcm, pi as _PI
 
 from . import scalar as _s
 from .errors import (DegenerateInput, DivisionByZero, InexactDivision,
@@ -94,13 +95,13 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("polynomials are immutable")
 
-    @classmethod
-    def zero(cls):
-        return cls({})
+    @staticmethod
+    def zero():
+        return _lp({})
 
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
+    @staticmethod
+    def one():
+        return _lp({0: 1})
 
     def is_zero(self):
         return not self.coeffs
@@ -1023,3 +1024,89 @@ def horner_within_rounding(coeffs, y):
         mag = mag * ay + abs(c)
     nu = 4 * (len(coeffs) - 1) * _UNIT_ROUNDOFF
     return abs(v) <= nu / (1 - nu) * mag
+
+
+# sweeps of the Aberth-Ehrlich iteration before it stops: simple roots
+# converge cubically, in about ten, multiple roots linearly until their
+# values reach the rounding bound
+_ABERTH_SWEEPS = 100
+
+# angle of the first start on the circle: no rational multiple of pi, so no
+# start is real and no two are complex conjugates
+_ABERTH_OFFSET = 0.7
+
+
+def aberth_roots(coeffs):
+    """The deg roots of the complex polynomial ``coeffs`` (low degree first,
+    nonzero leading coefficient), repeated by multiplicity, by the
+    Aberth-Ehrlich iteration.
+
+    Bini, *Numer. Algorithms* 13 (1996): every approximation z_k moves by
+    w_k = g(z_k) / (g'(z_k) - g(z_k) sum_{j != k} 1 / (z_k - z_j)), a
+    Newton step repelled by the other approximations.  Trailing zero
+    coefficients give exact zero roots.  The others start on the circle of
+    radius half the Fujiwara bound 2 max(|c_(n-k) / c_n|^(1/k),
+    |c_0 / (2 c_n)|^(1/n)), which every root lies within, at equal angles
+    from ``_ABERTH_OFFSET``.  Each sweep updates them in place, in order.
+    An approximation is final once its Horner value is within the rounding
+    bound of :func:`horner_within_rounding` or its step falls below the
+    unit roundoff relative to it; after ``_ABERTH_SWEEPS`` sweeps all are.
+
+    Returns exactly deg finite values and never raises on multiple or zero
+    roots: an update whose denominator is 0, or that would leave the finite
+    range, is skipped.  A root of multiplicity m comes back as m
+    approximations within about the m-th root of the rounding error, as
+    from any solver in double precision; simple roots can be polished with
+    :func:`newton_polish`.
+
+    >>> sorted(round(r.real, 12) for r in aberth_roots([2, -3, 1]))
+    [1.0, 2.0]
+    """
+    zeros = 0
+    while coeffs[zeros] == 0:
+        zeros += 1
+    rc = coeffs[zeros:][::-1]
+    n = len(rc) - 1
+    if n == 0:
+        return [0j] * zeros
+    lead = rc[0]
+    half_bound = max([abs(rc[k] / lead) ** (1.0 / k) for k in range(1, n)]
+                     + [abs(rc[n] / (2 * lead)) ** (1.0 / n)])
+    z = [_rect(half_bound, 2 * _PI * k / n + _ABERTH_OFFSET)
+         for k in range(n)]
+    mags = [abs(c) for c in rc]
+    nu = 4 * n * _UNIT_ROUNDOFF
+    nu = nu / (1 - nu)
+    live = range(n)
+    for _ in range(_ABERTH_SWEEPS):
+        if not live:
+            break
+        moving = []
+        for k in live:
+            zk = z[k]
+            az = abs(zk)
+            v = dv = 0j
+            mag = 0.0
+            for c, m in zip(rc, mags):
+                dv = dv * zk + v
+                v = v * zk + c
+                mag = mag * az + m
+            if abs(v) <= nu * mag:
+                continue
+            s = 0j
+            for zj in z:
+                if zj != zk:
+                    s += 1 / (zk - zj)
+            den = dv - v * s
+            if den == 0:
+                moving.append(k)
+                continue
+            w = v / den
+            new = zk - w
+            if not _isfinite(new):
+                continue
+            z[k] = new
+            if abs(w) > _UNIT_ROUNDOFF * abs(new):
+                moving.append(k)
+        live = moving
+    return [0j] * zeros + z

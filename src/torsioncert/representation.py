@@ -342,9 +342,9 @@ def parabolic_roots(pres):
     repeated root no radius is kept: a float root of a multiple factor has
     no quadratic basin.
 
-    The scan stays in pure Python rather than ``numpy.roots``: importing
-    numpy alone takes about 0.1 s, which ``torsion --parabolic`` never pays
-    otherwise, and the roots here are pinned to the bit.
+    The scan keeps its own Newton starts rather than the simultaneous
+    solver :func:`~torsioncert.polynomial.aberth_roots`, since the roots
+    here are pinned to the bit.
     """
     alphabet = pres.alphabet
     if len(alphabet) < 2:

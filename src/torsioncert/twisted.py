@@ -245,7 +245,7 @@ def twisted_eval_word_minus_one(w, rep, twist):
     """t^phi(w) alpha(w) - I as an n x n Laurent-polynomial grid."""
     m = rep.eval_word(w)
     shift = twist.weight(w)
-    out = [[LaurentPoly({shift: e}) for e in row] for row in m.entries]
+    out = [[_lp({shift: e}) for e in row] for row in m.entries]
     for i in range(rep.n):
         out[i][i] = out[i][i] - LaurentPoly.one()
     return out

@@ -20,6 +20,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_leaves_numpy_unimported(argv):
+    """Run ``main(argv)`` in a fresh interpreter: it must exit 0 without
+    importing numpy."""
+    script = ("import contextlib, io, sys\n"
+              "from torsioncert import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(%r)\n"
+              "assert code == 0, code\n"
+              "assert 'numpy' not in sys.modules\n" % (argv,))
+    src = os.path.dirname(os.path.dirname(torsioncert.__file__))
+    path = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestFox:
     def test_known_derivative(self, capsys):
         code, out, _ = run(capsys, "fox", "yxyXY", "y")
@@ -122,18 +138,8 @@ class TestTorsion:
 
     def test_parabolic_genus_check_leaves_numpy_unimported(self):
         # importing numpy costs about as much as this whole command
-        script = ("import contextlib, io, sys\n"
-                  "from torsioncert import cli\n"
-                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  "    code = cli.main(['torsion', 'fig8.pres',\n"
-                  "                     '--parabolic', '--genus-check'])\n"
-                  "assert code == 0, code\n"
-                  "assert 'numpy' not in sys.modules\n")
-        src = os.path.dirname(os.path.dirname(torsioncert.__file__))
-        path = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        subprocess.run([sys.executable, "-c", script], check=True,
-                       env=dict(os.environ, PYTHONPATH=path))
+        assert_leaves_numpy_unimported(
+            ["torsion", "fig8.pres", "--parabolic", "--genus-check"])
 
     def test_structured_fields(self, capsys):
         code, out, _ = run(capsys, "--structured", "torsion", "trefoil.pres",
@@ -185,6 +191,10 @@ class TestLocus:
     def test_bad_index(self, capsys):
         code, _, err = run(capsys, "locus", "--N", "1")
         assert code == 2
+
+    def test_locus_leaves_numpy_unimported(self):
+        # the sampled z roots come from polynomial.aberth_roots
+        assert_leaves_numpy_unimported(["locus", "--N", "3", "--samples", "5"])
 
     @pytest.mark.parametrize("argv", [["--N", "2"], ["--N", "3"],
                                       ["--N", "6", "--scan"]], ids=" ".join)

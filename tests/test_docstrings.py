@@ -16,5 +16,5 @@ def test_every_docstring_example_passes():
         result = doctest.testmod(importlib.import_module(name))
         assert result.failed == 0, name
         attempted += result.attempted
-    # freegroup has 13 examples and polynomial 3
+    # freegroup has 13 examples and polynomial 4
     assert attempted >= 16

@@ -74,6 +74,29 @@ def test_generic_sweep_in_the_integers():
     assert terms == [(0, 1, 1), (1, 1, 2), (0, -1, 3)]
 
 
+def test_generic_sweep_skips_the_product_after_a_positive_last_letter():
+    # no term reads the prefix times a positive last letter, so a word
+    # ending in one takes len(w) - 1 products and one ending in an inverse
+    # takes len(w)
+    images = {1: 2, -1: Fraction(1, 2), 2: 3, -2: Fraction(1, 3)}
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+
+    for text, count, terms in (
+            ("xyx", 2, [(0, 1, 1), (1, 1, 2), (0, 1, 6)]),
+            ("y", 0, [(1, 1, 1)]),
+            ("xyX", 3, [(0, 1, 1), (1, 1, 2), (0, -1, 3)]),
+            ("1", 0, [])):
+        products.clear()
+        w = XY.word(text)
+        assert list(fox_sweep(w, images.__getitem__, 1, mul)) == terms
+        assert len(products) == count
+        assert count == len(w.letters) - (text[-1] in "xy")
+
+
 def test_group_ring_derivative_equals_prefix_rule():
     # the sweep over words against the prefix-word rule, on the identity,
     # on reduced words and on letter strings that cancel as they reduce

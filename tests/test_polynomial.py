@@ -1,5 +1,6 @@
 """Laurent polynomials in t and exact multivariate polynomials."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from torsioncert.errors import (DivisionByZero, InexactDivision,
 from torsioncert.polynomial import (
     LaurentPoly,
     MultiPoly,
+    aberth_roots,
     horner_within_rounding,
     int_poly_gcd,
     laurent_str,
@@ -485,6 +487,66 @@ class TestDenseUnivariate:
         far = complex(3, -3)
         assert newton_polish(coeffs, dcoeffs, far, 80, 1e-15, basins) \
             == newton_polish(coeffs, dcoeffs, far, 80, 1e-15)
+
+    def test_aberth_roots_match_an_oracle(self):
+        # seeded polynomials of degree 1..8 against mpmath at 200 extra bits
+        mpmath = pytest.importorskip("mpmath")
+        for coeffs in aberth_cases(rng_for(23, 18)):
+            deg = len(coeffs) - 1
+            roots = aberth_roots(coeffs)
+            assert len(roots) == deg
+            assert all(cmath.isfinite(r) for r in roots)
+            dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+            polished = [newton_polish(coeffs, dcoeffs, r, 40, 1e-14)
+                        for r in roots]
+            oracle = [complex(r) for r in mpmath.polyroots(
+                coeffs[::-1], maxsteps=500, extraprec=200)]
+            oracle = [(r, sum(abs(s - r) < 1e-6 * max(1.0, abs(r))
+                              for s in oracle)) for r in oracle]
+            for r in polished:
+                assert_matches_one(r, oracle)
+            assert oracle == []
+
+    def test_aberth_roots_of_a_polynomial_with_only_zero_roots(self):
+        assert aberth_roots([0j, 0j, 0j, 2 + 0j]) == [0j, 0j, 0j]
+        assert aberth_roots([0j, 3 + 0j]) == [0j]
+
+
+def from_roots(roots, lead=1):
+    """Coefficients, low degree first, of lead * prod (y - r)."""
+    coeffs = [complex(lead)]
+    for r in roots:
+        coeffs = [0j] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    return coeffs
+
+
+def aberth_cases(rng):
+    yield from_roots([1, 1, 1, 1])
+    yield from_roots([2, 2, -1, 0.5j])
+    yield from_roots([0, 0, 1.5, -2 + 1j])
+    yield from_roots([1e-3, -1e3, 7, 0.25j], lead=1e-6)
+    for _ in range(60):
+        deg = rng.randint(1, 8)
+        # magnitudes from 1e-6 to 1e6, real or complex
+        coeffs = [complex(rng.choice((-1, 1)) * 10 ** rng.uniform(-6, 6),
+                          rng.choice((0, rng.uniform(-1, 1))))
+                  for _ in range(deg + 1)]
+        if rng.random() < 0.3:
+            coeffs[0] = 0j
+        yield coeffs
+
+
+def assert_matches_one(r, oracle):
+    """Remove from ``oracle``, a list of (root, multiplicity) pairs, the
+    root nearest to r, which must lie within 1e-9 * max(1, |r|), or its
+    m-th root for an m-fold root: a rounding perturbation e moves an m-fold
+    root by about e^(1/m)."""
+    scale = max(1.0, abs(r))
+    near = min(oracle, key=lambda p: abs(p[0] - r))
+    assert abs(near[0] - r) <= 1e-9 ** (1.0 / near[1]) * scale, (r, near)
+    oracle.remove(near)
 
 
 def test_divexact_divides_exactly():
