@@ -529,9 +529,11 @@ def aberth_cases(rng):
     yield from_roots([1e-3, -1e3, 7, 0.25j], lead=1e-6)
     for _ in range(60):
         deg = rng.randint(1, 8)
-        # magnitudes from 1e-6 to 1e6, real or complex
-        coeffs = [complex(rng.choice((-1, 1)) * 10 ** rng.uniform(-6, 6),
-                          rng.choice((0, rng.uniform(-1, 1))))
+        # magnitudes from 1e-6 to 1e6; real coefficients half the time
+        real = rng.random() < 0.5
+        coeffs = [cmath.rect(10 ** rng.uniform(-6, 6),
+                             rng.choice((0, cmath.pi)) if real
+                             else rng.uniform(-cmath.pi, cmath.pi))
                   for _ in range(deg + 1)]
         if rng.random() < 0.3:
             coeffs[0] = 0j
