@@ -24,8 +24,7 @@ from .errors import (DegenerateInput, DivisionByZero, EliminationDegenerate,
 from .freegroup import Alphabet, fox_sweep
 from .linalg import Matrix, det_with_scale, grid_mul
 from .polynomial import (MultiPoly, _mp, aberth_roots, multi_eval,
-                         newton_polish, poly_matrix_det, primitive_normalize,
-                         squarefree_part)
+                         newton_polish, poly_matrix_det, squarefree_part)
 from .representation import Representation, SymPowerRep
 from .seeds import rng_for
 from .suturedcert import fox_matrix, pants_example
@@ -229,7 +228,7 @@ def eliminate_L2(data):
                                     "identically zero")
     if det.is_constant():
         return _ONE_P
-    return primitive_normalize(squarefree_part(det))
+    return squarefree_part(det)
 
 
 # the printed failure loci for the third and fourth symmetric powers,

@@ -26,29 +26,9 @@ from .seeds import rng_for
 DEFAULT_SEED = 7
 
 
-class Config:
-    """Run-wide knobs: tolerance, master seed, output mode, data location."""
-
-    def __init__(self, tolerance=None, seed=None, output_mode="human",
-                 data_dir=None):
-        if tolerance is None:
-            tolerance = float(os.environ.get("TORSION_CERT_TOL",
-                                             _s.zero_tolerance()))
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if seed is None:
-            seed = int(os.environ.get("TORSION_CERT_SEED", DEFAULT_SEED))
-        self.tolerance = tolerance
-        self.seed = seed & ((1 << 64) - 1)
-        self.output_mode = output_mode
-        if data_dir is None:
-            data_dir = os.path.join(os.path.dirname(__file__), "data")
-        self.data_dir = data_dir
-
-
-def _emit(config, pairs):
+def _emit(args, pairs):
     """Print a report: key/value lines, or one JSON object."""
-    if config.output_mode == "structured":
+    if args.structured:
         sys.stdout.write(json.dumps(dict(pairs), sort_keys=True,
                                     separators=(",", ":")) + "\n")
     else:
@@ -63,12 +43,12 @@ def _read(path):
         return fh.read()
 
 
-def _locate(config, path):
+def _locate(args, path):
     """A bare filename that is not present locally falls back to the
     bundled data directory."""
     if os.path.exists(path) or os.sep in path:
         return path
-    candidate = os.path.join(config.data_dir, path)
+    candidate = os.path.join(args.data_dir, path)
     if os.path.exists(candidate):
         return candidate
     return path
@@ -82,7 +62,7 @@ def _word_alphabet(word_text, extra):
     return Alphabet(" ".join(sorted(letters)))
 
 
-def cmd_fox(config, args):
+def cmd_fox(args):
     alphabet = _word_alphabet(args.word, args.generator)
     w = Word.from_string(alphabet, args.word)
     gen = args.generator.strip()
@@ -90,8 +70,8 @@ def cmd_fox(config, args):
         raise TorsionCertError("generator must be a single letter of %r"
                                % " ".join(alphabet.names))
     d = fox_derivative(w, alphabet.names.index(gen))
-    _emit(config, [("word", str(w)), ("generator", gen),
-                   ("derivative", str(d))])
+    _emit(args, [("word", str(w)), ("generator", gen),
+                 ("derivative", str(d))])
     return 0
 
 
@@ -106,7 +86,7 @@ def _rep_for_alphabet(rep, alphabet):
     return _rp.Representation(alphabet, rep.images, sl_flag=rep.sl_flag)
 
 
-def _rep_from_args(config, args, alphabet, pres=None):
+def _rep_from_args(args, alphabet, pres=None):
     sources = [bool(args.char), bool(args.rep_file),
                bool(getattr(args, "parabolic", False)),
                bool(getattr(args, "trivial_rep", False)),
@@ -117,7 +97,7 @@ def _rep_from_args(config, args, alphabet, pres=None):
         c = _cv.parse_character(args.char)
         return _rep_for_alphabet(_cv.lift(c, warn=False), alphabet), c
     if args.rep_file:
-        rep = _rp.rep_from_text(_read(_locate(config, args.rep_file)))
+        rep = _rp.rep_from_text(_read(_locate(args, args.rep_file)))
         return _rep_for_alphabet(rep, alphabet), None
     if getattr(args, "parabolic", False):
         return _rp.solve_parabolic(pres), None
@@ -126,9 +106,9 @@ def _rep_from_args(config, args, alphabet, pres=None):
     return _tw.trivial_rep(alphabet, 2), None
 
 
-def cmd_certify(config, args):
-    data = _sc.sutured_from_text(_read(_locate(config, args.sutured_file)))
-    rep, char = _rep_from_args(config, args, data.alphabet)
+def cmd_certify(args):
+    data = _sc.sutured_from_text(_read(_locate(args, args.sutured_file)))
+    rep, char = _rep_from_args(args, data.alphabet)
     N = args.sym_power
     if N is not None:
         if N < 2:
@@ -150,14 +130,14 @@ def cmd_certify(config, args):
         pairs.append(("oracle_h1", cert.oracle_h1))
     if cert.extended:
         pairs.append(("extended", True))
-    _emit(config, pairs)
+    _emit(args, pairs)
     return 0 if cert.is_product else 1
 
 
-def cmd_torsion(config, args):
+def cmd_torsion(args):
     pres = _tw.presentation_from_text(
-        _read(_locate(config, args.presentation_file)))
-    rep, char = _rep_from_args(config, args, pres.alphabet, pres=pres)
+        _read(_locate(args, args.presentation_file)))
+    rep, char = _rep_from_args(args, pres.alphabet, pres=pres)
     result = _tw.wada_torsion(pres, rep)
     pairs = [("presentation", pres.name or args.presentation_file),
              ("representation", rep.description())]
@@ -180,11 +160,11 @@ def cmd_torsion(config, args):
             pairs.append(("longitude_trace",
                           _s.scalar_str(verdict.longitude_trace)))
         code = 0 if verdict.verdict == "equality" else 1
-    _emit(config, pairs)
+    _emit(args, pairs)
     return code
 
 
-def cmd_locus(config, args):
+def cmd_locus(args):
     N = args.N
     if N < 2:
         raise TorsionCertError("--N must be at least 2")
@@ -194,51 +174,51 @@ def cmd_locus(config, args):
     if args.scan or N > 4:
         zeros = 0
         for i in range(args.samples):
-            rng = rng_for(config.seed, i)
+            rng = rng_for(args.seed, i)
             c = _cv.Character(rng.randint(-5, 5), rng.randint(-5, 5),
                               rng.randint(-5, 5))
             det, scale = _cv.locus_det_scaled(c, pants, N)
-            if _s.zero_test(det, tol=config.tolerance, scale=scale):
+            if _s.zero_test(det, scale=scale):
                 zeros += 1
         det221, scale221 = _cv.locus_det_scaled(_cv.Character(2, 2, 1),
                                                 pants, N)
-        member = _s.zero_test(det221, tol=config.tolerance, scale=scale221)
-        _emit(config, [("N", N), ("samples", args.samples),
-                       ("seed", config.seed), ("zero_count", zeros),
-                       ("point_2_2_1_in_locus", member)])
+        member = _s.zero_test(det221, scale=scale221)
+        _emit(args, [("N", N), ("samples", args.samples),
+                     ("seed", args.seed), ("zero_count", zeros),
+                     ("point_2_2_1_in_locus", member)])
         return 0 if member else 1
     if N == 2:
         plane = _cv.eliminate_L2(pants)
         agree = 0
         for i in range(args.samples):
-            rng = rng_for(config.seed, i)
+            rng = rng_for(args.seed, i)
             c = _cv.Character(rng.randint(-6, 6), rng.randint(-6, 6),
                               rng.randint(-6, 6))
             det = _cv.locus_det(c, pants, 2)
             on_plane = plane.evaluate((c.xbar, c.ybar, c.zbar, 0)) == 0
             if (det == 0) == on_plane:
                 agree += 1
-        _emit(config, [("N", 2), ("plane", multi_str(plane)),
-                       ("samples", args.samples), ("seed", config.seed),
-                       ("agreements", agree)])
+        _emit(args, [("N", 2), ("plane", multi_str(plane)),
+                     ("samples", args.samples), ("seed", args.seed),
+                     ("agreements", agree)])
         return 0 if agree == args.samples else 1
     # the sampling verifier has its own default tolerance; an explicit
-    # --tol overrides it, the config default does not
+    # --tol overrides it, the module tolerance does not
     ltol = args.tol if args.tol is not None else 1e-6
-    report = _cv.locus_verify(N, samples=args.samples, seed=config.seed,
+    report = _cv.locus_verify(N, samples=args.samples, seed=args.seed,
                               tol=ltol, corrupt=args.corrupt)
-    _emit(config, [("N", report.N), ("samples", report.samples),
-                   ("seed", report.seed),
-                   ("on_checked", report.on_checked),
-                   ("on_passed", report.on_passed),
-                   ("off_checked", report.off_checked),
-                   ("off_passed", report.off_passed),
-                   ("corrupt", report.corrupt),
-                   ("ok", report.ok())])
+    _emit(args, [("N", report.N), ("samples", report.samples),
+                 ("seed", report.seed),
+                 ("on_checked", report.on_checked),
+                 ("on_passed", report.on_passed),
+                 ("off_checked", report.off_checked),
+                 ("off_passed", report.off_passed),
+                 ("corrupt", report.corrupt),
+                 ("ok", report.ok())])
     return 0 if report.ok() else 1
 
 
-def cmd_charlift(config, args):
+def cmd_charlift(args):
     c = _cv.parse_character(args.character)
     reducible = _cv.is_reducible_character(c)
     rep = _cv.lift(c, warn=False)
@@ -255,7 +235,7 @@ def cmd_charlift(config, args):
         for name, m in zip(big.alphabet.names, big.images):
             pairs.append(("sym%d_image_%s" % (args.sym_power, name),
                           matrix_str(m)))
-    _emit(config, pairs)
+    _emit(args, pairs)
     return 1 if reducible else 0
 
 
@@ -289,18 +269,18 @@ def _validate_one(path):
     return describe(obj)
 
 
-def cmd_validate(config, args):
+def cmd_validate(args):
     paths = args.files
     if not paths:
         paths = sorted(
-            os.path.join(config.data_dir, f)
-            for f in os.listdir(config.data_dir)
+            os.path.join(args.data_dir, f)
+            for f in os.listdir(args.data_dir)
             if f.endswith(tuple(_FORMATS)))
     pairs = []
     for path in paths:
-        located = _locate(config, path)
+        located = _locate(args, path)
         pairs.append((os.path.basename(path), _validate_one(located)))
-    _emit(config, pairs)
+    _emit(args, pairs)
     return 0
 
 
@@ -379,11 +359,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config(tolerance=args.tol, seed=args.seed,
-                        output_mode="structured" if args.structured
-                        else "human", data_dir=args.data_dir)
-        _s.set_zero_tolerance(config.tolerance)
-        return _COMMANDS[args.command](config, args)
+        _s.set_zero_tolerance(args.tol if args.tol is not None else float(
+            os.environ.get("TORSION_CERT_TOL", _s.zero_tolerance())))
+        if args.seed is None:
+            args.seed = int(os.environ.get("TORSION_CERT_SEED", DEFAULT_SEED))
+        args.seed &= (1 << 64) - 1
+        if args.data_dir is None:
+            args.data_dir = os.path.join(os.path.dirname(__file__), "data")
+        return _COMMANDS[args.command](args)
     except TorsionCertError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

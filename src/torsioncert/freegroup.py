@@ -31,6 +31,7 @@ inverse.  Over words themselves it gives the group-ring derivative,
 
 from fractions import Fraction
 
+from . import scalar as _s
 from .errors import AlphabetMismatch, ParseError
 
 
@@ -298,30 +299,21 @@ class GroupRingElem:
     def __hash__(self):
         return hash((self.alphabet, frozenset(self.terms.items())))
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda wc: (len(wc[0]), str(wc[0])))
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for w, c in self._sorted_terms():
-            neg = c < 0
-            mag = -c if neg else c
-            if w.is_identity():
-                body = str(mag)
-            else:
-                wtext = "*".join(str(w)[i] for i in range(len(w)))
-                body = wtext if mag == 1 else "%s*%s" % (mag, wtext)
-            if not pieces:
-                pieces.append("-" + body if neg else body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        return " ".join(pieces)
+        return _s.sum_str(_ring_term(w, self.terms[w]) for w in sorted(
+            self.terms, key=lambda w: (len(w), str(w))))
 
     def __repr__(self):
         return "GroupRingElem(%s)" % str(self)
+
+
+def _ring_term(w, c):
+    neg = c < 0
+    mag = -c if neg else c
+    if w.is_identity():
+        return neg, str(mag)
+    wtext = "*".join(str(w))
+    return neg, wtext if mag == 1 else "%s*%s" % (mag, wtext)
 
 
 def _parse_ring_term(alphabet, text):

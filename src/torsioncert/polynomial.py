@@ -9,9 +9,9 @@ to units +-t^k, so polynomials are never normalized behind the caller's
 back; the unit-invariant quantity is the degree span (max minus min
 exponent).  Float coefficients are checked finite as they are stored, so
 an overflowing product raises ``NonFinite``.  The public constructors check
-their input; arithmetic builds its results through trusted ones, which only
-drop zeros (and check floats finite), since sums of int exponents need no
-check.
+their exponents and then build, as arithmetic does, through the trusted
+``_lp`` and ``_mp``, which only drop zeros (and check floats finite, or make
+integral Fractions ints), since sums of int exponents need no check.
 
 Multivariate polynomials keep exact rational coefficients only, since the
 locus identities they exist to express are exact.  A coefficient is stored
@@ -47,11 +47,6 @@ from .errors import (DegenerateInput, DivisionByZero, InexactDivision,
 NEG_INFINITY = float("-inf")
 
 
-def _coeff_is_zero(c):
-    # every stored coefficient passes here, so floats are checked finite here
-    return not _s.check_finite(c)
-
-
 def _mixed(a, b):
     return MixedScalarKind("cannot combine %s and %s coefficients"
                            % (_s.kind_of(a), _s.kind_of(b)))
@@ -84,13 +79,11 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean = {}
-        for e, c in (coeffs or {}).items():
+        coeffs = coeffs or {}
+        for e in coeffs:
             if not isinstance(e, int):
                 raise TypeError("exponent %r is not an integer" % (e,))
-            if not _coeff_is_zero(c):
-                clean[e] = c
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", _lp(coeffs).coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("polynomials are immutable")
@@ -192,22 +185,19 @@ class LaurentPoly:
             return 0.0
         return max(_s.magnitude(c) for c in self.coeffs.values())
 
-    def trim(self, tol=None):
-        """Drop coefficients below tol * (largest coefficient magnitude).
+    def trim(self):
+        """Drop coefficients below the module tolerance times the largest
+        coefficient magnitude.
 
         Floating pipelines use this before reading degrees off, so that
         numerically induced phantom leading/trailing terms do not inflate
         the span.  Exact coefficients pass through untouched.
         """
-        if not self.coeffs:
-            return self
         if all(_s.is_exact(c) for c in self.coeffs.values()):
             return self
-        if tol is None:
-            tol = _s.zero_tolerance()
-        cutoff = tol * self.max_coeff_magnitude()
-        return LaurentPoly({e: c for e, c in self.coeffs.items()
-                            if _s.magnitude(c) > cutoff})
+        cutoff = _s.zero_tolerance() * self.max_coeff_magnitude()
+        return _lp({e: c for e, c in self.coeffs.items()
+                    if _s.magnitude(c) > cutoff})
 
     def coefficient(self, e):
         return self.coeffs.get(e, 0)
@@ -255,25 +245,18 @@ def _coeff_str(c):
     return text
 
 
+def _laurent_term(e, c):
+    text = _coeff_str(c)
+    neg = text.startswith("-")
+    mag = text[1:] if neg else text
+    if e == 0:
+        return neg, mag
+    tpart = "t" if e == 1 else "t^%d" % e
+    return neg, tpart if mag == "1" else "%s*%s" % (mag, tpart)
+
+
 def laurent_str(p):
-    if not p.coeffs:
-        return "0"
-    pieces = []
-    for e in sorted(p.coeffs):
-        c = p.coeffs[e]
-        text = _coeff_str(c)
-        neg = text.startswith("-")
-        mag = text[1:] if neg else text
-        if e == 0:
-            body = mag
-        else:
-            tpart = "t" if e == 1 else "t^%d" % e
-            body = tpart if mag == "1" else "%s*%s" % (mag, tpart)
-        if not pieces:
-            pieces.append("-" + body if neg else body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+    return _s.sum_str(_laurent_term(e, p.coeffs[e]) for e in sorted(p.coeffs))
 
 
 def _split_terms(text):
@@ -343,11 +326,11 @@ def _parse_poly_coeff(text, kind):
     return v
 
 
-def laurent_unit_match(p, q, tol=None):
+def laurent_unit_match(p, q):
     """Is p = +- t^k q for some k?  Returns (True, k, sign) or (False, 0, 0).
 
     Exact coefficients compare exactly; floating coefficients compare with
-    a relative tolerance against the largest coefficient.
+    the module tolerance relative to the largest coefficient.
     """
     if p.is_zero() or q.is_zero():
         ok = p.is_zero() and q.is_zero()
@@ -365,8 +348,7 @@ def laurent_unit_match(p, q, tol=None):
                 return (True, k, sign)
         else:
             diff = p - cand
-            bound = (tol if tol is not None else _s.zero_tolerance()) \
-                * max(1.0, p.max_coeff_magnitude())
+            bound = _s.zero_tolerance() * max(1.0, p.max_coeff_magnitude())
             if all(_s.magnitude(c) <= bound for c in diff.coeffs.values()):
                 return (True, k, sign)
     return (False, 0, 0)
@@ -427,16 +409,12 @@ class MultiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for ex, c in (terms or {}).items():
-            ex = tuple(ex)
+        terms = {tuple(ex): c for ex, c in (terms or {}).items()}
+        for ex in terms:
             if len(ex) != _ARITY or any(not isinstance(e, int) or e < 0
                                         for e in ex):
                 raise ValueError("bad exponent vector %r" % (ex,))
-            c = Fraction(c)
-            if c != 0:
-                clean[ex] = c.numerator if c.denominator == 1 else c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _mp(terms).terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("polynomials are immutable")
@@ -597,30 +575,23 @@ def _grlex_key(ex):
     return (sum(ex), ex)
 
 
+def _multi_term(ex, c):
+    mag = abs(c)
+    factors = []
+    for name, e in zip(MP_VARS, ex):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append("%s^%d" % (name, e))
+    if not factors:
+        return c < 0, _s.scalar_str(mag)
+    vpart = "*".join(factors)
+    return c < 0, vpart if mag == 1 else "%s*%s" % (_s.scalar_str(mag), vpart)
+
+
 def multi_str(p):
-    if not p.terms:
-        return "0"
-    pieces = []
-    for ex in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[ex]
-        neg = c < 0
-        mag = -c if neg else c
-        factors = []
-        for name, e in zip(MP_VARS, ex):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append("%s^%d" % (name, e))
-        if not factors:
-            body = _s.scalar_str(mag)
-        else:
-            vpart = "*".join(factors)
-            body = vpart if mag == 1 else "%s*%s" % (_s.scalar_str(mag), vpart)
-        if not pieces:
-            pieces.append("-" + body if neg else body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+    return _s.sum_str(_multi_term(ex, p.terms[ex])
+                      for ex in sorted(p.terms, key=_grlex_key, reverse=True))
 
 
 _MP_FACTOR_RE = _re.compile(r"^(?P<var>[xyzu])(?:\^(?P<exp>\d+))?$")

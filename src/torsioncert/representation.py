@@ -41,22 +41,12 @@ class Representation:
         for m in images:
             if not isinstance(m, Matrix) or m.rows != m.cols or m.rows != n:
                 raise ValueError("images must be square matrices of one size")
-        kinds = {m.scalar_kind for m in images}
-        # one field per kind, except that quadext images may differ in d
-        fields = {m.field for m in images}
-        if len(fields) > len(kinds):
-            a, b = sorted(fields - kinds)[:2]
-            raise MixedExtension("cannot mix sqrt(%d) with sqrt(%d)" % (a, b))
-        if len(kinds) > 1:
-            # promote rationals into a richer kind if one is present
-            if kinds == {"rational", "quadext"} or kinds == {"rational", "complex"}:
-                f = (fields - {"rational"}).pop()
-                embed = _s.to_complexf if f == "complex" \
-                    else lambda v: _s.QuadExt(v, 0, f)
-                images = [m.map(embed) if m.scalar_kind == "rational" else m
-                          for m in images]
-            else:
-                raise ValueError("images mix scalar kinds %r" % kinds)
+        if len({m.field for m in images}) > 1:
+            # one column of blocks over several fields takes the promotion
+            # of Matrix(rows); cut the images back out of it
+            column = _la.block_assemble([[m] for m in images])
+            images = [column.submatrix(range(i * n, (i + 1) * n), range(n))
+                      for i in range(len(images))]
         self._store(alphabet, images, sl_flag)
         self._check_images(0)
 
@@ -251,22 +241,11 @@ def check_self_dual(rep):
         raise NotSL2("self-duality check is for rank-2 representations")
     J = Matrix([[0, 1], [-1, 0]])
     Jinv = Matrix([[0, -1], [1, 0]])
-    worst = 0.0
-    exact_zero = True
-    for i in range(len(rep.alphabet)):
-        g = rep.images[i]
-        defect = J * g * Jinv - rep.image_inverse(i).transpose()
-        for row in defect.entries:
-            for e in row:
-                if _s.is_exact(e):
-                    if not _s.zero_test(e):
-                        exact_zero = False
-                        worst = max(worst, _s.magnitude(e))
-                else:
-                    if abs(e) != 0.0:
-                        exact_zero = False
-                        worst = max(worst, abs(e))
-    return 0 if exact_zero else worst
+    defects = [_s.magnitude(e) for i, g in enumerate(rep.images)
+               for row in (J * g * Jinv
+                           - rep.image_inverse(i).transpose()).entries
+               for e in row if e]
+    return max(defects, default=0)
 
 
 # parabolic solving

@@ -411,6 +411,18 @@ def scalar_str(x):
     return "%.17g%+.17gi" % (x.real, x.imag)
 
 
+def sum_str(terms):
+    """The text of a signed sum from ``(negative, body)`` pairs in order,
+    such as ``-a + b - c``; ``0`` when there are none."""
+    pieces = []
+    for neg, body in terms:
+        if pieces:
+            pieces.append(("- " if neg else "+ ") + body)
+        else:
+            pieces.append("-" + body if neg else body)
+    return " ".join(pieces) or "0"
+
+
 _RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
 _UNSIGNED_FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # a real part must be followed by a signed imaginary part; alone, the

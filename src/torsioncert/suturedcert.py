@@ -4,8 +4,10 @@ of surface generators inside the ambient free group.
 The certificate is the determinant of the block matrix of Fox derivatives
 of those images pushed through a representation: nonzero exactly when the
 sutured manifold is a homology product for that coefficient system.  An
-optional oracle rebuilds the verdict from the presentation 2-complex on an
-enlarged alphabet (``Representation.extended``) and compares ranks.
+optional oracle reads the relative h1 of the presentation 2-complex on an
+enlarged alphabet (``Representation.extended``).  The ambient columns of
+that complex are the Fox matrix itself, so the oracle compares the
+determinant's zero test with a rank of the same matrix.
 """
 
 from . import linalg as _la
@@ -119,7 +121,9 @@ def extend_rep(data, rep):
 def _relative_h1(data, rep):
     """The relative h1 of the enlarged presentation complex with the
     surface edges collapsed, with the complex's boundary matrices (d2,
-    d1)."""
+    d1).  The ambient columns of d2 are :func:`fox_matrix` of data and
+    rep, entry for entry, so the relative h1 is k*n minus the rank of the
+    certificate's own matrix."""
     big, relators = enlarged_presentation(data)
     pres = Presentation(big, relators, name=data.name or "enlarged")
     d2, d1 = build_complex(pres, rep.extended(big, data.images))
@@ -141,9 +145,12 @@ def oracle_dims(data, rep):
 
 def certify(data, rep, with_oracle=False):
     """Decide homology-product-ness by the Fox determinant; optionally
-    cross-check against the rank of the relative presentation complex.
+    compare with the relative h1 of the enlarged presentation complex.
 
-    A disagreement between the two routes raises rather than returning a
+    That h1 is k*n minus the rank of the same Fox matrix
+    (:func:`_relative_h1`), so the comparison is of a zero test with a
+    rank, not with an independent route, and only float input can make
+    the two disagree.  A disagreement raises rather than returning a
     silently wrong verdict.
     """
     m = fox_matrix(data, rep)

@@ -230,7 +230,9 @@ def twisted_boundaries(pres, rep, phi):
             d2.append([row_blocks[j][i][l] for j in range(k)
                        for l in range(n)])
     prod = grid_mul(d2, d1)
-    scale = max(1.0, k * n * _poly_grid_max_mag(d2) * _poly_grid_max_mag(d1))
+    # an exact zero test reads no scale
+    scale = 1.0 if rep.scalar_kind != "complex" else max(
+        1.0, k * n * _poly_grid_max_mag(d2) * _poly_grid_max_mag(d1))
     for i, row in enumerate(prod):
         for e in row:
             for c in e.coeffs.values():
@@ -287,10 +289,8 @@ class TorsionResult:
 
 
 def _poly_is_zero(p, scale):
-    if not p.coeffs:
-        return True
-    return all(not _s.is_exact(c) and _s.zero_test(c, scale=scale)
-               for c in p.coeffs.values())
+    # stored coefficients are nonzero, so only a float one can test zero
+    return all(_s.zero_test(c, scale=scale) for c in p.coeffs.values())
 
 
 def wada_torsion(pres, rep):
@@ -308,13 +308,14 @@ def wada_torsion(pres, rep):
     n = rep.n
     k = len(pres.alphabet)
     exact = rep.scalar_kind != "complex"
-    scale = max(1.0, _poly_grid_max_mag(d1))
+    # an exact zero test reads no scale
+    scale = 1.0 if exact else max(1.0, _poly_grid_max_mag(d1)) ** n
 
     dens = []
     for j in range(k):
         dens.append(poly_matrix_det(d1[j * n:(j + 1) * n]))
     valid = [j for j in range(k)
-             if not _poly_is_zero(dens[j], scale ** n)]
+             if not _poly_is_zero(dens[j], scale)]
     if not valid:
         raise AllColumnsDegenerate(
             "every generator image has det(t^phi a(g) - 1) = 0")
@@ -333,16 +334,15 @@ def wada_torsion(pres, rep):
     if len(valid) > 1:
         j2 = valid[1]
         num2 = numerator_for(j2)
-        tol = 0.0 if exact else _s.zero_tolerance()
-        ok, _, _ = laurent_unit_match(num * dens[j2], num2 * den, tol=tol)
+        ok, _, _ = laurent_unit_match(num * dens[j2], num2 * den)
         if not ok:
             raise OracleMismatch(
                 "torsion ratio differs between deleted columns %d and %d"
                 % (j, j2))
 
     if not exact:
-        num = num.trim(_s.zero_tolerance())
-        den = den.trim(_s.zero_tolerance())
+        num = num.trim()
+        den = den.trim()
     if _poly_is_zero(den, 1.0):
         raise AllColumnsDegenerate("chosen denominator vanished numerically")
     degree = rational_degree(num, den)
@@ -474,5 +474,5 @@ def check_alexander(pres):
     t_minus_1 = LaurentPoly({1: 1}) - LaurentPoly.one()
     lhs = result.numerator * t_minus_1
     rhs = pres.alexander_check * result.denominator
-    ok, _, _ = laurent_unit_match(lhs, rhs, tol=0.0)
+    ok, _, _ = laurent_unit_match(lhs, rhs)
     return ok

@@ -341,6 +341,30 @@ class TestHugeExactValues:
         assert doc["oracle_h1"] == 0 and doc["is_product"] is True
         assert doc["determinant"] == json.loads(plain)["determinant"]
 
+    @pytest.mark.parametrize("power", [200, 400])
+    def test_exact_torsion_of_a_conjugated_representation(self, capsys,
+                                                          tmp_path, power):
+        # exact Wada torsion reads no float noise scale, so entries beyond
+        # the float range (or whose scale ** n would be) change nothing
+        from torsioncert.linalg import Matrix, matrix_str
+        a, b = Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [-1, 1]])
+        p = Matrix([[10 ** power, 1], [0, 1]])
+        outs = []
+        for images in ([a, b], [p * m * p.inverse() for m in (a, b)]):
+            path = tmp_path / "rep.rep"
+            path.write_text("alphabet: a b\nscalar: rational\nsl: true\n"
+                            "a: %s\nb: %s\n" % tuple(map(matrix_str, images)))
+            code, out, err = run(capsys, "torsion", "trefoil.pres", "--rep",
+                                 str(path), "--genus-check")
+            assert code == 0 and err == ""
+            outs.append(out)
+        assert outs[1] == outs[0]
+        lines = outs[1].splitlines()
+        for line in ["numerator: 1 - 2*t + 2*t^2 - 2*t^3 + t^4",
+                     "denominator: 1 - 2*t + t^2", "degree: 2",
+                     "verdict: equality"]:
+            assert line in lines
+
     @pytest.mark.parametrize("command", [["certify", "pants.sut", "--char"],
                                          ["charlift"]], ids=" ".join)
     def test_mixed_with_a_float(self, capsys, command):

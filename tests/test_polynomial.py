@@ -29,7 +29,7 @@ from torsioncert.polynomial import (
     resultant_in_u,
     squarefree_part,
 )
-from torsioncert.scalar import ComplexF, QuadExt
+from torsioncert.scalar import ComplexF, QuadExt, set_zero_tolerance
 from torsioncert.seeds import rng_for
 
 from helpers import perm_det
@@ -140,6 +140,12 @@ class TestLaurentPoly:
         exact = LaurentPoly({0: Fraction(1), 5: Fraction(1, 10 ** 18)})
         assert exact.trim().max_degree() == 5
 
+    def test_trim_reads_the_module_tolerance(self):
+        p = LaurentPoly({0: ComplexF(1.0), 5: ComplexF(1e-6)})
+        assert p.trim().max_degree() == 5
+        set_zero_tolerance(1e-3)
+        assert p.trim().max_degree() == 0
+
     def test_str_parse_round_trip(self):
         rng = rng_for(19, 2)
         for _ in range(30):
@@ -230,6 +236,13 @@ class TestUnitMatch:
         q = LaurentPoly({3: ComplexF(-1.0 + 1e-12), 4: ComplexF(3.0), 5: ComplexF(-1.0)})
         ok, k, sign = laurent_unit_match(p, q)
         assert ok and k == -3 and sign == -1
+
+    def test_float_match_reads_the_module_tolerance(self):
+        p = LaurentPoly({0: ComplexF(1.0), 1: ComplexF(2.0)})
+        q = LaurentPoly({0: ComplexF(1.0), 1: ComplexF(2.0 + 1e-6)})
+        assert not laurent_unit_match(p, q)[0]
+        set_zero_tolerance(1e-3)
+        assert laurent_unit_match(p, q) == (True, 0, 1)
 
     def test_zero_cases(self):
         z = LaurentPoly.zero()

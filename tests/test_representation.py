@@ -8,6 +8,7 @@ import pytest
 from torsioncert.errors import (
     AlphabetMismatch,
     MixedExtension,
+    MixedScalarKind,
     NoRootFound,
     NotSL2,
     NotTwoByTwo,
@@ -120,6 +121,18 @@ class TestRepresentation:
                              [QuadExt(0, 0, 5), QuadExt(1, -1, 5)]]),
                      Matrix([[QuadExt(1, 1, -3), QuadExt(0, 0, -3)],
                              [QuadExt(0, 0, -3), QuadExt(1, -1, -3)]])])
+
+    def test_quadext_and_complex_images_rejected(self):
+        # the same operands raise the same error in Matrix arithmetic
+        q = Matrix([[QuadExt(1, 1, 2), QuadExt(0, 0, 2)],
+                    [QuadExt(0, 0, 2), QuadExt(-1, 1, 2)]])
+        c = Matrix([[ComplexF(1.0, 1.0), ComplexF(0.0)],
+                    [ComplexF(0.0), ComplexF(0.5, -0.5)]])
+        with pytest.raises(MixedScalarKind):
+            q * c
+        for images in ([q, c], [c, q], [Matrix.identity(2), q, c]):
+            with pytest.raises(MixedScalarKind):
+                Representation(Alphabet("xyz"[:len(images)]), images)
 
     def test_conjugated(self):
         rng = rng_for(23, 4)

@@ -21,6 +21,7 @@ from torsioncert.scalar import (
     parse_scalar,
     scalar_str,
     sqrt_decompose,
+    sum_str,
     to_complex,
     zero_test,
 )
@@ -477,6 +478,13 @@ class TestHelpers:
         # scale widens the float window but leaves exact values alone
         assert zero_test(ComplexF(5e-7, 0.0), scale=1e3)
         assert not zero_test(Fraction(1, 10 ** 20), scale=1e9)
+
+    def test_sum_str(self):
+        assert sum_str([]) == "0"
+        assert sum_str([(True, "a")]) == "-a"
+        assert sum_str([(False, "a"), (True, "b"), (False, "c")]) == \
+            "a - b + c"
+        assert sum_str(iter([(True, "a"), (False, "2*x")])) == "-a + 2*x"
 
     def test_magnitude_and_conjugate(self):
         assert magnitude(QuadExt(1, 1, -3)) == pytest.approx(2.0)

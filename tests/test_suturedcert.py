@@ -8,8 +8,10 @@ from torsioncert.charvar import Character, lift
 from torsioncert.errors import AlphabetMismatch, ParseError
 from torsioncert.freegroup import Alphabet, Word
 from torsioncert.linalg import Matrix, det, matrix_str
-from torsioncert.representation import Representation
+from torsioncert.representation import Representation, SymPowerRep
+from torsioncert.scalar import ComplexF
 from torsioncert.seeds import rng_for
+from torsioncert.twisted import Presentation, build_complex
 from torsioncert.suturedcert import (
     SuturedHandlebodyData,
     certify,
@@ -22,7 +24,7 @@ from torsioncert.suturedcert import (
     sutured_to_text,
 )
 
-from helpers import random_sl2, random_word
+from helpers import random_fraction, random_sl2, random_word
 
 XY = Alphabet("x y")
 
@@ -154,6 +156,30 @@ class TestOracle:
             cert = certify(data, rep, with_oracle=True)
             assert cert.is_product == (cert.oracle_h1 == 0)
 
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
+                                      "complex"])
+    def test_ambient_block_is_the_fox_matrix(self, kind, N):
+        # the columns of the ambient edges in the enlarged complex are the
+        # certificate's own Fox matrix, bit for bit: the oracle's relative
+        # h1 is k*n minus the rank of the matrix whose determinant decides
+        rng = rng_for(31, 6)
+        for _ in range(10):
+            rep = _lift_of_kind(rng, kind)
+            if N > 2:
+                rep = SymPowerRep(rep, N)
+            images = [random_word(rng, XY, 6) for _ in range(2)]
+            data = SuturedHandlebodyData(XY, images)
+            big, relators = enlarged_presentation(data)
+            d2, _ = build_complex(Presentation(big, relators),
+                                  rep.extended(big, data.images))
+            kn = len(XY) * rep.n
+            ambient = d2.submatrix(range(d2.rows), range(kn))
+            fox = fox_matrix(data, rep)
+            assert ambient == fox
+            assert [list(map(repr, r)) for r in ambient.entries] == \
+                [list(map(repr, r)) for r in fox.entries]
+
     def test_euler_identity_random_images(self):
         # h0 - h1 + h2 = n * chi for every rep, product or not
         rng = rng_for(31, 5)
@@ -166,6 +192,30 @@ class TestOracle:
             h0, h1, h2 = dims
             assert h0 - h1 + h2 == rep.n * chi
             assert chi == -1
+
+
+def _lift_of_kind(rng, kind):
+    """The lift of a seeded character whose entries are of one kind:
+    integers (z = +-2), rationals (z = a + 1/a), Q(sqrt d) (z^2 - 4 not a
+    square) or complex floats."""
+    x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+    if kind == "integer":
+        c = Character(x, y, rng.choice((-2, 2)))
+    elif kind == "rational":
+        a = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        c = Character(random_fraction(rng), random_fraction(rng), a + 1 / a)
+    elif kind == "quadext":
+        c = Character(x, y, rng.randint(3, 9))
+    else:
+        c = Character(*(ComplexF(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                        for _ in range(3)))
+    rep = lift(c, warn=False)
+    entries = [e for m in rep.images for r in m.entries for e in r]
+    assert {"integer": all(type(e) is int for e in entries),
+            "rational": rep.field == "rational",
+            "quadext": type(rep.field) is int,
+            "complex": rep.field == "complex"}[kind]
+    return rep
 
 
 class TestSerialization:
