@@ -365,20 +365,20 @@ def poly_matrix_det(rows):
     assert all(len(r) == n for r in rows), "determinant needs a square grid"
     if n == 0:
         raise ValueError("empty matrix")
-    cur = {}
-    for j in range(n):
-        if not rows[0][j].is_zero():
-            cur[1 << j] = rows[0][j]
-    for k in range(1, n):
+    # each row's nonzero entries with their column and column bit
+    nonzero = [[(j, 1 << j, e) for j, e in enumerate(row) if not e.is_zero()]
+               for row in rows]
+    cur = {bit: e for _, bit, e in nonzero[0]}
+    for row in nonzero[1:]:
         nxt = {}
-        row = rows[k]
         for mask, val in cur.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit or row[j].is_zero():
+            for j, bit, e in row:
+                if mask & bit:
                     continue
-                term = val * row[j]
-                if bin(mask >> (j + 1)).count("1") & 1:
+                term = val * e
+                # the sign of the permutation counts the columns already
+                # taken to the right of j
+                if (mask >> (j + 1)).bit_count() & 1:
                     term = -term
                 key = mask | bit
                 if key in nxt:
@@ -892,39 +892,60 @@ def int_poly_gcd(a, b):
 
 def newton_polish(coeffs, dcoeffs, y, steps, rtol, basins=None):
     """Newton iteration from ``y`` on the complex polynomial ``coeffs`` with
-    derivative ``dcoeffs`` (both low degree first).
+    derivative ``dcoeffs`` (both low degree first, so ``dcoeffs`` is one
+    shorter).
 
     Stops after ``steps`` steps, at a zero derivative, or once a step falls
-    below ``rtol * max(1, |y|)``.  The Horner loops are written out here: a
-    function call per evaluation costs about a third more.
+    below ``rtol * max(1, |y|)``.  One Horner loop, written out here, gives
+    the value and the derivative together; each accumulator runs the same
+    operations in the same order as a loop of its own, so the bits are
+    those of two separate evaluations.
 
     ``basins`` is an optional list of pairs (r, rho), a root already found
     and its radius from :func:`newton_basin_radius`.  An iterate within
     rho of some r, with at least six steps still to run, ends the run at
     once and the result is None: from inside that radius Newton converges
     to r quadratically, so the full run would have ended next to r anyway.
+    The basins are only looked at when the step from the iterate is below
+    4 max rho: from within rho of a simple root the Newton step is below
+    about 1.2 rho, so a longer step rules out every basin.
     """
-    rc, rd = coeffs[::-1], dcoeffs[::-1]
-    # a basin can end the run at the start of steps 0 .. watch - 1
+    return _newton_run(coeffs, dcoeffs, y, steps, rtol, basins)[0]
+
+
+def _newton_run(coeffs, dcoeffs, y, steps, rtol, basins):
+    # newton_polish's run: its result, and the iterate at which a basin
+    # stopped it (the result is then None), else None
+    lead = coeffs[-1]
+    pairs = list(zip(coeffs[-2::-1], dcoeffs[::-1]))
+    # a basin can end the run at steps 0 .. watch - 1
     watch = steps - _BASIN_STEPS + 1 if basins else 0
+    near = 4 * max(rho for _, rho in basins) if basins else 0.0
     for k in range(steps):
-        if k < watch:
-            for r, rho in basins:
-                if abs(y - r) < rho:
-                    return None
+        v = 0j * y + lead
         dv = 0j
-        for c in rd:
-            dv = dv * y + c
-        if dv == 0:
-            break
-        v = 0j
-        for c in rc:
+        for c, d in pairs:
+            dv = dv * y + d
             v = v * y + c
-        step = v / dv
-        y = y - step
-        if abs(step) < rtol * max(1.0, abs(y)):
+        if dv == 0:
+            if k < watch and _in_basin(y, basins):
+                return None, y
             break
-    return y
+        step = v / dv
+        size = abs(step)
+        if k < watch and size < near and _in_basin(y, basins):
+            return None, y
+        y = y - step
+        if size < rtol * max(1.0, abs(y)):
+            break
+    return y, None
+
+
+def _in_basin(y, basins):
+    for r, rho in basins:
+        if abs(y - r) < rho:
+            return True
+    return False
 
 
 # steps a run must have left to stop inside a basin: from within the

@@ -164,15 +164,32 @@ def twisted_fox_row(w, rep, twist):
         weight = twist.exponents[abs(l) - 1]
         return rep.letter_image(l), weight if l > 0 else -weight
 
-    blocks = [[[LaurentPoly.zero()] * n for _ in range(n)]
-              for _ in rep.alphabet.names]
+    # each entry's coefficients are summed in a plain dict by the rules of
+    # LaurentPoly.__add__: a float term and a float sum are checked finite,
+    # a new exponent takes the term itself and a sum that cancels is dropped
+    sums = [[[{} for _ in range(n)] for _ in range(n)]
+            for _ in rep.alphabet.names]
     for j, sign, (m, shift) in fox_sweep(w, image, (rep.units[0], 0),
                                          _monomial_mul):
-        grid = blocks[j]
-        for i, row in enumerate(m.entries):
-            for l, e in enumerate(row):
-                grid[i][l] = grid[i][l] + _lp({shift: e * sign})
-    return blocks
+        grid = sums[j]
+        for acc_row, row in zip(grid, m.entries):
+            for acc, e in zip(acc_row, row):
+                c = e * sign
+                if not c:
+                    continue
+                floating = isinstance(c, (float, complex))
+                if floating:
+                    _s.check_finite(c)
+                if shift in acc:
+                    c = acc[shift] + c
+                    if not c:
+                        del acc[shift]
+                        continue
+                    if floating:
+                        _s.check_finite(c)
+                acc[shift] = c
+    return [[[_lp(acc) for acc in acc_row] for acc_row in grid]
+            for grid in sums]
 
 
 def _poly_grid_max_mag(grid):

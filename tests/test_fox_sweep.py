@@ -11,7 +11,10 @@ the same order.
 import operator
 from fractions import Fraction
 
+import pytest
+
 from torsioncert.charvar import Character, lift, reduce_u, sym_fox_grid
+from torsioncert.errors import NonFinite
 from torsioncert.freegroup import (Alphabet, GroupRingElem, Word,
                                   fox_derivative, fox_sweep)
 from torsioncert.linalg import Matrix
@@ -25,7 +28,7 @@ from torsioncert.twisted import (AbelianizationMap, Presentation,
                                  twisted_fox_row)
 
 from helpers import (fox_terms, mat2_mul, random_fraction, random_sl2,
-                     random_word)
+                     random_word, two_bridge_relator)
 
 XY = Alphabet("x y")
 XYZ = Alphabet("x y z")
@@ -158,6 +161,93 @@ def test_twisted_blocks_equal_evaluated_derivatives():
                     oracle = twisted_oracle(w, j, rep, twist)
                     assert row[j] == oracle
                     assert coefficients(row[j]) == coefficients(oracle)
+
+
+def laurent_sum_row(w, rep, twist):
+    # twisted_fox_row as it was before its dict sums: every term is added
+    # to its entry as a LaurentPoly
+    n = rep.n
+
+    def image(l):
+        weight = twist.exponents[abs(l) - 1]
+        return rep.letter_image(l), weight if l > 0 else -weight
+
+    blocks = [[[LaurentPoly.zero()] * n for _ in range(n)]
+              for _ in rep.alphabet.names]
+    for j, sign, (m, shift) in fox_sweep(w, image, (rep.units[0], 0),
+                                         lambda a, b: (a[0] * b[0],
+                                                       a[1] + b[1])):
+        grid = blocks[j]
+        for i, row in enumerate(m.entries):
+            for l, e in enumerate(row):
+                grid[i][l] = grid[i][l] + LaurentPoly({shift: e * sign})
+    return blocks
+
+
+def typed(c):
+    # a coefficient by type and value, floats by hex down to signed zeros
+    if isinstance(c, complex):
+        return type(c), c.real.hex(), c.imag.hex()
+    return type(c), repr(c)
+
+
+def typed_coefficients(blocks):
+    return [[[[(e, typed(c)) for e, c in p.coeffs.items()] for p in row]
+             for row in grid] for grid in blocks]
+
+
+def test_twisted_row_dict_sums_equal_laurent_sums():
+    # integer, Fraction, Q(sqrt d) and complex representations at ranks 2
+    # to 4, on random words and two-bridge relators of up to 34 letters;
+    # twists with zero and opposite exponents put many terms on one
+    # exponent, some of which cancel
+    for case in range(3):
+        rng = rng_for(43, case)
+        for rep in scalar_reps(rng):
+            k = len(rep.alphabet)
+            words = [random_word(rng, rep.alphabet, 34) for _ in range(4)]
+            words += [Word(rep.alphabet, two_bridge_relator(p, q))
+                      for p, q in ((9, 5), (17, 3), (17, 11))]
+            for w in words:
+                twist = AbelianizationMap([rng.randint(-2, 2)
+                                           for _ in range(k)])
+                row = twisted_fox_row(w, rep, twist)
+                oracle = laurent_sum_row(w, rep, twist)
+                assert row == oracle
+                assert typed_coefficients(row) == typed_coefficients(oracle)
+
+
+def test_twisted_row_restarts_an_entry_that_cancels():
+    # y -> I and t-weights (1, 0, 0): d(xxyXyzx)/dx has the terms A, -A
+    # and A C at t^1, where A = x and C = z.  The (0, 1) entries 1/3 and
+    # -1/3 cancel, and the entry restarts from the int 2 of A C, not from
+    # Fraction(0) + 2
+    a = Matrix([[Fraction(1, 2), Fraction(1, 3)], [0, 2]])
+    rep = Representation(XYZ, [a, Matrix.identity(2),
+                               Matrix([[1, 2], [0, 3]])])
+    w, twist = XYZ.word("xxyXyzx"), AbelianizationMap((1, 0, 0))
+    row = twisted_fox_row(w, rep, twist)
+    assert row[0][0][1].coeffs == {1: 2}
+    assert type(row[0][0][1].coeffs[1]) is int
+    assert typed_coefficients(row) \
+        == typed_coefficients(laurent_sum_row(w, rep, twist))
+
+
+def test_twisted_row_raises_on_a_non_finite_partial_sum():
+    # d(xyyy)/dy = x + xy + xyy, all at t^1 and all the same finite entry
+    # 1e308 + i: the first sum overflows to inf + 2i, where the error is
+    # raised, and no later sum turns it finite again
+    one, zero = ComplexF(1), ComplexF(0)
+    rep = Representation(XY, [
+        Matrix([[ComplexF(1e308, 1), zero], [zero, one]]),
+        Matrix([[one, zero], [zero, one]])])
+    w, twist = XY.word("xyyy"), AbelianizationMap((1, 0))
+    with pytest.raises(NonFinite) as sums:
+        twisted_fox_row(w, rep, twist)
+    with pytest.raises(NonFinite) as oracle:
+        laurent_sum_row(w, rep, twist)
+    assert str(sums.value) == str(oracle.value) \
+        == "non-finite complex value inf + 2.0 i"
 
 
 _X, _Y, _Z, _U = (MultiPoly.variable(v) for v in "xyzu")

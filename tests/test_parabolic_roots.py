@@ -11,15 +11,27 @@ knots.
 The scan stops a Newton run early once it enters the gamma-theorem basin
 of a root already kept.  That must change no returned bit: a copy of the
 scan without the basin stop is compared with it on every K(p/q) with odd
-q and p <= 17, and the radius itself is checked to be one that short
+q and p <= 21, and the radius itself is checked to be one that short
 Newton runs from its rim come home from.
 
+The scan also skips a start above the real axis when the run from its
+mirror image stopped in a basin, and evaluates value and derivative in one
+Horner loop.  A copy of the scan before both is compared with it bit for
+bit on all 106 K(p/q) with odd q and p <= 31, and on K(17/3) the scan must
+make at most 60% of the copy's Newton runs.
+
 A scan that ends with fewer roots than the Riley polynomial has distinct
-roots raises; K(37/1), the first knot where the grid misses a root, must.
+roots raises; K(37/1), the first knot where the grid misses a root, must,
+and K(37/1) and K(47/3) must raise the same message as the copy.
 
 To re-record after a deliberate change of the roots::
 
     PYTHONPATH=src python tests/test_parabolic_roots.py
+
+To compare the scan with both copies on every K(p/q) with odd q and
+p <= 47, with Newton-run counts, writing nothing::
+
+    PYTHONPATH=src python tests/test_parabolic_roots.py --census 47
 """
 
 import json
@@ -30,6 +42,7 @@ from itertools import product
 import pytest
 
 import torsioncert
+from torsioncert import representation
 from torsioncert.cli import main
 from torsioncert.errors import IncompleteRootScan, NoRootFound
 from torsioncert.freegroup import Alphabet, Word
@@ -48,9 +61,18 @@ DATA = os.path.join(os.path.dirname(torsioncert.__file__), "data")
 AB = Alphabet("a b")
 TWO_BRIDGE = [(p, q) for p in range(5, 18, 2)
               for q in [q for q in range(1, p, 2) if math.gcd(p, q) == 1][:2]]
-# every two-bridge knot K(p/q) with odd q and p <= 17: 32 knots
-CENSUS = [(p, q) for p in range(3, 18, 2)
-          for q in range(1, p, 2) if math.gcd(p, q) == 1]
+
+
+def census(top):
+    """Every two-bridge knot K(p/q) with odd q and p <= top."""
+    return [(p, q) for p in range(3, top + 1, 2)
+            for q in range(1, p, 2) if math.gcd(p, q) == 1]
+
+
+# p <= 17: 32 knots; p <= 21: 47 knots; p <= 31: 106 knots
+CENSUS = census(17)
+BASIN_CENSUS = census(21)
+MIRROR_CENSUS = census(31)
 
 
 def _bundled(name):
@@ -110,20 +132,42 @@ def _two_bridge(p, q):
     return Presentation(AB, [Word(AB, two_bridge_relator(p, q))])
 
 
-def scan_without_basins(pres):
-    """The grid scan of ``parabolic_roots`` as it was before the basin
-    stop: every start runs its Newton iteration to the end, with the same
-    box filter, 1e-7 de-duplication, root test and early stop."""
+def outcome(roots, distinct):
+    """The float hex of the sorted roots, or the message of the
+    IncompleteRootScan that a scan keeping fewer than ``distinct`` raises."""
+    if len(roots) < distinct:
+        return ("the grid scan kept %d of the %d distinct roots of the Riley "
+                "polynomial" % (len(roots), distinct))
+    return _hex(sorted(roots, key=lambda z: (z.real, z.imag)))
+
+
+def reference_scan(pres, radii=True):
+    """The grid scan of ``parabolic_roots`` as it was before the mirror
+    reuse and the fused Horner loop: every start runs its own Newton
+    iteration, with two Horner loops and a look at the basins before every
+    step, and the same box filter, 1e-7 de-duplication, root test and
+    early stop.  With ``radii`` false no basin is kept, as before the basin
+    stop.
+
+    Returns the :func:`outcome` and the number of Newton runs.
+    """
     g = riley_polynomial(pres.relators[0])
     dg = [i * c for i, c in enumerate(g)][1:]
     distinct = len(g) - len(int_poly_gcd(g, dg))
     coeffs = [complex(c) for c in g]
     rc = coeffs[::-1]
     rd = [i * c for i, c in enumerate(coeffs)][1:][::-1]
+    squarefree = radii and distinct == len(g) - 1
     roots = []
+    basins = []
+    runs = 0
     for ri, ii in product(range(33), repeat=2):
         y = complex(-4.0 + ri * 0.25, -4.0 + ii * 0.25)
-        for _ in range(80):
+        runs += 1
+        for k in range(80):
+            if k < 75 and any(abs(y - r) < rho for r, rho in basins):
+                y = None
+                break
             dv = 0j
             for c in rd:
                 dv = dv * y + c
@@ -136,6 +180,8 @@ def scan_without_basins(pres):
             y = y - step
             if abs(step) < 1e-15 * max(1.0, abs(y)):
                 break
+        if y is None:
+            continue
         if not (-4.0 - 1e-6 <= y.real <= 4.0 + 1e-6 and
                 -4.0 - 1e-6 <= y.imag <= 4.0 + 1e-6):
             continue
@@ -145,13 +191,59 @@ def scan_without_basins(pres):
             roots.append(y)
             if len(roots) == distinct:
                 break
-    return sorted(roots, key=lambda z: (z.real, z.imag))
+            if squarefree:
+                basins.append((y, newton_basin_radius(coeffs, y)))
+    return outcome(roots, distinct), runs
 
 
-@pytest.mark.parametrize("p,q", CENSUS)
+def counted_scan(pres):
+    """The :func:`outcome` of ``parabolic_roots`` on pres and the number of
+    Newton runs it made."""
+    runs = 0
+    run = representation._newton_run
+
+    def counting(*args):
+        nonlocal runs
+        runs += 1
+        return run(*args)
+
+    representation._newton_run = counting
+    try:
+        return hex_roots(pres), runs
+    except IncompleteRootScan as exc:
+        return str(exc), runs
+    finally:
+        representation._newton_run = run
+
+
+@pytest.mark.parametrize("p,q", BASIN_CENSUS)
 def test_basin_stop_changes_no_root(p, q):
     pres = _two_bridge(p, q)
-    assert hex_roots(pres) == _hex(scan_without_basins(pres))
+    assert hex_roots(pres) == reference_scan(pres, radii=False)[0]
+
+
+@pytest.mark.parametrize("p,q", MIRROR_CENSUS)
+def test_mirror_reuse_changes_no_bit(p, q):
+    pres = _two_bridge(p, q)
+    assert hex_roots(pres) == reference_scan(pres)[0]
+
+
+@pytest.mark.parametrize("p,q,kept,distinct", [(37, 1, 17, 18),
+                                               (47, 3, 21, 23)])
+def test_mirror_reuse_raises_the_same_short_scan(p, q, kept, distinct):
+    pres = _two_bridge(p, q)
+    message = ("the grid scan kept %d of the %d distinct roots of the Riley "
+               "polynomial" % (kept, distinct))
+    assert counted_scan(pres)[0] == reference_scan(pres)[0] == message
+
+
+def test_mirror_reuse_skips_runs():
+    # census-wide the mirrored scan makes 54% of the runs
+    pres = _two_bridge(17, 3)
+    roots, runs = counted_scan(pres)
+    reference, reference_runs = reference_scan(pres)
+    assert roots == reference
+    assert runs <= 0.6 * reference_runs
 
 
 @pytest.mark.parametrize("p,q", CENSUS)
@@ -206,8 +298,46 @@ def test_a_short_scan_raises_rather_than_return_a_short_list(tmp_path,
                        "roots of the Riley polynomial\n")
 
 
+def print_census(top):
+    """Print, for every K(p/q) with odd q and p <= top, whether the scan
+    agrees bit for bit with the scan before the mirror reuse (mirror),
+    whether that scan agrees with the scan without basins (basin), the
+    Newton runs of the scan and of the scan before the mirror reuse, and
+    the IncompleteRootScan message where there is one."""
+    totals = [0, 0, 0, 0]
+    knots_ = census(top)
+    print("knot      mirror basin  runs  unmirrored")
+    for p, q in knots_:
+        pres = _two_bridge(p, q)
+        roots, runs = counted_scan(pres)
+        reference, reference_runs = reference_scan(pres)
+        mirror = roots == reference
+        basin = reference == reference_scan(pres, radii=False)[0]
+        for i, x in enumerate((mirror, basin, runs, reference_runs)):
+            totals[i] += x
+        print("%-9s %-6s %-6s %5d %6d  %s"
+              % ("K(%d/%d)" % (p, q), mirror, basin, runs, reference_runs,
+                 roots if isinstance(roots, str) else ""))
+    print("%d knots: mirror agrees on %d, basin on %d; %d runs against %d "
+          "unmirrored (%.1f%%)" % (len(knots_), totals[0], totals[1],
+                                   totals[2], totals[3],
+                                   100 * totals[2] / totals[3]))
+
+
 if __name__ == "__main__":
-    with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump({name: hex_roots(pres) for name, pres in knots().items()},
-                  fh, indent=1)
-        fh.write("\n")
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        description="Re-record fixtures/parabolic_roots.json, or with "
+        "--census compare the scan with its reference copies and write "
+        "nothing.")
+    parser.add_argument("--census", type=int, metavar="P",
+                        help="check every K(p/q) with odd q and p <= P")
+    args = parser.parse_args()
+    if args.census:
+        print_census(args.census)
+    else:
+        with open(FIXTURE, "w", encoding="utf-8") as fh:
+            json.dump({name: hex_roots(pres)
+                       for name, pres in knots().items()}, fh, indent=1)
+            fh.write("\n")
