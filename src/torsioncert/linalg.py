@@ -18,7 +18,8 @@ Every entry is a minor, so the division by the previous pivot is exact (a
 remainder raises ``InexactDivision``); columns without a pivot are
 skipped, so rectangular matrices work too.  Float determinants use partial
 pivoting, floating ranks a largest-pivot threshold scaled by the max row
-norm, and inverses of every kind one Gauss-Jordan loop.
+norm, and inverses of every kind one Gauss-Jordan loop, whose complex
+results are checked finite once as well.
 
 Matrices are immutable.  ``Matrix(rows)`` (parsing, callers' matrices,
 ``map``) promotes every entry, ints riding along as honorary rationals.
@@ -210,6 +211,8 @@ class Matrix:
 
     def max_row_norm(self):
         """Largest row 2-norm, as a float through the complex embedding."""
+        if self.field == "complex":
+            return max([math.hypot(*map(abs, r)) for r in self._parts[0]])
         return max(math.hypot(*map(_s.magnitude, r)) for r in self.entries)
 
     def delete_column(self, j):
@@ -553,31 +556,34 @@ def nonzero_row_of_product(a, b):
 
 
 def _float_det(m):
-    n = m.rows
-    a = [[complex(e) for e in r] for r in m.entries]
+    """:func:`det_with_scale` of a complex m by partial pivoting on the
+    rows left, each cut to the columns left.  The pivot is the first entry
+    of largest modulus in its column.  Each step's factor of the scale is
+    the largest modulus left, found from 1.0 up by strict comparisons, so
+    a NaN from overflow never enters it."""
+    a = list(m._parts[0])
     sign = 1
     scale = 1.0
     prod = complex(1.0)
-    for k in range(n):
-        piv, best = k, abs(a[k][k])
-        step_max = 0.0
-        for r in range(k, n):
-            for c in range(k, n):
-                step_max = max(step_max, abs(a[r][c]))
-            if abs(a[r][k]) > best:
-                piv, best = r, abs(a[r][k])
-        scale *= max(step_max, 1.0)
+    while a:
+        col = [abs(r[0]) for r in a]
+        best = max(col)
+        scale *= max(1.0, *map(abs, chain.from_iterable(a)))
         if best == 0.0:
             return _s.ComplexF(0.0, 0.0), scale
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+        piv = col.index(best)
+        if piv:
+            a[0], a[piv] = a[piv], a[0]
             sign = -sign
-        pk = a[k][k]
+        top = a[0]
+        pk = top[0]
         prod *= pk
-        for i in range(k + 1, n):
-            f = a[i][k] / pk
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
+        rest = top[1:]
+        left = []
+        for r in a[1:]:
+            f = r[0] / pk
+            left.append([x - f * y for x, y in zip(r[1:], rest)])
+        a = left
     return _s.ComplexF(sign * prod), scale
 
 
@@ -630,8 +636,10 @@ def inverse(m):
 
     The pivot is the entry of largest modulus for floats and the first
     nonzero one for exact kinds, whose ints are lifted to Fractions so that
-    the division is exact.  Float results are rebuilt as ``ComplexF``, which
-    checks them finite.
+    the division is exact.  Each step cuts the rows to the columns from the
+    pivot's on, the only ones later steps read.  Complex results are stored
+    as ``ComplexF`` stores them, a negative zero imaginary part turned into
+    +0.0, and checked finite once (``NonFinite``).
     """
     if not isinstance(m, Matrix):
         raise TypeError("expected a Matrix")
@@ -639,26 +647,39 @@ def inverse(m):
         raise NotSquare("inverse of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
     if m.field == "complex":
-        size, lift, out, one, zero = abs, complex, _s.ComplexF, 1 + 0j, 0j
+        size, lift, one, zero = abs, complex, 1 + 0j, 0j
     else:
-        size, lift, out, one, zero = bool, _to_field, _simplify, 1, 0
+        size, lift, one, zero = bool, _to_field, 1, 0
     aug = [[lift(e) for e in row] + [one if i == j else zero for j in range(n)]
            for i, row in enumerate(m.entries)]
     for k in range(n):
-        col = [size(row[k]) for row in aug[k:]]
+        col = [size(row[0]) for row in aug[k:]]
         best = max(col)
         if not best:
             raise DivisionByZero("matrix is singular")
         piv = k + col.index(best)
         aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k][k]
-        aug[k] = [x / pk for x in aug[k]]
-        for r in range(n):
-            f = aug[r][k]
-            if r != k and f:
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
-    return _from_entries(tuple(tuple(map(out, row[n:])) for row in aug),
-                         m.field)
+        pk = aug[k][0]
+        top = [x / pk for x in aug[k][1:]]
+        for r, row in enumerate(aug):
+            f = row[0]
+            if r == k:
+                aug[r] = top
+            elif f:
+                aug[r] = [x - f * y for x, y in zip(row[1:], top)]
+            else:
+                aug[r] = row[1:]
+    if m.field != "complex":
+        return _from_entries(tuple(tuple(map(_simplify, row)) for row in aug),
+                             m.field)
+    # adding complex(-0.0, 0.0) keeps x.real bit for bit and adds 0.0 to
+    # x.imag, which is what ComplexF(x) stores
+    return _finish(_from_entries(
+        tuple(tuple([x + _IMAG_ZERO_ADDEND for x in row]) for row in aug),
+        "complex"))
+
+
+_IMAG_ZERO_ADDEND = complex(-0.0, 0.0)
 
 
 def _to_field(x):

@@ -1,12 +1,13 @@
 """Exact and floating linear algebra against brute-force oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from torsioncert import linalg as linalg_module
 from torsioncert.errors import (DivisionByZero, DimensionMismatch,
-                               InexactDivision, NotSquare)
+                               InexactDivision, NonFinite, NotSquare)
 from torsioncert.linalg import (
     Matrix,
     block_assemble,
@@ -17,7 +18,7 @@ from torsioncert.linalg import (
     parse_matrix,
     rank,
 )
-from torsioncert.scalar import ComplexF, QuadExt, zero_test
+from torsioncert.scalar import ComplexF, QuadExt, magnitude, zero_test
 from torsioncert.seeds import rng_for
 
 from helpers import minor_rank, perm_det, random_fraction, random_sl2
@@ -262,10 +263,11 @@ class TestFloatInverseMatchesFormerLoop:
     the former complex-only loop, compared by float hex."""
 
     def test_random_matrices(self):
+        # up to 12, the largest float SymPowerRep the CLI builds
         rng = rng_for(17, 15)
         inverted = 0
         for _ in range(400):
-            n = rng.randint(1, 8)
+            n = rng.randint(1, 12)
             rows = [[_random_complex_entry(rng) for _ in range(n)]
                     for _ in range(n)]
             want = _former_complex_inverse(rows)
@@ -281,7 +283,7 @@ class TestFloatInverseMatchesFormerLoop:
 
     def test_singular_rejected(self):
         rng = rng_for(17, 16)
-        for n in range(1, 9):
+        for n in range(1, 13):
             row = [_random_complex_entry(rng) for _ in range(n)]
             cases = [[[0j] * n for _ in range(n)]]
             if n > 1:
@@ -290,6 +292,152 @@ class TestFloatInverseMatchesFormerLoop:
                 assert _former_complex_inverse(rows) is None
                 with pytest.raises(DivisionByZero):
                     inverse(Matrix(rows))
+
+    def test_entry_past_the_float_range_raises(self):
+        # 1/1e-310 overflows: the entry is named, as ComplexF names it
+        rows = [[complex(1e-310), 0j], [0j, 1 + 0j]]
+        with pytest.raises(NonFinite) as got:
+            inverse(Matrix(rows))
+        with pytest.raises(NonFinite) as want:
+            _former_complex_inverse(rows)
+        assert str(got.value) == str(want.value)
+
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        # each entry is about 1.49e308; their sum is not finite
+        rows = [[complex(6.7e-309), 0j], [0j, complex(6.7e-309)]]
+        got = inverse(Matrix(rows))
+        assert math.isinf(sum(got.entries[0]).real + got.entries[1][1].real)
+        assert _hex_rows(got.entries) == _hex_rows(
+            _former_complex_inverse(rows))
+
+    def test_zero_signs(self):
+        # ComplexF turns a negative zero imaginary part into +0.0 and keeps
+        # the sign of a zero real part
+        got = inverse(Matrix([[complex(-1.0, -0.0)]])).entries[0][0]
+        assert (got.real.hex(), got.imag.hex()) == ((-1.0).hex(), (0.0).hex())
+        got = inverse(Matrix([[complex(0.0, 1.0)]])).entries[0][0]
+        assert (got.real.hex(), got.imag.hex()) == ((0.0).hex(), (-1.0).hex())
+        rng = rng_for(17, 19)
+        signed = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            rows = [[rng.choice([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                                 complex(-0.0, -0.0), 1 + 0j, -1 + 0j,
+                                 1j, -1j]) for _ in range(n)]
+                    for _ in range(n)]
+            want = _former_complex_inverse(rows)
+            if want is None:
+                continue
+            got = inverse(Matrix(rows)).entries
+            assert _hex_rows(got) == _hex_rows(want)
+            signed += any(z.real.hex() == "-0x0.0p+0" for r in got for z in r)
+        assert signed > 10
+
+
+def _former_float_det(rows):
+    """The triple loop float determinants used to have, frozen as the
+    bit-level reference: (determinant, scale), the scale the product of
+    each step's largest entry modulus, clamped below by 1."""
+    n = len(rows)
+    a = [[complex(e) for e in r] for r in rows]
+    sign = 1
+    scale = 1.0
+    prod = complex(1.0)
+    for k in range(n):
+        piv, best = k, abs(a[k][k])
+        step_max = 0.0
+        for r in range(k, n):
+            for c in range(k, n):
+                step_max = max(step_max, abs(a[r][c]))
+            if abs(a[r][k]) > best:
+                piv, best = r, abs(a[r][k])
+        scale *= max(step_max, 1.0)
+        if best == 0.0:
+            return ComplexF(0.0, 0.0), scale
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pk = a[k][k]
+        prod *= pk
+        for i in range(k + 1, n):
+            f = a[i][k] / pk
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return ComplexF(sign * prod), scale
+
+
+def _outcome(fn, rows):
+    """fn's result by float hex, or the error it raised."""
+    try:
+        d, scale = fn(rows)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return d.real.hex(), d.imag.hex(), scale.hex()
+
+
+class TestFloatDetMatchesFormerLoop:
+    """Float determinants and scales by elimination on cut rows equal the
+    former triple loop's, compared by float hex."""
+
+    @staticmethod
+    def _det(rows):
+        return det_with_scale(Matrix(rows))
+
+    def test_random_matrices(self):
+        rng = rng_for(17, 17)
+        singular = 0
+        for n in range(1, 17):
+            for _ in range(40):
+                rows = [[_random_complex_entry(rng) for _ in range(n)]
+                        for _ in range(n)]
+                want = _outcome(_former_float_det, rows)
+                assert _outcome(self._det, rows) == want
+                singular += want[:2] == ((0.0).hex(), (0.0).hex())
+        assert singular > 10
+
+    def test_zero_column_returns_the_scale_so_far(self):
+        rng = rng_for(17, 18)
+        for n in range(2, 9):
+            for j in range(n):
+                rows = [[_random_complex_entry(rng) for _ in range(n)]
+                        for _ in range(n)]
+                for r in rows:
+                    r[j] = complex(-0.0, 0.0) if j % 2 else 0j
+                d, scale = self._det(rows)
+                assert (d.real, d.imag) == (0.0, 0.0) and scale >= 1.0
+                assert _outcome(self._det, rows) == _outcome(
+                    _former_float_det, rows)
+
+    def test_entries_near_overflow(self):
+        # steps may overflow to inf or NaN; both loops give the same value,
+        # scale or error
+        rng = rng_for(17, 20)
+        failed = 0
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            big = rng.choice([1e150, 1e300, 1e305])
+            rows = [[_random_complex_entry(rng) * big for _ in range(n)]
+                    for _ in range(n)]
+            want = _outcome(_former_float_det, rows)
+            assert _outcome(self._det, rows) == want
+            failed += want[0] in ("NonFinite", "OverflowError")
+        assert failed > 20
+
+
+class TestMaxRowNorm:
+    def test_complex_rows_match_the_magnitude_route(self):
+        rng = rng_for(17, 21)
+        for _ in range(300):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            size = rng.choice([1.0, 1e300, 1e-300, 1e-320])
+            rows = [[_random_complex_entry(rng) * size for _ in range(c)]
+                    for _ in range(r)]
+            want = max(math.hypot(*map(magnitude, row)) for row in rows)
+            assert Matrix(rows).max_row_norm().hex() == want.hex()
+
+    def test_exact_rows(self):
+        m = Matrix([[1, Fraction(-1, 2)], [QuadExt(0, 1, 5), 1]])
+        assert m.max_row_norm() == math.hypot(math.sqrt(5), 1.0)
 
 
 class TestStructure:
