@@ -1,5 +1,6 @@
 """Exact and floating linear algebra against brute-force oracles."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -306,7 +307,7 @@ class TestFloatInverseMatchesFormerLoop:
         # each entry is about 1.49e308; their sum is not finite
         rows = [[complex(6.7e-309), 0j], [0j, complex(6.7e-309)]]
         got = inverse(Matrix(rows))
-        assert math.isinf(sum(got.entries[0]).real + got.entries[1][1].real)
+        assert not cmath.isfinite(sum(map(sum, got.entries)))
         assert _hex_rows(got.entries) == _hex_rows(
             _former_complex_inverse(rows))
 
@@ -370,7 +371,7 @@ def _outcome(fn, rows):
     """fn's result by float hex, or the error it raised."""
     try:
         d, scale = fn(rows)
-    except (ArithmeticError, ValueError) as exc:
+    except ArithmeticError as exc:
         return type(exc).__name__, str(exc)
     return d.real.hex(), d.imag.hex(), scale.hex()
 
