@@ -210,10 +210,8 @@ class Matrix:
         return Matrix([[fn(a) for a in r] for r in self.entries])
 
     def max_row_norm(self):
-        """Largest row 2-norm, as a float through the complex embedding."""
-        if self.field == "complex":
-            return max([math.hypot(*map(abs, r)) for r in self._parts[0]])
-        return max(math.hypot(*map(_s.magnitude, r)) for r in self.entries)
+        """Largest row 2-norm of a complex matrix, as a float."""
+        return max([math.hypot(*map(abs, r)) for r in self._parts[0]])
 
     def delete_column(self, j):
         if not 0 <= j < self.cols:

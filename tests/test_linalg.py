@@ -436,10 +436,6 @@ class TestMaxRowNorm:
             want = max(math.hypot(*map(magnitude, row)) for row in rows)
             assert Matrix(rows).max_row_norm().hex() == want.hex()
 
-    def test_exact_rows(self):
-        m = Matrix([[1, Fraction(-1, 2)], [QuadExt(0, 1, 5), 1]])
-        assert m.max_row_norm() == math.hypot(math.sqrt(5), 1.0)
-
 
 class TestStructure:
     def test_block_assemble(self):
