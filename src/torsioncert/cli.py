@@ -360,7 +360,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _s.set_zero_tolerance(args.tol if args.tol is not None else float(
-            os.environ.get("TORSION_CERT_TOL", _s.zero_tolerance())))
+            os.environ.get("TORSION_CERT_TOL", _s.DEFAULT_TOLERANCE)))
         if args.seed is None:
             args.seed = int(os.environ.get("TORSION_CERT_SEED", DEFAULT_SEED))
         args.seed &= (1 << 64) - 1

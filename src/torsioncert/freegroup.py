@@ -324,9 +324,7 @@ def _parse_ring_term(alphabet, text):
     while i < len(compact) and (compact[i].isdigit() or compact[i] == "/"):
         i += 1
     coeff_text, word_text = compact[:i], compact[i:]
-    coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
-    if coeff.denominator == 1:
-        coeff = int(coeff)
+    coeff = _s.integral_to_int(Fraction(coeff_text)) if coeff_text else 1
     if word_text == "" or word_text == "1":
         word = alphabet.identity()
     else:
@@ -339,24 +337,10 @@ def parse_ring_elem(alphabet, text):
     s = text.strip()
     if not s:
         raise ParseError("empty group-ring literal")
-    if s == "0":
-        return GroupRingElem.zero(alphabet)
     terms = {}
-    sign, buf = 1, []
-    tokens = list(s)
-    if tokens[0] in "+-":
-        sign = -1 if tokens[0] == "-" else 1
-        tokens = tokens[1:]
-    for ch in tokens:
-        if ch in "+-":
-            w, c = _parse_ring_term(alphabet, "".join(buf))
-            terms[w] = terms.get(w, 0) + sign * c
-            sign = -1 if ch == "-" else 1
-            buf = []
-        else:
-            buf.append(ch)
-    w, c = _parse_ring_term(alphabet, "".join(buf))
-    terms[w] = terms.get(w, 0) + sign * c
+    for sign, term in _s.split_sum(s):
+        w, c = _parse_ring_term(alphabet, term)
+        terms[w] = terms.get(w, 0) + sign * c
     return GroupRingElem(alphabet, terms)
 
 

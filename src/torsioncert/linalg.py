@@ -40,14 +40,8 @@ from operator import add, mul
 
 from . import scalar as _s
 from .errors import (DimensionMismatch, DivisionByZero, InexactDivision,
-                     MixedExtension, MixedScalarKind, NotSquare, NotTwoByTwo,
-                     ParseError)
-
-
-def _simplify(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+                     MixedExtension, MixedScalarKind, NonFinite, NotSquare,
+                     NotTwoByTwo, ParseError)
 
 
 def _promote_entries(rows):
@@ -70,8 +64,7 @@ def _promote_entries(rows):
         d = quad_d.pop()
         return [[e if isinstance(e, _s.QuadExt) else _s.QuadExt(e, 0, d)
                  for e in row] for row in rows], d
-    return [[_simplify(Fraction(e) if isinstance(e, Fraction) else e)
-             for e in row] for row in rows], "rational"
+    return [list(map(_s.integral_to_int, row)) for row in rows], "rational"
 
 
 class Matrix:
@@ -204,14 +197,19 @@ class Matrix:
         t = self.entries[0][0]
         for i in range(1, self.rows):
             t = t + self.entries[i][i]
-        return _s.check_finite(_simplify(t))
+        return _s.check_finite(_s.integral_to_int(t))
 
     def map(self, fn):
         return Matrix([[fn(a) for a in r] for r in self.entries])
 
     def max_row_norm(self):
-        """Largest row 2-norm of a complex matrix, as a float."""
-        return max([math.hypot(*map(abs, r)) for r in self._parts[0]])
+        """Largest row 2-norm of a complex matrix, as a float; an entry
+        whose modulus passes the float range raises ``NonFinite``."""
+        try:
+            return max([math.hypot(*map(abs, r)) for r in self._parts[0]])
+        except OverflowError:
+            raise NonFinite("complex modulus beyond the float range") \
+                from None
 
     def delete_column(self, j):
         if not 0 <= j < self.cols:
@@ -599,33 +597,29 @@ def _exact_rank(m):
 
 
 def _float_rank(m, tol):
+    """Rank of a complex m by complete pivoting on its unused rows, in
+    their order: the first largest modulus is the pivot, unless it is at
+    most tol * max(1, max row norm)."""
     if tol is None:
         tol = _s.zero_tolerance()
     cutoff = tol * max(1.0, m.max_row_norm())
-    a = [[complex(e) for e in r] for r in m.entries]
-    nr, nc = m.rows, m.cols
+    left = [list(r) for r in m._parts[0]]
     rank_count = 0
-    used_rows = set()
-    for _ in range(min(nr, nc)):
+    for _ in range(min(m.rows, m.cols)):
         best, bi, bj = 0.0, None, None
-        for i in range(nr):
-            if i in used_rows:
-                continue
-            for j in range(nc):
-                if abs(a[i][j]) > best:
-                    best, bi, bj = abs(a[i][j]), i, j
+        for i, r in enumerate(left):
+            for j, x in enumerate(r):
+                if abs(x) > best:
+                    best, bi, bj = abs(x), i, j
         if best <= cutoff:
             break
         rank_count += 1
-        used_rows.add(bi)
-        piv = a[bi][bj]
-        for i in range(nr):
-            if i in used_rows:
-                continue
-            f = a[i][bj] / piv
+        top = left.pop(bi)
+        piv = top[bj]
+        for r in left:
+            f = r[bj] / piv
             if f != 0:
-                for j in range(nc):
-                    a[i][j] -= f * a[bi][j]
+                r[:] = [x - f * y for x, y in zip(r, top)]
     return rank_count
 
 
@@ -668,8 +662,8 @@ def inverse(m):
             else:
                 aug[r] = row[1:]
     if m.field != "complex":
-        return _from_entries(tuple(tuple(map(_simplify, row)) for row in aug),
-                             m.field)
+        return _from_entries(
+            tuple(tuple(map(_s.integral_to_int, row)) for row in aug), m.field)
     # adding complex(-0.0, 0.0) keeps x.real bit for bit and adds 0.0 to
     # x.imag, which is what ComplexF(x) stores
     return _finish(_from_entries(

@@ -259,35 +259,6 @@ def laurent_str(p):
     return _s.sum_str(_laurent_term(e, p.coeffs[e]) for e in sorted(p.coeffs))
 
 
-def _split_terms(text):
-    # split on top-level + and -, respecting parentheses and exponent signs;
-    # one leading sign is allowed, any other sign needs a term on each side
-    terms, sign, buf, depth = [], 1, [], 0
-    prev = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and not (prev and prev in "^eE*(,"):
-            term = "".join(buf).strip()
-            if term:
-                terms.append((sign, term))
-            elif prev:
-                raise ParseError("sign without a term in %r" % text)
-            sign = -1 if ch == "-" else 1
-            buf = []
-        else:
-            buf.append(ch)
-        if not ch.isspace():
-            prev = ch
-    term = "".join(buf).strip()
-    if not term:
-        raise ParseError("sign without a term in %r" % text)
-    terms.append((sign, term))
-    return terms
-
-
 _T_RE = _re.compile(r"^(?:(?P<coeff>.+?)\s*\*\s*)?t(?:\^(?P<exp>-?\d+))?$")
 
 
@@ -299,7 +270,7 @@ def parse_laurent(text, kind=None):
     if s == "0":
         return LaurentPoly.zero()
     coeffs = {}
-    for sign, term in _split_terms(s):
+    for sign, term in _s.split_sum(s):
         m = _T_RE.match(term)
         if m:
             e = int(m.group("exp")) if m.group("exp") else 1
@@ -320,10 +291,7 @@ def _parse_poly_coeff(text, kind):
     t = text.strip()
     if t.startswith("(") and t.endswith(")"):
         t = t[1:-1]
-    v = _s.parse_scalar(t, kind=kind)
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
+    return _s.integral_to_int(_s.parse_scalar(t, kind=kind))
 
 
 def laurent_unit_match(p, q):
@@ -605,7 +573,7 @@ def parse_multi(text):
     if s == "0":
         return MultiPoly.zero()
     out = {}
-    for sign, term in _split_terms(s):
+    for sign, term in _s.split_sum(s):
         coeff = Fraction(1)
         ex = [0] * _ARITY
         saw = False
@@ -652,9 +620,7 @@ def multi_eval(p, point):
         out = term if out is None else out + term
     if out is None:
         return Fraction(0)
-    if isinstance(out, Fraction) and out.denominator == 1:
-        return int(out)
-    return out
+    return _s.integral_to_int(out)
 
 
 def resultant_in_u(p, q):

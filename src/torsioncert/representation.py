@@ -55,10 +55,11 @@ class Representation:
         and of determinant 1 under ``sl_flag``."""
         for i in range(start, len(self.images)):
             m = self.images[i]
-            d = m.det()
-            # exact kinds test zero exactly, whatever the scale
+            # exact kinds test zero exactly, whatever the scale; the norm
+            # comes first, to raise NonFinite on a modulus past the range
             scale = max(1.0, m.max_row_norm()) \
                 if self.scalar_kind == "complex" else 1.0
+            d = m.det()
             if _s.zero_test(d, scale=scale):
                 raise ValueError("image of generator %r is singular"
                                  % self.alphabet.names[i])

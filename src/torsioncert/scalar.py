@@ -35,8 +35,8 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, MixedExtension, NonFinite, ParseError
 
-_DEFAULT_TOLERANCE = 1e-9
-_tolerance = _DEFAULT_TOLERANCE
+DEFAULT_TOLERANCE = 1e-9
+_tolerance = DEFAULT_TOLERANCE
 
 
 def zero_tolerance():
@@ -421,6 +421,52 @@ def sum_str(terms):
         else:
             pieces.append("-" + body if neg else body)
     return " ".join(pieces) or "0"
+
+
+def split_sum(text):
+    """The ``(sign, term)`` pairs of a signed sum such as ``-a + b - c``,
+    the reading twin of :func:`sum_str`; each term is stripped and the
+    sign is 1 or -1.
+
+    Only a top-level ``+`` or ``-`` splits: not one inside parentheses,
+    nor one right after ``^``, ``*``, ``(`` or ``,``, nor the sign of a
+    float exponent (an ``e`` or ``E`` right after a digit or ``.``).  One
+    leading sign is allowed; any other sign needs a term on each side.
+    """
+    terms, sign, buf, depth = [], 1, [], 0
+    # the last two characters that are not spaces
+    prev = before = ""
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in "+-" and depth == 0 and not (
+                prev in ("^", "*", "(", ",")
+                or prev in ("e", "E") and (before.isdigit() or before == ".")):
+            term = "".join(buf).strip()
+            if term:
+                terms.append((sign, term))
+            elif prev:
+                raise ParseError("sign without a term in %r" % text)
+            sign = -1 if ch == "-" else 1
+            buf = []
+        else:
+            buf.append(ch)
+        if not ch.isspace():
+            prev, before = ch, prev
+    term = "".join(buf).strip()
+    if not term:
+        raise ParseError("sign without a term in %r" % text)
+    terms.append((sign, term))
+    return terms
+
+
+def integral_to_int(x):
+    """x, or its int when x is a Fraction with denominator 1."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 _RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")

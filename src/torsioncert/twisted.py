@@ -165,8 +165,9 @@ def twisted_fox_row(w, rep, twist):
         return rep.letter_image(l), weight if l > 0 else -weight
 
     # each entry's coefficients are summed in a plain dict by the rules of
-    # LaurentPoly.__add__: a float term and a float sum are checked finite,
-    # a new exponent takes the term itself and a sum that cancels is dropped
+    # LaurentPoly.__add__: a float sum is checked finite, a new exponent
+    # takes the term itself and a sum that cancels is dropped; a term is
+    # +-1 times an entry of a Matrix product, already checked finite
     sums = [[[{} for _ in range(n)] for _ in range(n)]
             for _ in rep.alphabet.names]
     for j, sign, (m, shift) in fox_sweep(w, image, (rep.units[0], 0),
@@ -177,16 +178,12 @@ def twisted_fox_row(w, rep, twist):
                 c = e * sign
                 if not c:
                     continue
-                floating = isinstance(c, (float, complex))
-                if floating:
-                    _s.check_finite(c)
                 if shift in acc:
                     c = acc[shift] + c
                     if not c:
                         del acc[shift]
                         continue
-                    if floating:
-                        _s.check_finite(c)
+                    _s.check_finite(c)
                 acc[shift] = c
     return [[[_lp(acc) for acc in acc_row] for acc_row in grid]
             for grid in sums]

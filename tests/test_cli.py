@@ -269,6 +269,8 @@ OVERFLOWING_FLOAT_RUNS = [
     ["charlift", "(1.0, 1.0, -1e150)"],
     ["certify", "pants.sut", "--char", "(1.0, 1.0, -1e150)"],
     ["charlift", "(1.0, 1.0, -1e170)"],
+    # finite parts whose modulus passes the float range
+    ["certify", "pants.sut", "--char", "(1.5e308+1.5e308i, 2.0, 3.0)"],
 ]
 
 
@@ -283,6 +285,44 @@ class TestOverflowingFloats:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+class TestArgumentErrors:
+    """Arguments that do not fit exit 2 with a one-line error."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "pants.sut", "--char", "(3, 1, 2)", "--sym-power", "1"],
+         "--sym-power needs N >= 2"),
+        (["charlift", "(1, 1, 1)", "--sym-power", "1"],
+         "--sym-power needs N >= 2"),
+        (["certify", "pants.sut", "--rep", "{three_by_three}",
+          "--sym-power", "3"], "--sym-power needs a rank-2 base"),
+        (["certify", "pants.sut", "--rep", "{three_letters}"],
+         "representation rank 3 does not fit alphabet 'x y'"),
+        (["validate", "{notes}"],
+         "{notes}: unknown file type (want .pres/.sut/.rep)"),
+    ])
+    def test_exit_two_with_one_error_line(self, capsys, tmp_path, argv,
+                                          message):
+        paths = {
+            "three_by_three": _write(
+                tmp_path, "three.rep", "alphabet: x y\nscalar: rational\n"
+                "x: 1,0,0;0,1,0;0,0,1\ny: 2,0,0;0,1,0;0,0,1\n"),
+            "three_letters": _write(
+                tmp_path, "xyz.rep", "alphabet: x y z\nscalar: rational\n"
+                "x: 1,1;0,1\ny: 1,0;1,1\nz: 2,0;0,1\n"),
+            "notes": _write(tmp_path, "notes.txt", "not a data file\n"),
+        }
+        argv = [a.format(**paths) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % message.format(**paths)
 
 
 class TestUnsignedImaginaryLiterals:
@@ -471,6 +511,16 @@ class TestConfig:
                            "--samples", "4")
         assert code == 0
         assert json.loads(out)["seed"] == 99
+
+    def test_tol_does_not_leak_into_a_later_call(self, capsys, monkeypatch):
+        # a later call without --tol runs at the default tolerance, not at
+        # the one an earlier call in the same process set
+        monkeypatch.delenv("TORSION_CERT_TOL", raising=False)
+        argv = ["certify", "pants.sut", "--char", "(3.0, 1.0, 2.0)"]
+        fresh = run(capsys, *argv)
+        assert fresh[0] in (0, 1) and fresh[2] == ""
+        run(capsys, "--tol", "0.5", *argv)
+        assert run(capsys, *argv) == fresh
 
     def test_env_tol_must_be_positive(self, capsys, monkeypatch):
         monkeypatch.setenv("TORSION_CERT_TOL", "-1")

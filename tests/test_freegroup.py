@@ -102,6 +102,9 @@ class TestGroupRing:
             parse_ring_elem(XY, "2 +")
         with pytest.raises(ParseError):
             parse_ring_elem(XY, "q")
+        # a sign right after a star does not split: no x - y here
+        with pytest.raises(ParseError):
+            parse_ring_elem(XY, "x*-y")
 
 
 class TestFoxCalculus:

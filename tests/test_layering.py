@@ -1,5 +1,5 @@
-"""Matrices on numerators stay inside ``linalg``, and the package runs on
-the standard library alone.
+"""Matrices on numerators stay inside ``linalg``, the package runs on the
+standard library alone, and each module imports only the layers below it.
 
 The (P + Q*sqrt d)/den storage of ``Matrix`` and the helpers that read or
 build it are private to ``linalg``; the other modules reach them through
@@ -10,6 +10,7 @@ source is scanned for the names and imports, not imported.
 
 import ast
 import os
+import re
 import sys
 
 import torsioncert
@@ -64,3 +65,46 @@ def test_package_imports_only_the_standard_library():
                   for module, line in _imported_modules(tree)
                   if module.partition(".")[0] not in allowed]
     assert found == []
+
+
+# bottom up, as the package docstring lists them
+LAYERS = ("errors", "seeds", "scalar", "freegroup", "linalg", "polynomial",
+          "representation", "twisted", "suturedcert", "charvar", "cli")
+
+
+def _package_imports(tree):
+    """The package modules a module imports, relatively or absolutely."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            dotted = [base + "." + alias.name for alias in node.names] \
+                if base.strip(".") in ("", "torsioncert") else [base]
+        else:
+            continue
+        for name in dotted:
+            if name.startswith("torsioncert."):
+                name = "." + name[len("torsioncert."):]
+            if name.startswith("."):
+                yield name.lstrip(".").partition(".")[0], node.lineno
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    modules = sorted(f[:-3] for f in os.listdir(PACKAGE)
+                     if f.endswith(".py") and f != "__init__.py")
+    assert sorted(LAYERS) == modules
+    found = []
+    for rank, name in enumerate(LAYERS):
+        with open(os.path.join(PACKAGE, name + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [(name, line, module)
+                  for module, line in _package_imports(tree)
+                  if module not in LAYERS[:rank]]
+    assert found == []
+
+
+def test_the_package_docstring_lists_the_layers_in_order():
+    doc = torsioncert.__doc__.partition("bottom up")[2]
+    places = [re.search(r"\b%s\b" % name, doc).start() for name in LAYERS]
+    assert places == sorted(places)

@@ -19,7 +19,8 @@ from torsioncert.linalg import (
     parse_matrix,
     rank,
 )
-from torsioncert.scalar import ComplexF, QuadExt, magnitude, zero_test
+from torsioncert.scalar import (ComplexF, QuadExt, magnitude, zero_test,
+                                zero_tolerance)
 from torsioncert.seeds import rng_for
 
 from helpers import minor_rank, perm_det, random_fraction, random_sl2
@@ -435,6 +436,77 @@ class TestMaxRowNorm:
                     for _ in range(r)]
             want = max(math.hypot(*map(magnitude, row)) for row in rows)
             assert Matrix(rows).max_row_norm().hex() == want.hex()
+
+    def test_modulus_past_the_float_range_raises(self):
+        m = Matrix([[complex(1.5e308, 1.5e308), 0j], [0j, 1 + 0j]])
+        with pytest.raises(NonFinite, match="modulus"):
+            m.max_row_norm()
+
+
+def _former_float_rank(rows, tol):
+    """The float rank loop over entry copies and a set of used rows, frozen
+    as the reference: complete pivoting, first maximum, full-width
+    updates."""
+    cutoff = tol * max(1.0, max(math.hypot(*map(abs, r)) for r in rows))
+    a = [[complex(e) for e in r] for r in rows]
+    nr, nc = len(a), len(a[0])
+    rank_count = 0
+    used_rows = set()
+    for _ in range(min(nr, nc)):
+        best, bi, bj = 0.0, None, None
+        for i in range(nr):
+            if i in used_rows:
+                continue
+            for j in range(nc):
+                if abs(a[i][j]) > best:
+                    best, bi, bj = abs(a[i][j]), i, j
+        if best <= cutoff:
+            break
+        rank_count += 1
+        used_rows.add(bi)
+        piv = a[bi][bj]
+        for i in range(nr):
+            if i in used_rows:
+                continue
+            f = a[i][bj] / piv
+            if f != 0:
+                for j in range(nc):
+                    a[i][j] -= f * a[bi][j]
+    return rank_count
+
+
+class TestFloatRankMatchesFormerLoop:
+    """Float ranks on the matrix's own rows equal the former loop's on
+    rectangular, rank-deficient and tied-modulus matrices."""
+
+    @pytest.mark.parametrize("tol", [None, 1e-15, 1e-6])
+    def test_random_matrices(self, tol):
+        rng = rng_for(17, 22)
+        deficient = 0
+        for _ in range(300):
+            r, c = rng.randint(1, 8), rng.randint(1, 8)
+            if rng.random() < 0.5:
+                m = low_rank_product(rng, r, c, rng.randint(1, 3),
+                                     _random_complex_entry)
+            else:
+                m = Matrix([[_random_complex_entry(rng) for _ in range(c)]
+                            for _ in range(r)])
+            want = _former_float_rank(
+                m.entries, zero_tolerance() if tol is None else tol)
+            assert rank(m, tol=tol) == want
+            deficient += want < min(r, c)
+        assert deficient > 100
+
+    def test_tied_moduli_pick_the_first_maximum(self):
+        # every entry has modulus 1: the pivot is the first one met
+        rng = rng_for(17, 23)
+        for _ in range(200):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.choice([1 + 0j, -1 + 0j, 1j, -1j])
+                     for _ in range(c)] for _ in range(r)]
+            for tol in (None, 1e-15, 1e-6):
+                assert rank(Matrix(rows), tol=tol) == _former_float_rank(
+                    rows, zero_tolerance() if tol is None else tol)
 
 
 class TestStructure:
