@@ -24,7 +24,7 @@ from .errors import (DegenerateInput, DivisionByZero, EliminationDegenerate,
 from .freegroup import Alphabet, fox_sweep
 from .linalg import Matrix, det_with_scale, grid_mul
 from .polynomial import (MultiPoly, _mp, aberth_roots, multi_eval,
-                         newton_polish, poly_matrix_det, squarefree_part)
+                         poly_matrix_det, squarefree_part)
 from .representation import Representation, SymPowerRep
 from .seeds import rng_for
 from .suturedcert import fox_matrix, pants_example
@@ -138,7 +138,7 @@ def lift(c, warn=True):
     return rep
 
 
-def locus_det_scaled(c, data, N=2):
+def locus_det_with_scale(c, data, N=2):
     """Certificate determinant of ``data`` through the N-th symmetric power
     of the lift, with the noise scale of the elimination."""
     if N < 2:
@@ -150,7 +150,7 @@ def locus_det_scaled(c, data, N=2):
 
 
 def locus_det(c, data, N=2):
-    return locus_det_scaled(c, data, N)[0]
+    return locus_det_with_scale(c, data, N)[0]
 
 
 # symbolic elimination for N = 2: work in Q[x, y, z, u] modulo the trace
@@ -302,10 +302,7 @@ def _z_root_candidates(poly, xv, yv):
         coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return []
-    low_first = coeffs[::-1]
-    deriv = [k * c for k, c in enumerate(low_first)][1:]
-    return [newton_polish(low_first, deriv, r, 40, 1e-14)
-            for r in aberth_roots(low_first)]
+    return aberth_roots(coeffs[::-1])
 
 
 # how far off the surface, in z, each on-locus root is moved for the
@@ -336,7 +333,7 @@ def locus_verify(N, samples=100, seed=7, tol=1e-6, off_tol=1e-3,
         yv = rng.uniform(-3.0, 3.0)
         for z in _z_root_candidates(poly, xv, yv):
             c = Character(_s.ComplexF(xv), _s.ComplexF(yv), _s.ComplexF(z))
-            det, scale = locus_det_scaled(c, data, N)
+            det, scale = locus_det_with_scale(c, data, N)
             report.on_checked += 1
             if abs(det) <= tol * max(1.0, scale):
                 report.on_passed += 1
@@ -346,7 +343,7 @@ def locus_verify(N, samples=100, seed=7, tol=1e-6, off_tol=1e-3,
             zoff = z + _OFF_DELTA
             coff = Character(_s.ComplexF(xv), _s.ComplexF(yv),
                              _s.ComplexF(zoff))
-            doff, soff = locus_det_scaled(coff, data, N)
+            doff, soff = locus_det_with_scale(coff, data, N)
             report.off_checked += 1
             # off-locus values are compared absolutely: determinants away
             # from the surface are order-one or larger

@@ -177,11 +177,11 @@ def cmd_locus(args):
             rng = rng_for(args.seed, i)
             c = _cv.Character(rng.randint(-5, 5), rng.randint(-5, 5),
                               rng.randint(-5, 5))
-            det, scale = _cv.locus_det_scaled(c, pants, N)
+            det, scale = _cv.locus_det_with_scale(c, pants, N)
             if _s.zero_test(det, scale=scale):
                 zeros += 1
-        det221, scale221 = _cv.locus_det_scaled(_cv.Character(2, 2, 1),
-                                                pants, N)
+        det221, scale221 = _cv.locus_det_with_scale(
+            _cv.Character(2, 2, 1), pants, N)
         member = _s.zero_test(det221, scale=scale221)
         _emit(args, [("N", N), ("samples", args.samples),
                      ("seed", args.seed), ("zero_count", zeros),
@@ -367,10 +367,7 @@ def main(argv=None):
         if args.data_dir is None:
             args.data_dir = os.path.join(os.path.dirname(__file__), "data")
         return _COMMANDS[args.command](args)
-    except TorsionCertError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (TorsionCertError, OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

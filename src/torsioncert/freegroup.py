@@ -29,8 +29,6 @@ inverse.  Over words themselves it gives the group-ring derivative,
 (``.pres``, ``.sut``, ``.rep``) whose parsers build on these words.
 """
 
-from fractions import Fraction
-
 from . import scalar as _s
 from .errors import AlphabetMismatch, ParseError
 
@@ -324,7 +322,8 @@ def _parse_ring_term(alphabet, text):
     while i < len(compact) and (compact[i].isdigit() or compact[i] == "/"):
         i += 1
     coeff_text, word_text = compact[:i], compact[i:]
-    coeff = _s.integral_to_int(Fraction(coeff_text)) if coeff_text else 1
+    coeff = _s.integral_to_int(_s.parse_fraction(coeff_text, text)) \
+        if coeff_text else 1
     if word_text == "" or word_text == "1":
         word = alphabet.identity()
     else:

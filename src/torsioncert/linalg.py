@@ -229,8 +229,8 @@ class Matrix:
     def det(self):
         return det(self)
 
-    def rank(self, tol=None):
-        return rank(self, tol=tol)
+    def rank(self):
+        return rank(self)
 
     def inverse(self):
         return inverse(self)
@@ -583,26 +583,25 @@ def _float_det(m):
     return _s.ComplexF(sign * prod), scale
 
 
-def rank(m, tol=None):
-    """Row rank; exact elimination for exact kinds, thresholded for floats."""
+def rank(m):
+    """Row rank; exact elimination for exact kinds, thresholded at the zero
+    tolerance for floats."""
     if not isinstance(m, Matrix):
         raise TypeError("expected a Matrix")
     if m.field != "complex":
         return _exact_rank(m)
-    return _float_rank(m, tol)
+    return _float_rank(m)
 
 
 def _exact_rank(m):
     return _echelon(m)[0]
 
 
-def _float_rank(m, tol):
+def _float_rank(m):
     """Rank of a complex m by complete pivoting on its unused rows, in
     their order: the first largest modulus is the pivot, unless it is at
-    most tol * max(1, max row norm)."""
-    if tol is None:
-        tol = _s.zero_tolerance()
-    cutoff = tol * max(1.0, m.max_row_norm())
+    most the zero tolerance times max(1, max row norm)."""
+    cutoff = _s.zero_tolerance() * max(1.0, m.max_row_norm())
     left = [list(r) for r in m._parts[0]]
     rank_count = 0
     for _ in range(min(m.rows, m.cols)):

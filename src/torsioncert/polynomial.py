@@ -30,9 +30,9 @@ coefficient kind.
 
 Dense univariate polynomials (coefficient lists, low degree first) serve
 the root finders: an integer primitive-PRS gcd for the Riley polynomial,
-one Newton polish (which can stop inside the gamma-theorem basin of a root
-already found), a Horner root test with a rounding-error bound, and an
-Aberth-Ehrlich solver for all roots at once.
+the Newton run of the parabolic scan (which can stop inside the
+gamma-theorem basin of a root already found), a Horner root test with a
+rounding-error bound, and an Aberth-Ehrlich solver for all roots at once.
 """
 
 import re as _re
@@ -574,7 +574,7 @@ def parse_multi(text):
         return MultiPoly.zero()
     out = {}
     for sign, term in _s.split_sum(s):
-        coeff = Fraction(1)
+        coeff = 1
         ex = [0] * _ARITY
         saw = False
         for factor in term.replace(" ", "").split("*"):
@@ -585,16 +585,12 @@ def parse_multi(text):
                 i = MP_VARS.index(m.group("var"))
                 ex[i] += int(m.group("exp") or 1)
             else:
-                try:
-                    coeff *= Fraction(factor)
-                except ValueError:
-                    raise ParseError("bad factor %r in %r"
-                                     % (factor, text)) from None
+                coeff *= _s.parse_fraction(factor, text)
             saw = True
         if not saw:
             raise ParseError("empty term in %r" % text)
         key = tuple(ex)
-        out[key] = out.get(key, Fraction(0)) + sign * coeff
+        out[key] = out.get(key, 0) + sign * coeff
     return MultiPoly(out)
 
 
@@ -856,10 +852,11 @@ def int_poly_gcd(a, b):
         n, lb = len(b) - 1, b[-1]
 
 
-def newton_polish(coeffs, dcoeffs, y, steps, rtol, basins=None):
+def _newton_run(coeffs, dcoeffs, y, steps, rtol, basins):
     """Newton iteration from ``y`` on the complex polynomial ``coeffs`` with
     derivative ``dcoeffs`` (both low degree first, so ``dcoeffs`` is one
-    shorter).
+    shorter), as the parabolic scan runs it: a pair (the result, None), or
+    (None, the iterate) when a basin stopped the run.
 
     Stops after ``steps`` steps, at a zero derivative, or once a step falls
     below ``rtol * max(1, |y|)``.  One Horner loop, written out here, gives
@@ -867,21 +864,15 @@ def newton_polish(coeffs, dcoeffs, y, steps, rtol, basins=None):
     operations in the same order as a loop of its own, so the bits are
     those of two separate evaluations.
 
-    ``basins`` is an optional list of pairs (r, rho), a root already found
+    ``basins`` is None or a list of pairs (r, rho), a root already found
     and its radius from :func:`newton_basin_radius`.  An iterate within
     rho of some r, with at least six steps still to run, ends the run at
-    once and the result is None: from inside that radius Newton converges
-    to r quadratically, so the full run would have ended next to r anyway.
-    The basins are only looked at when the step from the iterate is below
-    4 max rho: from within rho of a simple root the Newton step is below
-    about 1.2 rho, so a longer step rules out every basin.
+    once: from inside that radius Newton converges to r quadratically, so
+    the full run would have ended next to r anyway.  The basins are only
+    looked at when the step from the iterate is below 4 max rho: from
+    within rho of a simple root the Newton step is below about 1.2 rho, so
+    a longer step rules out every basin.
     """
-    return _newton_run(coeffs, dcoeffs, y, steps, rtol, basins)[0]
-
-
-def _newton_run(coeffs, dcoeffs, y, steps, rtol, basins):
-    # newton_polish's run: its result, and the iterate at which a basin
-    # stopped it (the result is then None), else None
     lead = coeffs[-1]
     pairs = list(zip(coeffs[-2::-1], dcoeffs[::-1]))
     # a basin can end the run at steps 0 .. watch - 1
@@ -1014,8 +1005,7 @@ def aberth_roots(coeffs):
     roots: an update whose denominator is 0, or that would leave the finite
     range, is skipped.  A root of multiplicity m comes back as m
     approximations within about the m-th root of the rounding error, as
-    from any solver in double precision; simple roots can be polished with
-    :func:`newton_polish`.
+    from any solver in double precision.
 
     >>> sorted(round(r.real, 12) for r in aberth_roots([2, -3, 1]))
     [1.0, 2.0]

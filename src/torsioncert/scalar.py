@@ -482,12 +482,18 @@ _QUAD_RE = _re.compile(
     r"sqrt\(\s*(?P<d>-?\d+)\s*\))?$")
 
 
-def _fraction(text, literal):
+def parse_fraction(text, literal):
+    """``text`` read as ``Fraction(text)`` reads it: the one reader of a
+    fraction literal.  Text that ``Fraction`` rejects, or a zero
+    denominator, raises ``ParseError`` naming ``literal``, the literal that
+    ``text`` was cut from."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ParseError("zero denominator in scalar literal %r"
-                         % literal) from None
+        raise ParseError("zero denominator in literal %r" % literal) from None
+    except ValueError:
+        raise ParseError("bad number %r in literal %r"
+                         % (text, literal)) from None
 
 
 def parse_scalar(text, kind=None):
@@ -510,21 +516,21 @@ def parse_scalar(text, kind=None):
     if kind == "rational":
         if not _RATIONAL_RE.match(s):
             raise ParseError("bad rational literal %r" % text)
-        return _fraction(s, text)
+        return parse_fraction(s, text)
     if kind == "quadext":
         compact = s.replace(" ", "")
         if "sqrt" not in compact:
             # rationally embedded entry; the matrix layer promotes it
             if not _RATIONAL_RE.match(compact):
                 raise ParseError("bad quadratic literal %r" % text)
-            return _fraction(compact, text)
+            return parse_fraction(compact, text)
         m = _QUAD_RE.match(compact)
         if not m or (m.group("a") is None and m.group("d") is None):
             raise ParseError("bad quadratic literal %r" % text)
-        a = _fraction(m.group("a"), text) if m.group("a") else Fraction(0)
+        a = parse_fraction(m.group("a"), text) if m.group("a") else Fraction(0)
         if m.group("d") is None:
             raise ParseError("quadratic literal %r lacks a sqrt part" % text)
-        b = _fraction(m.group("b"), text) if m.group("b") else Fraction(1)
+        b = parse_fraction(m.group("b"), text) if m.group("b") else Fraction(1)
         if m.group("sign") == "-":
             b = -b
         try:

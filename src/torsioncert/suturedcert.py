@@ -55,12 +55,11 @@ class Certificate:
     """Outcome of the product test for one representation."""
 
     def __init__(self, determinant, is_product, rep_description,
-                 oracle_h1=None, det_scale=1.0, extended=False):
+                 oracle_h1=None, extended=False):
         self.determinant = determinant
         self.is_product = is_product
         self.rep_description = rep_description
         self.oracle_h1 = oracle_h1
-        self.det_scale = det_scale
         self.extended = extended
 
     def __repr__(self):
@@ -157,7 +156,6 @@ def certify(data, rep, with_oracle=False):
     det, scale = _la.det_with_scale(m)
     is_product = not _s.zero_test(det, scale=scale)
     cert = Certificate(det, is_product, rep.description(),
-                       det_scale=scale,
                        extended=len(data.alphabet) > 2)
     if with_oracle:
         rel_h1 = _relative_h1(data, rep)[0]

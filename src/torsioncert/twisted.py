@@ -280,14 +280,13 @@ class TorsionResult:
     the bounds that degree implies."""
 
     def __init__(self, numerator, denominator, column_deleted, degree,
-                 norm_bound, genus_bound, scalar_kind):
+                 norm_bound, genus_bound):
         self.numerator = numerator
         self.denominator = denominator
         self.column_deleted = column_deleted
         self.degree = degree
         self.norm_bound = norm_bound
         self.genus_bound = genus_bound
-        self.scalar_kind = scalar_kind
 
     def genus_bound_int(self):
         """The genus bound rounded up to an integer, or None."""
@@ -366,8 +365,7 @@ def wada_torsion(pres, rep):
     else:
         norm_bound = Fraction(degree, n)
         genus_bound = (norm_bound + 1) / 2
-    return TorsionResult(num, den, j, degree, norm_bound, genus_bound,
-                         rep.scalar_kind)
+    return TorsionResult(num, den, j, degree, norm_bound, genus_bound)
 
 
 class GenusVerdict:

@@ -12,7 +12,7 @@ from torsioncert.charvar import (
     Character,
     eliminate_L2,
     lift,
-    locus_det_scaled,
+    locus_det_with_scale,
     locus_verify,
 )
 from torsioncert.cli import main
@@ -136,7 +136,7 @@ def test_criterion_04_higher_locus_sampling_and_membership():
     data = pants_example()
     c = Character(2, 2, 1)
     for N in range(2, 11):
-        d, scale = locus_det_scaled(c, data, N)
+        d, scale = locus_det_with_scale(c, data, N)
         if magnitude(d) > 1e-8 * max(1.0, scale):
             failures.append(("membership", N, d))
     _finish(4, "L3/L4 sampling at 1e-6 and (2,2,1) in L_N for N=2..10",

@@ -105,6 +105,11 @@ class TestGroupRing:
         # a sign right after a star does not split: no x - y here
         with pytest.raises(ParseError):
             parse_ring_elem(XY, "x*-y")
+        # malformed coefficients: a zero denominator, a slash without a
+        # number on one side, a doubled slash
+        for text in ("1/0*x", "/x", "2/*x", "1//2*x"):
+            with pytest.raises(ParseError):
+                parse_ring_elem(XY, text)
 
 
 class TestFoxCalculus:

@@ -19,7 +19,8 @@ from torsioncert.linalg import (
     parse_matrix,
     rank,
 )
-from torsioncert.scalar import (ComplexF, QuadExt, magnitude, zero_test,
+from torsioncert.scalar import (DEFAULT_TOLERANCE, ComplexF, QuadExt,
+                                magnitude, set_zero_tolerance, zero_test,
                                 zero_tolerance)
 from torsioncert.seeds import rng_for
 
@@ -120,7 +121,8 @@ class TestRank:
         m = Matrix([[ComplexF(1.0), ComplexF(2.0)],
                     [ComplexF(0.5), ComplexF(1.0 + 1e-13)]])
         assert rank(m) == 1
-        assert rank(m, tol=1e-15) == 2
+        set_zero_tolerance(1e-15)
+        assert rank(m) == 2
 
     def test_rank_deficient_product(self):
         rng = rng_for(17, 6)
@@ -477,10 +479,12 @@ def _former_float_rank(rows, tol):
 
 class TestFloatRankMatchesFormerLoop:
     """Float ranks on the matrix's own rows equal the former loop's on
-    rectangular, rank-deficient and tied-modulus matrices."""
+    rectangular, rank-deficient and tied-modulus matrices, at the default
+    zero tolerance (None) and at two others."""
 
     @pytest.mark.parametrize("tol", [None, 1e-15, 1e-6])
     def test_random_matrices(self, tol):
+        set_zero_tolerance(DEFAULT_TOLERANCE if tol is None else tol)
         rng = rng_for(17, 22)
         deficient = 0
         for _ in range(300):
@@ -491,9 +495,8 @@ class TestFloatRankMatchesFormerLoop:
             else:
                 m = Matrix([[_random_complex_entry(rng) for _ in range(c)]
                             for _ in range(r)])
-            want = _former_float_rank(
-                m.entries, zero_tolerance() if tol is None else tol)
-            assert rank(m, tol=tol) == want
+            want = _former_float_rank(m.entries, zero_tolerance())
+            assert rank(m) == want
             deficient += want < min(r, c)
         assert deficient > 100
 
@@ -505,8 +508,9 @@ class TestFloatRankMatchesFormerLoop:
             rows = [[rng.choice([1 + 0j, -1 + 0j, 1j, -1j])
                      for _ in range(c)] for _ in range(r)]
             for tol in (None, 1e-15, 1e-6):
-                assert rank(Matrix(rows), tol=tol) == _former_float_rank(
-                    rows, zero_tolerance() if tol is None else tol)
+                set_zero_tolerance(DEFAULT_TOLERANCE if tol is None else tol)
+                assert rank(Matrix(rows)) == _former_float_rank(
+                    rows, zero_tolerance())
 
 
 class TestStructure:

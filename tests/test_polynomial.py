@@ -9,6 +9,7 @@ from torsioncert.errors import (DivisionByZero, InexactDivision,
                                 MixedScalarKind, NonFinite, ParseError,
                                 TorsionCertError)
 from torsioncert.polynomial import (
+    _newton_run,
     LaurentPoly,
     MultiPoly,
     aberth_roots,
@@ -20,7 +21,6 @@ from torsioncert.polynomial import (
     mp_gcd,
     multi_str,
     newton_basin_radius,
-    newton_polish,
     parse_laurent,
     parse_multi,
     poly_matrix_det,
@@ -369,6 +369,13 @@ class TestLiteralSigns:
         assert parse_multi("- 2*x + y") == \
             MultiPoly.variable("y") - MultiPoly.variable("x").scale(2)
 
+    def test_zero_denominator_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_multi("1/0*x")
+
+    def test_coefficients_read_what_fraction_reads(self):
+        assert parse_multi("0.5*x") == parse_multi("1/2*x")
+
 
 class TestFactorTools:
     def test_resultant_matches_sympy(self):
@@ -476,12 +483,12 @@ class TestDenseUnivariate:
         # y^2 + y + 1 from near its root exp(2 pi i / 3)
         coeffs = [1 + 0j, 1 + 0j, 1 + 0j]
         dcoeffs = [1 + 0j, 2 + 0j]
-        y = newton_polish(coeffs, dcoeffs, complex(0, 1), 80, 1e-15)
+        y = _newton_run(coeffs, dcoeffs, complex(0, 1), 80, 1e-15, None)[0]
         assert y == pytest.approx(complex(-0.5, 3 ** 0.5 / 2), abs=1e-15)
         assert horner_within_rounding(coeffs, y)
         assert not horner_within_rounding(coeffs, y + 1e-9)
         # a capped iteration is returned unconverged, and the test says so
-        far = newton_polish(coeffs, dcoeffs, complex(3, 3), 2, 1e-15)
+        far = _newton_run(coeffs, dcoeffs, complex(3, 3), 2, 1e-15, None)[0]
         assert not horner_within_rounding(coeffs, far)
         assert horner_within_rounding([0j, 1 + 0j], 0j)
 
@@ -492,14 +499,15 @@ class TestDenseUnivariate:
         rho = newton_basin_radius(coeffs, r)
         basins = [(r, rho)]
         start = r + 0.5 * rho
-        assert newton_polish(coeffs, dcoeffs, start, 80, 1e-15, basins) is None
+        assert _newton_run(coeffs, dcoeffs, start, 80, 1e-15,
+                           basins)[0] is None
         # with fewer than six steps left the run goes on to its end
-        y = newton_polish(coeffs, dcoeffs, start, 5, 1e-15, basins)
+        y = _newton_run(coeffs, dcoeffs, start, 5, 1e-15, basins)[0]
         assert y == pytest.approx(r, abs=1e-12)
         # a run that never enters a radius is the plain run
         far = complex(3, -3)
-        assert newton_polish(coeffs, dcoeffs, far, 80, 1e-15, basins) \
-            == newton_polish(coeffs, dcoeffs, far, 80, 1e-15)
+        assert _newton_run(coeffs, dcoeffs, far, 80, 1e-15, basins)[0] \
+            == _newton_run(coeffs, dcoeffs, far, 80, 1e-15, None)[0]
 
     def test_aberth_roots_match_an_oracle(self):
         # seeded polynomials of degree 1..8 against mpmath at 200 extra bits
@@ -510,7 +518,7 @@ class TestDenseUnivariate:
             assert len(roots) == deg
             assert all(cmath.isfinite(r) for r in roots)
             dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-            polished = [newton_polish(coeffs, dcoeffs, r, 40, 1e-14)
+            polished = [_newton_run(coeffs, dcoeffs, r, 40, 1e-14, None)[0]
                         for r in roots]
             oracle = [complex(r) for r in mpmath.polyroots(
                 coeffs[::-1], maxsteps=500, extraprec=200)]
