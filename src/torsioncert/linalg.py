@@ -388,7 +388,7 @@ def grid_mul(a, b):
 
 def det(m):
     """Determinant: Bareiss for exact kinds, partial pivoting for floats."""
-    return det_with_scale(m)[0]
+    return det_rank_with_scale(m)[0]
 
 
 def det_with_scale(m):
@@ -400,13 +400,24 @@ def det_with_scale(m):
     float result is trustworthy down to roughly eps * scale.  Exact kinds
     return scale 1.0.
     """
+    return det_rank_with_scale(m)[:2]
+
+
+def det_rank_with_scale(m):
+    """:func:`det_with_scale` of m and then its rank where the same
+    elimination gives it: for exact kinds the rank of the Bareiss echelon
+    whose last pivot is the determinant, for floats None.  A float rank
+    (:func:`rank`, complete pivoting against the zero tolerance) is a
+    decision of its own, not a by-product of the partially pivoted
+    determinant."""
     if not isinstance(m, Matrix):
         raise TypeError("expected a Matrix")
     if m.rows != m.cols:
         raise NotSquare("determinant of a %dx%d matrix" % (m.rows, m.cols))
     if m.field != "complex":
-        return _bareiss_det(m), 1.0
-    return _float_det(m)
+        d, found = _bareiss_det(m)
+        return d, 1.0, found
+    return _float_det(m) + (None,)
 
 
 def _echelon(m):
@@ -515,14 +526,16 @@ def _exact_quotients(values, denom):
 
 
 def _bareiss_det(m):
+    """(det, rank) of a square exact m from one :func:`_echelon`."""
     found, pivot, sign, content = _echelon(m)
     if found < m.rows:
-        return 0
+        return 0, found
     den = m._denom ** m.rows
     if len(m._parts) == 2:
         p, q = pivot
-        return _s._quad(sign * content * p, sign * content * q, den, m.field)
-    return _ratio(sign * content * pivot, den)
+        return _s._quad(sign * content * p, sign * content * q, den,
+                        m.field), found
+    return _ratio(sign * content * pivot, den), found
 
 
 def _ratio(num, den):

@@ -482,11 +482,26 @@ _QUAD_RE = _re.compile(
     r"sqrt\(\s*(?P<d>-?\d+)\s*\))?$")
 
 
+# the largest decimal exponent a fraction literal may carry, Python's
+# default limit on the digits of an int read from text: "1e4000000" would
+# otherwise build a 13-million-bit numerator
+MAX_EXPONENT = 4300
+_EXPONENT_RE = _re.compile(r"[eE][+-]?([\d_]+)\s*$")
+
+
 def parse_fraction(text, literal):
     """``text`` read as ``Fraction(text)`` reads it: the one reader of a
-    fraction literal.  Text that ``Fraction`` rejects, or a zero
-    denominator, raises ``ParseError`` naming ``literal``, the literal that
-    ``text`` was cut from."""
+    fraction literal.  Text that ``Fraction`` rejects, a zero denominator,
+    or a decimal exponent past ``MAX_EXPONENT`` in size raises
+    ``ParseError`` naming ``literal``, the literal that ``text`` was cut
+    from."""
+    exp = _EXPONENT_RE.search(text)
+    if exp:
+        digits = exp.group(1).replace("_", "").lstrip("0")
+        if (len(digits) > len(str(MAX_EXPONENT))
+                or int(digits or 0) > MAX_EXPONENT):
+            raise ParseError("exponent past %d in literal %r"
+                             % (MAX_EXPONENT, literal))
     try:
         return Fraction(text)
     except ZeroDivisionError:

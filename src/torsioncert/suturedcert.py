@@ -5,16 +5,17 @@ The certificate is the determinant of the block matrix of Fox derivatives
 of those images pushed through a representation: nonzero exactly when the
 sutured manifold is a homology product for that coefficient system.  An
 optional oracle reads the relative h1 of the presentation 2-complex on an
-enlarged alphabet (``Representation.extended``).  The ambient columns of
-that complex are the Fox matrix itself, so the oracle compares the
-determinant's zero test with a rank of the same matrix.
+enlarged alphabet (``Representation.extended``).  That complex is
+assembled from the Fox matrix itself, whose chain condition it checks,
+so the oracle compares the determinant's zero test with a rank of the
+same matrix.
 """
 
 from . import linalg as _la
 from . import scalar as _s
 from .errors import AlphabetMismatch, OracleMismatch, ParseError
 from .freegroup import Alphabet, Word, parse_at, read_sections
-from .twisted import Presentation, build_complex, homology_dims
+from .twisted import checked_complex, homology_dims
 
 
 class SuturedHandlebodyData:
@@ -117,27 +118,44 @@ def extend_rep(data, rep):
     return rep.extended(enlarged_presentation(data)[0], data.images)
 
 
-def _relative_h1(data, rep):
+def _relative_h1(data, rep, m, rank=None):
     """The relative h1 of the enlarged presentation complex with the
-    surface edges collapsed, with the complex's boundary matrices (d2,
-    d1).  The ambient columns of d2 are :func:`fox_matrix` of data and
-    rep, entry for entry, so the relative h1 is k*n minus the rank of the
-    certificate's own matrix."""
-    big, relators = enlarged_presentation(data)
-    pres = Presentation(big, relators, name=data.name or "enlarged")
-    d2, d1 = build_complex(pres, rep.extended(big, data.images))
-    kn = len(data.alphabet) * rep.n
-    # relative cochains: only ambient-edge columns survive collapsing B
-    return kn - d2.submatrix(range(d2.rows), range(kn)).rank(), d2, d1
+    surface edges collapsed, with the complex's boundary matrices (d2, d1)
+    through :func:`extend_rep`.
+
+    m is :func:`fox_matrix` of data and rep.  Only the ambient-edge
+    columns of d2 survive the collapse, and they are m, so the relative
+    h1 is k*n minus the rank of m: ``rank`` where the caller has it from
+    the determinant's exact echelon, else ``m.rank()``.  d2 is [m | S],
+    with S block diagonal: block i is the Fox derivative of the relator
+    image_i . s_i^-1 by its surface letter, -rho(image_i) rho(s_i)^-1,
+    one ``running_mul`` and one ``signed_sum`` as the relator's Fox sweep
+    takes them, so d2 has the bits of ``build_complex`` on
+    :func:`enlarged_presentation`.  The chain condition d2 . d1 = 0
+    (``twisted.checked_complex``) thus checks the certificate's own
+    matrix, and raises ``ChainCondition`` when it fails."""
+    ext = extend_rep(data, rep)
+    k = len(data.alphabet)
+    zero = ext.units[1]
+    surface = [[zero] * k for _ in range(k)]
+    for i in range(k):
+        s = k + i + 1
+        surface[i][i] = _la.signed_sum([(-1, _la.running_mul(
+            ext.letter_image(s), ext.letter_image(-s)))], zero)
+    d2, d1 = checked_complex(
+        _la.block_assemble([[m, _la.block_assemble(surface)]]), ext)
+    if rank is None:
+        rank = m.rank()
+    return k * rep.n - rank, d2, d1
 
 
 def oracle_dims(data, rep):
     """(h0, h1, h2) of the enlarged presentation complex, its relative h1
     with the surface edges collapsed, and the complex's cell-count Euler
-    characteristic 1 - 2k + k.  The relative h1, all that :func:`certify`
-    reads, comes from the same builder without the two ranks of
-    ``homology_dims``."""
-    rel_h1, d2, d1 = _relative_h1(data, rep)
+    characteristic 1 - 2k + k.  The complex is the one :func:`certify`
+    checks, assembled from the Fox matrix (:func:`_relative_h1`); the
+    relative h1 is k*n minus the rank of that matrix."""
+    rel_h1, d2, d1 = _relative_h1(data, rep, fox_matrix(data, rep))
     k = len(data.alphabet)
     return homology_dims(d2, d1), rel_h1, 1 - 2 * k + k
 
@@ -146,19 +164,22 @@ def certify(data, rep, with_oracle=False):
     """Decide homology-product-ness by the Fox determinant; optionally
     compare with the relative h1 of the enlarged presentation complex.
 
-    That h1 is k*n minus the rank of the same Fox matrix
-    (:func:`_relative_h1`), so the comparison is of a zero test with a
-    rank, not with an independent route, and only float input can make
-    the two disagree.  A disagreement raises rather than returning a
-    silently wrong verdict.
+    The oracle assembles that complex from the certificate's own Fox
+    matrix and checks its chain condition, Fox's fundamental formula on
+    that matrix (:func:`_relative_h1`).  Its relative h1 is k*n minus the
+    rank of the same matrix: for exact kinds the rank of the Bareiss
+    echelon that gave the determinant, so the comparison cannot fail; for
+    floats a completely pivoted rank against the tolerance, a separate
+    decision from the determinant's zero test.  A disagreement raises
+    rather than returning a silently wrong verdict.
     """
     m = fox_matrix(data, rep)
-    det, scale = _la.det_with_scale(m)
+    det, scale, rank = _la.det_rank_with_scale(m)
     is_product = not _s.zero_test(det, scale=scale)
     cert = Certificate(det, is_product, rep.description(),
                        extended=len(data.alphabet) > 2)
     if with_oracle:
-        rel_h1 = _relative_h1(data, rep)[0]
+        rel_h1 = _relative_h1(data, rep, m, rank)[0]
         cert.oracle_h1 = rel_h1
         if is_product != (rel_h1 == 0):
             raise OracleMismatch(

@@ -110,6 +110,10 @@ class TestGroupRing:
         for text in ("1/0*x", "/x", "2/*x", "1//2*x"):
             with pytest.raises(ParseError):
                 parse_ring_elem(XY, text)
+        # a group-ring coefficient has no decimal form, bounded or not
+        for text in ("0.5*x", "1e3*x", "1e4000000*x"):
+            with pytest.raises(ParseError, match="not in alphabet"):
+                parse_ring_elem(XY, text)
 
 
 class TestFoxCalculus:

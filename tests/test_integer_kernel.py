@@ -186,34 +186,37 @@ def test_extended_images_come_with_their_inverses():
 
 def test_one_determinant_and_no_inversion_per_certificate(monkeypatch):
     # the images of symmetric powers and of the enlarged alphabet follow
-    # from checked ones, so only the certificate takes a determinant
+    # from checked ones, so only the certificate takes a determinant; the
+    # oracle reads its rank off the determinant's own Bareiss echelon
     rng = rng_for(73, 40)
     bases = [rep for rep in exact_reps(rng)[:6] if rep.alphabet == XY]
     for base in bases:
         for i in range(2):
             base.image_inverse(i)
-    calls = {"det": 0, "inverse": 0}
-    real_det, real_inverse = linalg_module._bareiss_det, linalg_module.inverse
+    calls = {"det": 0, "echelon": 0, "inverse": 0}
+    real = {"det": linalg_module._bareiss_det,
+            "echelon": linalg_module._echelon,
+            "inverse": linalg_module.inverse}
 
-    def counted(name, fn):
+    def counted(name):
         def wrapped(m):
             calls[name] += 1
-            return fn(m)
+            return real[name](m)
         return wrapped
 
-    monkeypatch.setattr(linalg_module, "_bareiss_det",
-                        counted("det", real_det))
-    monkeypatch.setattr(linalg_module, "inverse",
-                        counted("inverse", real_inverse))
+    monkeypatch.setattr(linalg_module, "_bareiss_det", counted("det"))
+    monkeypatch.setattr(linalg_module, "_echelon", counted("echelon"))
+    monkeypatch.setattr(linalg_module, "inverse", counted("inverse"))
     data = SuturedHandlebodyData(XY, [Word.from_string(XY, "xyX"),
                                       Word.from_string(XY, "yxxY")])
     runs = 0
     for base in bases:
         for N in (2, 3, 5):
             rep = base if N == 2 else SymPowerRep(base, N)
-            certify(data, rep, with_oracle=True)
-            runs += 1
-    assert calls == {"det": runs, "inverse": 0}
+            for with_oracle in (False, True):
+                certify(data, rep, with_oracle=with_oracle)
+                runs += 1
+    assert calls == {"det": runs, "echelon": runs, "inverse": 0}
 
 
 def integer_entry(rng, den):

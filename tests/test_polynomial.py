@@ -1,6 +1,7 @@
 """Laurent polynomials in t and exact multivariate polynomials."""
 
 import cmath
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,8 @@ from torsioncert.polynomial import (
     resultant_in_u,
     squarefree_part,
 )
-from torsioncert.scalar import ComplexF, QuadExt, set_zero_tolerance
+from torsioncert.scalar import (MAX_EXPONENT, ComplexF, QuadExt,
+                                set_zero_tolerance)
 from torsioncert.seeds import rng_for
 
 from helpers import perm_det
@@ -375,6 +377,25 @@ class TestLiteralSigns:
 
     def test_coefficients_read_what_fraction_reads(self):
         assert parse_multi("0.5*x") == parse_multi("1/2*x")
+        assert parse_multi("1e3*x") == parse_multi("1000*x")
+        assert parse_multi("25e-2*x") == parse_multi("1/4*x")
+
+    def test_exponents_up_to_the_bound_read_exactly(self):
+        big = parse_multi("1e%d*x" % MAX_EXPONENT)
+        assert big == MultiPoly.variable("x").scale(Fraction(10)
+                                                    ** MAX_EXPONENT)
+        assert parse_multi("1e-%d*x" % MAX_EXPONENT) == \
+            MultiPoly.variable("x").scale(Fraction(1, 10 ** MAX_EXPONENT))
+
+    @pytest.mark.parametrize("text", [
+        "1e%d*x" % (MAX_EXPONENT + 1), "1e-%d*x" % (MAX_EXPONENT + 1),
+        "1e4_301*x", "1e4000000*x", "2 + 1E%s*y" % ("9" * 40)])
+    def test_an_exponent_past_the_bound_fails_at_once(self, text):
+        # read exactly, 1e4000000 alone builds a 13-million-bit numerator
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="exponent past 4300"):
+            parse_multi(text)
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestFactorTools:

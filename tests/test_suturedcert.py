@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from torsioncert.charvar import Character, lift
-from torsioncert.errors import AlphabetMismatch, ParseError
+from torsioncert.errors import AlphabetMismatch, ChainCondition, ParseError
 from torsioncert.freegroup import Alphabet, Word
 from torsioncert.linalg import Matrix, det, matrix_str
 from torsioncert.representation import Representation, SymPowerRep
@@ -14,6 +14,7 @@ from torsioncert.seeds import rng_for
 from torsioncert.twisted import Presentation, build_complex
 from torsioncert.suturedcert import (
     SuturedHandlebodyData,
+    _relative_h1,
     certify,
     enlarged_presentation,
     extend_rep,
@@ -27,6 +28,7 @@ from torsioncert.suturedcert import (
 from helpers import random_fraction, random_sl2, random_word
 
 XY = Alphabet("x y")
+XYZ = Alphabet("x y z")
 
 
 def schottky_rep():
@@ -180,6 +182,68 @@ class TestOracle:
             assert [list(map(repr, r)) for r in ambient.entries] == \
                 [list(map(repr, r)) for r in fox.entries]
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
+                                      "complex"])
+    def test_oracle_complex_is_the_enlarged_build_complex(self, kind, N,
+                                                          rank):
+        # the oracle assembles d2 = [m | S] from the certificate's Fox
+        # matrix m; build_complex on the enlarged presentation, the route
+        # it replaced, gives the same (d2, d1) bit for bit
+        rng = rng_for(31, 7)
+        raised = 0
+        for _ in range(8):
+            rep = _lift_of_kind(rng, kind)
+            if rank == 3:
+                a, b = rep.images
+                rep = Representation(XYZ, [a, b, a * b])
+            if N > 2:
+                rep = SymPowerRep(rep, N)
+            alphabet = rep.alphabet
+            data = SuturedHandlebodyData(
+                alphabet, [random_word(rng, alphabet, 6)
+                           for _ in alphabet.names])
+            got = _complex_or_error(lambda: _relative_h1(
+                data, rep, fox_matrix(data, rep))[1:])
+            want = _complex_or_error(lambda: build_complex(
+                Presentation(*enlarged_presentation(data)),
+                extend_rep(data, rep)))
+            assert got == want
+            raised += got[0] == "raised"
+        # a float chain check may fail on long words (ROADMAP item 4),
+        # the same way on both routes
+        assert raised <= (2 if kind == "complex" else 0)
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
+                                      "complex"])
+    def test_the_chain_check_guards_the_certificates_matrix(
+            self, kind, monkeypatch):
+        # one unit added to one entry of the certificate's own Fox blocks,
+        # and to no other representation's, breaks Fox's fundamental
+        # formula on the oracle's complex; without the oracle nothing is
+        # checked
+        rng = rng_for(31, 8)
+        rep = _lift_of_kind(rng, kind)
+        data = pants_example()
+        honest = certify(data, rep)
+        real = Representation.fox_blocks
+
+        def perturbed(self, w):
+            blocks = real(self, w)
+            if self is rep:
+                unit = [[int(i == j == 0) for j in range(self.n)]
+                        for i in range(self.n)]
+                blocks[0] = blocks[0] + Matrix(unit)
+            return blocks
+
+        monkeypatch.setattr(Representation, "fox_blocks", perturbed)
+        assert certify(data, rep).determinant != honest.determinant
+        with pytest.raises(ChainCondition, match="relator 0$"):
+            certify(data, rep, with_oracle=True)
+        with pytest.raises(ChainCondition, match="relator 0$"):
+            oracle_dims(data, rep)
+
     def test_euler_identity_random_images(self):
         # h0 - h1 + h2 = n * chi for every rep, product or not
         rng = rng_for(31, 5)
@@ -192,6 +256,17 @@ class TestOracle:
             h0, h1, h2 = dims
             assert h0 - h1 + h2 == rep.n * chi
             assert chi == -1
+
+
+def _complex_or_error(build):
+    """The reprs of each entry of the (d2, d1) that ``build`` returns, or
+    the ``ChainCondition`` it raises."""
+    try:
+        d2, d1 = build()
+    except ChainCondition as exc:
+        return "raised", str(exc)
+    return "built", [[list(map(repr, r)) for r in m.entries]
+                     for m in (d2, d1)]
 
 
 def _lift_of_kind(rng, kind):
