@@ -244,6 +244,14 @@ class TestOracle:
         with pytest.raises(ChainCondition, match="relator 0$"):
             oracle_dims(data, rep)
 
+    def test_oracle_dims_guards_the_alphabet(self):
+        # the complex is assembled from fox_matrix, which checks it
+        ab = Alphabet("a b")
+        rep = Representation(ab, [Matrix([[1, 1], [0, 1]]),
+                                  Matrix([[1, 0], [1, 1]])])
+        with pytest.raises(AlphabetMismatch):
+            oracle_dims(pants_example(), rep)
+
     def test_euler_identity_random_images(self):
         # h0 - h1 + h2 = n * chi for every rep, product or not
         rng = rng_for(31, 5)
