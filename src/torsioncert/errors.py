@@ -64,6 +64,11 @@ class ScalarEmbedding(TorsionCertError, TypeError):
     """A coefficient cannot be embedded into the representation's scalars."""
 
 
+class SingularImage(TorsionCertError, ValueError):
+    """A generator image is singular, or not of determinant 1 under
+    ``sl_flag``."""
+
+
 class NotTwoByTwo(TorsionCertError, ValueError):
     """Symmetric powers are defined here for 2x2 input only."""
 

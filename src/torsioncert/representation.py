@@ -6,10 +6,10 @@ presentations.
 A representation assigns an invertible n x n matrix over one scalar kind to
 each generator of an alphabet.  ``sl_flag`` asserts determinant-1 images,
 which is checked at construction, except where it follows from images
-already checked: exact symmetric powers and extensions.  Words, Fox
-blocks, symmetric powers and extensions are products and signed sums of
-``Matrix`` objects, which keep their own numerators
-(``linalg.running_mul``, ``linalg.product``, ``linalg.signed_sum``).
+already checked: exact symmetric powers.  Words, Fox blocks and symmetric
+powers are products and signed sums of ``Matrix`` objects, which keep
+their own numerators (``linalg.running_mul``, ``linalg.product``,
+``linalg.signed_sum``).
 """
 
 import string
@@ -19,7 +19,8 @@ from . import linalg as _la
 from . import scalar as _s
 from .errors import (AlphabetMismatch, IncompleteRootScan, MixedExtension,
                      MixedScalarKind, NoRootFound, NotSL2, NotTwoByTwo,
-                     ParseError, ReducibleOnly, ScalarEmbedding)
+                     ParseError, ReducibleOnly, ScalarEmbedding,
+                     SingularImage)
 from .freegroup import (Alphabet, GroupRingElem, Word, fox_sweep, parse_at,
                         read_sections)
 from .linalg import Matrix, sym_power
@@ -48,24 +49,23 @@ class Representation:
             images = [column.submatrix(range(i * n, (i + 1) * n), range(n))
                       for i in range(len(images))]
         self._store(alphabet, images, sl_flag)
-        self._check_images(0)
+        self._check_images()
 
-    def _check_images(self, start):
-        """Raise unless every image from index ``start`` on is nonsingular,
-        and of determinant 1 under ``sl_flag``."""
-        for i in range(start, len(self.images)):
-            m = self.images[i]
+    def _check_images(self):
+        """Raise ``SingularImage`` unless every image is nonsingular, and
+        of determinant 1 under ``sl_flag``."""
+        for i, m in enumerate(self.images):
             # exact kinds test zero exactly, whatever the scale; the norm
             # comes first, to raise NonFinite on a modulus past the range
             scale = max(1.0, m.max_row_norm()) \
                 if self.scalar_kind == "complex" else 1.0
             d = m.det()
             if _s.zero_test(d, scale=scale):
-                raise ValueError("image of generator %r is singular"
-                                 % self.alphabet.names[i])
+                raise SingularImage("image of generator %r is singular"
+                                    % self.alphabet.names[i])
             if self.sl_flag and not _s.zero_test(d - 1, scale=scale):
-                raise ValueError("sl_flag set but det(image %r) = %s"
-                                 % (self.alphabet.names[i], d))
+                raise SingularImage("sl_flag set but det(image %r) = %s"
+                                    % (self.alphabet.names[i], d))
 
     def _store(self, alphabet, images, sl_flag):
         """Set the fields from images of one kind, with an empty cache of
@@ -85,7 +85,7 @@ class Representation:
 
     def image_inverse(self, i):
         """The inverse image of generator i, by Gauss-Jordan unless the
-        representation was derived with it."""
+        representation was built with it (exact symmetric powers)."""
         if i not in self._inv:
             self._inv[i] = self.images[i].inverse()
         return self._inv[i]
@@ -105,9 +105,6 @@ class Representation:
         """The product of generator images along the word, from the
         identity, so 1 too has the representation's kind."""
         self._check_word(w)
-        return self._word_image(w)
-
-    def _word_image(self, w):
         return _la.product(map(self.letter_image, w.letters), self.units[0])
 
     def fox_blocks(self, w):
@@ -121,21 +118,6 @@ class Representation:
                                          _la.running_mul):
             terms[j].append((sign, prefix))
         return [_la.signed_sum(t, self.units[1]) for t in terms]
-
-    def extended(self, alphabet, words):
-        """The representation of ``alphabet``, whose first generators are
-        this one's, sending each further one to the image of the next of
-        ``words``, derived by :func:`_derive`."""
-        k = len(self.alphabet)
-
-        def image(l):
-            if abs(l) <= k:
-                return self.letter_image(l)
-            w = words[abs(l) - k - 1]
-            return self._word_image(w if l > 0 else w.inverse())
-
-        return _derive(object.__new__(Representation), alphabet, image,
-                       False, self.images)
 
     def eval_ring_elem(self, e):
         """Sum of coeff * eval_word over the terms; a ring homomorphism."""
@@ -181,11 +163,11 @@ class Representation:
 class SymPowerRep(Representation):
     """The N-dimensional symmetric-power representation of a rank-2 base.
 
-    Images are :func:`sym_power` of the base's letter images, derived by
-    :func:`_derive`.  Exact inverse images are those of the inverse letters
-    (Sym(A)^-1 = Sym(A^-1)), and the images are not checked again:
-    det Sym(A) = det(A)^(N(N-1)/2), so the base's check covers them.  Float
-    images keep the check and Gauss-Jordan inverses.
+    Images are :func:`sym_power` of the base's images.  Exact inverse
+    images are those of the base's inverse images (Sym(A)^-1 = Sym(A^-1)),
+    and the images are not checked again: det Sym(A) = det(A)^(N(N-1)/2),
+    so the base's check covers them.  Float images keep the check and
+    Gauss-Jordan inverses, whose bits are the ones printed.
     """
 
     def __init__(self, base, N):
@@ -193,29 +175,16 @@ class SymPowerRep(Representation):
             raise NotTwoByTwo("symmetric powers take a rank-2 base")
         self.base = base
         self.N = N
-        _derive(self, base.alphabet,
-                lambda l: sym_power(base.letter_image(l), N), base.sl_flag)
+        self._store(base.alphabet, [sym_power(m, N) for m in base.images],
+                    base.sl_flag)
+        if self.field == "complex":
+            self._check_images()
+        else:
+            self._inv = {i: sym_power(base.image_inverse(i), N)
+                         for i in range(len(self.images))}
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())
-
-
-def _derive(rep, alphabet, image, sl_flag, given=()):
-    """Set ``rep`` up on ``alphabet`` from a checked representation: signed
-    letter l has the image ``image(l)``, and ``given`` are the images of
-    the first generators.  Exact images are trusted, with the inverse
-    letters' images as inverses.  Float images keep the constructor's
-    determinant check (``given`` passed it already) and Gauss-Jordan
-    inverses, whose bits are the ones printed."""
-    k = len(alphabet)
-    rep._store(alphabet, list(given) + [image(l) for l in
-                                        range(len(given) + 1, k + 1)],
-               sl_flag)
-    if rep.field == "complex":
-        rep._check_images(len(given))
-    else:
-        rep._inv = {i: image(-i - 1) for i in range(k)}
-    return rep
 
 
 def circle_homology(m):

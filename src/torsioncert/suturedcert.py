@@ -4,18 +4,18 @@ of surface generators inside the ambient free group.
 The certificate is the determinant of the block matrix of Fox derivatives
 of those images pushed through a representation: nonzero exactly when the
 sutured manifold is a homology product for that coefficient system.  An
-optional oracle reads the relative h1 of the presentation 2-complex on an
-enlarged alphabet (``Representation.extended``).  That complex is
-assembled from the Fox matrix itself, whose chain condition it checks,
-so the oracle compares the determinant's zero test with a rank of the
-same matrix.
+optional oracle reads the relative h1 of the presentation 2-complex, k*n
+minus the rank of that Fox matrix, after checking Fox's fundamental
+formula on it with the representation's own images of the ambient
+generators and the surface words; so the oracle compares the
+determinant's zero test with a rank of the same matrix.
 """
 
 from . import linalg as _la
 from . import scalar as _s
-from .errors import AlphabetMismatch, OracleMismatch, ParseError
+from .errors import (AlphabetMismatch, ChainCondition, OracleMismatch,
+                     ParseError)
 from .freegroup import Alphabet, Word, parse_at, read_sections
-from .twisted import checked_complex, homology_dims
 
 
 class SuturedHandlebodyData:
@@ -83,90 +83,59 @@ def fox_matrix(data, rep):
     return _la.block_assemble([rep.fox_blocks(w) for w in data.images])
 
 
-def _fresh_surface_names(ambient):
-    pool = "abcdefghijklmnopqrstuvwxyz"
-    taken = set(ambient.names)
-    fresh = [c for c in pool if c not in taken]
-    if len(fresh) < len(ambient):
-        raise ValueError("no free letters for the surface generators")
-    return fresh[:len(ambient)]
-
-
-def enlarged_presentation(data):
-    """The 2-complex presentation with a relator image_i . s_i^-1 per
-    surface generator, over the ambient alphabet extended by fresh surface
-    letters; surface edges come after the ambient ones."""
-    k = len(data.alphabet)
-    surface = _fresh_surface_names(data.alphabet)
-    big = Alphabet(list(data.alphabet.names) + surface)
-    relators = []
-    for i, w in enumerate(data.images):
-        letters = tuple(w.letters) + (-(k + i + 1),)
-        relators.append(Word(big, letters))
-    return big, relators
-
-
-def extend_rep(data, rep):
-    """The representation of the enlarged alphabet agreeing with rep on
-    ambient generators and sending each surface generator to the image of
-    its word, so every enlarged relator dies.
-
-    Surface images are products of rep's letter images on numerators.
-    Over exact kinds nothing is checked or inverted again: a surface
-    generator's inverse is the image of its inverse word.
-    """
-    return rep.extended(enlarged_presentation(data)[0], data.images)
-
-
 def _relative_h1(data, rep, m, rank=None):
-    """The relative h1 of the enlarged presentation complex with the
-    surface edges collapsed, with the complex's boundary matrices (d2, d1)
-    through :func:`extend_rep`.
+    """The relative h1 of the presentation complex of data through rep,
+    and the edge blocks D1 + (W - 1) of its boundary d1.
 
-    m is :func:`fox_matrix` of data and rep.  Only the ambient-edge
-    columns of d2 survive the collapse, and they are m, so the relative
-    h1 is k*n minus the rank of m: ``rank`` where the caller has it from
-    the determinant's exact echelon, else ``m.rank()``.  d2 is [m | S],
-    with S block diagonal: block i is the Fox derivative of the relator
-    image_i . s_i^-1 by its surface letter, -rho(image_i) rho(s_i)^-1,
-    one ``running_mul`` and one ``signed_sum`` as the relator's Fox sweep
-    takes them, so d2 has the bits of ``build_complex`` on
-    :func:`enlarged_presentation`.  The chain condition d2 . d1 = 0
-    (``twisted.checked_complex``) thus checks the certificate's own
-    matrix, and raises ``ChainCondition`` when it fails."""
-    ext = extend_rep(data, rep)
-    k = len(data.alphabet)
-    zero = ext.units[1]
-    surface = [[zero] * k for _ in range(k)]
-    for i in range(k):
-        s = k + i + 1
-        surface[i][i] = _la.signed_sum([(-1, _la.running_mul(
-            ext.letter_image(s), ext.letter_image(-s)))], zero)
-    d2, d1 = checked_complex(
-        _la.block_assemble([[m, _la.block_assemble(surface)]]), ext)
+    m is :func:`fox_matrix` of data and rep.  D1 holds rho(x_j) - 1 for
+    the ambient generators and W - 1 holds rho(w_i) - 1 for the surface
+    words.  Fox's fundamental formula, sum_j (dw_i/dx_j) (rho(x_j) - 1) =
+    rho(w_i) - 1, says that [m | W - 1] . [D1; -1] = 0; this chain check
+    (``linalg.nonzero_row_of_product``) raises ``ChainCondition`` on the
+    first surface word whose Fox blocks in m break it.  The relative h1 is
+    k*n minus the rank of m: ``rank`` where the caller has it from the
+    determinant's exact echelon, else ``m.rank()``."""
+    one = rep.units[0]
+    k = len(rep.alphabet)
+    d1 = [rep.image(j) - one for j in range(k)]
+    w1 = [rep.eval_word(w) - one for w in data.images]
+    bad = _la.nonzero_row_of_product(
+        _la.block_assemble([[m, _column(w1)]]), _column(d1 + [-one]))
+    if bad is not None:
+        raise ChainCondition("d2 . d1 != 0: representation does not "
+                             "kill relator %d" % (bad // rep.n))
     if rank is None:
         rank = m.rank()
-    return k * rep.n - rank, d2, d1
+    return k * rep.n - rank, d1 + w1
+
+
+def _column(blocks):
+    return _la.block_assemble([[b] for b in blocks])
 
 
 def oracle_dims(data, rep):
-    """(h0, h1, h2) of the enlarged presentation complex, its relative h1
-    with the surface edges collapsed, and the complex's cell-count Euler
-    characteristic 1 - 2k + k.  The complex is the one :func:`certify`
-    checks, assembled from the Fox matrix (:func:`_relative_h1`); the
-    relative h1 is k*n minus the rank of that matrix."""
-    rel_h1, d2, d1 = _relative_h1(data, rep, fox_matrix(data, rep))
+    """(h0, h1, h2) of the presentation complex with an edge per ambient
+    generator x_j and per surface generator s_i and a face w_i . s_i^-1
+    per surface word, its relative h1 with the surface edges collapsed,
+    and its cell-count Euler characteristic 1 - 2k + k.
+
+    The faces' boundary is d2 = [m | S], with m the Fox matrix and S block
+    diagonal of blocks -rho(w_i) rho(s_i)^-1 = -1, so d2 has full rank
+    k*n and h2 = 0.  The edges' boundary d1 stacks the blocks of
+    :func:`_relative_h1`; with r1 its rank, h0 = n - r1 and
+    h1 = 2k*n - r1 - k*n."""
+    rel_h1, edges = _relative_h1(data, rep, fox_matrix(data, rep))
+    r1 = _column(edges).rank()
     k = len(data.alphabet)
-    return homology_dims(d2, d1), rel_h1, 1 - 2 * k + k
+    return (rep.n - r1, k * rep.n - r1, 0), rel_h1, 1 - 2 * k + k
 
 
 def certify(data, rep, with_oracle=False):
     """Decide homology-product-ness by the Fox determinant; optionally
-    compare with the relative h1 of the enlarged presentation complex.
+    compare with the relative h1 of the presentation complex.
 
-    The oracle assembles that complex from the certificate's own Fox
-    matrix and checks its chain condition, Fox's fundamental formula on
-    that matrix (:func:`_relative_h1`).  Its relative h1 is k*n minus the
+    The oracle first checks Fox's fundamental formula on the certificate's
+    own Fox matrix (:func:`_relative_h1`).  Its relative h1 is k*n minus the
     rank of the same matrix: for exact kinds the rank of the Bareiss
     echelon that gave the determinant, so the comparison cannot fail; for
     floats a completely pivoted rank against the tolerance, a separate

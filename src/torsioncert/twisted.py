@@ -202,41 +202,28 @@ def _same_alphabet(pres, rep):
 
 def build_complex(pres, rep):
     """Scalar boundary matrices (d2, d1) of the presentation complex
-    through rep, after verifying the chain condition d2 . d1 = 0
-    (:func:`checked_complex`).
+    through rep, after verifying the chain condition d2 . d1 = 0.
 
     d2 has a block row per relator and a block column per generator
-    (Fox-derivative blocks), and is None when there are no relators.
-    """
-    _same_alphabet(pres, rep)
-    d2 = None
-    if pres.relators:
-        d2 = _la.block_assemble([rep.fox_blocks(rel)
-                                 for rel in pres.relators])
-    return checked_complex(d2, rep)
-
-
-def checked_complex(d2, rep):
-    """(d2, d1) for a d2 with a block row per relator and a block column
-    per generator of rep (or None, for no relators), after verifying the
-    chain condition d2 . d1 = 0.
-
-    d1 is the block column of generator images minus the identity.  When
-    block row i of d2 holds the Fox blocks of relator r, it times d1 is
-    rho(r) - 1 by Fox's fundamental formula, sum_j (dr/dx_j)(rho(x_j) - 1)
-    = rho(r) - 1.  So the chain condition holds exactly when rep kills
-    every relator (within tolerance in floating kinds): it doubles as a
-    check that rep really is a representation of the presented group, and
-    of d2 against Fox's formula.  The product is never formed as a matrix
+    (Fox-derivative blocks), and is None when there are no relators.  d1
+    is the block column of generator images minus the identity.  Block
+    row i of d2 times d1 is rho(r_i) - 1 by Fox's fundamental formula,
+    sum_j (dr/dx_j)(rho(x_j) - 1) = rho(r) - 1.  So the chain condition
+    holds exactly when rep kills every relator (within tolerance in
+    floating kinds): it checks that rep really is a representation of the
+    presented group.  The product is never formed as a matrix
     (``linalg.nonzero_row_of_product``).
     """
+    _same_alphabet(pres, rep)
     d1 = _la.block_assemble([[rep.image(j) - rep.units[0]]
                              for j in range(len(rep.alphabet))])
-    if d2 is not None:
-        bad = _la.nonzero_row_of_product(d2, d1)
-        if bad is not None:
-            raise ChainCondition("d2 . d1 != 0: representation does not "
-                                 "kill relator %d" % (bad // rep.n))
+    if not pres.relators:
+        return None, d1
+    d2 = _la.block_assemble([rep.fox_blocks(rel) for rel in pres.relators])
+    bad = _la.nonzero_row_of_product(d2, d1)
+    if bad is not None:
+        raise ChainCondition("d2 . d1 != 0: representation does not "
+                             "kill relator %d" % (bad // rep.n))
     return d2, d1
 
 

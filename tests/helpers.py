@@ -4,15 +4,19 @@ The oracles here deliberately avoid the package's own linear algebra and
 Fox calculus so that agreement between the two routes means something:
 determinants come from the permutation expansion, ranks from minor
 enumeration, matrix products from plain tuple arithmetic, and Fox
-derivatives from the textbook prefix-word rule.
+derivatives from the textbook prefix-word rule.  The enlarged presentation
+of sutured data is a reference route of another kind: the complex the
+homology oracle of ``suturedcert`` stands for, built with the package's own
+``build_complex`` on an alphabet with a letter per surface word.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
-from torsioncert.freegroup import Word
+from torsioncert.freegroup import Alphabet, Word
 from torsioncert.linalg import Matrix
+from torsioncert.representation import Representation
 
 
 def perm_det(rows):
@@ -131,3 +135,28 @@ def two_bridge_relator(p, q):
     w = [(-1 if (i * q // p) % 2 else 1) * (2 if i % 2 else 1)
          for i in range(1, p)]
     return tuple([1] + w + [-2] + [-l for l in reversed(w)])
+
+
+def enlarged_presentation(data):
+    """The 2-complex presentation of sutured data: the ambient alphabet
+    extended by a fresh surface letter s_i per image w_i, the surface
+    letters after the ambient ones, and a relator w_i . s_i^-1 each.
+
+    The letters are the first unused ones of a-z, so an ambient alphabet
+    of 14 or more generators has no enlarged presentation."""
+    k = len(data.alphabet)
+    fresh = [c for c in "abcdefghijklmnopqrstuvwxyz"
+             if c not in data.alphabet][:k]
+    big = Alphabet(list(data.alphabet.names) + fresh)
+    return big, [Word(big, tuple(w.letters) + (-(k + i + 1),))
+                 for i, w in enumerate(data.images)]
+
+
+def extend_rep(data, rep):
+    """The representation of the enlarged alphabet that agrees with rep on
+    the ambient generators and sends s_i to rep's image of w_i, so every
+    relator of :func:`enlarged_presentation` dies; built by the public
+    constructor, which checks every image and inverts by Gauss-Jordan."""
+    return Representation(enlarged_presentation(data)[0],
+                          list(rep.images)
+                          + [rep.eval_word(w) for w in data.images])

@@ -89,6 +89,25 @@ class TestCertify:
         assert "is_product: true" in out
         assert "oracle_h1: 0" in out
 
+    def test_oracle_on_fourteen_generators(self, capsys, tmp_path):
+        # the oracle takes no fresh letter per surface word, so it runs on
+        # an alphabet of 14 generators, where a-z has no room for 14 more
+        names = "abcdefghijklmn"
+        shears = ("1,1;0,1", "1,0;1,1", "2,1;1,1", "1,-1;0,1", "1,0;-2,1")
+        sut = _write(tmp_path, "big.sut", "ambient: %s\nimages:\n%s\n" % (
+            " ".join(names),
+            "\n".join(a + b.upper() + a for a, b in zip(names, names[1:]
+                                                        + names[0]))))
+        rep = _write(tmp_path, "big.rep",
+                     "alphabet: %s\nscalar: rational\nsl: true\n%s\n" % (
+                         " ".join(names),
+                         "\n".join("%s: %s" % (a, shears[i % len(shears)])
+                                   for i, a in enumerate(names))))
+        code, out, err = run(capsys, "certify", sut, "--rep", rep,
+                             "--oracle")
+        assert (code, err) == (0, "")
+        assert "oracle_h1: 0" in out.splitlines()
+
     def test_rejects_rep_and_char_together(self, capsys):
         code, _, err = run(capsys, "certify", "pants.sut",
                            "--char", "(0, 0, 0)", "--rep", "schottky.rep")

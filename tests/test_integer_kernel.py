@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from torsioncert import linalg as linalg_module
-from torsioncert import suturedcert as suturedcert_module
 from torsioncert.charvar import Character, lift
 from torsioncert.errors import ChainCondition
 from torsioncert.freegroup import Alphabet, GroupRingElem, Word
@@ -23,7 +22,6 @@ from torsioncert.representation import (Representation, SymPowerRep,
 from torsioncert.scalar import ComplexF, QuadExt
 from torsioncert.seeds import rng_for
 from torsioncert.suturedcert import (SuturedHandlebodyData, certify,
-                                     enlarged_presentation, extend_rep,
                                      oracle_dims, pants_example)
 from torsioncert.twisted import Presentation, build_complex
 
@@ -169,24 +167,9 @@ def test_certificate_with_cancelling_surface_words(cancelling, h1_per_n):
         assert cert.oracle_h1 == h1_per_n * rep.n
 
 
-def test_extended_images_come_with_their_inverses():
-    rng = rng_for(73, 30)
-    for rep in exact_reps(rng):
-        if rep.alphabet != XY:
-            continue
-        data = SuturedHandlebodyData(XY, [random_word(rng, XY, 5),
-                                          Word.from_string(XY, "xX")])
-        big = extend_rep(data, rep)
-        eye = Matrix.identity(rep.n)
-        for i, m in enumerate(big.images):
-            assert m.scalar_kind == rep.scalar_kind
-            assert big.image_inverse(i).scalar_kind == rep.scalar_kind
-            assert m * big.image_inverse(i) == eye
-
-
 def test_one_determinant_and_no_inversion_per_certificate(monkeypatch):
-    # the images of symmetric powers and of the enlarged alphabet follow
-    # from checked ones, so only the certificate takes a determinant; the
+    # the images of symmetric powers and of the surface words follow from
+    # checked ones, so only the certificate takes a determinant; the
     # oracle reads its rank off the determinant's own Bareiss echelon
     rng = rng_for(73, 40)
     bases = [rep for rep in exact_reps(rng)[:6] if rep.alphabet == XY]
@@ -337,41 +320,31 @@ def test_exact_chain_condition_names_the_relator(kind):
             build_complex(pres, Representation(XY, [shear, shear]))
 
 
-def test_extended_reps_pass_the_exact_chain_condition():
-    rng = rng_for(73, 54)
-    for rep in exact_reps(rng):
-        k = len(rep.alphabet)
-        data = SuturedHandlebodyData(
-            rep.alphabet, [random_word(rng, rep.alphabet, 6)
-                           for _ in range(k - 1)] + [rep.alphabet.identity()])
-        big, relators = enlarged_presentation(data)
-        d2, d1 = build_complex(Presentation(big, relators),
-                               extend_rep(data, rep))
-        assert (d2.rows, d1.cols) == (k * rep.n, rep.n)
-
-
-def test_an_oracle_verdict_builds_the_enlarged_presentation_once(
-        monkeypatch):
-    calls = []
-    real = suturedcert_module.enlarged_presentation
-    monkeypatch.setattr(suturedcert_module, "enlarged_presentation",
-                        lambda data: calls.append(data) or real(data))
+def test_an_oracle_verdict_builds_no_second_representation(monkeypatch):
+    # the oracle reads the surface words' images off rep itself: no
+    # representation of an enlarged alphabet is set up
+    stored = []
+    real = Representation._store
+    monkeypatch.setattr(Representation, "_store",
+                        lambda self, *args: stored.append(self)
+                        or real(self, *args))
     rng = rng_for(73, 55)
     reps = exact_reps(rng) + unit_reps(rng)
     for rep in reps:
         alphabet = rep.alphabet
         data = SuturedHandlebodyData(alphabet, [random_word(rng, alphabet, 5)
                                                 for _ in alphabet.names])
-        del calls[:]
+        del stored[:]
         certify(data, rep, with_oracle=True)
-        assert calls == [data]
-        assert extend_rep(data, rep).alphabet == real(data)[0]
+        oracle_dims(data, rep)
+        assert stored == []
 
 
 def test_a_float_oracle_verdict_checks_only_the_surface_images(
         monkeypatch):
     # the ambient images passed the determinant check when the lift was
-    # built; extending it checks the two surface images alone
+    # built, and the surface images are products of them, which the
+    # oracle takes as they are: only the certificate takes a determinant
     calls = []
     real = linalg_module._float_det
     monkeypatch.setattr(linalg_module, "_float_det",
@@ -381,8 +354,7 @@ def test_a_float_oracle_verdict_checks_only_the_surface_images(
     assert calls == [2, 2]
     del calls[:]
     cert = certify(pants_example(), rep, with_oracle=True)
-    # the certificate determinant and the two surface images
-    assert calls == [4, 2, 2]
+    assert calls == [4]
     assert cert.oracle_h1 is not None
 
 

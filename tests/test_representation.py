@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsioncert.charvar import Character, lift
 from torsioncert.errors import (
     AlphabetMismatch,
     MixedExtension,
@@ -14,6 +15,8 @@ from torsioncert.errors import (
     NotTwoByTwo,
     ParseError,
     ReducibleOnly,
+    SingularImage,
+    TorsionCertError,
 )
 from torsioncert.freegroup import Alphabet, Word, parse_ring_elem
 from torsioncert.linalg import Matrix, det
@@ -96,6 +99,19 @@ class TestRepresentation:
             Representation(XY, [Matrix([[2, 0], [0, 1]]),
                                 Matrix.identity(2)], sl_flag=True)
         assert "det" in str(exc_info.value)
+
+    def test_a_singular_float_lift_raises_a_typed_error(self):
+        # the determinant check of a float lift far from the origin
+        # (ROADMAP item 4) fails with a TorsionCertError, still a
+        # ValueError for callers that catch one
+        with pytest.raises(TorsionCertError) as exc_info:
+            lift(Character(1e300, 1, 1), warn=False)
+        assert type(exc_info.value) is SingularImage
+        assert isinstance(exc_info.value, ValueError)
+        assert str(exc_info.value) == "image of generator 'x' is singular"
+        with pytest.raises(SingularImage, match="^sl_flag set but det"):
+            Representation(XY, [Matrix([[2, 0], [0, 1]]),
+                                Matrix.identity(2)], sl_flag=True)
 
     def test_alphabet_guard(self):
         rep = rand_rep(rng_for(23, 3))

@@ -5,19 +5,18 @@ from fractions import Fraction
 import pytest
 
 from torsioncert.charvar import Character, lift
-from torsioncert.errors import AlphabetMismatch, ChainCondition, ParseError
+from torsioncert.errors import (AlphabetMismatch, ChainCondition,
+                               OracleMismatch, ParseError)
 from torsioncert.freegroup import Alphabet, Word
-from torsioncert.linalg import Matrix, det, matrix_str
+from torsioncert.linalg import Matrix, block_assemble, det, matrix_str
 from torsioncert.representation import Representation, SymPowerRep
 from torsioncert.scalar import ComplexF
 from torsioncert.seeds import rng_for
-from torsioncert.twisted import Presentation, build_complex
+from torsioncert.twisted import Presentation, build_complex, homology_dims
 from torsioncert.suturedcert import (
     SuturedHandlebodyData,
     _relative_h1,
     certify,
-    enlarged_presentation,
-    extend_rep,
     fox_matrix,
     oracle_dims,
     pants_example,
@@ -25,7 +24,8 @@ from torsioncert.suturedcert import (
     sutured_to_text,
 )
 
-from helpers import random_fraction, random_sl2, random_word
+from helpers import (enlarged_presentation, extend_rep, random_fraction,
+                     random_sl2, random_word)
 
 XY = Alphabet("x y")
 XYZ = Alphabet("x y z")
@@ -119,28 +119,6 @@ class TestCertify:
 
 
 class TestOracle:
-    def test_enlarged_presentation_shape(self):
-        big, relators = enlarged_presentation(pants_example())
-        # two ambient and two fresh surface generators, one relator per image
-        assert len(big) == 4
-        assert len(relators) == 2
-        names = big.names
-        assert names[:2] == ("x", "y")
-        assert set(names[2:]).isdisjoint({"x", "y"})
-        # each relator reads the image word then the surface edge backwards
-        data = pants_example()
-        for i, r in enumerate(relators):
-            assert r.letters[:-1] == data.images[i].letters
-            assert r.letters[-1] == -(2 + i + 1)
-
-    def test_extend_rep_respects_relators(self):
-        data = pants_example()
-        rep = schottky_rep()
-        _, relators = enlarged_presentation(data)
-        ext = extend_rep(data, rep)
-        for r in relators:
-            assert ext.eval_word(r) == Matrix.identity(2)
-
     def test_schottky_dims(self):
         dims, rel_h1, chi = oracle_dims(pants_example(), schottky_rep())
         assert dims == (0, 2, 0)
@@ -162,9 +140,10 @@ class TestOracle:
     @pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
                                       "complex"])
     def test_ambient_block_is_the_fox_matrix(self, kind, N):
-        # the columns of the ambient edges in the enlarged complex are the
-        # certificate's own Fox matrix, bit for bit: the oracle's relative
-        # h1 is k*n minus the rank of the matrix whose determinant decides
+        # the columns of the ambient edges in the enlarged complex of the
+        # reference route are the certificate's own Fox matrix, bit for
+        # bit, and its edge boundary is the oracle's: so the relative h1,
+        # k*n minus the rank of the ambient columns, is the oracle's
         rng = rng_for(31, 6)
         for _ in range(10):
             rep = _lift_of_kind(rng, kind)
@@ -172,15 +151,16 @@ class TestOracle:
                 rep = SymPowerRep(rep, N)
             images = [random_word(rng, XY, 6) for _ in range(2)]
             data = SuturedHandlebodyData(XY, images)
-            big, relators = enlarged_presentation(data)
-            d2, _ = build_complex(Presentation(big, relators),
-                                  rep.extended(big, data.images))
+            d2, d1 = build_complex(Presentation(*enlarged_presentation(data)),
+                                   extend_rep(data, rep))
             kn = len(XY) * rep.n
             ambient = d2.submatrix(range(d2.rows), range(kn))
             fox = fox_matrix(data, rep)
-            assert ambient == fox
-            assert [list(map(repr, r)) for r in ambient.entries] == \
-                [list(map(repr, r)) for r in fox.entries]
+            assert _reprs(ambient) == _reprs(fox)
+            rel_h1, edges = _relative_h1(data, rep, fox)
+            assert _reprs(_column(edges)) == _reprs(d1)
+            assert rel_h1 == kn - ambient.rank()
+            _assert_certify_reads(data, rep, rel_h1)
 
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize("N", [2, 3])
@@ -188,9 +168,10 @@ class TestOracle:
                                       "complex"])
     def test_oracle_complex_is_the_enlarged_build_complex(self, kind, N,
                                                           rank):
-        # the oracle assembles d2 = [m | S] from the certificate's Fox
-        # matrix m; build_complex on the enlarged presentation, the route
-        # it replaced, gives the same (d2, d1) bit for bit
+        # oracle_dims reads the dimensions of the enlarged complex off the
+        # Fox matrix and the edge boundary alone; build_complex on the
+        # enlarged presentation, the route it replaced, and homology_dims
+        # give the same dimensions, and certify the same relative h1
         rng = rng_for(31, 7)
         raised = 0
         for _ in range(8):
@@ -204,16 +185,58 @@ class TestOracle:
             data = SuturedHandlebodyData(
                 alphabet, [random_word(rng, alphabet, 6)
                            for _ in alphabet.names])
-            got = _complex_or_error(lambda: _relative_h1(
-                data, rep, fox_matrix(data, rep))[1:])
-            want = _complex_or_error(lambda: build_complex(
-                Presentation(*enlarged_presentation(data)),
-                extend_rep(data, rep)))
-            assert got == want
-            raised += got[0] == "raised"
-        # a float chain check may fail on long words (ROADMAP item 4),
-        # the same way on both routes
+            want = _reference_dims(data, rep)
+            if want is None:
+                raised += 1
+                continue
+            assert oracle_dims(data, rep) == want
+            _assert_certify_reads(data, rep, want[1])
+        # a float chain check may fail on long words (ROADMAP item 4)
         assert raised <= (2 if kind == "complex" else 0)
+
+    def test_a_large_surface_image_passes_the_float_chain_check(self):
+        # the rank-3 representation (a, b, ab) of a complex Sym^3 lift:
+        # the surface image of YZZZXy has entries up to 1.1e7, and the
+        # reference route's chain check, whose residual carries the
+        # rounding of -rho(w) rho(w)^-1 . (rho(w) - 1), rejects it; Fox's
+        # formula on the Fox matrix accepts it
+        rep = lift(Character(
+            ComplexF(3.6618470153429792, -1.8270747632039903),
+            ComplexF(-2.9720840621446865, 2.9904093091850532),
+            ComplexF(0.74659941088102233, -2.7533788590432184)), warn=False)
+        a, b = SymPowerRep(rep, 3).images
+        rep = Representation(XYZ, [a, b, a * b])
+        data = SuturedHandlebodyData(
+            XYZ, [XYZ.word(w) for w in ("YYXXZ", "YZZZXy", "yZxy")])
+        cert = certify(data, rep, with_oracle=True)
+        assert not cert.is_product and cert.oracle_h1 == 1
+        assert oracle_dims(data, rep) == ((0, 6, 0), 1, -2)
+        with pytest.raises(ChainCondition, match="relator 1$"):
+            build_complex(Presentation(*enlarged_presentation(data)),
+                          extend_rep(data, rep))
+
+    @pytest.mark.parametrize("k", [14, 20])
+    def test_alphabets_past_thirteen_generators(self, k):
+        # the relative h1 needs no fresh letter per surface word, so an
+        # alphabet of 14 or more generators has an oracle too
+        rng = rng_for(31, 9)
+        alphabet = Alphabet("abcdefghijklmnopqrstuvwxyz"[:k])
+        seen = set()
+        for trial in range(3):
+            rep = Representation(alphabet, [random_sl2(rng) for _ in range(k)],
+                                 sl_flag=True)
+            images = [random_word(rng, alphabet, 4) for _ in range(k)]
+            if trial == 0:
+                images[-1] = images[0]
+            data = SuturedHandlebodyData(alphabet, images)
+            cert = certify(data, rep, with_oracle=True)
+            assert cert.is_product == (cert.oracle_h1 == 0)
+            assert cert.is_product == (det(fox_matrix(data, rep)) != 0)
+            (h0, h1, h2), rel_h1, chi = oracle_dims(data, rep)
+            assert rel_h1 == cert.oracle_h1 and chi == 1 - k
+            assert h0 - h1 + h2 == chi * rep.n
+            seen.add(cert.is_product)
+        assert False in seen
 
     @pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
                                       "complex"])
@@ -266,15 +289,39 @@ class TestOracle:
             assert chi == -1
 
 
-def _complex_or_error(build):
-    """The reprs of each entry of the (d2, d1) that ``build`` returns, or
-    the ``ChainCondition`` it raises."""
+def _reprs(m):
+    return [list(map(repr, r)) for r in m.entries]
+
+
+def _column(blocks):
+    return block_assemble([[b] for b in blocks])
+
+
+def _assert_certify_reads(data, rep, rel_h1):
+    """``certify`` with the oracle returns rel_h1, or raises
+    ``OracleMismatch`` where the float determinant's zero test disagrees
+    with it (ROADMAP item 4)."""
+    if certify(data, rep).is_product == (rel_h1 == 0):
+        assert certify(data, rep, with_oracle=True).oracle_h1 == rel_h1
+    else:
+        with pytest.raises(OracleMismatch):
+            certify(data, rep, with_oracle=True)
+
+
+def _reference_dims(data, rep):
+    """What :func:`oracle_dims` returns, by the reference route: the
+    homology of the enlarged complex from ``build_complex`` and its
+    relative h1, k*n minus the rank of d2's ambient columns; None when
+    that route's chain check raises."""
     try:
-        d2, d1 = build()
-    except ChainCondition as exc:
-        return "raised", str(exc)
-    return "built", [[list(map(repr, r)) for r in m.entries]
-                     for m in (d2, d1)]
+        d2, d1 = build_complex(Presentation(*enlarged_presentation(data)),
+                               extend_rep(data, rep))
+    except ChainCondition:
+        return None
+    kn = len(data.alphabet) * rep.n
+    k = len(data.alphabet)
+    return (homology_dims(d2, d1),
+            kn - d2.submatrix(range(d2.rows), range(kn)).rank(), 1 - k)
 
 
 def _lift_of_kind(rng, kind):
