@@ -15,8 +15,11 @@ Exact determinants and ranks share one Bareiss single-step fraction-free
 row echelon (Bareiss, *Math. Comp.* 22, 1968) over Z, or over Z[sqrt d] on
 pairs of ints, on the numerators with each row divided by its content.
 Every entry is a minor, so the division by the previous pivot is exact (a
-remainder raises ``InexactDivision``); columns without a pivot are
-skipped, so rectangular matrices work too.  Float determinants use partial
+remainder raises ``InexactDivision``), and a step whose pivot equals the
+previous one touches only the entries it changes; columns without a pivot
+are skipped, so rectangular matrices work too.  Fox's fundamental formula
+(``fox_formula_row``) is checked on numerators too, and on a complex
+matrix's own rows.  Float determinants use partial
 pivoting, floating ranks a largest-pivot threshold scaled by the max row
 norm, and inverses of every kind one Gauss-Jordan loop, whose complex
 results are checked finite once as well.
@@ -205,11 +208,7 @@ class Matrix:
     def max_row_norm(self):
         """Largest row 2-norm of a complex matrix, as a float; an entry
         whose modulus passes the float range raises ``NonFinite``."""
-        try:
-            return max([math.hypot(*map(abs, r)) for r in self._parts[0]])
-        except OverflowError:
-            raise NonFinite("complex modulus beyond the float range") \
-                from None
+        return _max_row_norm(self._parts[0])
 
     def delete_column(self, j):
         if not 0 <= j < self.cols:
@@ -428,9 +427,12 @@ def _echelon(m):
     contents).  The pivot is an int, or a (p, q) pair standing for
     p + q*sqrt(d) over Q(sqrt d).  A column with no pivot at or below the
     current row is skipped; every entry stays a minor of the divided
-    numerators, so the division by the previous pivot is exact.  For a
-    square m of full rank, det(m) is that sign times the last pivot times
-    the contents, over den^rows.
+    numerators, so the division by the previous pivot is exact.  A step
+    whose pivot p equals the previous one is plain elimination,
+    x - a_ic*y/p: rows with a_ic = 0 stay as they are, and the others
+    change only where the pivot row's y is nonzero, to the same minors.
+    For a square m of full rank, det(m) is that sign times the last pivot
+    times the contents, over den^rows.
     """
     contents = [math.gcd(*chain(*rows)) or 1 for rows in zip(*m._parts)]
     a = [[list(r) if c == 1 else [x // c for x in r]
@@ -454,12 +456,27 @@ def _echelon_z(a, nc):
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
         pk = a[r][c]
-        tail = a[r][c + 1:]
-        for i in range(r + 1, nr):
-            rowi = a[i]
-            aik = rowi[c]
-            new = [x * pk - aik * y for x, y in zip(rowi[c + 1:], tail)]
-            rowi[c + 1:] = new if denom == 1 else _exact_quotients(new, denom)
+        if pk == denom:
+            # a unit-ratio step: (x*pk - a_ic*y)/pk = x - a_ic*y/pk, so
+            # only rows with a_ic != 0 change, and only where y != 0
+            hits = [(j, y) for j, y in enumerate(a[r][c + 1:], c + 1) if y]
+            for rowi in a[r + 1:] if hits else ():
+                aik = rowi[c]
+                if not aik:
+                    continue
+                new = [aik * y for _, y in hits]
+                if pk != 1:
+                    new = _exact_quotients(new, pk)
+                for (j, _), q in zip(hits, new):
+                    rowi[j] -= q
+        else:
+            tail = a[r][c + 1:]
+            for i in range(r + 1, nr):
+                rowi = a[i]
+                aik = rowi[c]
+                new = [x * pk - aik * y for x, y in zip(rowi[c + 1:], tail)]
+                rowi[c + 1:] = new if denom == 1 else \
+                    _exact_quotients(new, denom)
         denom = pk
         r += 1
         if r == nr:
@@ -469,12 +486,8 @@ def _echelon_z(a, nc):
 
 def _echelon_zd(ap, aq, d, nc):
     """Bareiss over Z[sqrt d] in place, on rows ``ap[i] + aq[i]*sqrt d``
-    of ints: (rank, last pivot as a (p, q) pair, sign).
-
-    The previous pivot p + q*sqrt d divides through its conjugate: the
-    numerator is multiplied by p - q*sqrt d, and both of its parts by the
-    integer norm p^2 - d*q^2, which is nonzero because d is not a square.
-    """
+    of ints: (rank, last pivot as a (p, q) pair, sign); unit-ratio steps
+    as in :func:`_echelon_z`."""
     nr = len(ap)
     r, sign, dp, dq = 0, 1, 1, 0
     for c in range(nc):
@@ -486,30 +499,54 @@ def _echelon_zd(ap, aq, d, nc):
             aq[r], aq[piv] = aq[piv], aq[r]
             sign = -sign
         kp, kq = ap[r][c], aq[r][c]
-        dkq = d * kq
         tp, tq = ap[r][c + 1:], aq[r][c + 1:]
-        div = dp * dp - d * dq * dq if dq else dp
-        for i in range(r + 1, nr):
-            rp, rq = ap[i], aq[i]
-            ip, iq = rp[c], rq[c]
-            diq = d * iq
-            cols = list(zip(rp[c + 1:], rq[c + 1:], tp, tq))
-            # row_i * pivot - a_ic * row_k
-            xp = [x * kp + y * dkq - ip * u - diq * v for x, y, u, v in cols]
-            xq = [x * kq + y * kp - ip * v - iq * u for x, y, u, v in cols]
-            if dq:
-                xp, xq = ([u * dp - d * v * dq for u, v in zip(xp, xq)],
-                          [v * dp - u * dq for u, v in zip(xp, xq)])
-            if div != 1:
-                xp = _exact_quotients(xp, div)
-                xq = _exact_quotients(xq, div)
-            rp[c + 1:] = xp
-            rq[c + 1:] = xq
+        if (kp, kq) == (dp, dq):
+            hits = [(j, u, v) for j, (u, v) in enumerate(zip(tp, tq), c + 1)
+                    if u or v]
+            for rp, rq in zip(ap[r + 1:], aq[r + 1:]) if hits else ():
+                ip, iq = rp[c], rq[c]
+                if not (ip or iq):
+                    continue
+                diq = d * iq
+                xp, xq = _zd_divided(
+                    [ip * u + diq * v for _, u, v in hits],
+                    [ip * v + iq * u for _, u, v in hits], dp, dq, d)
+                for (j, _, _), x, y in zip(hits, xp, xq):
+                    rp[j] -= x
+                    rq[j] -= y
+        else:
+            dkq = d * kq
+            for rp, rq in zip(ap[r + 1:], aq[r + 1:]):
+                ip, iq = rp[c], rq[c]
+                diq = d * iq
+                cols = list(zip(rp[c + 1:], rq[c + 1:], tp, tq))
+                # row_i * pivot - a_ic * row_k
+                rp[c + 1:], rq[c + 1:] = _zd_divided(
+                    [x * kp + y * dkq - ip * u - diq * v
+                     for x, y, u, v in cols],
+                    [x * kq + y * kp - ip * v - iq * u
+                     for x, y, u, v in cols], dp, dq, d)
         dp, dq = kp, kq
         r += 1
         if r == nr:
             break
     return r, (dp, dq), sign
+
+
+def _zd_divided(xp, xq, dp, dq, d):
+    """The numbers xp[i] + xq[i]*sqrt d divided by the pivot dp + dq*sqrt d,
+    which must divide each: through its conjugate, the numerator is
+    multiplied by dp - dq*sqrt d and both of its parts divided by the
+    integer norm dp^2 - d*dq^2, nonzero because d is not a square."""
+    if dq:
+        xp, xq = ([u * dp - d * v * dq for u, v in zip(xp, xq)],
+                  [v * dp - u * dq for u, v in zip(xp, xq)])
+        div = dp * dp - d * dq * dq
+    else:
+        div = dp
+    if div == 1:
+        return xp, xq
+    return _exact_quotients(xp, div), _exact_quotients(xq, div)
 
 
 def _exact_quotients(values, denom):
@@ -547,21 +584,112 @@ def _ratio(num, den):
     return Fraction(num, den) if rem else q
 
 
-def nonzero_row_of_product(a, b):
-    """The first row of a . b with an entry that is not zero, or None.
+def fox_formula_row(m, images, words=None):
+    """The first row where m . D1 differs from W - 1, or None.
 
-    The product runs on the numerators, unreduced: (P + Q*sqrt d)/den is
-    zero exactly when P and Q are.  A float entry is zero when its
-    modulus is at most ``zero_tolerance() * max(1, |a| |b|)`` in max row
-    norms, which a non-finite one never is.
+    m has n x n blocks, a block column per generator image in ``images``.
+    D1 stacks rho(x_j) - 1 for those images, and W - 1 stacks
+    rho(w_i) - 1 for ``words``, an image per block row of m, or is 0
+    without them.  When m holds the evaluated Fox derivatives of the
+    words, Fox's fundamental formula says that the two are equal.
+
+    Exact kinds compare numerators, with no matrix built: D1 and W - 1
+    over the lcm of the images' denominators, and W - 1 times m's.  A
+    float row differs when the residual m . D1 - (W - 1) has an entry of
+    modulus above ``zero_tolerance() * max(1, |[m | W - 1]| |[D1; -1]|)``
+    in max row norms, or ``max(1, |m| |D1|)`` without words, which a
+    non-finite entry always has.
     """
-    m = running_mul(a, b)
-    tol = 0
-    if a.field == "complex":
-        tol = _s.zero_tolerance() * max(1.0, a.max_row_norm()
-                                        * b.max_row_norm())
-    return next((i for i, rows in enumerate(zip(*m._parts))
-                 if not all(abs(x) <= tol for x in chain(*rows))), None)
+    n = images[0].rows
+    if m.cols != len(images) * n or (words is not None
+                                     and m.rows != len(words) * n):
+        raise DimensionMismatch("Fox formula on a %dx%d matrix with %d x %d"
+                                " blocks" % (m.rows, m.cols, n, n))
+    blocks = list(chain(images, words or ()))
+    if any(b.field != m.field for b in blocks):
+        raise MixedScalarKind("Fox formula over two fields")
+    if m.field == "complex":
+        return _float_fox_formula_row(m, images, words)
+    den = math.lcm(*[b._denom for b in blocks])
+    cols = [list(zip(*part)) for part in _less_one(images, den)]
+    if words is None:
+        want = [[[0] * n] * m.rows] * len(cols)
+    else:
+        want = [[[x * m._denom for x in r] for r in part]
+                for part in _less_one(words, den)]
+    if len(cols) == 1:
+        for i, (row, w) in enumerate(zip(m._parts[0], want[0])):
+            if [sum(map(mul, row, col)) for col in cols[0]] != w:
+                return i
+        return None
+    d = m.field
+    cols = list(zip(*cols))
+    # (P + Q sqrt d)(P' + Q' sqrt d) = PP' + dQQ' + (PQ' + QP') sqrt d
+    for i, (rp, rq, wp, wq) in enumerate(zip(*m._parts, *want)):
+        if [sum(map(mul, rp, cp)) + d * sum(map(mul, rq, cq))
+                for cp, cq in cols] != wp or \
+                [sum(map(mul, rp, cq)) + sum(map(mul, rq, cp))
+                 for cp, cq in cols] != wq:
+            return i
+    return None
+
+
+def _less_one(mats, den):
+    """The parts of the column of the exact square ``mats`` minus 1, on
+    numerators over den, a multiple of each one's denominator."""
+    parts = []
+    for k in range(len(mats[0]._parts)):
+        rows = []
+        for b in mats:
+            f = den // b._denom
+            for i, r in enumerate(b._parts[k]):
+                r = [x * f for x in r]
+                if k == 0:
+                    r[i] -= den
+                rows.append(r)
+        parts.append(rows)
+    return parts
+
+
+def _float_fox_formula_row(m, images, words):
+    """:func:`fox_formula_row` of complex m: each residual entry is the
+    left fold of its products, as in :func:`grid_mul`, minus the entry of
+    W - 1, so its modulus is that of the row of [m | W - 1] . [D1; -1]."""
+    n = images[0].rows
+    one = units(n, "complex")[0]._parts[0]
+    d1 = _float_less_one(images, one)
+    rows = m._parts[0]
+    if words is None:
+        w1 = [(0j,) * n] * m.rows
+        scale = _max_row_norm(rows) * _max_row_norm(d1)
+    else:
+        w1 = _float_less_one(words, one)
+        # the rows of -1 under D1 have norm 1
+        scale = _max_row_norm(map(chain, rows, w1)) * max(_max_row_norm(d1),
+                                                          1.0)
+    tol = _s.zero_tolerance() * max(1.0, scale)
+    cols = list(zip(*d1))
+    for i, (row, w) in enumerate(zip(rows, w1)):
+        if not all(abs(reduce(add, map(mul, row, col)) - x) <= tol
+                   for col, x in zip(cols, w)):
+            return i
+    return None
+
+
+def _float_less_one(mats, one):
+    """The rows of the column of the complex ``mats`` minus the rows
+    ``one`` of 1, entry by entry as ``Matrix`` subtraction takes them."""
+    return [[x - u for x, u in zip(r, ur)]
+            for b in mats for r, ur in zip(b._parts[0], one)]
+
+
+def _max_row_norm(rows):
+    """Largest 2-norm of the complex ``rows``, as a float; an entry whose
+    modulus passes the float range raises ``NonFinite``."""
+    try:
+        return max([math.hypot(*map(abs, r)) for r in rows])
+    except OverflowError:
+        raise NonFinite("complex modulus beyond the float range") from None
 
 
 def _float_det(m):

@@ -85,28 +85,29 @@ def fox_matrix(data, rep):
 
 def _relative_h1(data, rep, m, rank=None):
     """The relative h1 of the presentation complex of data through rep,
-    and the edge blocks D1 + (W - 1) of its boundary d1.
+    and the edge blocks D1 + (W - 1) of its boundary d1, built as they are
+    read.
 
     m is :func:`fox_matrix` of data and rep.  D1 holds rho(x_j) - 1 for
     the ambient generators and W - 1 holds rho(w_i) - 1 for the surface
-    words.  Fox's fundamental formula, sum_j (dw_i/dx_j) (rho(x_j) - 1) =
-    rho(w_i) - 1, says that [m | W - 1] . [D1; -1] = 0; this chain check
-    (``linalg.nonzero_row_of_product``) raises ``ChainCondition`` on the
-    first surface word whose Fox blocks in m break it.  The relative h1 is
-    k*n minus the rank of m: ``rank`` where the caller has it from the
-    determinant's exact echelon, else ``m.rank()``."""
-    one = rep.units[0]
-    k = len(rep.alphabet)
-    d1 = [rep.image(j) - one for j in range(k)]
-    w1 = [rep.eval_word(w) - one for w in data.images]
-    bad = _la.nonzero_row_of_product(
-        _la.block_assemble([[m, _column(w1)]]), _column(d1 + [-one]))
+    words, each image from ``rep.eval_word``, apart from the Fox sweep
+    that built m.  Fox's fundamental formula, sum_j (dw_i/dx_j) (rho(x_j)
+    - 1) = rho(w_i) - 1, says that m . D1 = W - 1; this chain check
+    (``linalg.fox_formula_row``, on numerators for exact kinds) raises
+    ``ChainCondition`` on the first surface word whose Fox blocks in m
+    break it.  The relative h1 is k*n minus the rank of m: ``rank`` where
+    the caller has it from the determinant's exact echelon, else
+    ``m.rank()``."""
+    words = [rep.eval_word(w) for w in data.images]
+    bad = _la.fox_formula_row(m, rep.images, words)
     if bad is not None:
         raise ChainCondition("d2 . d1 != 0: representation does not "
                              "kill relator %d" % (bad // rep.n))
     if rank is None:
         rank = m.rank()
-    return k * rep.n - rank, d1 + w1
+    one = rep.units[0]
+    return (len(rep.alphabet) * rep.n - rank,
+            (b - one for b in rep.images + tuple(words)))
 
 
 def _column(blocks):
@@ -135,12 +136,15 @@ def certify(data, rep, with_oracle=False):
     compare with the relative h1 of the presentation complex.
 
     The oracle first checks Fox's fundamental formula on the certificate's
-    own Fox matrix (:func:`_relative_h1`).  Its relative h1 is k*n minus the
-    rank of the same matrix: for exact kinds the rank of the Bareiss
-    echelon that gave the determinant, so the comparison cannot fail; for
-    floats a completely pivoted rank against the tolerance, a separate
-    decision from the determinant's zero test.  A disagreement raises
-    rather than returning a silently wrong verdict.
+    own Fox matrix against the surface words' images, which come from
+    ``rep.eval_word`` and not from the sweep that built the matrix
+    (:func:`_relative_h1`; exact kinds compare numerators, and build no
+    matrix for the check).  Its relative h1 is k*n minus the rank of the
+    same matrix: for exact kinds the rank of the Bareiss echelon that gave
+    the determinant, so the comparison cannot fail; for floats a
+    completely pivoted rank against the tolerance, a separate decision
+    from the determinant's zero test.  A disagreement raises rather than
+    returning a silently wrong verdict.
     """
     m = fox_matrix(data, rep)
     det, scale, rank = _la.det_rank_with_scale(m)

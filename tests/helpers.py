@@ -7,16 +7,20 @@ enumeration, matrix products from plain tuple arithmetic, and Fox
 derivatives from the textbook prefix-word rule.  The enlarged presentation
 of sutured data is a reference route of another kind: the complex the
 homology oracle of ``suturedcert`` stands for, built with the package's own
-``build_complex`` on an alphabet with a letter per surface word.
+``build_complex`` on an alphabet with a letter per surface word.  So is
+the chain check by one product of assembled matrices, the route that
+``linalg.fox_formula_row`` replaced.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
+from torsioncert.charvar import Character, lift
 from torsioncert.freegroup import Alphabet, Word
-from torsioncert.linalg import Matrix
+from torsioncert.linalg import Matrix, block_assemble, running_mul, units
 from torsioncert.representation import Representation
+from torsioncert.scalar import ComplexF, zero_tolerance
 
 
 def perm_det(rows):
@@ -50,6 +54,96 @@ def minor_rank(m):
                 if perm_det(sub) != 0:
                     return size
     return 0
+
+
+def laplace_det(rows):
+    """Determinant by Laplace expansion along the rows, the minor on each
+    set of columns left computed once: at most n 2^(n-1) products where
+    the permutation expansion takes n!, and none for a zero entry;
+    entries of any ring."""
+    n = len(rows)
+    minors = {(): 1}
+    for i in range(n - 1, -1, -1):
+        below = minors
+        minors = {}
+        for cols in combinations(range(n), n - i):
+            total = 0
+            for pos, j in enumerate(cols):
+                if rows[i][j] == 0:
+                    continue
+                term = rows[i][j] * below[cols[:pos] + cols[pos + 1:]]
+                total = total - term if pos % 2 else total + term
+            minors[cols] = total
+    return minors[tuple(range(n))]
+
+
+def elimination_rank(rows):
+    """Rank by Gauss elimination with the entries' own division; entries
+    of a field, ints lifted to Fractions."""
+    left = [[Fraction(e) if isinstance(e, int) else e for e in r]
+            for r in rows]
+    found = 0
+    for c in range(len(left[0]) if left else 0):
+        piv = next((i for i, r in enumerate(left) if r[c] != 0), None)
+        if piv is None:
+            continue
+        top = left.pop(piv)
+        found += 1
+        left = [[x - r[c] / top[c] * y for x, y in zip(r, top)]
+                for r in left]
+    return found
+
+
+def fox_formula_reference(m, images, words=None):
+    """The first row of m . D1 that differs from W - 1, or None, by the
+    route of ``linalg.fox_formula_row`` before it: one running product
+    [m | W - 1] . [D1; -1], or m . D1 without words, whose entries are
+    tested against 0, or for floats against ``zero_tolerance() *
+    max(1, |left| |right|)`` in max row norms."""
+    one = units(images[0].rows, m.field)[0]
+    d1 = [b - one for b in images]
+    if words is None:
+        left, right = m, column(d1)
+    else:
+        left = block_assemble([[m, column([w - one for w in words])]])
+        right = column(d1 + [-one])
+    prod = running_mul(left, right)
+    if m.field != "complex":
+        return next((i for i, row in enumerate(prod.entries) if any(row)),
+                    None)
+    tol = zero_tolerance() * max(1.0, left.max_row_norm()
+                                 * right.max_row_norm())
+    return next((i for i, row in enumerate(prod.entries)
+                 if not all(abs(x) <= tol for x in row)), None)
+
+
+def column(blocks):
+    """The blocks stacked in one block column."""
+    return block_assemble([[b] for b in blocks])
+
+
+def lift_of_kind(rng, kind):
+    """The lift of a seeded character whose entries are of one kind:
+    integers (z = +-2), rationals (z = a + 1/a), Q(sqrt d) (z^2 - 4 not a
+    square) or complex floats."""
+    x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+    if kind == "integer":
+        c = Character(x, y, rng.choice((-2, 2)))
+    elif kind == "rational":
+        a = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        c = Character(random_fraction(rng), random_fraction(rng), a + 1 / a)
+    elif kind == "quadext":
+        c = Character(x, y, rng.randint(3, 9))
+    else:
+        c = Character(*(ComplexF(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                        for _ in range(3)))
+    rep = lift(c, warn=False)
+    entries = [e for m in rep.images for r in m.entries for e in r]
+    assert {"integer": all(type(e) is int for e in entries),
+            "rational": rep.field == "rational",
+            "quadext": type(rep.field) is int,
+            "complex": rep.field == "complex"}[kind]
+    return rep
 
 
 def fox_terms(w, j):

@@ -4,8 +4,8 @@ standard library alone, and each module imports only the layers below it.
 The (P + Q*sqrt d)/den storage of ``Matrix`` and the helpers that read or
 build it are private to ``linalg``; the other modules reach them through
 ``Matrix`` arithmetic, ``running_mul``, ``product``, ``signed_sum``,
-``units``, ``sym_power`` and ``nonzero_row_of_product``.  The package
-source is scanned for the names and imports, not imported.
+``units``, ``sym_power`` and ``fox_formula_row``.  The package source is
+scanned for the names and imports, not imported.
 """
 
 import ast

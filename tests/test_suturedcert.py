@@ -1,7 +1,5 @@
 """Product certificates for sutured handlebodies and their homology oracle."""
 
-from fractions import Fraction
-
 import pytest
 
 from torsioncert.charvar import Character, lift
@@ -24,8 +22,9 @@ from torsioncert.suturedcert import (
     sutured_to_text,
 )
 
-from helpers import (enlarged_presentation, extend_rep, random_fraction,
-                     random_sl2, random_word)
+from helpers import (enlarged_presentation, extend_rep, random_sl2,
+                     random_word)
+from helpers import lift_of_kind as _lift_of_kind
 
 XY = Alphabet("x y")
 XYZ = Alphabet("x y z")
@@ -322,30 +321,6 @@ def _reference_dims(data, rep):
     k = len(data.alphabet)
     return (homology_dims(d2, d1),
             kn - d2.submatrix(range(d2.rows), range(kn)).rank(), 1 - k)
-
-
-def _lift_of_kind(rng, kind):
-    """The lift of a seeded character whose entries are of one kind:
-    integers (z = +-2), rationals (z = a + 1/a), Q(sqrt d) (z^2 - 4 not a
-    square) or complex floats."""
-    x, y = rng.randint(-5, 5), rng.randint(-5, 5)
-    if kind == "integer":
-        c = Character(x, y, rng.choice((-2, 2)))
-    elif kind == "rational":
-        a = Fraction(rng.randint(1, 9), rng.randint(2, 9))
-        c = Character(random_fraction(rng), random_fraction(rng), a + 1 / a)
-    elif kind == "quadext":
-        c = Character(x, y, rng.randint(3, 9))
-    else:
-        c = Character(*(ComplexF(rng.uniform(-4, 4), rng.uniform(-4, 4))
-                        for _ in range(3)))
-    rep = lift(c, warn=False)
-    entries = [e for m in rep.images for r in m.entries for e in r]
-    assert {"integer": all(type(e) is int for e in entries),
-            "rational": rep.field == "rational",
-            "quadext": type(rep.field) is int,
-            "complex": rep.field == "complex"}[kind]
-    return rep
 
 
 class TestSerialization:
