@@ -9,7 +9,8 @@ chain check run on that storage, and ``entries`` is built from it only
 when read.  Complex arithmetic performs the entries' own float operations
 in their order, and its results are checked finite once (``NonFinite``);
 running products (``running_mul``) are reduced or checked only where
-``product`` or ``signed_sum`` keeps them.
+``product`` keeps them, or ``signed_blocks`` adds them into one grid of
+blocks.
 
 Exact determinants and ranks share one Bareiss single-step fraction-free
 row echelon (Bareiss, *Math. Comp.* 22, 1968) over Z, or over Z[sqrt d] on
@@ -329,8 +330,8 @@ def _across_fields(fa, fb, rows):
 
 def running_mul(a, b):
     """a . b over one field as a step of a running product, neither reduced
-    nor checked finite until :func:`product` or :func:`signed_sum` keeps
-    it."""
+    nor checked finite until :func:`product` or :func:`signed_blocks`
+    keeps it."""
     den = a._denom * b._denom
     if len(a._parts) == 1:
         return _new(a.field, (grid_mul(a._parts[0], b._parts[0]),), den)
@@ -352,21 +353,26 @@ def product(factors, start):
     return _finish(reduce(running_mul, factors, start))
 
 
-def signed_sum(terms, zero):
-    """``zero`` plus sign * m over the ``(sign, m)`` terms over ``zero``'s
-    field: exact terms over the lcm of their denominators, reduced once;
-    complex ones as ``a + sign * x`` in order, checked finite once."""
-    if not terms:
-        return zero
-    den = math.lcm(*[m._denom for _, m in terms])
-    parts = []
-    for k, acc in enumerate(zero._parts):
-        for sign, m in terms:
-            f = sign * (den // m._denom)
-            acc = [[a + f * x for a, x in zip(ra, r)]
-                   for ra, r in zip(acc, m._parts[k])]
-        parts.append(acc)
-    return _finish(_new(zero.field, parts, den))
+def signed_blocks(terms, rows, cols, n, field):
+    """The rows x cols grid of n x n blocks over ``field`` whose block
+    (i, j) sums sign * m over the terms ``(i, j, sign, m)`` in order, m
+    None the identity: exact terms over the lcm of all their denominators,
+    reduced once; complex ones as ``a + sign * x`` from 0j, checked finite
+    once."""
+    den = math.lcm(*[m._denom for *_, m in terms if m is not None])
+    zero = 0j if field == "complex" else 0
+    parts = [[[zero] * (cols * n) for _ in range(rows * n)]
+             for _ in range(1 + (type(field) is int))]
+    for i, j, sign, m in terms:
+        if m is None:
+            for r in range(n):
+                parts[0][i * n + r][j * n + r] += sign * den
+            continue
+        f, lo, hi = sign * (den // m._denom), j * n, j * n + n
+        for grid, block in zip(parts, m._parts):
+            for row, r in zip(grid[i * n:i * n + n], block):
+                row[lo:hi] = [a + f * x for a, x in zip(row[lo:hi], r)]
+    return _finish(_new(field, parts, den))
 
 
 def units(n, field):
@@ -886,6 +892,25 @@ def sym_power(m, N):
         parts = ([[x for x, _ in r] for r in pairs],
                  [[y for _, y in r] for r in pairs])
     return _finish(_new(d, parts, m._denom ** (N - 1)))
+
+
+def sym_power_inverse(m, s):
+    """``sym_power(m.inverse(), N)`` for an exact 2x2 m, read off
+    s = ``sym_power(m, N)`` by the duality A^-1 = J A^T J^-1 / det A: entry
+    (i, j) is u_i v_j s[N-1-j][N-1-i] / det(m)^(N-1), with
+    u_i = (-1)^i C(N-1, i) and v_j = (-1)^j / C(N-1, j) over their lcm."""
+    N = s.rows
+    binom = [math.comb(N - 1, i) for i in range(N)]
+    lcm = math.lcm(*binom)
+    u = [(-1) ** i * b for i, b in enumerate(binom)]
+    v = [(-1) ** j * (lcm // b) for j, b in enumerate(binom)]
+    inv = _new(s.field, [[[ui * vj * x for vj, x in zip(v, reversed(c))]
+                          for ui, c in zip(u, reversed(list(zip(*part))))]
+                         for part in s._parts], s._denom * lcm)
+    (a, b), (c, d) = m.entries
+    det = a * d - b * c
+    return _finish(inv) if det == 1 else inv.scale(
+        Fraction(1) / det ** (N - 1))
 
 
 # the ring operations of _sym_rows: (mul, add, one, zero)

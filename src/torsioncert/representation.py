@@ -6,10 +6,10 @@ presentations.
 A representation assigns an invertible n x n matrix over one scalar kind to
 each generator of an alphabet.  ``sl_flag`` asserts determinant-1 images,
 which is checked at construction, except where it follows from images
-already checked: exact symmetric powers.  Words, Fox blocks and symmetric
-powers are products and signed sums of ``Matrix`` objects, which keep
-their own numerators (``linalg.running_mul``, ``linalg.product``,
-``linalg.signed_sum``).
+already checked: exact symmetric powers.  Words are products of ``Matrix``
+objects, which keep their own numerators (``linalg.running_mul``,
+``linalg.product``), and a Fox matrix their signed sums, added into one
+grid (``linalg.signed_blocks``).
 """
 
 import string
@@ -102,22 +102,31 @@ class Representation:
                                    % (w.alphabet, self.alphabet))
 
     def eval_word(self, w):
-        """The product of generator images along the word, from the
-        identity, so 1 too has the representation's kind."""
+        """The product of generator images along the word, from the first
+        letter's image over exact kinds (1 . B = B exactly) and from the
+        identity over C and for the empty word, in the images' kind."""
         self._check_word(w)
-        return _la.product(map(self.letter_image, w.letters), self.units[0])
+        one = self.units[0]
+        factors = map(self.letter_image, w.letters)
+        return _la.product(factors, one if self.field == "complex"
+                           else next(factors, one))
 
-    def fox_blocks(self, w):
-        """The images of the Fox derivatives of w by each generator, as n x n
-        blocks in the representation's kind: the signed sums of the running
-        prefix products of :func:`fox_sweep`, each reduced or checked finite
-        once."""
-        self._check_word(w)
-        terms = [[] for _ in self.alphabet.names]
-        for j, sign, prefix in fox_sweep(w, self.letter_image, self.units[0],
-                                         _la.running_mul):
-            terms[j].append((sign, prefix))
-        return [_la.signed_sum(t, self.units[1]) for t in terms]
+    def fox_matrix(self, words):
+        """The Fox matrix of ``words``: block (i, j) is the image of the
+        derivative of words[i] by generator j.  Each word's
+        :func:`fox_sweep` adds its signed prefix products into one grid
+        (``linalg.signed_blocks``); over exact kinds it starts from None,
+        the identity, so that no product takes it as a factor."""
+        one, mul = (self.units[0], _la.running_mul) \
+            if self.field == "complex" else \
+            (None, lambda a, b: b if a is None else _la.running_mul(a, b))
+        terms = []
+        for i, w in enumerate(words):
+            self._check_word(w)
+            terms += [(i, j, sign, p) for j, sign, p in
+                      fox_sweep(w, self.letter_image, one, mul)]
+        return _la.signed_blocks(terms, len(words), len(self.alphabet),
+                                 self.n, self.field)
 
     def eval_ring_elem(self, e):
         """Sum of coeff * eval_word over the terms; a ring homomorphism."""
@@ -163,11 +172,17 @@ class Representation:
 class SymPowerRep(Representation):
     """The N-dimensional symmetric-power representation of a rank-2 base.
 
-    Images are :func:`sym_power` of the base's images.  Exact inverse
-    images are those of the base's inverse images (Sym(A)^-1 = Sym(A^-1)),
-    and the images are not checked again: det Sym(A) = det(A)^(N(N-1)/2),
-    so the base's check covers them.  Float images keep the check and
-    Gauss-Jordan inverses, whose bits are the ones printed.
+    Images are :func:`sym_power` of the base's images, and exact ones are
+    not checked again: det Sym(A) = det(A)^(N(N-1)/2), so the base's check
+    covers them.  Exact inverse images are read off the images by the
+    duality A^-1 = J A^T J^-1 / det A, in :func:`sym_power`'s basis order
+    (``linalg.sym_power_inverse``, an index map on the numerators):
+
+        Sym(A^-1)[i][j] = (-1)^(i+j) C(N-1, i) / C(N-1, j)
+                          Sym(A)[N-1-j][N-1-i] / det(A)^(N-1).
+
+    Float images keep the check, the identity product and Gauss-Jordan
+    inverses, since their bits are the ones printed.
     """
 
     def __init__(self, base, N):
@@ -180,8 +195,8 @@ class SymPowerRep(Representation):
         if self.field == "complex":
             self._check_images()
         else:
-            self._inv = {i: sym_power(base.image_inverse(i), N)
-                         for i in range(len(self.images))}
+            self._inv = {i: _la.sym_power_inverse(m, s) for i, (m, s)
+                         in enumerate(zip(base.images, self.images))}
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())

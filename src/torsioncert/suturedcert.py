@@ -75,12 +75,12 @@ def fox_matrix(data, rep):
 
     Block (i, j) is the image under the representation of the j-th partial
     derivative of the i-th surface word; the result is square of side
-    rep.n * rank.
+    rep.n * rank, built in one pass by ``rep.fox_matrix``.
     """
     if rep.alphabet != data.alphabet:
         raise AlphabetMismatch("representation over %r, data over %r"
                                % (rep.alphabet, data.alphabet))
-    return _la.block_assemble([rep.fox_blocks(w) for w in data.images])
+    return rep.fox_matrix(data.images)
 
 
 def _relative_h1(data, rep, m, rank=None):

@@ -220,7 +220,7 @@ def build_complex(pres, rep):
                              for j in range(len(rep.alphabet))])
     if not pres.relators:
         return None, d1
-    d2 = _la.block_assemble([rep.fox_blocks(rel) for rel in pres.relators])
+    d2 = rep.fox_matrix(pres.relators)
     bad = _la.fox_formula_row(d2, rep.images)
     if bad is not None:
         raise ChainCondition("d2 . d1 != 0: representation does not "

@@ -9,16 +9,20 @@ of sutured data is a reference route of another kind: the complex the
 homology oracle of ``suturedcert`` stands for, built with the package's own
 ``build_complex`` on an alphabet with a letter per surface word.  So is
 the chain check by one product of assembled matrices, the route that
-``linalg.fox_formula_row`` replaced.
+``linalg.fox_formula_row`` replaced, and the Fox matrix block by block,
+the route that ``Representation.fox_matrix`` replaced.
 """
+
+import math
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
 from torsioncert.charvar import Character, lift
-from torsioncert.freegroup import Alphabet, Word
-from torsioncert.linalg import Matrix, block_assemble, running_mul, units
+from torsioncert.freegroup import Alphabet, Word, fox_sweep
+from torsioncert.linalg import (Matrix, _finish, _new, block_assemble,
+                                product, running_mul, units)
 from torsioncert.representation import Representation
 from torsioncert.scalar import ComplexF, zero_tolerance
 
@@ -254,3 +258,56 @@ def extend_rep(data, rep):
     return Representation(enlarged_presentation(data)[0],
                           list(rep.images)
                           + [rep.eval_word(w) for w in data.images])
+
+
+def signed_sum(terms, zero):
+    """``zero`` plus sign * m over the ``(sign, m)`` terms over ``zero``'s
+    field: exact terms over the lcm of their denominators, reduced once;
+    complex ones as ``a + sign * x`` in order, checked finite once."""
+    if not terms:
+        return zero
+    den = math.lcm(*[m._denom for _, m in terms])
+    parts = []
+    for k, acc in enumerate(zero._parts):
+        for sign, m in terms:
+            f = sign * (den // m._denom)
+            acc = [[a + f * x for a, x in zip(ra, r)]
+                   for ra, r in zip(acc, m._parts[k])]
+        parts.append(acc)
+    return _finish(_new(zero.field, parts, den))
+
+
+def fox_blocks(rep, w):
+    """The Fox blocks of w by each generator, block by block: the signed
+    sums of the prefix products of ``fox_sweep`` from the identity, each
+    reduced or checked finite on its own."""
+    terms = [[] for _ in rep.alphabet.names]
+    for j, sign, prefix in fox_sweep(w, rep.letter_image, rep.units[0],
+                                     running_mul):
+        terms[j].append((sign, prefix))
+    return [signed_sum(t, rep.units[1]) for t in terms]
+
+
+def fox_matrix_reference(rep, words):
+    """The Fox matrix of ``words`` by the per-block route: a block row of
+    :func:`fox_blocks` per word, joined by ``block_assemble``."""
+    return block_assemble([fox_blocks(rep, w) for w in words])
+
+
+def word_image_reference(rep, w):
+    """The image of w as the product of its letters' images from the
+    identity, the route of ``Representation.eval_word`` on every kind
+    before exact kinds dropped the identity factor."""
+    return product(map(rep.letter_image, w.letters), rep.units[0])
+
+
+def row_blocks(m, n):
+    """Block row 0 of m, cut into n x n blocks."""
+    return [m.submatrix(range(n), range(j, j + n))
+            for j in range(0, m.cols, n)]
+
+
+def float_bits(m):
+    """The entries of a complex matrix as hex pairs, so signed zeros
+    count."""
+    return [[(x.real.hex(), x.imag.hex()) for x in r] for r in m.entries]

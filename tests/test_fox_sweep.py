@@ -27,8 +27,9 @@ from torsioncert.suturedcert import SuturedHandlebodyData
 from torsioncert.twisted import (AbelianizationMap, Presentation,
                                  twisted_fox_row)
 
-from helpers import (fox_terms, mat2_mul, random_fraction, random_sl2,
-                     random_word, two_bridge_relator)
+from helpers import (float_bits, fox_matrix_reference, fox_terms, mat2_mul,
+                     random_fraction, random_sl2, random_word, row_blocks,
+                     two_bridge_relator, word_image_reference)
 
 XY = Alphabet("x y")
 XYZ = Alphabet("x y z")
@@ -123,7 +124,7 @@ def test_matrix_blocks_equal_evaluated_derivatives():
         for rep in scalar_reps(rng):
             for _ in range(6):
                 w = random_word(rng, rep.alphabet, 10)
-                row = rep.fox_blocks(w)
+                row = row_blocks(rep.fox_matrix([w]), rep.n)
                 for j in range(len(rep.alphabet)):
                     terms = fox_terms(w, j)
                     oracle = rep.eval_ring_elem(
@@ -131,6 +132,29 @@ def test_matrix_blocks_equal_evaluated_derivatives():
                     assert row[j] == oracle
                     if any(v.letters for v in terms):
                         assert entries(row[j]) == entries(oracle)
+
+
+def test_one_pass_fox_matrix_equals_the_per_block_route():
+    # the one grid against block rows of per-block signed sums joined by
+    # block_assemble, and word images against the product from the
+    # identity: equal values over exact kinds, which skip the identity
+    # product, and the same bits over C, which keeps it
+    for case in range(4):
+        rng = rng_for(41, case)
+        for rep in scalar_reps(rng):
+            for count in (1, 2, 3):
+                words = [random_word(rng, rep.alphabet, 10)
+                         for _ in range(count)]
+                m = rep.fox_matrix(words)
+                ref = fox_matrix_reference(rep, words)
+                assert m.field == ref.field and m == ref
+                images = [(rep.eval_word(w), word_image_reference(rep, w))
+                          for w in words]
+                assert all(a == b for a, b in images)
+                if rep.field == "complex":
+                    assert float_bits(m) == float_bits(ref)
+                    assert all(float_bits(a) == float_bits(b)
+                               for a, b in images)
 
 
 def twisted_oracle(w, j, rep, twist):

@@ -18,15 +18,16 @@ from torsioncert.errors import ChainCondition
 from torsioncert.freegroup import Alphabet, GroupRingElem, Word
 from torsioncert.linalg import Matrix, det, rank
 from torsioncert.representation import (Representation, SymPowerRep,
-                                        sym_power)
+                                        rep_from_text, sym_power)
 from torsioncert.scalar import ComplexF, QuadExt
 from torsioncert.seeds import rng_for
 from torsioncert.suturedcert import (SuturedHandlebodyData, certify,
                                      oracle_dims, pants_example)
 from torsioncert.twisted import Presentation, build_complex
 
-from helpers import (fox_terms, minor_rank, perm_det, random_sl2,
-                     random_word, sym_power_oracle)
+from helpers import (fox_matrix_reference, fox_terms, lift_of_kind,
+                     minor_rank, perm_det, random_sl2, random_word,
+                     row_blocks, sym_power_oracle)
 
 XY = Alphabet("x y")
 XYZ = Alphabet("x y z")
@@ -86,7 +87,7 @@ def test_fox_blocks_equal_term_by_term_evaluation():
         rng = rng_for(73, case)
         for rep in exact_reps(rng):
             for w in words(rng, rep.alphabet):
-                blocks = rep.fox_blocks(w)
+                blocks = row_blocks(rep.fox_matrix([w]), rep.n)
                 assert len(blocks) == len(rep.alphabet)
                 for j, block in enumerate(blocks):
                     terms = fox_terms(w, j)
@@ -97,6 +98,24 @@ def test_fox_blocks_equal_term_by_term_evaluation():
                     if any(v.letters for v in terms):
                         assert list(map(repr, sum(block.entries, ()))) == \
                             list(map(repr, sum(oracle.entries, ())))
+
+
+def storage(m):
+    """A matrix's field, numerator grids and denominator, as lists."""
+    return m.field, [[list(r) for r in part] for part in m._parts], m._denom
+
+
+def test_one_pass_fox_matrix_equals_the_per_block_route():
+    # equal Matrix values, storage included, for one to three words at once
+    for case in range(3):
+        rng = rng_for(73, case)
+        for rep in exact_reps(rng):
+            ws = words(rng, rep.alphabet)
+            for lo, hi in ((0, 1), (1, 3), (3, 6), (0, len(ws))):
+                m = rep.fox_matrix(ws[lo:hi])
+                ref = fox_matrix_reference(rep, ws[lo:hi])
+                assert m == ref, (rep, ws[lo:hi])
+                assert storage(m) == storage(ref)
 
 
 def row_scaled(rng, m, draw):
@@ -202,6 +221,56 @@ def test_one_determinant_and_no_inversion_per_certificate(monkeypatch):
     assert calls == {"det": runs, "echelon": runs, "inverse": 0}
 
 
+@pytest.mark.parametrize("kind, calls, with_identity", [
+    ("integer", 8, 0), ("rational", 8, 0), ("quadext", 8, 0),
+    ("complex", 11, 3)])
+def test_exact_products_take_no_identity_factor(kind, calls, with_identity,
+                                                monkeypatch):
+    # pants: the sweeps of x and yxyXY take 0 and 4 products after their
+    # first letters' images, and the oracle's images of the two words 0 and
+    # 4; over C the sweep of yxyXY and both word images start from the
+    # identity, whose products make the printed signed zeros
+    rep = SymPowerRep(lift_of_kind(rng_for(73, 60), kind), 4)
+    seen = []
+    real = linalg_module.running_mul
+
+    def counted(a, b):
+        seen.append(rep.units[0] in (a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(linalg_module, "running_mul", counted)
+    certify(pants_example(), rep, with_oracle=True)
+    assert (len(seen), sum(seen)) == (calls, with_identity)
+
+
+GL_REPS = (
+    "alphabet: x y\nscalar: rational\nsl: false\n"
+    "x: 2,1;3,5\ny: 1/2,-2;-1/3,3\n",
+    "alphabet: x y\nscalar: quadext\nsl: false\n"
+    "x: 1+sqrt(2),1;0,3\ny: 1/2,sqrt(2);-1,1/3\n")
+
+
+def test_sym_power_inverses_by_duality():
+    # SL lifts of every exact kind at N = 2..12, and GL bases whose images
+    # have determinants other than 1, by letter denominators and by .rep
+    # files with sl: false; the duality's inverse is the symmetric power of
+    # the base's Gauss-Jordan inverse and the Gauss-Jordan inverse of the
+    # image, storage included
+    rng = rng_for(73, 61)
+    bases = [lift_of_kind(rng, kind) for kind in ("integer", "rational",
+                                                  "quadext") for _ in range(3)]
+    bases += exact_bases(rng) + [rep_from_text(t) for t in GL_REPS]
+    assert any(m.det() not in (0, 1) for b in bases for m in b.images)
+    for base in bases:
+        for N in range(2, 13):
+            rep = SymPowerRep(base, N)
+            for i in range(2):
+                inv = rep.image_inverse(i)
+                for other in (sym_power(base.image_inverse(i), N),
+                              rep.images[i].inverse()):
+                    assert storage(inv) == storage(other), (base, N)
+
+
 def integer_entry(rng, den):
     return rng.randint(-5, 5)
 
@@ -251,7 +320,7 @@ def test_exact_sym_power_rep_seeds_its_numerators(monkeypatch):
                     sym_power_oracle(base.image_inverse(i).entries, N))
                 assert rep.images[i] * inv == Matrix.identity(N)
             del made[:]
-            rep.fox_blocks(random_word(rng, XY, 8))
+            rep.fox_matrix([random_word(rng, XY, 8)])
             assert made == []
 
 

@@ -249,17 +249,18 @@ class TestOracle:
         rep = _lift_of_kind(rng, kind)
         data = pants_example()
         honest = certify(data, rep)
-        real = Representation.fox_blocks
+        real = Representation.fox_matrix
 
-        def perturbed(self, w):
-            blocks = real(self, w)
+        def perturbed(self, words):
+            m = real(self, words)
             if self is rep:
-                unit = [[int(i == j == 0) for j in range(self.n)]
-                        for i in range(self.n)]
-                blocks[0] = blocks[0] + Matrix(unit)
-            return blocks
+                # entry (0, 0) of block (i, 0), for every word i
+                unit = [[int(j == 0 and i % self.n == 0)
+                         for j in range(m.cols)] for i in range(m.rows)]
+                m = m + Matrix(unit)
+            return m
 
-        monkeypatch.setattr(Representation, "fox_blocks", perturbed)
+        monkeypatch.setattr(Representation, "fox_matrix", perturbed)
         assert certify(data, rep).determinant != honest.determinant
         with pytest.raises(ChainCondition, match="relator 0$"):
             certify(data, rep, with_oracle=True)
