@@ -353,12 +353,19 @@ def product(factors, start):
     return _finish(reduce(running_mul, factors, start))
 
 
+def sweep_mul(a, b):
+    """:func:`running_mul` with None for the identity, as
+    :func:`signed_blocks` reads it: 1 . b is b without a product."""
+    return b if a is None else running_mul(a, b)
+
+
 def signed_blocks(terms, rows, cols, n, field):
     """The rows x cols grid of n x n blocks over ``field`` whose block
     (i, j) sums sign * m over the terms ``(i, j, sign, m)`` in order, m
     None the identity: exact terms over the lcm of all their denominators,
     reduced once; complex ones as ``a + sign * x`` from 0j, checked finite
-    once."""
+    once, and a non-finite entry named from the first block, in (i, j)
+    order, that holds one."""
     den = math.lcm(*[m._denom for *_, m in terms if m is not None])
     zero = 0j if field == "complex" else 0
     parts = [[[zero] * (cols * n) for _ in range(rows * n)]
@@ -372,6 +379,10 @@ def signed_blocks(terms, rows, cols, n, field):
         for grid, block in zip(parts, m._parts):
             for row, r in zip(grid[i * n:i * n + n], block):
                 row[lo:hi] = [a + f * x for a, x in zip(row[lo:hi], r)]
+    if field == "complex" and not cmath.isfinite(sum(map(sum, parts[0]))):
+        for i in range(0, rows * n, n):
+            for j in range(0, cols * n, n):
+                Matrix([r[j:j + n] for r in parts[0][i:i + n]])
     return _finish(_new(field, parts, den))
 
 
@@ -892,25 +903,6 @@ def sym_power(m, N):
         parts = ([[x for x, _ in r] for r in pairs],
                  [[y for _, y in r] for r in pairs])
     return _finish(_new(d, parts, m._denom ** (N - 1)))
-
-
-def sym_power_inverse(m, s):
-    """``sym_power(m.inverse(), N)`` for an exact 2x2 m, read off
-    s = ``sym_power(m, N)`` by the duality A^-1 = J A^T J^-1 / det A: entry
-    (i, j) is u_i v_j s[N-1-j][N-1-i] / det(m)^(N-1), with
-    u_i = (-1)^i C(N-1, i) and v_j = (-1)^j / C(N-1, j) over their lcm."""
-    N = s.rows
-    binom = [math.comb(N - 1, i) for i in range(N)]
-    lcm = math.lcm(*binom)
-    u = [(-1) ** i * b for i, b in enumerate(binom)]
-    v = [(-1) ** j * (lcm // b) for j, b in enumerate(binom)]
-    inv = _new(s.field, [[[ui * vj * x for vj, x in zip(v, reversed(c))]
-                          for ui, c in zip(u, reversed(list(zip(*part))))]
-                         for part in s._parts], s._denom * lcm)
-    (a, b), (c, d) = m.entries
-    det = a * d - b * c
-    return _finish(inv) if det == 1 else inv.scale(
-        Fraction(1) / det ** (N - 1))
 
 
 # the ring operations of _sym_rows: (mul, add, one, zero)

@@ -114,17 +114,14 @@ class Representation:
     def fox_matrix(self, words):
         """The Fox matrix of ``words``: block (i, j) is the image of the
         derivative of words[i] by generator j.  Each word's
-        :func:`fox_sweep` adds its signed prefix products into one grid
-        (``linalg.signed_blocks``); over exact kinds it starts from None,
-        the identity, so that no product takes it as a factor."""
-        one, mul = (self.units[0], _la.running_mul) \
-            if self.field == "complex" else \
-            (None, lambda a, b: b if a is None else _la.running_mul(a, b))
+        :func:`fox_sweep` starts from None, the identity, so that no
+        product takes it as a factor, and adds its signed prefix products
+        into one grid (``linalg.sweep_mul``, ``linalg.signed_blocks``)."""
         terms = []
         for i, w in enumerate(words):
             self._check_word(w)
             terms += [(i, j, sign, p) for j, sign, p in
-                      fox_sweep(w, self.letter_image, one, mul)]
+                      fox_sweep(w, self.letter_image, None, _la.sweep_mul)]
         return _la.signed_blocks(terms, len(words), len(self.alphabet),
                                  self.n, self.field)
 
@@ -172,17 +169,12 @@ class Representation:
 class SymPowerRep(Representation):
     """The N-dimensional symmetric-power representation of a rank-2 base.
 
-    Images are :func:`sym_power` of the base's images, and exact ones are
-    not checked again: det Sym(A) = det(A)^(N(N-1)/2), so the base's check
-    covers them.  Exact inverse images are read off the images by the
-    duality A^-1 = J A^T J^-1 / det A, in :func:`sym_power`'s basis order
-    (``linalg.sym_power_inverse``, an index map on the numerators):
-
-        Sym(A^-1)[i][j] = (-1)^(i+j) C(N-1, i) / C(N-1, j)
-                          Sym(A)[N-1-j][N-1-i] / det(A)^(N-1).
-
-    Float images keep the check, the identity product and Gauss-Jordan
-    inverses, since their bits are the ones printed.
+    Images are :func:`sym_power` of the base's images.  Exact inverse
+    images are those of the base's inverse images (Sym(A)^-1 = Sym(A^-1)),
+    and the images are not checked again: det Sym(A) = det(A)^(N(N-1)/2),
+    so the base's check covers them.  Float images keep the check, the
+    identity product of word images and Gauss-Jordan inverses, whose bits
+    are the ones printed.
     """
 
     def __init__(self, base, N):
@@ -195,8 +187,8 @@ class SymPowerRep(Representation):
         if self.field == "complex":
             self._check_images()
         else:
-            self._inv = {i: _la.sym_power_inverse(m, s) for i, (m, s)
-                         in enumerate(zip(base.images, self.images))}
+            self._inv = {i: sym_power(base.image_inverse(i), N)
+                         for i in range(len(self.images))}
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())

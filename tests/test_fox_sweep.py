@@ -135,10 +135,11 @@ def test_matrix_blocks_equal_evaluated_derivatives():
 
 
 def test_one_pass_fox_matrix_equals_the_per_block_route():
-    # the one grid against block rows of per-block signed sums joined by
-    # block_assemble, and word images against the product from the
-    # identity: equal values over exact kinds, which skip the identity
-    # product, and the same bits over C, which keeps it
+    # the one grid against block rows of per-block signed sums from the
+    # identity joined by block_assemble, and word images against the
+    # product from the identity: equal values over exact kinds, and the
+    # same bits over C, where the grid's sums from +0j erase the signed
+    # zeros of identity products and word images keep the identity factor
     for case in range(4):
         rng = rng_for(41, case)
         for rep in scalar_reps(rng):
@@ -155,6 +156,39 @@ def test_one_pass_fox_matrix_equals_the_per_block_route():
                     assert float_bits(m) == float_bits(ref)
                     assert all(float_bits(a) == float_bits(b)
                                for a, b in images)
+
+
+def test_complex_fox_matrix_keeps_the_per_block_bits_on_signed_zeros():
+    # characters whose parts are signed zeros and half-integers, so that
+    # the products of either route make zeros of both signs
+    rng = rng_for(41, 12)
+    parts = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0)
+    for _ in range(100):
+        base = lift(Character(*[ComplexF(rng.choice(parts), rng.choice(parts))
+                                for _ in range(3)]), warn=False)
+        rep = SymPowerRep(base, rng.randint(2, 5))
+        words = [random_word(rng, XY, 8) for _ in range(2)]
+        assert float_bits(rep.fox_matrix(words)) \
+            == float_bits(fox_matrix_reference(rep, words))
+
+
+def test_fox_matrix_names_a_non_finite_entry_block_by_block():
+    # d(xyxy)/dx = 1 + xy and d(xyxy)/dy = x + xyx on diagonal images:
+    # row 1 of block (0, 0) is 1 + 1e320, row 0 of block (0, 1) is
+    # 1e130 i + (1e130 i)^2 1e130; as on the per-block route, the error
+    # names the entry of the first block, not the first of the grid's rows
+    zero = ComplexF(0)
+    big = ComplexF(1e160)
+    rep = Representation(XY, [
+        Matrix([[ComplexF(0, 1e130), zero], [zero, big]]),
+        Matrix([[ComplexF(1e130), zero], [zero, big]])])
+    w = XY.word("xyxy")
+    with pytest.raises(NonFinite) as one_pass:
+        rep.fox_matrix([w])
+    with pytest.raises(NonFinite) as per_block:
+        fox_matrix_reference(rep, [w])
+    assert str(one_pass.value) == str(per_block.value) \
+        == "non-finite complex value inf + nan i"
 
 
 def twisted_oracle(w, j, rep, twist):

@@ -3,8 +3,8 @@ standard library alone, and each module imports only the layers below it.
 
 The (P + Q*sqrt d)/den storage of ``Matrix`` and the helpers that read or
 build it are private to ``linalg``; the other modules reach them through
-``Matrix`` arithmetic, ``running_mul``, ``product``, ``signed_blocks``,
-``units``, ``sym_power``, ``sym_power_inverse`` and ``fox_formula_row``.
+``Matrix`` arithmetic, ``running_mul``, ``product``, ``sweep_mul``,
+``signed_blocks``, ``units``, ``sym_power`` and ``fox_formula_row``.
 The package source is scanned for the names and imports, not imported.
 """
 
