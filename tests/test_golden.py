@@ -65,6 +65,12 @@ ARGVS = [
     ["certify", "pants.sut", "--char", "(1.5+0.5i, 2.0, 3.25-1i)",
      "--sym-power", "3", "--oracle"],
     ["certify", "pants.sut", "--char", "(3.0, 1.0, 2.0)", "--oracle"],
+    ["certify", "pants.sut", "--char", "(5, 1, 21/5)", "--sym-power", "12"],
+    ["certify", "pants.sut", "--char", "(3/2, -4/3, 7/2)", "--sym-power",
+     "8", "--oracle"],
+    ["charlift", "(2/3, -5/4, 7/2)", "--sym-power", "4"],
+    ["certify", "pants.sut", "--rep", "schottky.rep", "--sym-power", "4",
+     "--oracle"],
 ]
 
 
