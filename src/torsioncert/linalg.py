@@ -4,10 +4,11 @@ A ``Matrix`` stores what its kernels compute on: over Q or Q(sqrt d),
 integer numerators over one denominator, (P + Q*sqrt d)/den, reduced so
 that den is the lcm of the entries' denominators; over C, its own rows
 over 1.  ``field`` is ``'rational'``, ``'complex'`` or d.  Arithmetic,
-submatrices, block assembly, symmetric powers, determinants, ranks and the
-chain check run on that storage, and ``entries`` is built from it only
-when read.  Complex arithmetic performs the entries' own float operations
-in their order, and its results are checked finite once (``NonFinite``);
+submatrices, block assembly, symmetric powers (over Q(sqrt d) on the int
+pairs (P, Q)), determinants, ranks and the chain check run on that
+storage, and ``entries`` is built from it only when read.  Complex
+arithmetic performs the entries' own float operations in their order, and
+its results are checked finite once (``NonFinite``);
 running products (``running_mul``) are reduced or checked only where
 ``product`` keeps them, or ``signed_blocks`` adds them into one grid of
 blocks.
@@ -885,62 +886,88 @@ def sym_power(m, N):
     basis vector is (m11 e1 + m21 e2)^(N-1-k) (m12 e1 + m22 e2)^k expanded
     binomially.  No normalization factors, so integer input gives integer
     entries.  sym_power(m, 2) is m itself.  The expansion runs on the
-    numerators, over den^(N-1) and on (p, q) pairs standing for
-    p + q*sqrt d over Q(sqrt d), and is reduced once; complex input, its
-    own rows over 1, is checked finite once.
+    numerators, over den^(N-1): on ints over Q and on a complex matrix's
+    own rows (:func:`_sym_rows`), and over Q(sqrt d) on the int pairs
+    (P, Q) standing for P + Q*sqrt d, in a loop of its own
+    (:func:`_sym_pairs`).  The result is reduced once, or, over C, checked
+    finite once.
     """
     if not isinstance(m, Matrix) or m.rows != 2 or m.cols != 2:
         raise NotTwoByTwo("sym_power needs a 2x2 matrix")
+    if not isinstance(N, int) or N < 2:
+        raise ValueError("N must be an integer >= 2")
     d, parts = m.field, m._parts
     if len(parts) == 1:
-        parts = (_sym_rows(parts[0], N, _PLAIN),)
+        parts = (_sym_rows(parts[0], N),)
     else:
-        ring = (lambda x, y: (x[0] * y[0] + d * x[1] * y[1],
-                              x[0] * y[1] + x[1] * y[0]),
-                lambda x, y: (x[0] + y[0], x[1] + y[1]), (1, 0), (0, 0))
-        pairs = _sym_rows([list(zip(*rows)) for rows in zip(*parts)], N,
-                          ring)
-        parts = ([[x for x, _ in r] for r in pairs],
-                 [[y for _, y in r] for r in pairs])
+        parts = _sym_pairs(*parts, N, d)
     return _finish(_new(d, parts, m._denom ** (N - 1)))
 
 
-# the ring operations of _sym_rows: (mul, add, one, zero)
-_PLAIN = (mul, add, 1, 0)
-
-
-def _sym_rows(entries, N, ring):
+def _sym_rows(entries, N):
     """The rows of the symmetric power of the 2x2 ``entries`` by the
-    binomial rule of :func:`sym_power`, in the ring operations ``ring``."""
-    if not isinstance(N, int) or N < 2:
-        raise ValueError("N must be an integer >= 2")
-    mul_, add_, _, zero = ring
+    binomial rule of :func:`sym_power`."""
     (a, c), (b, d) = entries  # column 1 is (a, b), column 2 is (c, d)
-    left = _binomial_powers(a, b, N - 1, ring)
-    right = _binomial_powers(c, d, N - 1, ring)
+    left = _binomial_powers(a, b, N - 1)
+    right = _binomial_powers(c, d, N - 1)
     cols = []
     for k in range(N):
-        col = [zero] * N
+        col = [0] * N
         for i, ci in enumerate(left[N - 1 - k]):
             for j, cj in enumerate(right[k]):
-                col[i + j] = add_(col[i + j], mul_(ci, cj))
+                col[i + j] += ci * cj
         cols.append(col)
     return [[cols[k][l] for k in range(N)] for l in range(N)]
 
 
-def _binomial_powers(p, q, n, ring):
+def _binomial_powers(p, q, n):
     """The coefficients of (p e1 + q e2)^e by e2-degree for e = 0..n:
     [p^e, e p^(e-1) q, ...]."""
-    mul_, add_, one, zero = ring
-    out = [[one]]
+    out = [[1]]
     for _ in range(n):
         prev = out[-1]
-        nxt = [zero] * (len(prev) + 1)
+        nxt = [0] * (len(prev) + 1)
         for i, c in enumerate(prev):
-            nxt[i] = add_(nxt[i], mul_(c, p))
-            nxt[i + 1] = add_(nxt[i + 1], mul_(c, q))
+            nxt[i] += c * p
+            nxt[i + 1] += c * q
         out.append(nxt)
     return out
+
+
+def _sym_pairs(P, Q, N, d):
+    """The P and Q grids of the symmetric power of the 2x2 matrix
+    P + Q*sqrt d by the binomial rule of :func:`sym_power`, on ints:
+    (x + y sqrt d)(u + v sqrt d) = xu + d yv + (xv + yu) sqrt d."""
+    # powers[c][e]: the (P, Q) coefficient lists of column c to the e-th,
+    # by e2-degree, as in _binomial_powers
+    powers = []
+    for c in (0, 1):
+        px, py, qx, qy = P[0][c], Q[0][c], P[1][c], Q[1][c]
+        dpy, dqy = d * py, d * qy
+        out = [([1], [0])]
+        for _ in range(N - 1):
+            xs, ys = out[-1]
+            nx, ny = [0] * (len(xs) + 1), [0] * (len(xs) + 1)
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                nx[i] += x * px + y * dpy
+                ny[i] += x * py + y * px
+                nx[i + 1] = x * qx + y * dqy
+                ny[i + 1] = x * qy + y * qx
+            out.append((nx, ny))
+        powers.append(out)
+    left, right = powers
+    cols_p, cols_q = [], []
+    for k in range(N):
+        cp, cq = [0] * N, [0] * N
+        rx, ry = right[k]
+        for i, (x, y) in enumerate(zip(*left[N - 1 - k])):
+            dy = d * y
+            for j, (u, v) in enumerate(zip(rx, ry), i):
+                cp[j] += x * u + dy * v
+                cq[j] += x * v + y * u
+        cols_p.append(cp)
+        cols_q.append(cq)
+    return ([list(r) for r in zip(*cols_p)], [list(r) for r in zip(*cols_q)])
 
 
 def matrix_str(m):

@@ -9,10 +9,14 @@ which is checked at construction, except where it follows from images
 already checked: exact symmetric powers.  Words are products of ``Matrix``
 objects, which keep their own numerators (``linalg.running_mul``,
 ``linalg.product``), and a Fox matrix their signed sums, added into one
-grid (``linalg.signed_blocks``).
+grid (``linalg.signed_blocks``).  An exact symmetric power takes those
+products on its rank-2 base and raises each one to Sym^N
+(``linalg.sym_power``); it builds its own images and inverse images only
+when they are read.
 """
 
 import string
+from functools import cached_property
 from itertools import product
 
 from . import linalg as _la
@@ -48,7 +52,8 @@ class Representation:
             column = _la.block_assemble([[m] for m in images])
             images = [column.submatrix(range(i * n, (i + 1) * n), range(n))
                       for i in range(len(images))]
-        self._store(alphabet, images, sl_flag)
+        self.images = tuple(images)
+        self._store(alphabet, n, self.images[0].field, sl_flag)
         self._check_images()
 
     def _check_images(self):
@@ -67,25 +72,24 @@ class Representation:
                 raise SingularImage("sl_flag set but det(image %r) = %s"
                                     % (self.alphabet.names[i], d))
 
-    def _store(self, alphabet, images, sl_flag):
-        """Set the fields from images of one kind, with an empty cache of
-        inverse images and the identity and zero over the images' field,
-        so that arithmetic with the images keeps that field."""
+    def _store(self, alphabet, n, field, sl_flag):
+        """Set every field but the images, of size n over ``field``: an
+        empty cache of inverse images and the identity and zero over that
+        field, so that arithmetic with the images keeps it."""
         self.alphabet = alphabet
-        self.images = tuple(images)
-        self.n = self.images[0].rows
+        self.n = n
         self.sl_flag = bool(sl_flag)
-        self.scalar_kind = self.images[0].scalar_kind
-        self.field = self.images[0].field
-        self.units = _la.units(self.n, self.field)
+        self.field = field
+        self.units = _la.units(n, field)
+        self.scalar_kind = self.units[0].scalar_kind
         self._inv = {}
 
     def image(self, i):
         return self.images[i]
 
     def image_inverse(self, i):
-        """The inverse image of generator i, by Gauss-Jordan unless the
-        representation was built with it (exact symmetric powers)."""
+        """The inverse image of generator i, by Gauss-Jordan, computed
+        once."""
         if i not in self._inv:
             self._inv[i] = self.images[i].inverse()
         return self._inv[i]
@@ -113,17 +117,23 @@ class Representation:
 
     def fox_matrix(self, words):
         """The Fox matrix of ``words``: block (i, j) is the image of the
-        derivative of words[i] by generator j.  Each word's
-        :func:`fox_sweep` starts from None, the identity, so that no
-        product takes it as a factor, and adds its signed prefix products
-        into one grid (``linalg.sweep_mul``, ``linalg.signed_blocks``)."""
+        derivative of words[i] by generator j, the signed prefix products
+        of :meth:`_fox_terms` added into one grid
+        (``linalg.signed_blocks``)."""
+        return _la.signed_blocks(self._fox_terms(words), len(words),
+                                 len(self.alphabet), self.n, self.field)
+
+    def _fox_terms(self, words):
+        """The terms (i, j, sign, P) of the Fox derivatives of ``words``:
+        each word's :func:`fox_sweep`, which starts from None, the
+        identity, so that no product takes it as a factor
+        (``linalg.sweep_mul``)."""
         terms = []
         for i, w in enumerate(words):
             self._check_word(w)
             terms += [(i, j, sign, p) for j, sign, p in
                       fox_sweep(w, self.letter_image, None, _la.sweep_mul)]
-        return _la.signed_blocks(terms, len(words), len(self.alphabet),
-                                 self.n, self.field)
+        return terms
 
     def eval_ring_elem(self, e):
         """Sum of coeff * eval_word over the terms; a ring homomorphism."""
@@ -169,26 +179,57 @@ class Representation:
 class SymPowerRep(Representation):
     """The N-dimensional symmetric-power representation of a rank-2 base.
 
-    Images are :func:`sym_power` of the base's images.  Exact inverse
-    images are those of the base's inverse images (Sym(A)^-1 = Sym(A^-1)),
-    and the images are not checked again: det Sym(A) = det(A)^(N(N-1)/2),
-    so the base's check covers them.  Float images keep the check, the
-    identity product of word images and Gauss-Jordan inverses, whose bits
-    are the ones printed.
+    Sym^N is a ring homomorphism GL2 -> GLN, so over exact kinds every
+    matrix is one :func:`sym_power` of a 2 x 2 matrix of the base: a word
+    is evaluated on the base (``eval_word``), and so are the prefix
+    products of the Fox sweeps (``fox_matrix``), each raised to Sym^N on
+    its own before the signed sums.  The images
+    and inverse images (Sym(A)^-1 = Sym(A^-1)) are built on first use and
+    kept.  They are not checked again: det Sym(A) = det(A)^(N(N-1)/2), so
+    the base's check covers them.  Complex images keep the N x N route:
+    they are built at once and checked, words are products of them from
+    the identity and inverses are Gauss-Jordan's, since the bits of those
+    products are the ones printed and pinned, and Sym^N of a float product
+    rounds differently.  N and the base's rank are checked at once either
+    way.
     """
 
     def __init__(self, base, N):
         if base.n != 2:
             raise NotTwoByTwo("symmetric powers take a rank-2 base")
+        if not isinstance(N, int) or N < 2:
+            raise ValueError("N must be an integer >= 2")
         self.base = base
         self.N = N
-        self._store(base.alphabet, [sym_power(m, N) for m in base.images],
-                    base.sl_flag)
-        if self.field == "complex":
+        self._store(base.alphabet, N, base.field, base.sl_flag)
+        self._on_base = self.field != "complex"
+        if not self._on_base:
+            self.images = tuple(sym_power(m, N) for m in base.images)
             self._check_images()
-        else:
-            self._inv = {i: sym_power(base.image_inverse(i), N)
-                         for i in range(len(self.images))}
+
+    @cached_property
+    def images(self):
+        # exact kinds only: complex images are set at construction
+        return tuple(sym_power(m, self.N) for m in self.base.images)
+
+    def image_inverse(self, i):
+        if not self._on_base:
+            return super().image_inverse(i)
+        if i not in self._inv:
+            self._inv[i] = sym_power(self.base.image_inverse(i), self.N)
+        return self._inv[i]
+
+    def eval_word(self, w):
+        if not self._on_base:
+            return super().eval_word(w)
+        return sym_power(self.base.eval_word(w), self.N)
+
+    def _fox_terms(self, words):
+        if not self._on_base:
+            return super()._fox_terms(words)
+        N = self.N
+        return [(i, j, sign, p if p is None else sym_power(p, N))
+                for i, j, sign, p in self.base._fox_terms(words)]
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())

@@ -9,8 +9,11 @@ of sutured data is a reference route of another kind: the complex the
 homology oracle of ``suturedcert`` stands for, built with the package's own
 ``build_complex`` on an alphabet with a letter per surface word.  So is
 the chain check by one product of assembled matrices, the route that
-``linalg.fox_formula_row`` replaced, and the Fox matrix block by block,
-the route that ``Representation.fox_matrix`` replaced.
+``linalg.fox_formula_row`` replaced, the Fox matrix block by block,
+the route that ``Representation.fox_matrix`` replaced, the rank-N route
+of symmetric powers, which exact ``SymPowerRep`` left for its rank-2 base,
+and the expansion of ``linalg.sym_power`` over Q(sqrt d) in a ring of
+tuples, which its int-pair loop replaced.
 """
 
 import math
@@ -22,7 +25,7 @@ from math import comb
 from torsioncert.charvar import Character, lift
 from torsioncert.freegroup import Alphabet, Word, fox_sweep
 from torsioncert.linalg import (Matrix, _finish, _new, block_assemble,
-                                product, running_mul, units)
+                                product, running_mul, sym_power, units)
 from torsioncert.representation import Representation
 from torsioncert.scalar import ComplexF, zero_tolerance
 
@@ -311,3 +314,56 @@ def float_bits(m):
     """The entries of a complex matrix as hex pairs, so signed zeros
     count."""
     return [[(x.real.hex(), x.imag.hex()) for x in r] for r in m.entries]
+
+
+def sym_power_rank_n(base, N):
+    """The symmetric power of ``base`` by the rank-N route: a plain
+    representation of the N x N images, whose words and Fox prefixes are
+    products of N x N matrices and whose inverse images are Gauss-Jordan's,
+    the route that complex ``SymPowerRep`` keeps."""
+    return Representation(base.alphabet,
+                          [sym_power(m, N) for m in base.images],
+                          sl_flag=base.sl_flag)
+
+
+def sym_power_over_tuples(m, N):
+    """``linalg.sym_power`` of a 2x2 matrix over Q(sqrt d) by its former
+    expansion, frozen here: the binomial rule in a ring of (p, q) tuples
+    with lambda operations, reduced once."""
+    d = m.field
+    ring = (lambda x, y: (x[0] * y[0] + d * x[1] * y[1],
+                          x[0] * y[1] + x[1] * y[0]),
+            lambda x, y: (x[0] + y[0], x[1] + y[1]), (1, 0), (0, 0))
+    pairs = _ring_sym_rows([list(zip(*rows)) for rows in zip(*m._parts)], N,
+                           ring)
+    return _finish(_new(d, ([[x for x, _ in r] for r in pairs],
+                            [[y for _, y in r] for r in pairs]),
+                        m._denom ** (N - 1)))
+
+
+def _ring_sym_rows(entries, N, ring):
+    mul_, add_, _, zero = ring
+    (a, c), (b, d) = entries  # column 1 is (a, b), column 2 is (c, d)
+    left = _ring_binomial_powers(a, b, N - 1, ring)
+    right = _ring_binomial_powers(c, d, N - 1, ring)
+    cols = []
+    for k in range(N):
+        col = [zero] * N
+        for i, ci in enumerate(left[N - 1 - k]):
+            for j, cj in enumerate(right[k]):
+                col[i + j] = add_(col[i + j], mul_(ci, cj))
+        cols.append(col)
+    return [[cols[k][l] for k in range(N)] for l in range(N)]
+
+
+def _ring_binomial_powers(p, q, n, ring):
+    mul_, add_, one, zero = ring
+    out = [[one]]
+    for _ in range(n):
+        prev = out[-1]
+        nxt = [zero] * (len(prev) + 1)
+        for i, c in enumerate(prev):
+            nxt[i] = add_(nxt[i], mul_(c, p))
+            nxt[i + 1] = add_(nxt[i + 1], mul_(c, q))
+        out.append(nxt)
+    return out

@@ -8,17 +8,20 @@ products bring new ones.  The oracles are term-by-term evaluation of
 ``helpers.fox_terms``, the permutation expansion and minor enumeration.
 """
 
+import os
 from fractions import Fraction
 
 import pytest
 
+import torsioncert
 from torsioncert import linalg as linalg_module
+from torsioncert import representation as representation_module
 from torsioncert.charvar import Character, lift
-from torsioncert.errors import ChainCondition
+from torsioncert.errors import ChainCondition, NotTwoByTwo
 from torsioncert.freegroup import Alphabet, GroupRingElem, Word
 from torsioncert.linalg import Matrix, det, rank
 from torsioncert.representation import (Representation, SymPowerRep,
-                                        sym_power)
+                                        rep_from_text, sym_power)
 from torsioncert.scalar import ComplexF, QuadExt
 from torsioncert.seeds import rng_for
 from torsioncert.suturedcert import (SuturedHandlebodyData, certify,
@@ -26,8 +29,9 @@ from torsioncert.suturedcert import (SuturedHandlebodyData, certify,
 from torsioncert.twisted import Presentation, build_complex
 
 from helpers import (fox_matrix_reference, fox_terms, lift_of_kind,
-                     minor_rank, perm_det, random_sl2, random_word,
-                     row_blocks, sym_power_oracle)
+                     minor_rank, perm_det, random_fraction, random_sl2,
+                     random_word, row_blocks, sym_power_oracle,
+                     sym_power_over_tuples, sym_power_rank_n)
 
 XY = Alphabet("x y")
 XYZ = Alphabet("x y z")
@@ -228,8 +232,9 @@ def test_exact_products_take_no_identity_factor(kind, calls, with_identity,
                                                 monkeypatch):
     # pants: the sweeps of x and yxyXY take 0 and 4 products after their
     # first letters' images, and the oracle's images of the two words 0 and
-    # 4; over C both word images start from the identity, whose products
-    # make the printed signed zeros
+    # 4, 2 x 2 products of the base's images over exact kinds; over C both
+    # word images start from the identity, whose products make the printed
+    # signed zeros
     rep = SymPowerRep(lift_of_kind(rng_for(73, 60), kind), 4)
     seen = []
     real = linalg_module.running_mul
@@ -241,6 +246,49 @@ def test_exact_products_take_no_identity_factor(kind, calls, with_identity,
     monkeypatch.setattr(linalg_module, "running_mul", counted)
     certify(pants_example(), rep, with_oracle=True)
     assert (len(seen), sum(seen)) == (calls, with_identity)
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "quadext"])
+@pytest.mark.parametrize("N, with_oracle, powers", [(6, False, 4),
+                                                    (3, True, 8)])
+def test_exact_sym_power_words_run_on_the_base(kind, N, with_oracle, powers,
+                                               monkeypatch):
+    # pants: the 4 prefix products of the Fox sweeps are 2 x 2 products of
+    # the base's images and each is one Sym^N; the oracle adds the two
+    # surface words, 4 more 2 x 2 products and 2 Sym^N, and the two images
+    # it reads, 2 Sym^N.  No N x N product is taken
+    rep = SymPowerRep(lift_of_kind(rng_for(73, 60), kind), N)
+    products, raised = [], []
+    real_mul = linalg_module.running_mul
+    real_sym = representation_module.sym_power
+
+    def counted_mul(a, b):
+        products.append((a.rows, b.rows))
+        return real_mul(a, b)
+
+    def counted_sym(m, n):
+        raised.append((m.rows, n))
+        return real_sym(m, n)
+
+    monkeypatch.setattr(linalg_module, "running_mul", counted_mul)
+    monkeypatch.setattr(representation_module, "sym_power", counted_sym)
+    certify(pants_example(), rep, with_oracle=with_oracle)
+    assert raised == [(2, N)] * powers
+    assert products == [(2, 2)] * (powers if with_oracle else 4)
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
+                                  "complex"])
+def test_sym_power_rep_checks_its_arguments_at_construction(kind):
+    # the images of an exact symmetric power are built on first use, its
+    # degree and its base's rank are checked before that
+    base = lift_of_kind(rng_for(73, 61), kind)
+    for N in (1, 0, -3, 3.0, "3", None):
+        with pytest.raises(ValueError, match="N must be an integer >= 2"):
+            SymPowerRep(base, N)
+    rank3 = Representation(XY, [Matrix.identity(3), Matrix.identity(3)])
+    with pytest.raises(NotTwoByTwo):
+        SymPowerRep(rank3, 3)
 
 
 def integer_entry(rng, den):
@@ -294,6 +342,80 @@ def test_exact_sym_power_rep_seeds_its_numerators(monkeypatch):
             del made[:]
             rep.fox_matrix([random_word(rng, XY, 8)])
             assert made == []
+
+
+SCHOTTKY = os.path.join(os.path.dirname(torsioncert.__file__), "data",
+                        "schottky.rep")
+
+
+def sym_bases(rng):
+    """Rank-2 bases: integer, rational and Q(sqrt d) lifts, two lifts over
+    Q(sqrt d) with d < 0, schottky.rep, and the GL bases of
+    :func:`exact_bases`, without sl_flag and of determinant other than
+    +-1."""
+    bases = [lift_of_kind(rng, kind)
+             for kind in ("integer", "rational", "quadext")]
+    bases += [lift(Character(random_fraction(rng), random_fraction(rng), z),
+                   warn=False)
+              for z in (rng.choice((-1, 0, 1)), Fraction(rng.randint(-7, 7), 4))]
+    with open(SCHOTTKY, encoding="utf-8") as fh:
+        bases.append(rep_from_text(fh.read()))
+    return bases + exact_bases(rng)
+
+
+def reduced_word(rng, length):
+    letters = []
+    while len(letters) < length:
+        l = rng.choice((1, 2, -1, -2))
+        if not letters or l != -letters[-1]:
+            letters.append(l)
+    return Word(XY, tuple(letters))
+
+
+def test_exact_sym_power_rep_equals_the_rank_n_route():
+    # 297 seeded inputs, 11 bases at N = 2..10 in each of 3 cases, with
+    # words of 1 to 6 letters: the base route and the route of N x N
+    # products and Gauss-Jordan inverses give equal matrices, stored alike.
+    # The images and inverse images are read last, after the routes that
+    # build them on first use
+    inputs = 0
+    for case in range(3):
+        rng = rng_for(73, 70 + case)
+        for base in sym_bases(rng):
+            assert base.n == 2 and base.field != "complex"
+            for N in range(2, 11):
+                rep, ref = SymPowerRep(base, N), sym_power_rank_n(base, N)
+                ws = [reduced_word(rng, rng.randint(1, 6)) for _ in range(3)]
+                pairs = [(rep.fox_matrix(ws), ref.fox_matrix(ws)),
+                         (rep.fox_matrix(ws[:1]), ref.fox_matrix(ws[:1]))]
+                pairs += [(rep.eval_word(w), ref.eval_word(w)) for w in ws]
+                pairs += [(rep.image_inverse(i), ref.image_inverse(i))
+                          for i in (1, 0)]
+                pairs += list(zip(rep.images, ref.images))
+                for got, want in pairs:
+                    assert got == want, (base, N, ws)
+                    assert storage(got) == storage(want)
+                assert rep.scalar_kind == ref.scalar_kind
+                inputs += 1
+    assert inputs == 297
+
+
+def test_sym_power_over_q_sqrt_d_equals_the_tuple_expansion():
+    # 308 seeded 2 x 2 matrices over Q(sqrt d), N = 2..12: the int-pair
+    # loop and the former expansion in a ring of tuples, stored alike
+    rng = rng_for(73, 57)
+    inputs = 0
+    for d in (2, 3, 5, 341, -1, -3, -7):
+        draw = quad_entry(d)
+        for _ in range(4):
+            m = Matrix([[draw(rng, rng.choice(LETTER_DENS)) for _ in range(2)]
+                        for _ in range(2)])
+            for N in range(2, 13):
+                got, want = sym_power(m, N), sym_power_over_tuples(m, N)
+                assert got.scalar_kind == "quadext"
+                assert storage(got) == storage(want), (m, N)
+                inputs += 1
+    assert inputs == 308
 
 
 def unit_reps(rng):

@@ -19,7 +19,7 @@ PACKAGE = os.path.dirname(torsioncert.__file__)
 OWNERS = {"linalg.py"}
 PRIVATE = {"_parts", "_denom", "_entries", "_new", "_finish",
            "_from_entries", "_materialize", "_sym_rows", "_binomial_powers",
-           "_echelon"}
+           "_sym_pairs", "_echelon"}
 
 
 def _names(tree):

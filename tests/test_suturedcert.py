@@ -237,16 +237,22 @@ class TestOracle:
             seen.add(cert.is_product)
         assert False in seen
 
-    @pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
-                                      "complex"])
+    @pytest.mark.parametrize("kind, N", [
+        *(pytest.param(kind, 2, id=kind)
+          for kind in ("integer", "rational", "quadext", "complex")),
+        *(pytest.param(kind, N, id="%s-sym%d" % (kind, N))
+          for kind in ("integer", "rational", "quadext") for N in (3, 4))])
     def test_the_chain_check_guards_the_certificates_matrix(
-            self, kind, monkeypatch):
+            self, kind, N, monkeypatch):
         # one unit added to one entry of the certificate's own Fox blocks,
         # and to no other representation's, breaks Fox's fundamental
         # formula on the oracle's complex; without the oracle nothing is
-        # checked
+        # checked.  An exact symmetric power's Fox matrix is built from its
+        # base's sweep, and perturbed alike
         rng = rng_for(31, 8)
         rep = _lift_of_kind(rng, kind)
+        if N > 2:
+            rep = SymPowerRep(rep, N)
         data = pants_example()
         honest = certify(data, rep)
         real = Representation.fox_matrix
