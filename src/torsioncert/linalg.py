@@ -914,10 +914,10 @@ def _sym_rows(entries, N):
     for k in range(N):
         col = [0] * N
         for i, ci in enumerate(left[N - 1 - k]):
-            for j, cj in enumerate(right[k]):
-                col[i + j] += ci * cj
+            for j, cj in enumerate(right[k], i):
+                col[j] += ci * cj
         cols.append(col)
-    return [[cols[k][l] for k in range(N)] for l in range(N)]
+    return [list(r) for r in zip(*cols)]
 
 
 def _binomial_powers(p, q, n):
