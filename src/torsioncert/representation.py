@@ -183,15 +183,14 @@ class SymPowerRep(Representation):
     matrix is one :func:`sym_power` of a 2 x 2 matrix of the base: a word
     is evaluated on the base (``eval_word``), and so are the prefix
     products of the Fox sweeps (``fox_matrix``), each raised to Sym^N on
-    its own before the signed sums.  The images
-    and inverse images (Sym(A)^-1 = Sym(A^-1)) are built on first use and
-    kept.  They are not checked again: det Sym(A) = det(A)^(N(N-1)/2), so
-    the base's check covers them.  Complex images keep the N x N route:
-    they are built at once and checked, words are products of them from
-    the identity and inverses are Gauss-Jordan's, since the bits of those
-    products are the ones printed and pinned, and Sym^N of a float product
-    rounds differently.  N and the base's rank are checked at once either
-    way.
+    its own before the signed sums.  The images and inverse images
+    (Sym(A)^-1 = Sym(A^-1)) are built on first use and kept.  They are
+    not checked again: det Sym(A) = det(A)^(N(N-1)/2), so the base's check
+    covers them.  Complex images keep the N x N route: they are built at
+    once and checked, words are products of them from the identity and
+    inverses are Gauss-Jordan's, since the bits of those products are the
+    ones printed and pinned, and Sym^N of a float product rounds
+    differently.  N and the base's rank are checked at once either way.
     """
 
     def __init__(self, base, N):

@@ -253,10 +253,10 @@ def test_exact_products_take_no_identity_factor(kind, calls, with_identity,
                                                     (3, True, 8)])
 def test_exact_sym_power_words_run_on_the_base(kind, N, with_oracle, powers,
                                                monkeypatch):
-    # pants: the 4 prefix products of the Fox sweeps are 2 x 2 products of
-    # the base's images and each is one Sym^N; the oracle adds the two
-    # surface words, 4 more 2 x 2 products and 2 Sym^N, and the two images
-    # it reads, 2 Sym^N.  No N x N product is taken
+    # pants: the Fox sweeps take 4 2 x 2 products of the base's images and
+    # raise 4 prefixes to Sym^N; the oracle adds the two surface words, 4
+    # more 2 x 2 products and 2 Sym^N, and the two images it reads, 2
+    # Sym^N.  No N x N product is taken
     rep = SymPowerRep(lift_of_kind(rng_for(73, 60), kind), N)
     products, raised = [], []
     real_mul = linalg_module.running_mul
