@@ -149,10 +149,6 @@ def locus_det_with_scale(c, data, N=2):
     return det_with_scale(fox_matrix(data, rep))
 
 
-def locus_det(c, data, N=2):
-    return locus_det_with_scale(c, data, N)[0]
-
-
 # symbolic elimination for N = 2: work in Q[x, y, z, u] modulo the trace
 # relation u^2 - z u + 1, which keeps inverse entries polynomial
 

@@ -194,7 +194,7 @@ def cmd_locus(args):
             rng = rng_for(args.seed, i)
             c = _cv.Character(rng.randint(-6, 6), rng.randint(-6, 6),
                               rng.randint(-6, 6))
-            det = _cv.locus_det(c, pants, 2)
+            det = _cv.locus_det_with_scale(c, pants, 2)[0]
             on_plane = plane.evaluate((c.xbar, c.ybar, c.zbar, 0)) == 0
             if (det == 0) == on_plane:
                 agree += 1

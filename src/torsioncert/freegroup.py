@@ -155,16 +155,6 @@ class Word:
         return Word(self.alphabet, tuple(-l for l in reversed(self.letters)),
                     _reduced=True)
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.alphabet.identity()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __len__(self):
         return len(self.letters)
 
@@ -174,16 +164,12 @@ class Word:
     def is_cyclically_reduced(self):
         return len(self.letters) < 2 or self.letters[0] != -self.letters[-1]
 
-    def exponent_sum(self, index=None):
-        """Total exponent of generator ``index``, or the full vector."""
-        if index is None:
-            out = [0] * len(self.alphabet)
-            for l in self.letters:
-                out[abs(l) - 1] += 1 if l > 0 else -1
-            return tuple(out)
-        want = index + 1
-        return sum(1 if l == want else -1 for l in self.letters
-                   if abs(l) == want)
+    def exponent_sum(self):
+        """The total exponent of each generator, as a tuple."""
+        out = [0] * len(self.alphabet)
+        for l in self.letters:
+            out[abs(l) - 1] += 1 if l > 0 else -1
+        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.alphabet == other.alphabet \

@@ -26,8 +26,8 @@ pivoting, floating ranks a largest-pivot threshold scaled by the max row
 norm, and inverses of every kind one Gauss-Jordan loop, whose complex
 results are checked finite once as well.
 
-Matrices are immutable.  ``Matrix(rows)`` (parsing, callers' matrices,
-``map``) promotes every entry, ints riding along as honorary rationals.
+Matrices are immutable.  ``Matrix(rows)`` (parsing, callers' matrices)
+promotes every entry, ints riding along as honorary rationals.
 Operands over two fields take that full path, except that Q(sqrt d) and
 complex ones raise ``MixedScalarKind``.
 
@@ -95,11 +95,6 @@ class Matrix:
     @classmethod
     def identity(cls, n):
         return units(n, "rational")[0]
-
-    @classmethod
-    def zero(cls, rows, cols=None):
-        return _new("rational",
-                    (((0,) * (rows if cols is None else cols),) * rows,))
 
     @property
     def scalar_kind(self):
@@ -204,21 +199,10 @@ class Matrix:
             t = t + self.entries[i][i]
         return _s.check_finite(_s.integral_to_int(t))
 
-    def map(self, fn):
-        return Matrix([[fn(a) for a in r] for r in self.entries])
-
     def max_row_norm(self):
         """Largest row 2-norm of a complex matrix, as a float; an entry
         whose modulus passes the float range raises ``NonFinite``."""
         return _max_row_norm(self._parts[0])
-
-    def delete_column(self, j):
-        if not 0 <= j < self.cols:
-            raise IndexError("no column %d" % j)
-        if self.cols == 1:
-            raise DimensionMismatch("cannot delete the only column")
-        return self.submatrix(range(self.rows),
-                              [k for k in range(self.cols) if k != j])
 
     def submatrix(self, row_idx, col_idx):
         row_idx, col_idx = list(row_idx), list(col_idx)

@@ -122,37 +122,25 @@ class LaurentPoly:
         return _lp({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            coeffs = {}
-            try:
-                for e1, c1 in self.coeffs.items():
-                    for e2, c2 in other.coeffs.items():
-                        e = e1 + e2
-                        t = c1 * c2
-                        if e in coeffs:
-                            coeffs[e] = coeffs[e] + t
-                        else:
-                            coeffs[e] = t
-            except TypeError:
-                # the product failed, or else the sum after it did
-                try:
-                    t = c1 * c2
-                except TypeError:
-                    raise _mixed(c1, c2) from None
-                raise _mixed(coeffs[e], t) from None
-            return _lp(coeffs)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         coeffs = {}
         try:
-            for e, cc in self.coeffs.items():
-                coeffs[e] = c * cc
+            for e1, c1 in self.coeffs.items():
+                for e2, c2 in other.coeffs.items():
+                    e = e1 + e2
+                    t = c1 * c2
+                    if e in coeffs:
+                        coeffs[e] = coeffs[e] + t
+                    else:
+                        coeffs[e] = t
         except TypeError:
-            raise _mixed(c, cc) from None
+            # the product failed, or else the sum after it did
+            try:
+                t = c1 * c2
+            except TypeError:
+                raise _mixed(c1, c2) from None
+            raise _mixed(coeffs[e], t) from None
         return _lp(coeffs)
 
     def shift(self, k):
@@ -161,19 +149,8 @@ class LaurentPoly:
         # a non-int k makes non-int exponents, which the constructor rejects
         return _lp(coeffs) if isinstance(k, int) else LaurentPoly(coeffs)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def min_degree(self):
         return min(self.coeffs) if self.coeffs else NEG_INFINITY
-
-    def max_degree(self):
-        return max(self.coeffs) if self.coeffs else NEG_INFINITY
 
     def degree_span(self):
         if not self.coeffs:
@@ -198,19 +175,6 @@ class LaurentPoly:
         cutoff = _s.zero_tolerance() * self.max_coeff_magnitude()
         return _lp({e: c for e, c in self.coeffs.items()
                     if _s.magnitude(c) > cutoff})
-
-    def coefficient(self, e):
-        return self.coeffs.get(e, 0)
-
-    def evaluate(self, t):
-        if isinstance(t, int):
-            # 1 / t on an int is a float; a Fraction inverts exactly
-            t = Fraction(t)
-        out = None
-        for e, c in self.coeffs.items():
-            term = c * t ** e if e >= 0 else c * (1 / t) ** (-e)
-            out = term if out is None else out + term
-        return 0 if out is None else out
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
@@ -425,12 +389,6 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _mp_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         return _mp({ex: -c for ex, c in self.terms.items()})
 
@@ -447,14 +405,6 @@ class MultiPoly:
         return _mp(terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = MultiPoly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def scale(self, c):
         if c.__class__ is not int:

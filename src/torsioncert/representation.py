@@ -152,19 +152,6 @@ class Representation:
                 % self.scalar_kind) from None
         return out
 
-    def to_complexf(self):
-        """The same representation with entries as finite complex floats."""
-        return Representation(self.alphabet,
-                              [m.map(_s.to_complexf) for m in self.images],
-                              sl_flag=self.sl_flag)
-
-    def conjugated(self, p):
-        """p . alpha . p^-1, for change-of-basis experiments."""
-        pinv = p.inverse()
-        return Representation(self.alphabet,
-                              [p * m * pinv for m in self.images],
-                              sl_flag=self.sl_flag)
-
     def description(self):
         tag = "SL" if self.sl_flag else "GL"
         return "rank-%d %s(%d) representation of <%s>" % (
@@ -416,14 +403,13 @@ def parabolic_roots(pres):
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
-def solve_parabolic(pres, which=0, signs=(1, 1)):
+def solve_parabolic(pres, which=0):
     """A parabolic complex-float representation of a two-generator
     one-relator presentation with meridional generators.
 
     Images are [[1,1],[0,1]] and [[1,0],[y,1]] (traces exactly 2 by
     construction) with y the ``which``-th root from :func:`parabolic_roots`;
-    irreducible roots only.  ``signs`` multiplies each generator image by
-    +-1 for callers who want the sign-twisted lift.
+    irreducible roots only.
     """
     roots = parabolic_roots(pres)
     irreducible = [y for y in roots if abs(y) > 1e-8]
@@ -432,11 +418,10 @@ def solve_parabolic(pres, which=0, signs=(1, 1)):
             raise ReducibleOnly("every root shares an eigenvector (y = 0)")
         raise NoRootFound("no parabolic parameter found in the grid")
     y = irreducible[which % len(irreducible)]
-    sa, sb = signs
-    A = Matrix([[_s.ComplexF(sa), _s.ComplexF(sa)],
-                [_s.ComplexF(0.0), _s.ComplexF(sa)]])
-    B = Matrix([[_s.ComplexF(sb), _s.ComplexF(0.0)],
-                [_s.ComplexF(y) * sb, _s.ComplexF(sb)]])
+    A = Matrix([[_s.ComplexF(1), _s.ComplexF(1)],
+                [_s.ComplexF(0.0), _s.ComplexF(1)]])
+    B = Matrix([[_s.ComplexF(1), _s.ComplexF(0.0)],
+                [_s.ComplexF(y), _s.ComplexF(1)]])
     return Representation(pres.alphabet, [A, B], sl_flag=True)
 
 

@@ -173,17 +173,6 @@ class QuadExt:
     def __neg__(self):
         return _quad(-self._p, -self._q, self._den, self.d)
 
-    def __pos__(self):
-        return self
-
-    def norm(self):
-        """Field norm a^2 - d*b^2 (a rational)."""
-        p, q, den = self._p, self._q, self._den
-        return Fraction(p * p - self.d * q * q, den * den)
-
-    def conjugate(self):
-        return _quad(self._p, -self._q, self._den, self.d)
-
     def inverse(self):
         return _divide(1, 0, 1, self._p, self._q, self._den, self.d)
 
@@ -198,20 +187,6 @@ class QuadExt:
         if o is None:
             return NotImplemented
         return _divide(*o, self._p, self._q, self._den, self.d)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _quad(1, 0, 1, self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -342,13 +317,6 @@ def zero_test(x, tol=None, scale=1.0):
     if tol is None:
         tol = _tolerance
     return abs(complex(x)) <= tol * scale
-
-
-def conjugate(x):
-    k = kind_of(x)
-    if k == "rational":
-        return x
-    return x.conjugate()
 
 
 def magnitude(x):

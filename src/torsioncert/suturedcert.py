@@ -38,14 +38,6 @@ class SuturedHandlebodyData:
         self.images = images
         self.name = name
 
-    @property
-    def ambient_rank(self):
-        return len(self.alphabet)
-
-    @property
-    def surface_rank(self):
-        return len(self.images)
-
     def __repr__(self):
         return "SuturedHandlebodyData(%s -> %s)" % (
             ", ".join(self.alphabet.names),

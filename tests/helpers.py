@@ -27,7 +27,7 @@ from torsioncert.freegroup import Alphabet, Word, fox_sweep
 from torsioncert.linalg import (Matrix, _finish, _new, block_assemble,
                                 product, running_mul, sym_power, units)
 from torsioncert.representation import Representation
-from torsioncert.scalar import ComplexF, zero_tolerance
+from torsioncert.scalar import ComplexF, QuadExt, zero_tolerance
 
 
 def perm_det(rows):
@@ -185,11 +185,34 @@ def sym_power_oracle(rows, N):
             for i in range(max(0, l - k), min(l, N - 1 - k) + 1):
                 j = l - i
                 total = total + (comb(N - 1 - k, i) * comb(k, j)
-                                 * a ** (N - 1 - k - i) * b ** i
-                                 * c ** (k - j) * d ** j)
+                                 * power(a, N - 1 - k - i) * power(b, i)
+                                 * power(c, k - j) * power(d, j))
             row.append(total)
         out.append(row)
     return out
+
+
+def power(x, n):
+    """x ** n for n >= 0 by repeated products, entries of any ring."""
+    out = 1
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def conjugate(x):
+    """The Galois conjugate sqrt d -> -sqrt d of a Q(sqrt d) scalar, the
+    complex conjugate of a complex one; a rational is its own."""
+    if isinstance(x, QuadExt):
+        return QuadExt(x.a, -x.b, x.d)
+    return x.conjugate()
+
+
+def conjugated(rep, p):
+    """p . rep . p^-1, the representation in another basis."""
+    pinv = p.inverse()
+    return Representation(rep.alphabet, [p * m * pinv for m in rep.images],
+                          sl_flag=rep.sl_flag)
 
 
 def mat2_mul(a, b):

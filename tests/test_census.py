@@ -50,7 +50,7 @@ def parabolic_rep(y):
 
 
 def leading(p):
-    return p.coefficient(p.max_degree())
+    return p.coeffs[max(p.coeffs)] if p.coeffs else 0
 
 
 @pytest.mark.parametrize("p,q", CENSUS)

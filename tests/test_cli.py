@@ -326,6 +326,10 @@ class TestArgumentErrors:
          "representation rank 3 does not fit alphabet 'x y'"),
         (["validate", "{notes}"],
          "{notes}: unknown file type (want .pres/.sut/.rep)"),
+        (["fox", "xyz", "xy"], "generator must be a single letter of 'x y z'"),
+        (["fox", "x", ""], "generator must be a single letter of 'x'"),
+        (["torsion", "fig8.pres", "--rep", "schottky.rep"],
+         "d2 . d1 != 0: twisted system does not kill relator 0"),
     ])
     def test_exit_two_with_one_error_line(self, capsys, tmp_path, argv,
                                           message):

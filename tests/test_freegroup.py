@@ -37,13 +37,11 @@ class TestWord:
             v = random_word(rng, AB)
             assert (u * v).inverse() == v.inverse() * u.inverse()
             assert (u * u.inverse()).is_identity()
-            assert u ** 3 == u * u * u
-            assert u ** -2 == (u.inverse()) ** 2
 
     def test_exponent_sum(self):
         w = Word.from_string(XY, "xyxYx")
-        assert w.exponent_sum(0) == 3
-        assert w.exponent_sum(1) == 0
+        assert w.exponent_sum()[0] == 3
+        assert w.exponent_sum()[1] == 0
         assert w.exponent_sum() == (3, 0)
 
     def test_cyclic_reduction_flag(self):

@@ -444,7 +444,7 @@ def test_the_zero_element_has_the_representations_kind():
     for rep in unit_reps(rng):
         zero = rep.eval_ring_elem(GroupRingElem.zero(XY))
         assert zero.scalar_kind == rep.scalar_kind
-        assert zero == Matrix.zero(rep.n)
+        assert zero == Matrix([[0] * rep.n for _ in range(rep.n)])
         assert all(type(e) is type(rep.units[1][0, 0])
                    for row in zero.entries for e in row)
 

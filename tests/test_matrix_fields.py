@@ -52,8 +52,8 @@ def test_a_complex_coefficient_does_not_embed_over_q_sqrt_d():
 
 
 R = Matrix([[1, Fraction(1, 2)], [0, 3]])
-R_SQRT2 = R.map(lambda v: QuadExt(v, 0, 2))
-R_COMPLEX = R.map(ComplexF)
+R_SQRT2 = Matrix([[QuadExt(v, 0, 2) for v in r] for r in R.entries])
+R_COMPLEX = Matrix([[ComplexF(v) for v in r] for r in R.entries])
 
 
 def test_copies_over_other_fields_keep_their_fields():

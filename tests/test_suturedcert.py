@@ -22,8 +22,8 @@ from torsioncert.suturedcert import (
     sutured_to_text,
 )
 
-from helpers import (enlarged_presentation, extend_rep, random_sl2,
-                     random_word)
+from helpers import (conjugated, enlarged_presentation, extend_rep,
+                     random_sl2, random_word)
 from helpers import lift_of_kind as _lift_of_kind
 
 XY = Alphabet("x y")
@@ -38,7 +38,7 @@ def schottky_rep():
 class TestData:
     def test_pants_shape(self):
         data = pants_example()
-        assert data.ambient_rank == 2 and data.surface_rank == 2
+        assert len(data.alphabet) == 2 and len(data.images) == 2
         assert str(data.images[0]) == "x"
         assert str(data.images[1]) == "yxyXY"
 
@@ -103,7 +103,7 @@ class TestCertify:
                                  sl_flag=True)
             base = certify(data, rep)
             p = Matrix([[1, 1], [1, 2]])
-            conj = certify(data, rep.conjugated(p))
+            conj = certify(data, conjugated(rep, p))
             assert base.is_product == conj.is_product
             assert base.determinant == conj.determinant
 

@@ -106,7 +106,7 @@ def test_one_kind_operations_equal_the_full_path(kind):
                     Matrix([[a[i, j] for j in csel] for i in rsel]))
         if k > 1:
             j = rng.randrange(k)
-            assert_same(a.delete_column(j),
+            assert_same(a.submatrix(range(n), [c for c in range(k) if c != j]),
                         Matrix([r[:j] + r[j + 1:] for r in a.entries]))
         assert_same(block_assemble([[a, b], [b, a]]),
                     Matrix([ra + rb for ra, rb in zip(a.entries, b.entries)]
@@ -121,9 +121,10 @@ def test_one_kind_operations_equal_the_full_path(kind):
 
 def test_identity_and_zero_are_rational():
     assert_same(Matrix.identity(3), Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert_same(Matrix.zero(2, 3), Matrix([[0, 0, 0], [0, 0, 0]]))
+    ones = Matrix([[1, 1, 1], [1, 1, 1]])
+    assert_same(ones - ones, Matrix([[0, 0, 0], [0, 0, 0]]))
     with pytest.raises(ValueError, match="at least one row"):
-        Matrix.zero(0)
+        Matrix([])
 
 
 def test_rational_results_are_reduced():
