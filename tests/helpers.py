@@ -13,7 +13,10 @@ the chain check by one product of assembled matrices, the route that
 the route that ``Representation.fox_matrix`` replaced, the rank-N route
 of symmetric powers, which exact ``SymPowerRep`` left for its rank-2 base,
 and the expansion of ``linalg.sym_power`` over Q(sqrt d) in a ring of
-tuples, which its int-pair loop replaced.
+tuples, which its int-pair loop replaced.  ``conjugate`` and
+``conjugated``, the Galois conjugate and the change of basis that the
+invariance tests apply, left the package because no command, workload or
+criterion calls them.
 """
 
 import math

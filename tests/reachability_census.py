@@ -189,15 +189,13 @@ def main():
     unreached = [f for f in functions if (f[1], f[2]) not in reached]
     print("runs: " + "; ".join(notes))
     print("%-48s %5s  %s" % ("unreached function", "lines", "kept by"))
-    cut = 0
     for qual, _, _, lines in unreached:
-        rule = keep_rule(qual)
-        cut += rule is None
-        print("%-48s %5d  %s" % (qual, lines, rule or "-"))
+        print("%-48s %5d  %s" % (qual, lines, keep_rule(qual) or "-"))
+    cut = [f for f in unreached if keep_rule(f[0]) is None]
     print("%d of %d functions (%d lines) unreached; %d (%d lines) kept by "
           "no rule" % (len(unreached), len(functions),
-                       sum(f[3] for f in unreached), cut,
-                       sum(f[3] for f in unreached if keep_rule(f[0]) is None)))
+                       sum(f[3] for f in unreached), len(cut),
+                       sum(f[3] for f in cut)))
 
 
 if __name__ == "__main__":

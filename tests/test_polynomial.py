@@ -140,7 +140,7 @@ class TestLaurentPoly:
             assert parse_laurent(laurent_str(p)) == p
         q = LaurentPoly({-1: ComplexF(0.5, -1.0), 2: ComplexF(3.0)})
         back = parse_laurent(laurent_str(q), kind="complex")
-        assert all(abs(back.coeffs.get(e, 0) - q.coeffs.get(e, 0)).__abs__() < 1e-12
+        assert all(abs(back.coeffs[e] - q.coeffs[e]).__abs__() < 1e-12
                    for e in (-1, 2))
 
     def test_rational_degree(self):
