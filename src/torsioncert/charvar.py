@@ -74,6 +74,17 @@ def parse_character(text):
     return Character(*[_s.parse_scalar(p) for p in parts])
 
 
+def exact_twin(text):
+    """The rational character of a float literal whose components are all
+    real, read from the same text by ``scalar.parse_fraction`` (0.1 is
+    1/10, not the float's bits); None for an exact, complex or surd one."""
+    if (parse_character(text).kind != "complex" or "i" in text
+            or "sqrt" in text):
+        return None
+    return Character(*[_s.parse_fraction(p.replace(" ", ""), p)
+                       for p in text.strip().strip("()").split(",")])
+
+
 def commutator_trace(c):
     """tr of the commutator through the trace identity
     xbar^2 + ybar^2 + zbar^2 - xbar ybar zbar - 2."""

@@ -17,7 +17,7 @@ from . import representation as _rp
 from . import scalar as _s
 from . import suturedcert as _sc
 from . import twisted as _tw
-from .errors import TorsionCertError
+from .errors import SingularImage, TorsionCertError
 from .freegroup import Alphabet, Word, fox_derivative
 from .linalg import matrix_str
 from .polynomial import laurent_str, multi_str
@@ -107,8 +107,26 @@ def _rep_from_args(args, alphabet, pres=None):
 
 
 def cmd_certify(args):
+    """A float "not a product" or singular image on real literals is
+    decided again on their exact twin, whose report is printed."""
     data = _sc.sutured_from_text(_read(_locate(args, args.sutured_file)))
-    rep, char = _rep_from_args(args, data.alphabet)
+    twin = _cv.exact_twin(args.char) if args.char else None
+    try:
+        pairs, product = _certificate(args, data,
+                                      *_rep_from_args(args, data.alphabet))
+    except SingularImage:
+        if twin is None:
+            raise
+        product = False
+    if twin is not None and not product:
+        pairs, product = _certificate(args, data, _rep_for_alphabet(
+            _cv.lift(twin, warn=False), data.alphabet), twin)
+    _emit(args, pairs)
+    return 0 if product else 1
+
+
+def _certificate(args, data, rep, char):
+    """The report of ``certify`` on data through rep, and its verdict."""
     N = args.sym_power
     if N is not None:
         if N < 2:
@@ -130,8 +148,7 @@ def cmd_certify(args):
         pairs.append(("oracle_h1", cert.oracle_h1))
     if cert.extended:
         pairs.append(("extended", True))
-    _emit(args, pairs)
-    return 0 if cert.is_product else 1
+    return pairs, cert.is_product
 
 
 def cmd_torsion(args):
@@ -170,6 +187,9 @@ def cmd_locus(args):
         raise TorsionCertError("--N must be at least 2")
     if args.samples < 0:
         raise TorsionCertError("--samples must be at least 0")
+    if args.corrupt and (args.scan or N == 2 or N > 4):
+        raise TorsionCertError("--corrupt applies to the --N 3 and --N 4 "
+                               "sampling only")
     pants = _sc.pants_example()
     if args.scan or N > 4:
         zeros = 0
@@ -330,7 +350,8 @@ def build_parser():
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--corrupt", action="store_true",
-                   help="negative control: corrupt the polynomial")
+                   help="negative control: corrupt the polynomial "
+                        "(--N 3 and --N 4 sampling only)")
     p.add_argument("--scan", action="store_true",
                    help="pointwise membership scan instead of polynomial "
                         "verification")

@@ -6,18 +6,19 @@ presentations.
 A representation assigns an invertible n x n matrix over one scalar kind to
 each generator of an alphabet.  ``sl_flag`` asserts determinant-1 images,
 which is checked at construction, except where it follows from images
-already checked: exact symmetric powers.  Words are products of ``Matrix``
+already checked: symmetric powers.  Words are products of ``Matrix``
 objects, which keep their own numerators (``linalg.running_mul``,
 ``linalg.product``), and a Fox matrix their signed sums, added into one
-grid (``linalg.signed_blocks``).  An exact symmetric power takes those
-products on its rank-2 base and raises each one to Sym^N
-(``linalg.sym_power``); it builds its own images and inverse images only
-when they are read.
+grid (``linalg.signed_blocks``).  A symmetric power of every kind takes
+those products on its rank-2 base and raises each one to Sym^N
+(``linalg.sym_power``) once; it builds its own images and inverse images
+only when they are read.
 """
 
 import string
 from functools import cached_property
 from itertools import product
+from operator import add
 
 from . import linalg as _la
 from . import scalar as _s
@@ -166,18 +167,18 @@ class Representation:
 class SymPowerRep(Representation):
     """The N-dimensional symmetric-power representation of a rank-2 base.
 
-    Sym^N is a ring homomorphism GL2 -> GLN, so over exact kinds every
-    matrix is one :func:`sym_power` of a 2 x 2 matrix of the base: a word
-    is evaluated on the base (``eval_word``), and so are the prefix
+    Sym^N is a ring homomorphism GL2 -> GLN, so every matrix is one
+    :func:`sym_power` of a 2 x 2 matrix of the base, over every kind: a
+    word is evaluated on the base (``eval_word``), and so are the prefix
     products of the Fox sweeps (``fox_matrix``), each raised to Sym^N on
-    its own before the signed sums.  The images and inverse images
-    (Sym(A)^-1 = Sym(A^-1)) are built on first use and kept.  They are
-    not checked again: det Sym(A) = det(A)^(N(N-1)/2), so the base's check
-    covers them.  Complex images keep the N x N route: they are built at
-    once and checked, words are products of them from the identity and
-    inverses are Gauss-Jordan's, since the bits of those products are the
-    ones printed and pinned, and Sym^N of a float product rounds
-    differently.  N and the base's rank are checked at once either way.
+    its own before the signed sums.  Each such 2 x 2 matrix is the product
+    of the base's letter images along a word, from its first letter's, so
+    its Sym^N is raised once per word and kept: an image, the first prefix
+    of a sweep and a one-letter word share one, and so do a word and the
+    last prefix of its sweep.  The images and inverse images
+    (Sym(A)^-1 = Sym(A^-1)) are built on first use.  They are not checked:
+    det Sym(A) = det(A)^(N(N-1)/2), so the base's check covers them.  N and
+    the base's rank are checked at once.
     """
 
     def __init__(self, base, N):
@@ -188,34 +189,39 @@ class SymPowerRep(Representation):
         self.base = base
         self.N = N
         self._store(base.alphabet, N, base.field, base.sl_flag)
-        self._on_base = self.field != "complex"
-        if not self._on_base:
-            self.images = tuple(sym_power(m, N) for m in base.images)
-            self._check_images()
+        self._raised = {}
+
+    def _raise(self, letters, m):
+        """Sym^N of m, the base's image of the word ``letters``, once."""
+        out = self._raised.get(letters)
+        if out is None:
+            out = self._raised[letters] = sym_power(m, self.N)
+        return out
 
     @cached_property
     def images(self):
-        # exact kinds only: complex images are set at construction
-        return tuple(sym_power(m, self.N) for m in self.base.images)
+        return tuple(self._raise((i + 1,), m)
+                     for i, m in enumerate(self.base.images))
 
     def image_inverse(self, i):
-        if not self._on_base:
-            return super().image_inverse(i)
-        if i not in self._inv:
-            self._inv[i] = sym_power(self.base.image_inverse(i), self.N)
-        return self._inv[i]
+        return self._raise((-i - 1,), self.base.image_inverse(i))
 
     def eval_word(self, w):
-        if not self._on_base:
-            return super().eval_word(w)
-        return sym_power(self.base.eval_word(w), self.N)
+        self._check_word(w)
+        letters = w.letters
+        if not letters or letters in self._raised:
+            return self._raised.get(letters, self.units[0])
+        image = self.base.letter_image
+        return self._raise(letters, _la.product(map(image, letters[1:]),
+                                                image(letters[0])))
 
     def _fox_terms(self, words):
-        if not self._on_base:
-            return super()._fox_terms(words)
-        N = self.N
-        return [(i, j, sign, p if p is None else sym_power(p, N))
-                for i, j, sign, p in self.base._fox_terms(words)]
+        # the base's terms, each prefix raised as the image of its word
+        terms = self.base._fox_terms(words)
+        prefixes = [p for w in words
+                    for _, _, p in fox_sweep(w, lambda l: (l,), (), add)]
+        return [(i, j, sign, p if p is None else self._raise(k, p))
+                for (i, j, sign, p), k in zip(terms, prefixes)]
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())

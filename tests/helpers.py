@@ -11,7 +11,7 @@ homology oracle of ``suturedcert`` stands for, built with the package's own
 the chain check by one product of assembled matrices, the route that
 ``linalg.fox_formula_row`` replaced, the Fox matrix block by block,
 the route that ``Representation.fox_matrix`` replaced, the rank-N route
-of symmetric powers, which exact ``SymPowerRep`` left for its rank-2 base,
+of symmetric powers, which ``SymPowerRep`` left for its rank-2 base,
 and the expansion of ``linalg.sym_power`` over Q(sqrt d) in a ring of
 tuples, which its int-pair loop replaced.  ``conjugate`` and
 ``conjugated``, the Galois conjugate and the change of basis that the
@@ -28,8 +28,9 @@ from math import comb
 from torsioncert.charvar import Character, lift
 from torsioncert.freegroup import Alphabet, Word, fox_sweep
 from torsioncert.linalg import (Matrix, _finish, _new, block_assemble,
-                                product, running_mul, sym_power, units)
-from torsioncert.representation import Representation
+                                product, running_mul, sweep_mul, sym_power,
+                                units)
+from torsioncert.representation import Representation, SymPowerRep
 from torsioncert.scalar import ComplexF, QuadExt, zero_tolerance
 
 
@@ -283,7 +284,14 @@ def extend_rep(data, rep):
     """The representation of the enlarged alphabet that agrees with rep on
     the ambient generators and sends s_i to rep's image of w_i, so every
     relator of :func:`enlarged_presentation` dies; built by the public
-    constructor, which checks every image and inverts by Gauss-Jordan."""
+    constructor, which checks every image and inverts by Gauss-Jordan.  A
+    symmetric power extends its base by the 2 x 2 products it raises
+    (:func:`base_word_product`) and raises that."""
+    if isinstance(rep, SymPowerRep):
+        base = rep.base
+        return SymPowerRep(Representation(
+            enlarged_presentation(data)[0], list(base.images)
+            + [base_word_product(base, w) for w in data.images]), rep.N)
     return Representation(enlarged_presentation(data)[0],
                           list(rep.images)
                           + [rep.eval_word(w) for w in data.images])
@@ -309,10 +317,17 @@ def signed_sum(terms, zero):
 def fox_blocks(rep, w):
     """The Fox blocks of w by each generator, block by block: the signed
     sums of the prefix products of ``fox_sweep`` from the identity, each
-    reduced or checked finite on its own."""
+    reduced or checked finite on its own.  A symmetric power takes the
+    prefixes on its base, from the first letter's image, and raises each
+    one to Sym^N."""
     terms = [[] for _ in rep.alphabet.names]
-    for j, sign, prefix in fox_sweep(w, rep.letter_image, rep.units[0],
-                                     running_mul):
+    if isinstance(rep, SymPowerRep):
+        sweep = ((j, sign, rep.units[0] if p is None else sym_power(p, rep.N))
+                 for j, sign, p in fox_sweep(w, rep.base.letter_image, None,
+                                             sweep_mul))
+    else:
+        sweep = fox_sweep(w, rep.letter_image, rep.units[0], running_mul)
+    for j, sign, prefix in sweep:
         terms[j].append((sign, prefix))
     return [signed_sum(t, rep.units[1]) for t in terms]
 
@@ -326,8 +341,21 @@ def fox_matrix_reference(rep, words):
 def word_image_reference(rep, w):
     """The image of w as the product of its letters' images from the
     identity, the route of ``Representation.eval_word`` on every kind
-    before exact kinds dropped the identity factor."""
+    before exact kinds dropped the identity factor; through a symmetric
+    power, Sym^N of :func:`base_word_product`."""
+    if isinstance(rep, SymPowerRep):
+        return sym_power(base_word_product(rep.base, w), rep.N)
     return product(map(rep.letter_image, w.letters), rep.units[0])
+
+
+def base_word_product(base, w):
+    """The image of the word w under the rank-2 ``base`` as the product of
+    its letters' images from the first letter's, the 2 x 2 product that a
+    symmetric power raises; the identity for the empty word."""
+    if not w.letters:
+        return base.units[0]
+    image = base.letter_image
+    return product(map(image, w.letters[1:]), image(w.letters[0]))
 
 
 def row_blocks(m, n):
@@ -346,7 +374,7 @@ def sym_power_rank_n(base, N):
     """The symmetric power of ``base`` by the rank-N route: a plain
     representation of the N x N images, whose words and Fox prefixes are
     products of N x N matrices and whose inverse images are Gauss-Jordan's,
-    the route that complex ``SymPowerRep`` keeps."""
+    the route that ``SymPowerRep`` left for its base."""
     return Representation(base.alphabet,
                           [sym_power(m, N) for m in base.images],
                           sl_flag=base.sl_flag)

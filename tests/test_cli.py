@@ -4,12 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import torsioncert
 from torsioncert import twisted
+from torsioncert.charvar import Character, lift, parse_character
 from torsioncert.cli import main
+from torsioncert.representation import SymPowerRep
+from torsioncert.seeds import rng_for
+from torsioncert.suturedcert import certify, pants_example
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -113,6 +118,64 @@ class TestCertify:
                            "--char", "(0, 0, 0)", "--rep", "schottky.rep")
         assert code == 2
         assert "error" in err
+
+
+class TestExactTwin:
+    """A float "not a product" or singular image on real literals is
+    decided again on their exact twin, read from the same text."""
+
+    @pytest.mark.parametrize("char, N, twin", [
+        ("(5.0, 5.0, 5.5)", "20", "(5, 5, 11/2)"),
+        ("(3.0, 1.0, 2.0)", "8", "(3, 1, 2)"),
+        ("(5.0, 1.0, 4.2)", "4", "(5, 1, 21/5)"),
+        ("(1e300, 1, 1)", None, "(1%s, 1, 1)" % ("0" * 300)),
+        ("(1e300, 1.0, 2.0)", None, "(1%s, 1, 2)" % ("0" * 300)),
+        ("(1e200, 1.0, 2.0)", None, "(1%s, 1, 2)" % ("0" * 200))])
+    def test_prints_the_report_of_the_exact_literal(self, capsys, char, N,
+                                                    twin):
+        # float zeros and images called singular; each twin is a product
+        tail = ["--sym-power", N] if N else []
+        code, out, err = run(capsys, "certify", "pants.sut", "--char", char,
+                             *tail)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "certify", "pants.sut", "--char", twin,
+                          *tail)[1]
+
+    @pytest.mark.parametrize("char, N, code", [
+        ("(0.1, -2.5, 1.5)", "3", 0),
+        ("(1.5+0.5i, 2.0, 3.25-1i)", "8", 1)])
+    def test_float_products_and_complex_literals_keep_the_float_report(
+            self, capsys, char, N, code):
+        # a float product needs no twin, and a complex literal has none
+        # (ROADMAP item 12, Stage 2), so its float zero stands
+        got, out, err = run(capsys, "certify", "pants.sut", "--char", char,
+                            "--sym-power", N)
+        assert (got, err) == (code, "")
+        assert "character: Character(%s" % char[1:4] in out
+
+    def test_float_verdicts_equal_the_exact_twin(self, capsys):
+        # 200 seeded characters whose literals are integers or tenths in
+        # [-6, 6], all written as decimals, at N = 2..8: the exit code of
+        # the float command is the exact twin's verdict
+        rng = rng_for(31, 1)
+        wrong_float = 0
+        pants = pants_example()
+        for _ in range(200):
+            tenths = [rng.randint(-6, 6) * 10 if rng.random() < 0.5
+                      else rng.randint(-60, 60) for _ in range(3)]
+            N = rng.randint(2, 8)
+            char = "(%s)" % ", ".join("%.1f" % (t / 10) for t in tenths)
+            twin = Character(*[Fraction(t, 10) for t in tenths])
+            rep = lift(twin, warn=False)
+            want = certify(pants, rep if N == 2 else SymPowerRep(rep, N))
+            code, _, err = run(capsys, "certify", "pants.sut", "--char",
+                               char, "--sym-power", str(N))
+            assert (code, err) == (0 if want.is_product else 1, ""), char
+            base = lift(parse_character(char), warn=False)
+            wrong_float += want.is_product != certify(
+                pants, base if N == 2 else SymPowerRep(base, N)).is_product
+        # the float route alone is wrong on 134 of them (ROADMAP item 4)
+        assert wrong_float >= 100
 
 
 class TestTorsion:
@@ -281,8 +344,12 @@ class TestMalformedLiterals:
 # float characters whose values overflow, or whose lift divides by zero:
 # each must end in a typed error, not a traceback
 OVERFLOWING_FLOAT_RUNS = [
-    ["certify", "pants.sut", "--char", "(1e300, 1.0, 2.0)"],
-    ["certify", "pants.sut", "--char", "(1e200, 1.0, 2.0)"],
+    # complex literals have no exact twin (ROADMAP item 12, Stage 2), so the
+    # tol * max_row_norm test of the lift still calls x singular; the real
+    # literals (1e300, 1.0, 2.0) and (1e200, 1.0, 2.0) are decided on their
+    # twins (TestExactTwin)
+    ["certify", "pants.sut", "--char", "(1e300+1i, 1.0, 2.0)"],
+    ["certify", "pants.sut", "--char", "(1e200+1i, 1.0, 2.0)"],
     ["torsion", "fig8.pres", "--char", "(1e200, 1.0, 2.0)"],
     ["charlift", "(1e200, 1.0, 1.0)"],
     ["charlift", "(1.0, 1.0, -1e150)"],
@@ -294,7 +361,8 @@ OVERFLOWING_FLOAT_RUNS = [
 
 
 class TestOverflowingFloats:
-    """A float input that overflows exits 2 with a one-line error."""
+    """A float input that overflows, or that the float singularity test
+    rejects, exits 2 with a one-line error."""
 
     @pytest.mark.parametrize("argv", OVERFLOWING_FLOAT_RUNS, ids=" ".join)
     def test_exit_two_with_one_error_line(self, capsys, argv):
@@ -330,6 +398,12 @@ class TestArgumentErrors:
         (["fox", "x", ""], "generator must be a single letter of 'x'"),
         (["torsion", "fig8.pres", "--rep", "schottky.rep"],
          "d2 . d1 != 0: twisted system does not kill relator 0"),
+        (["locus", "--N", "2", "--corrupt"],
+         "--corrupt applies to the --N 3 and --N 4 sampling only"),
+        (["locus", "--N", "6", "--scan", "--corrupt"],
+         "--corrupt applies to the --N 3 and --N 4 sampling only"),
+        (["locus", "--N", "5", "--corrupt"],
+         "--corrupt applies to the --N 3 and --N 4 sampling only"),
     ])
     def test_exit_two_with_one_error_line(self, capsys, tmp_path, argv,
                                           message):

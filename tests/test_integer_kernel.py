@@ -8,6 +8,7 @@ products bring new ones.  The oracles are term-by-term evaluation of
 ``helpers.fox_terms``, the permutation expansion and minor enumeration.
 """
 
+import operator
 import os
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from torsioncert import linalg as linalg_module
 from torsioncert import representation as representation_module
 from torsioncert.charvar import Character, lift
 from torsioncert.errors import ChainCondition, NotTwoByTwo
-from torsioncert.freegroup import Alphabet, GroupRingElem, Word
+from torsioncert.freegroup import Alphabet, GroupRingElem, Word, fox_sweep
 from torsioncert.linalg import Matrix, det, rank
 from torsioncert.representation import (Representation, SymPowerRep,
                                         rep_from_text, sym_power)
@@ -29,8 +30,8 @@ from torsioncert.suturedcert import (SuturedHandlebodyData, certify,
 from torsioncert.twisted import Presentation, build_complex
 
 from helpers import (fox_matrix_reference, fox_terms, lift_of_kind,
-                     minor_rank, perm_det, random_fraction, random_sl2,
-                     random_word, row_blocks, sym_power_oracle,
+                     mat2_mul, minor_rank, perm_det, random_fraction,
+                     random_sl2, random_word, row_blocks, sym_power_oracle,
                      sym_power_over_tuples, sym_power_rank_n)
 
 XY = Alphabet("x y")
@@ -230,33 +231,50 @@ def test_one_determinant_and_no_inversion_per_certificate(monkeypatch):
     ("complex", 10, 2)])
 def test_exact_products_take_no_identity_factor(kind, calls, with_identity,
                                                 monkeypatch):
-    # pants: the sweeps of x and yxyXY take 0 and 4 products after their
-    # first letters' images, and the oracle's images of the two words 0 and
-    # 4, 2 x 2 products of the base's images over exact kinds; over C both
-    # word images start from the identity, whose products make the printed
-    # signed zeros
-    rep = SymPowerRep(lift_of_kind(rng_for(73, 60), kind), 4)
-    seen = []
+    # pants with the oracle: the rank-N route of Sym^4 takes ``calls``
+    # 4 x 4 products, 4 in the sweeps of x and yxyXY after their first
+    # letters' images and 4 in the oracle's images of the two words, 6 over
+    # C, where both word images start from the identity (``with_identity``
+    # products take it).  SymPowerRep takes the sweeps' 4 products on its
+    # base on every kind, none with the identity, and reads the oracle's
+    # word images off the image of x and the sweep of yxyXY
+    base = lift_of_kind(rng_for(73, 60), kind)
     real = linalg_module.running_mul
+    for rep, want in ((sym_power_rank_n(base, 4), (4, calls, with_identity)),
+                      (SymPowerRep(base, 4), (2, 4, 0))):
+        ones = {2: base.units[0], 4: rep.units[0]}
+        seen = []
 
-    def counted(a, b):
-        seen.append(rep.units[0] in (a, b))
-        return real(a, b)
+        def counted(a, b):
+            seen.append((a.rows, ones[a.rows] in (a, b)))
+            return real(a, b)
 
-    monkeypatch.setattr(linalg_module, "running_mul", counted)
-    certify(pants_example(), rep, with_oracle=True)
-    assert (len(seen), sum(seen)) == (calls, with_identity)
+        monkeypatch.setattr(linalg_module, "running_mul", counted)
+        certify(pants_example(), rep, with_oracle=True)
+        assert ({n for n, _ in seen}, len(seen), sum(i for _, i in seen)) \
+            == ({want[0]}, *want[1:])
 
 
-@pytest.mark.parametrize("kind", ["integer", "rational", "quadext"])
+@pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
+                                  "complex"])
 @pytest.mark.parametrize("N, with_oracle, powers", [(6, False, 4),
                                                     (3, True, 8)])
 def test_exact_sym_power_words_run_on_the_base(kind, N, with_oracle, powers,
                                                monkeypatch):
     # pants: the Fox sweeps take 4 2 x 2 products of the base's images and
-    # raise 4 prefixes to Sym^N; the oracle adds the two surface words, 4
-    # more 2 x 2 products and 2 Sym^N, and the two images it reads, 2
-    # Sym^N.  No N x N product is taken
+    # read 4 prefixes through Sym^N; the oracle reads the images of the two
+    # surface words and of the two generators, ``powers`` Sym^N matrices
+    # in all.  Each one raises the base's image of a word, and Sym^N runs
+    # once per word: the image of y is the first prefix of yxyXY's sweep,
+    # yxyXY its last, and x the image of a one-letter word, 5 of 8.  The
+    # oracle takes no further product, and no N x N product is taken
+    data = pants_example()
+    read = [p for w in data.images
+            for _, _, p in fox_sweep(w, lambda l: (l,), (),
+                                     operator.add) if p]
+    if with_oracle:
+        read += [w.letters for w in data.images] + [(1,), (2,)]
+    assert len(read) == powers
     rep = SymPowerRep(lift_of_kind(rng_for(73, 60), kind), N)
     products, raised = [], []
     real_mul = linalg_module.running_mul
@@ -272,9 +290,9 @@ def test_exact_sym_power_words_run_on_the_base(kind, N, with_oracle, powers,
 
     monkeypatch.setattr(linalg_module, "running_mul", counted_mul)
     monkeypatch.setattr(representation_module, "sym_power", counted_sym)
-    certify(pants_example(), rep, with_oracle=with_oracle)
-    assert raised == [(2, N)] * powers
-    assert products == [(2, 2)] * (powers if with_oracle else 4)
+    certify(data, rep, with_oracle=with_oracle)
+    assert raised == [(2, N)] * len(set(read))
+    assert products == [(2, 2)] * 4
 
 
 @pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
@@ -398,6 +416,61 @@ def test_exact_sym_power_rep_equals_the_rank_n_route():
                 assert rep.scalar_kind == ref.scalar_kind
                 inputs += 1
     assert inputs == 297
+
+
+def _abs_sym(base, letters, N):
+    """Sym^N of |A_1| ... |A_k|, the entrywise moduli of the base's images
+    of ``letters`` multiplied in floats: a bound on the entries of every
+    product of the Sym^N images along the word."""
+    m = [[1.0, 0.0], [0.0, 1.0]]
+    for l in letters:
+        a = [[abs(x) for x in r] for r in base.letter_image(l).entries]
+        m = mat2_mul(m, a)
+    return sym_power_oracle(m, N)
+
+
+def test_complex_sym_power_rep_is_the_rank_n_route_within_rounding():
+    # 400 seeded complex lifts at N = 2..8, a word of up to 8 letters each.
+    # With the same N x N inverse images, a word image and the Fox blocks
+    # of the base route and of the rank-N route are within 4 L N u B of
+    # each other entry by entry, u = 2^-53, L the word's length and B the
+    # sum over the terms of _abs_sym: each route is within about L N u B
+    # of the exact product (Higham, Accuracy and Stability, 2nd ed., 3.5).
+    # Gauss-Jordan on the N x N image gives the inverse image within
+    # 4 N u |A| |A^-1|^2 in max row norms
+    u = 2.0 ** -53
+    compared = 0
+    for case in range(400):
+        rng = rng_for(97, case)
+        base = lift(Character(*(ComplexF(rng.uniform(-4, 4),
+                                         rng.uniform(-4, 4))
+                                for _ in range(3))), warn=False)
+        N = rng.randint(2, 8)
+        rep, ref = SymPowerRep(base, N), sym_power_rank_n(base, N)
+        for i in range(2):
+            closed, gauss = rep.image_inverse(i), ref.image_inverse(i)
+            assert (closed - gauss).max_row_norm() <= 4 * N * u \
+                * rep.images[i].max_row_norm() * closed.max_row_norm() ** 2
+            ref._inv[i] = closed
+        w = random_word(rng, XY, 8)
+        if not w.letters:
+            continue
+        scale = 4 * len(w.letters) * N * u
+        bound = [[0.0] * 2 * N for _ in range(N)]
+        for j, _, p in fox_sweep(w, lambda l: (l,), (), operator.add):
+            for row, b in zip(bound, _abs_sym(base, p, N)):
+                row[j * N:j * N + N] = map(operator.add, row[j * N:j * N + N],
+                                           b)
+        for got, want, b in (
+                (rep.eval_word(w), ref.eval_word(w),
+                 _abs_sym(base, w.letters, N)),
+                (rep.fox_matrix([w]), ref.fox_matrix([w]), bound)):
+            for r, (gr, wr, br) in enumerate(zip(got.entries, want.entries,
+                                                 b)):
+                assert all(abs(g - x) <= scale * e
+                           for g, x, e in zip(gr, wr, br)), (case, N, w, r)
+        compared += 1
+    assert compared > 350
 
 
 def test_sym_power_over_q_sqrt_d_equals_the_tuple_expansion():

@@ -2,12 +2,15 @@
 
 Each argv in ``DEFECTS`` runs in-process through ``cli.main`` on the
 bundled data files; its exit code, stdout and stderr must equal the
-recorded fixture.  The recorded outputs are wrong (ROADMAP items 4 and
-12): a float determinant called nonzero where the exact twin is a
-product, images of determinant 1 called singular, and a float oracle
-that disagrees with its own determinant.  A change that mends one of them
-re-records the fixture on purpose, and says so; any other change to these
-bytes is a regression in the float paths.
+recorded fixture.  The inputs are float defects (ROADMAP items 4 and 12):
+a float determinant called zero where the exact twin is a product, images
+of determinant 1 called singular, and a float oracle that disagrees with
+its own determinant.  The oracle's is still wrong.  The others are mended,
+and their records pin the mended output: ``certify`` decides a float zero
+or a singular image on real literals again on their exact twin, and a
+symmetric power's images are checked on its base alone.  A change that
+mends one re-records the fixture on purpose, and says so; any other change
+to these bytes is a regression in the float paths.
 
 To re-record after a deliberate output change::
 
@@ -27,17 +30,19 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "known_float_defects.json")
 
 DEFECTS = [
-    # noise scale about 4e19: -257231.00007... called nonzero, while the
-    # exact twin (3, 1, 2) is a product with determinant -257231
+    # mended: against a noise scale of about 4e19 the float determinant
+    # -257230.99997... is called zero; the exact twin (3, 1, 2) prints
+    # -257231 and a product
     ["certify", "pants.sut", "--char", "(3.0, 1.0, 2.0)", "--sym-power", "8"],
-    # every image has det 1, yet the tol * max_row_norm test calls it
-    # singular
+    # mended: every image has det 1, yet the tol * max_row_norm test on the
+    # 20 x 20 images called x singular; the base's images pass it
     ["charlift", "(5.0, 5.0, 5.5)", "--sym-power", "20"],
     # |det| = 255.5 called zero against a scale of 2.15e13, so the float
     # oracle's rank disagrees with the determinant
     ["certify", "pants.sut", "--char", "(1.5+0.5i, 2.0, 3.25-1i)",
      "--sym-power", "4", "--oracle"],
-    # the singularity test again, at a character far from the origin
+    # mended: the singularity test calls the base image of x singular at a
+    # character far from the origin; the exact twin is a product
     ["certify", "pants.sut", "--char", "(1e300, 1, 1)"],
 ]
 

@@ -36,8 +36,8 @@ from torsioncert.scalar import ComplexF, QuadExt, to_complexf
 from torsioncert.seeds import rng_for
 from torsioncert.twisted import Presentation
 
-from helpers import (conjugated, mat2_mul, random_sl2, random_word,
-                     two_bridge_relator)
+from helpers import (conjugated, float_bits, mat2_mul, random_sl2,
+                     random_word, two_bridge_relator)
 
 XY = Alphabet("x y")
 AB = Alphabet("a b")
@@ -228,11 +228,21 @@ class TestSymPower:
                         [[repr(e) for e in r] for r in gauss.entries]
 
     def test_float_inverse_images_keep_gauss_jordan(self):
+        # the base's inverse is Gauss-Jordan's, and the inverse image its
+        # Sym^N bit for bit; Gauss-Jordan on the N x N image agrees within
+        # 4 N u |A| |A^-1|^2 in max row norms (u = 2^-53)
         base = Representation(XY, [Matrix([[0.5 + 1j, 2.0], [1.0, 3.0]]),
                                    Matrix([[1.0, -1.5], [0.25j, 2.0]])])
         rep = SymPowerRep(base, 4)
         for i in range(2):
-            assert rep.image_inverse(i) == rep.images[i].inverse()
+            assert base.image_inverse(i) == base.images[i].inverse()
+            closed = rep.image_inverse(i)
+            assert float_bits(closed) == \
+                float_bits(sym_power(base.image_inverse(i), 4))
+            gauss = rep.images[i].inverse()
+            bound = 4 * 4 * 2.0 ** -53 * rep.images[i].max_row_norm() \
+                * closed.max_row_norm() ** 2
+            assert 0 < (closed - gauss).max_row_norm() <= bound
 
 
 class TestCircleHomology:
