@@ -22,7 +22,7 @@ from . import scalar as _s
 from .errors import (DegenerateInput, DivisionByZero, EliminationDegenerate,
                      IrreducibilityWarning)
 from .freegroup import Alphabet, fox_sweep
-from .linalg import Matrix, det_with_scale, grid_mul
+from .linalg import Matrix, det_rank_with_scale, grid_mul
 from .polynomial import (MultiPoly, _mp, aberth_roots, multi_eval,
                          poly_matrix_det, squarefree_part)
 from .representation import Representation, SymPowerRep
@@ -96,9 +96,7 @@ def is_reducible_character(c):
     """Whether the character's lifts share an eigenvector, detected by the
     commutator trace landing on 2."""
     t = commutator_trace(c)
-    # exact kinds test zero exactly, whatever the scale
-    return _s.zero_test(t - 2, scale=1.0 if _s.is_exact(t)
-                        else max(1.0, _s.magnitude(t)))
+    return _s.zero_test(t - 2, scale=lambda: max(1.0, _s.magnitude(t)))
 
 
 _XY = Alphabet("x y")
@@ -157,7 +155,7 @@ def locus_det_with_scale(c, data, N=2):
     rep = lift(c, warn=False)
     if N != 2:
         rep = SymPowerRep(rep, N)
-    return det_with_scale(fox_matrix(data, rep))
+    return det_rank_with_scale(fox_matrix(data, rep))[:2]
 
 
 # symbolic elimination for N = 2: work in Q[x, y, z, u] modulo the trace
@@ -305,7 +303,7 @@ def _z_root_candidates(poly, xv, yv):
     for k in range(zdeg, -1, -1):
         coeffs.append(complex(multi_eval(poly.coeff_in("z", k),
                                          (xv, yv, 0, 0))))
-    while coeffs and abs(coeffs[0]) < 1e-13:
+    while coeffs and _s.zero_test(coeffs[0], tol=1e-13):
         coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return []
@@ -342,7 +340,7 @@ def locus_verify(N, samples=100, seed=7, tol=1e-6, off_tol=1e-3,
             c = Character(_s.ComplexF(xv), _s.ComplexF(yv), _s.ComplexF(z))
             det, scale = locus_det_with_scale(c, data, N)
             report.on_checked += 1
-            if abs(det) <= tol * max(1.0, scale):
+            if _s.zero_test(det, tol=tol, scale=max(1.0, scale)):
                 report.on_passed += 1
             elif len(report.failures) < 10:
                 report.failures.append(
@@ -354,7 +352,7 @@ def locus_verify(N, samples=100, seed=7, tol=1e-6, off_tol=1e-3,
             report.off_checked += 1
             # off-locus values are compared absolutely: determinants away
             # from the surface are order-one or larger
-            if abs(doff) > off_tol:
+            if not _s.zero_test(doff, tol=off_tol):
                 report.off_passed += 1
             elif len(report.failures) < 10:
                 report.failures.append(

@@ -223,7 +223,7 @@ def cmd_locus(args):
                      ("agreements", agree)])
         return 0 if agree == args.samples else 1
     # the sampling verifier has its own default tolerance; an explicit
-    # --tol overrides it, the module tolerance does not
+    # tolerance, from --tol or TORSION_CERT_TOL, overrides it
     ltol = args.tol if args.tol is not None else 1e-6
     report = _cv.locus_verify(N, samples=args.samples, seed=args.seed,
                               tol=ltol, corrupt=args.corrupt)
@@ -380,8 +380,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _s.set_zero_tolerance(args.tol if args.tol is not None else float(
-            os.environ.get("TORSION_CERT_TOL", _s.DEFAULT_TOLERANCE)))
+        if args.tol is None and "TORSION_CERT_TOL" in os.environ:
+            args.tol = float(os.environ["TORSION_CERT_TOL"])
+        _s.set_zero_tolerance(_s.DEFAULT_TOLERANCE if args.tol is None
+                              else args.tol)
         if args.seed is None:
             args.seed = int(os.environ.get("TORSION_CERT_SEED", DEFAULT_SEED))
         args.seed &= (1 << 64) - 1

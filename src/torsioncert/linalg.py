@@ -392,25 +392,19 @@ def det(m):
     return det_rank_with_scale(m)[0]
 
 
-def det_with_scale(m):
-    """Float determinant plus a noise scale for relative zero tests.
-
-    The scale is the product over elimination steps of the largest entry
-    magnitude in the remaining submatrix (clamped below by 1), which tracks
-    the size of the terms whose cancellation produces the determinant; the
-    float result is trustworthy down to roughly eps * scale.  Exact kinds
-    return scale 1.0.
-    """
-    return det_rank_with_scale(m)[:2]
-
-
 def det_rank_with_scale(m):
-    """:func:`det_with_scale` of m and then its rank where the same
-    elimination gives it: for exact kinds the rank of the Bareiss echelon
-    whose last pivot is the determinant, for floats None.  A float rank
-    (:func:`rank`, complete pivoting against the zero tolerance) is a
-    decision of its own, not a by-product of the partially pivoted
-    determinant."""
+    """The determinant of m, a noise scale for relative zero tests, and
+    the rank where the same elimination gives it.
+
+    The float scale is the product over elimination steps of the largest
+    entry magnitude in the remaining submatrix (clamped below by 1), which
+    tracks the size of the terms whose cancellation produces the
+    determinant; the float result is trustworthy down to roughly
+    eps * scale.  Exact kinds return scale 1.0.  The rank is that of the
+    Bareiss echelon whose last pivot is the determinant for exact kinds,
+    and None for floats: a float rank (:func:`rank`, complete pivoting
+    against the zero tolerance) is a decision of its own, not a by-product
+    of the partially pivoted determinant."""
     if not isinstance(m, Matrix):
         raise TypeError("expected a Matrix")
     if m.rows != m.cols:
@@ -597,10 +591,10 @@ def fox_formula_row(m, images, words=None):
 
     Exact kinds compare numerators, with no matrix built: D1 and W - 1
     over the lcm of the images' denominators, and W - 1 times m's.  A
-    float row differs when the residual m . D1 - (W - 1) has an entry of
-    modulus above ``zero_tolerance() * max(1, |[m | W - 1]| |[D1; -1]|)``
-    in max row norms, or ``max(1, |m| |D1|)`` without words, which a
-    non-finite entry always has.
+    float row differs when an entry of the residual m . D1 - (W - 1) does
+    not test zero against the scale ``max(1, |[m | W - 1]| |[D1; -1]|)``
+    in max row norms, or ``max(1, |m| |D1|)`` without words; a non-finite
+    entry never does.
     """
     n = images[0].rows
     if m.cols != len(images) * n or (words is not None
@@ -669,10 +663,11 @@ def _float_fox_formula_row(m, images, words):
         # the rows of -1 under D1 have norm 1
         scale = _max_row_norm(map(chain, rows, w1)) * max(_max_row_norm(d1),
                                                           1.0)
-    tol = _s.zero_tolerance() * max(1.0, scale)
+    scale = max(1.0, scale)
     cols = list(zip(*d1))
     for i, (row, w) in enumerate(zip(rows, w1)):
-        if not all(abs(reduce(add, map(mul, row, col)) - x) <= tol
+        if not all(_s.zero_test(reduce(add, map(mul, row, col)) - x,
+                                scale=scale)
                    for col, x in zip(cols, w)):
             return i
     return None
@@ -695,11 +690,11 @@ def _max_row_norm(rows):
 
 
 def _float_det(m):
-    """:func:`det_with_scale` of a complex m by partial pivoting on the
-    rows left, each cut to the columns left.  The pivot is the first entry
-    of largest modulus in its column.  Each step's factor of the scale is
-    the largest modulus left, found from 1.0 up by strict comparisons, so
-    a NaN from overflow never enters it."""
+    """:func:`det_rank_with_scale` of a complex m, without the rank, by
+    partial pivoting on the rows left, each cut to the columns left.  The
+    pivot is the first entry of largest modulus in its column.  Each
+    step's factor of the scale is the largest modulus left, found from 1.0
+    up by strict comparisons, so a NaN from overflow never enters it."""
     a = list(m._parts[0])
     sign = 1
     scale = 1.0
@@ -742,9 +737,9 @@ def _exact_rank(m):
 
 def _float_rank(m):
     """Rank of a complex m by complete pivoting on its unused rows, in
-    their order: the first largest modulus is the pivot, unless it is at
-    most the zero tolerance times max(1, max row norm)."""
-    cutoff = _s.zero_tolerance() * max(1.0, m.max_row_norm())
+    their order: the first largest modulus is the pivot, unless it tests
+    zero against the scale max(1, max row norm)."""
+    scale = max(1.0, m.max_row_norm())
     left = [list(r) for r in m._parts[0]]
     rank_count = 0
     for _ in range(min(m.rows, m.cols)):
@@ -753,7 +748,7 @@ def _float_rank(m):
             for j, x in enumerate(r):
                 if abs(x) > best:
                     best, bi, bj = abs(x), i, j
-        if best <= cutoff:
+        if _s.zero_test(best, scale=scale):
             break
         rank_count += 1
         top = left.pop(bi)

@@ -38,6 +38,7 @@ rounding-error bound, and an Aberth-Ehrlich solver for all roots at once.
 import re as _re
 from cmath import isfinite as _isfinite, rect as _rect
 from fractions import Fraction
+from functools import cache
 from math import gcd as _int_gcd, lcm as _lcm, pi as _PI
 
 from . import scalar as _s
@@ -163,18 +164,16 @@ class LaurentPoly:
         return max(_s.magnitude(c) for c in self.coeffs.values())
 
     def trim(self):
-        """Drop coefficients below the module tolerance times the largest
-        coefficient magnitude.
+        """Drop the coefficients that test zero against the largest
+        coefficient magnitude, unclamped.
 
         Floating pipelines use this before reading degrees off, so that
         numerically induced phantom leading/trailing terms do not inflate
         the span.  Exact coefficients pass through untouched.
         """
-        if all(_s.is_exact(c) for c in self.coeffs.values()):
-            return self
-        cutoff = _s.zero_tolerance() * self.max_coeff_magnitude()
+        scale = cache(self.max_coeff_magnitude)
         return _lp({e: c for e, c in self.coeffs.items()
-                    if _s.magnitude(c) > cutoff})
+                    if not _s.zero_test(c, scale=scale)})
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
@@ -261,8 +260,8 @@ def _parse_poly_coeff(text, kind):
 def laurent_unit_match(p, q):
     """Is p = +- t^k q for some k?  Returns (True, k, sign) or (False, 0, 0).
 
-    Exact coefficients compare exactly; floating coefficients compare with
-    the module tolerance relative to the largest coefficient.
+    Each coefficient of the difference must test zero against the largest
+    coefficient magnitude of p, clamped below by 1.
     """
     if p.is_zero() or q.is_zero():
         ok = p.is_zero() and q.is_zero()
@@ -271,18 +270,11 @@ def laurent_unit_match(p, q):
         return (False, 0, 0)
     k = p.min_degree() - q.min_degree()
     shifted = q.shift(k)
-    exact = all(_s.is_exact(c) for c in list(p.coeffs.values()) +
-                list(shifted.coeffs.values()))
+    scale = cache(lambda: max(1.0, p.max_coeff_magnitude()))
     for sign in (1, -1):
-        cand = shifted if sign == 1 else -shifted
-        if exact:
-            if p == cand:
-                return (True, k, sign)
-        else:
-            diff = p - cand
-            bound = _s.zero_tolerance() * max(1.0, p.max_coeff_magnitude())
-            if all(_s.magnitude(c) <= bound for c in diff.coeffs.values()):
-                return (True, k, sign)
+        diff = p - (shifted if sign == 1 else -shifted)
+        if all(_s.zero_test(c, scale=scale) for c in diff.coeffs.values()):
+            return (True, k, sign)
     return (False, 0, 0)
 
 

@@ -418,7 +418,7 @@ def solve_parabolic(pres, which=0):
     irreducible roots only.
     """
     roots = parabolic_roots(pres)
-    irreducible = [y for y in roots if abs(y) > 1e-8]
+    irreducible = [y for y in roots if not _s.zero_test(y, tol=1e-8)]
     if not irreducible:
         if roots:
             raise ReducibleOnly("every root shares an eigenvector (y = 0)")

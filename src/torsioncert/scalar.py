@@ -19,10 +19,14 @@ builds a Fraction: results are reduced by one three-argument gcd, and the
 discriminant, checked once when a value is built from rationals, is not
 checked again.  ``a`` and ``b`` give the rational parts as Fractions.
 
-Exact kinds test zero exactly.  Floats test ``|x| <= tol * scale`` where
-``scale`` is a caller-supplied magnitude reference (say, a matrix norm) and
-``tol`` defaults to the module tolerance, 1e-9.  The module tolerance is set
-once at program start and treated as read-only afterwards.
+Every decision that a float value is zero up to a tolerance is one call
+of :func:`zero_test`, with the scale and tolerance of its site.  Exact
+kinds test zero exactly and never read the scale.  Floats test
+``|x| <= tol * scale``, where ``scale`` is the caller's magnitude reference
+(say, a matrix norm), passed as a number or as a function that computes
+it, and ``tol`` defaults to the module tolerance, 1e-9.  The module
+tolerance is set once at program start, treated as read-only afterwards,
+and read by no other module.
 
 Text grammar: rationals ``p/q``, quadratic elements ``a + b*sqrt(d)``,
 complex numbers ``re+imi`` printed with 17 significant digits.
@@ -297,26 +301,25 @@ def kind_of(x):
     raise TypeError("not a scalar: %r" % (x,))
 
 
-def is_exact(x):
-    return kind_of(x) != "complex"
-
-
 def zero_test(x, tol=None, scale=1.0):
-    """True when x counts as zero.
+    """True when x counts as zero: the package's one float zero decision.
 
-    Exact kinds compare exactly; complex kinds compare |x| <= tol * scale.
+    Exact kinds compare exactly and never read ``scale``.  Complex kinds
+    compare |x| <= tol * scale, ``tol`` the module tolerance unless given.
     ``scale`` is the caller's magnitude reference, e.g. a matrix norm
-    (callers should clamp it below by 1 so the test stays meaningful for
-    small data).
+    (clamped below by 1 where the test must stay meaningful for small
+    data), or a function of no arguments that returns it, called only for
+    a float x; a caller that tests many values against one such function
+    caches it, so the scale is computed once.
     """
-    k = kind_of(x)
-    if k == "rational":
-        return x == 0
-    if k == "quadext":
-        return not x
-    if tol is None:
-        tol = _tolerance
-    return abs(complex(x)) <= tol * scale
+    if isinstance(x, (float, complex)):
+        if tol is None:
+            tol = _tolerance
+        if callable(scale):
+            scale = scale()
+        return abs(x) <= tol * scale
+    kind_of(x)  # a TypeError for anything that is not a scalar
+    return not x
 
 
 def magnitude(x):

@@ -15,6 +15,7 @@ comparing that degree against 4g - 2.
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
 from . import linalg as _la
 from . import scalar as _s
@@ -246,9 +247,8 @@ def twisted_boundaries(pres, rep, phi):
             d2.append([row_blocks[j][i][l] for j in range(k)
                        for l in range(n)])
     prod = grid_mul(d2, d1)
-    # an exact zero test reads no scale
-    scale = 1.0 if rep.scalar_kind != "complex" else max(
-        1.0, k * n * _poly_grid_max_mag(d2) * _poly_grid_max_mag(d1))
+    scale = cache(lambda: max(
+        1.0, k * n * _poly_grid_max_mag(d2) * _poly_grid_max_mag(d1)))
     for i, row in enumerate(prod):
         for e in row:
             for c in e.coeffs.values():
@@ -322,9 +322,7 @@ def wada_torsion(pres, rep):
     d2, d1 = twisted_boundaries(pres, rep, abelianization(pres))
     n = rep.n
     k = len(pres.alphabet)
-    exact = rep.scalar_kind != "complex"
-    # an exact zero test reads no scale
-    scale = 1.0 if exact else max(1.0, _poly_grid_max_mag(d1)) ** n
+    scale = cache(lambda: max(1.0, _poly_grid_max_mag(d1)) ** n)
 
     dens = []
     for j in range(k):
@@ -355,9 +353,8 @@ def wada_torsion(pres, rep):
                 "torsion ratio differs between deleted columns %d and %d"
                 % (j, j2))
 
-    if not exact:
-        num = num.trim()
-        den = den.trim()
+    num = num.trim()
+    den = den.trim()
     if _poly_is_zero(den, 1.0):
         raise AllColumnsDegenerate("chosen denominator vanished numerically")
     degree = rational_degree(num, den)

@@ -39,22 +39,27 @@ it, and the report names the rule:
 
 Anything else it lists is a candidate for deletion, or for a move to
 ``tests/helpers.py`` where tests use it as a reference.  The census is a
-report, not a test: pytest does not collect it, and it writes no file.
+report, not a test: pytest does not collect it.  It writes
+``tests/fixtures/reachability.json``, which maps each package function to
+``"reached"``, to the rule that keeps it, or to null when none does.
+``tests/test_reachability.py`` checks that fixture against the package
+source without profiling, so a function added or removed comes with a
+census run.
 """
 
 import ast
 import contextlib
 import io
+import json
 import os
 import sys
-
-sys.dont_write_bytecode = True
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "torsioncert")
 BENCH = os.path.join(ROOT, "bench")
+FIXTURE = os.path.join(HERE, "fixtures", "reachability.json")
 SEEDS = (5521, 1)
 
 EXTRA_ARGVS = [
@@ -200,7 +205,14 @@ def main():
           "no rule" % (len(unreached), len(functions),
                        sum(f[3] for f in unreached), len(cut),
                        sum(f[3] for f in cut)))
+    status = {f[0]: "reached" if (f[1], f[2]) in reached else keep_rule(f[0])
+              for f in functions}
+    with open(FIXTURE, "w", encoding="utf-8") as fh:
+        json.dump(status, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print("wrote " + os.path.relpath(FIXTURE, ROOT))
 
 
 if __name__ == "__main__":
+    sys.dont_write_bytecode = True
     main()

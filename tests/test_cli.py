@@ -177,6 +177,21 @@ class TestExactTwin:
         # the float route alone is wrong on 134 of them (ROADMAP item 4)
         assert wrong_float >= 100
 
+    def test_float_verdicts_equal_the_exact_twin_at_large_n(self, capsys):
+        # 60 more seeded characters as above, at N = 9..12
+        rng = rng_for(31, 2)
+        pants = pants_example()
+        for _ in range(60):
+            tenths = [rng.randint(-6, 6) * 10 if rng.random() < 0.5
+                      else rng.randint(-60, 60) for _ in range(3)]
+            N = rng.randint(9, 12)
+            char = "(%s)" % ", ".join("%.1f" % (t / 10) for t in tenths)
+            twin = Character(*[Fraction(t, 10) for t in tenths])
+            want = certify(pants, SymPowerRep(lift(twin, warn=False), N))
+            code, _, err = run(capsys, "certify", "pants.sut", "--char",
+                               char, "--sym-power", str(N))
+            assert (code, err) == (0 if want.is_product else 1, ""), char
+
 
 class TestTorsion:
     def test_trefoil_classical(self, capsys):
@@ -623,6 +638,17 @@ class TestConfig:
         monkeypatch.setenv("TORSION_CERT_TOL", "-1")
         code, _, err = run(capsys, "fox", "xy", "x")
         assert code == 2
+
+    @pytest.mark.parametrize("N", ["3", "4"])
+    def test_env_tol_is_the_twin_of_the_flag(self, capsys, monkeypatch, N):
+        # both set the module tolerance and the sampling verifier's of
+        # locus --N 3/4: the same bytes and exit code, unlike the defaults
+        argv = ["locus", "--N", N, "--samples", "5", "--corrupt"]
+        monkeypatch.delenv("TORSION_CERT_TOL", raising=False)
+        default = run(capsys, *argv)
+        flag = run(capsys, "--tol", "0.1", *argv)
+        monkeypatch.setenv("TORSION_CERT_TOL", "0.1")
+        assert run(capsys, *argv) == flag != default
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "no_such_file.sut",

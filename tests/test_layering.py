@@ -5,6 +5,8 @@ The (P + Q*sqrt d)/den storage of ``Matrix`` and the helpers that read or
 build it are private to ``linalg``; the other modules reach them through
 ``Matrix`` arithmetic, ``running_mul``, ``product``, ``sweep_mul``,
 ``signed_blocks``, ``units``, ``sym_power`` and ``fox_formula_row``.
+Only ``scalar`` reads the zero tolerance; every other module decides a
+float zero through ``scalar.zero_test``.
 The package source is scanned for the names and imports, not imported.
 """
 
@@ -41,6 +43,17 @@ def test_numerator_names_stay_in_their_modules():
             tree = ast.parse(fh.read())
         found += [(name, line, ident) for ident, line in _names(tree)
                   if ident in PRIVATE]
+    assert found == []
+
+
+def test_only_scalar_reads_the_zero_tolerance():
+    found = []
+    for name in sorted(f for f in os.listdir(PACKAGE)
+                       if f.endswith(".py") and f != "scalar.py"):
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [(name, line, ident) for ident, line in _names(tree)
+                  if ident in ("zero_tolerance", "_tolerance")]
     assert found == []
 
 

@@ -14,7 +14,6 @@ from torsioncert.polynomial import LaurentPoly
 from torsioncert.scalar import (
     ComplexF,
     QuadExt,
-    is_exact,
     kind_of,
     magnitude,
     parse_scalar,
@@ -447,7 +446,6 @@ class TestHelpers:
         assert kind_of(3) == "rational"
         assert kind_of(QuadExt(1, 1, 5)) == "quadext"
         assert kind_of(ComplexF(1.0)) == "complex"
-        assert is_exact(QuadExt(1, 1, 5)) and not is_exact(ComplexF(1.0))
 
     def test_zero_test_modes(self):
         assert zero_test(Fraction(0))
@@ -457,6 +455,22 @@ class TestHelpers:
         # scale widens the float window but leaves exact values alone
         assert zero_test(ComplexF(5e-7, 0.0), scale=1e3)
         assert not zero_test(Fraction(1, 10 ** 20), scale=1e9)
+
+    def test_zero_test_calls_a_scale_function_for_floats_only(self):
+        calls = []
+
+        def scale():
+            calls.append(1)
+            return 1e3
+
+        assert not zero_test(Fraction(1, 10 ** 20), scale=scale)
+        assert not zero_test(QuadExt(0, 1, 5), scale=scale)
+        assert calls == []
+        assert zero_test(ComplexF(5e-7, 0.0), scale=scale)
+        assert not zero_test(5e-6, scale=scale)
+        assert calls == [1, 1]
+        with pytest.raises(TypeError):
+            zero_test("0", scale=scale)
 
     def test_sum_str(self):
         assert sum_str([]) == "0"
