@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsioncert import twisted
 from torsioncert.errors import (
     ChainCondition,
     LongitudeTraceViolation,
@@ -271,6 +272,21 @@ class TestWadaTorsion:
         assert result.degree == 2
         assert result.norm_bound == 1
         assert result.genus_bound_int() == 1
+
+    @pytest.mark.parametrize("rep, calls", [
+        (lambda: trivial_rep(AB, n=2), 0),
+        (lambda: solve_parabolic(fig8()), 3)], ids=["exact", "complex"])
+    def test_grid_scales_are_computed_once_and_for_floats_only(
+            self, monkeypatch, rep, calls):
+        # the chain check reads the magnitudes of d2 and d1 and the
+        # denominator tests that of d1, each once per verdict however many
+        # coefficients they test; an exact zero test reads no scale
+        seen = []
+        grid_max = twisted._poly_grid_max_mag
+        monkeypatch.setattr(twisted, "_poly_grid_max_mag",
+                            lambda grid: seen.append(1) or grid_max(grid))
+        wada_torsion(fig8(), rep())
+        assert len(seen) == calls
 
 
 class TestConjectureCheck:
