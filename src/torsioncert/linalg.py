@@ -11,7 +11,10 @@ arithmetic performs the entries' own float operations in their order, and
 its results are checked finite once (``NonFinite``);
 running products (``running_mul``) are reduced or checked only where
 ``product`` keeps them, or ``signed_blocks`` adds them into one grid of
-blocks.
+blocks.  The chain check of Fox's fundamental formula
+(``fox_formula_row``) is one more running product: the Fox matrix times
+the column of blocks rho(x_j) - 1 that ``less_one`` builds, compared with
+the column of the words' rho(w_i) - 1.
 
 Exact determinants and ranks share one Bareiss single-step fraction-free
 row echelon (Bareiss, *Math. Comp.* 22, 1968) over Z, or over Z[sqrt d] on
@@ -19,12 +22,10 @@ pairs of ints, on the numerators with each row divided by its content.
 Every entry is a minor, so the division by the previous pivot is exact (a
 remainder raises ``InexactDivision``), and a step whose pivot equals the
 previous one touches only the entries it changes; columns without a pivot
-are skipped, so rectangular matrices work too.  Fox's fundamental formula
-(``fox_formula_row``) is checked on numerators too, and on a complex
-matrix's own rows.  Float determinants use partial
-pivoting, floating ranks a largest-pivot threshold scaled by the max row
-norm, and inverses of every kind one Gauss-Jordan loop, whose complex
-results are checked finite once as well.
+are skipped, so rectangular matrices work too.  Float determinants use
+partial pivoting, floating ranks a largest-pivot threshold scaled by the
+max row norm, and inverses of every kind one Gauss-Jordan loop, whose
+complex results are checked finite once as well.
 
 Matrices are immutable.  ``Matrix(rows)`` (parsing, callers' matrices)
 promotes every entry, ints riding along as honorary rationals.
@@ -580,104 +581,66 @@ def _ratio(num, den):
     return Fraction(num, den) if rem else q
 
 
-def fox_formula_row(m, images, words=None):
-    """The first row where m . D1 differs from W - 1, or None.
+def less_one(mats):
+    """The column of blocks b - 1 for the square ``mats``, over one field:
+    exact ones on numerators over the lcm of their denominators, reduced
+    once; complex ones on their own rows as x - (i == j), the bits of
+    ``Matrix`` subtraction."""
+    field, n = mats[0].field, mats[0].rows
+    if field == "complex":
+        return _new(field, ([[x - (i == j) for j, x in enumerate(r)]
+                             for b in mats
+                             for i, r in enumerate(b._parts[0])],))
+    den = math.lcm(*[b._denom for b in mats])
+    parts = [[] for _ in mats[0]._parts]
+    for b in mats:
+        f = den // b._denom
+        for rows, part in zip(parts, b._parts):
+            rows += map(list, part) if f == 1 else _scaled(part, f)
+    for i, r in enumerate(parts[0]):
+        r[i % n] -= den
+    return _finish(_new(field, parts, den))
 
-    m has n x n blocks, a block column per generator image in ``images``.
-    D1 stacks rho(x_j) - 1 for those images, and W - 1 stacks
-    rho(w_i) - 1 for ``words``, an image per block row of m, or is 0
-    without them.  When m holds the evaluated Fox derivatives of the
-    words, Fox's fundamental formula says that the two are equal.
 
-    Exact kinds compare numerators, with no matrix built: D1 and W - 1
-    over the lcm of the images' denominators, and W - 1 times m's.  A
-    float row differs when an entry of the residual m . D1 - (W - 1) does
-    not test zero against the scale ``max(1, |[m | W - 1]| |[D1; -1]|)``
-    in max row norms, or ``max(1, |m| |D1|)`` without words; a non-finite
-    entry never does.
+def fox_formula_row(m, d1, w1=None):
+    """The first row where m . d1 differs from w1, or None.
+
+    m has n x n blocks.  d1 is :func:`less_one` of the generator images,
+    a block per block column of m, and w1, when given, that of the
+    words' images, a block per block row of m; without it m . d1 is
+    compared with 0.  When m holds the evaluated Fox derivatives of the
+    words, Fox's fundamental formula says that m . d1 = w1.
+
+    m . d1 is one :func:`running_mul`.  Exact kinds compare its numerators
+    with w1's across the two denominators.  A complex row differs when an
+    entry of the residual m . d1 - w1 does not test zero against the scale
+    ``max(1, |[m | w1]| max(|d1|, 1))`` in max row norms, the rows of -1
+    under d1 having norm 1, or ``max(1, |m| |d1|)`` without w1; a
+    non-finite entry never does.
     """
-    n = images[0].rows
-    if m.cols != len(images) * n or (words is not None
-                                     and m.rows != len(words) * n):
+    if m.cols != d1.rows or (w1 is not None and (w1.rows, w1.cols)
+                             != (m.rows, d1.cols)):
         raise DimensionMismatch("Fox formula on a %dx%d matrix with %d x %d"
-                                " blocks" % (m.rows, m.cols, n, n))
-    blocks = list(chain(images, words or ()))
-    if any(b.field != m.field for b in blocks):
+                                " blocks" % (m.rows, m.cols, d1.cols,
+                                             d1.cols))
+    if any(b.field != m.field for b in (d1, w1) if b is not None):
         raise MixedScalarKind("Fox formula over two fields")
-    if m.field == "complex":
-        return _float_fox_formula_row(m, images, words)
-    den = math.lcm(*[b._denom for b in blocks])
-    cols = [list(zip(*part)) for part in _less_one(images, den)]
-    if words is None:
-        want = [[[0] * n] * m.rows] * len(cols)
-    else:
-        want = [[[x * m._denom for x in r] for r in part]
-                for part in _less_one(words, den)]
-    if len(cols) == 1:
-        for i, (row, w) in enumerate(zip(m._parts[0], want[0])):
-            if [sum(map(mul, row, col)) for col in cols[0]] != w:
-                return i
-        return None
-    d = m.field
-    cols = list(zip(*cols))
-    # (P + Q sqrt d)(P' + Q' sqrt d) = PP' + dQQ' + (PQ' + QP') sqrt d
-    for i, (rp, rq, wp, wq) in enumerate(zip(*m._parts, *want)):
-        if [sum(map(mul, rp, cp)) + d * sum(map(mul, rq, cq))
-                for cp, cq in cols] != wp or \
-                [sum(map(mul, rp, cq)) + sum(map(mul, rq, cp))
-                 for cp, cq in cols] != wq:
+    prod = running_mul(m, d1)
+    want = w1._parts if w1 is not None else \
+        [[[0] * d1.cols] * m.rows] * len(prod._parts)
+    if m.field != "complex":
+        a, b = (1, 1) if w1 is None else (w1._denom, prod._denom)
+        rows = zip(zip(*[_scaled(p, a) for p in prod._parts]),
+                   zip(*[_scaled(p, b) for p in want]))
+        return next((i for i, (x, y) in enumerate(rows) if x != y), None)
+    left, right = m._parts[0], _max_row_norm(d1._parts[0])
+    if w1 is not None:
+        left, right = map(chain, left, want[0]), max(right, 1.0)
+    scale = max(1.0, _max_row_norm(left) * right)
+    for i, (row, w) in enumerate(zip(prod._parts[0], want[0])):
+        if not all(_s.zero_test(x - y, scale=scale) for x, y in zip(row, w)):
             return i
     return None
-
-
-def _less_one(mats, den):
-    """The parts of the column of the exact square ``mats`` minus 1, on
-    numerators over den, a multiple of each one's denominator."""
-    parts = []
-    for k in range(len(mats[0]._parts)):
-        rows = []
-        for b in mats:
-            f = den // b._denom
-            for i, r in enumerate(b._parts[k]):
-                r = [x * f for x in r]
-                if k == 0:
-                    r[i] -= den
-                rows.append(r)
-        parts.append(rows)
-    return parts
-
-
-def _float_fox_formula_row(m, images, words):
-    """:func:`fox_formula_row` of complex m: each residual entry is the
-    left fold of its products, as in :func:`grid_mul`, minus the entry of
-    W - 1, so its modulus is that of the row of [m | W - 1] . [D1; -1]."""
-    n = images[0].rows
-    one = units(n, "complex")[0]._parts[0]
-    d1 = _float_less_one(images, one)
-    rows = m._parts[0]
-    if words is None:
-        w1 = [(0j,) * n] * m.rows
-        scale = _max_row_norm(rows) * _max_row_norm(d1)
-    else:
-        w1 = _float_less_one(words, one)
-        # the rows of -1 under D1 have norm 1
-        scale = _max_row_norm(map(chain, rows, w1)) * max(_max_row_norm(d1),
-                                                          1.0)
-    scale = max(1.0, scale)
-    cols = list(zip(*d1))
-    for i, (row, w) in enumerate(zip(rows, w1)):
-        if not all(_s.zero_test(reduce(add, map(mul, row, col)) - x,
-                                scale=scale)
-                   for col, x in zip(cols, w)):
-            return i
-    return None
-
-
-def _float_less_one(mats, one):
-    """The rows of the column of the complex ``mats`` minus the rows
-    ``one`` of 1, entry by entry as ``Matrix`` subtraction takes them."""
-    return [[x - u for x, u in zip(r, ur)]
-            for b in mats for r, ur in zip(b._parts[0], one)]
 
 
 def _max_row_norm(rows):

@@ -85,9 +85,6 @@ class Representation:
         self.scalar_kind = self.units[0].scalar_kind
         self._inv = {}
 
-    def image(self, i):
-        return self.images[i]
-
     def image_inverse(self, i):
         """The inverse image of generator i, by Gauss-Jordan, computed
         once."""

@@ -77,33 +77,27 @@ def fox_matrix(data, rep):
 
 def _relative_h1(data, rep, m, rank=None):
     """The relative h1 of the presentation complex of data through rep,
-    and the edge blocks D1 + (W - 1) of its boundary d1, built as they are
-    read.
+    and the edge blocks D1 and W - 1 of its boundary d1.
 
-    m is :func:`fox_matrix` of data and rep.  D1 holds rho(x_j) - 1 for
-    the ambient generators and W - 1 holds rho(w_i) - 1 for the surface
+    m is :func:`fox_matrix` of data and rep.  D1 stacks rho(x_j) - 1 for
+    the ambient generators and W - 1 stacks rho(w_i) - 1 for the surface
     words, each image from ``rep.eval_word``, apart from the Fox sweep
-    that built m.  Fox's fundamental formula, sum_j (dw_i/dx_j) (rho(x_j)
-    - 1) = rho(w_i) - 1, says that m . D1 = W - 1; this chain check
-    (``linalg.fox_formula_row``, on numerators for exact kinds) raises
+    that built m; ``linalg.less_one`` builds each once.  Fox's fundamental
+    formula, sum_j (dw_i/dx_j) (rho(x_j) - 1) = rho(w_i) - 1, says that
+    m . D1 = W - 1; this chain check (``linalg.fox_formula_row``) raises
     ``ChainCondition`` on the first surface word whose Fox blocks in m
     break it.  The relative h1 is k*n minus the rank of m: ``rank`` where
     the caller has it from the determinant's exact echelon, else
     ``m.rank()``."""
-    words = [rep.eval_word(w) for w in data.images]
-    bad = _la.fox_formula_row(m, rep.images, words)
+    w1 = _la.less_one([rep.eval_word(w) for w in data.images])
+    d1 = _la.less_one(rep.images)
+    bad = _la.fox_formula_row(m, d1, w1)
     if bad is not None:
         raise ChainCondition("d2 . d1 != 0: representation does not "
                              "kill relator %d" % (bad // rep.n))
     if rank is None:
         rank = m.rank()
-    one = rep.units[0]
-    return (len(rep.alphabet) * rep.n - rank,
-            (b - one for b in rep.images + tuple(words)))
-
-
-def _column(blocks):
-    return _la.block_assemble([[b] for b in blocks])
+    return len(rep.alphabet) * rep.n - rank, d1, w1
 
 
 def oracle_dims(data, rep):
@@ -114,11 +108,11 @@ def oracle_dims(data, rep):
 
     The faces' boundary is d2 = [m | S], with m the Fox matrix and S block
     diagonal of blocks -rho(w_i) rho(s_i)^-1 = -1, so d2 has full rank
-    k*n and h2 = 0.  The edges' boundary d1 stacks the blocks of
-    :func:`_relative_h1`; with r1 its rank, h0 = n - r1 and
-    h1 = 2k*n - r1 - k*n."""
-    rel_h1, edges = _relative_h1(data, rep, fox_matrix(data, rep))
-    r1 = _column(edges).rank()
+    k*n and h2 = 0.  The edges' boundary d1 is [D1; W - 1], the blocks
+    that :func:`_relative_h1` built for its chain check; with r1 its
+    rank, h0 = n - r1 and h1 = 2k*n - r1 - k*n."""
+    rel_h1, d1, w1 = _relative_h1(data, rep, fox_matrix(data, rep))
+    r1 = _la.block_assemble([[d1], [w1]]).rank()
     k = len(data.alphabet)
     return (rep.n - r1, k * rep.n - r1, 0), rel_h1, 1 - 2 * k + k
 
@@ -130,8 +124,7 @@ def certify(data, rep, with_oracle=False):
     The oracle first checks Fox's fundamental formula on the certificate's
     own Fox matrix against the surface words' images, which come from
     ``rep.eval_word`` and not from the sweep that built the matrix
-    (:func:`_relative_h1`; exact kinds compare numerators, and build no
-    matrix for the check).  Its relative h1 is k*n minus the rank of the
+    (:func:`_relative_h1`).  Its relative h1 is k*n minus the rank of the
     same matrix: for exact kinds the rank of the Bareiss echelon that gave
     the determinant, so the comparison cannot fail; for floats a
     completely pivoted rank against the tolerance, a separate decision

@@ -212,17 +212,15 @@ def build_complex(pres, rep):
     sum_j (dr/dx_j)(rho(x_j) - 1) = rho(r) - 1.  So the chain condition
     holds exactly when rep kills every relator (within tolerance in
     floating kinds): it checks that rep really is a representation of the
-    presented group.  The product is never formed as a matrix:
-    ``linalg.fox_formula_row`` compares each row of d2 . d1 with 0, on
-    numerators for exact kinds.
+    presented group.  ``linalg.less_one`` builds d1, and
+    ``linalg.fox_formula_row`` compares each row of d2 . d1 with 0.
     """
     _same_alphabet(pres, rep)
-    d1 = _la.block_assemble([[rep.image(j) - rep.units[0]]
-                             for j in range(len(rep.alphabet))])
+    d1 = _la.less_one(rep.images)
     if not pres.relators:
         return None, d1
     d2 = rep.fox_matrix(pres.relators)
-    bad = _la.fox_formula_row(d2, rep.images)
+    bad = _la.fox_formula_row(d2, d1)
     if bad is not None:
         raise ChainCondition("d2 . d1 != 0: representation does not "
                              "kill relator %d" % (bad // rep.n))

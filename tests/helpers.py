@@ -15,8 +15,8 @@ of symmetric powers, which ``SymPowerRep`` left for its rank-2 base,
 and the expansion of ``linalg.sym_power`` over Q(sqrt d) in a ring of
 tuples, which its int-pair loop replaced.  ``conjugate`` and
 ``conjugated``, the Galois conjugate and the change of basis that the
-invariance tests apply, left the package because no command, workload or
-criterion calls them.
+invariance tests apply, and ``RingElem``, the group ring's arithmetic,
+left the package because no command, workload or criterion calls them.
 """
 
 import math
@@ -26,7 +26,8 @@ from itertools import combinations, permutations
 from math import comb
 
 from torsioncert.charvar import Character, lift
-from torsioncert.freegroup import Alphabet, Word, fox_sweep
+from torsioncert.errors import AlphabetMismatch
+from torsioncert.freegroup import Alphabet, GroupRingElem, Word, fox_sweep
 from torsioncert.linalg import (Matrix, _finish, _new, block_assemble,
                                 product, running_mul, sweep_mul, sym_power,
                                 units)
@@ -103,6 +104,77 @@ def elimination_rank(rows):
         left = [[x - r[c] / top[c] * y for x, y in zip(r, top)]
                 for r in left]
     return found
+
+
+class RingElem(GroupRingElem):
+    """The integer group ring's arithmetic on ``GroupRingElem`` terms, the
+    reference algebra of the Fox-calculus tests; ``RingElem.of(e)`` reads
+    a package element, such as a ``fox_derivative``, into it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, e):
+        return cls(e.alphabet, e.terms)
+
+    @classmethod
+    def zero(cls, alphabet):
+        return cls(alphabet, {})
+
+    @classmethod
+    def one(cls, alphabet):
+        return cls(alphabet, {alphabet.identity(): 1})
+
+    @classmethod
+    def from_word(cls, w, coeff=1):
+        return cls(w.alphabet, {w: coeff})
+
+    def _check(self, other):
+        if not isinstance(other, GroupRingElem):
+            raise TypeError("expected a GroupRingElem, got %r" % (other,))
+        if other.alphabet != self.alphabet:
+            raise AlphabetMismatch(
+                "elements over %r and %r" % (self.alphabet, other.alphabet))
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            terms[w] = terms.get(w, 0) + c
+        return RingElem(self.alphabet, terms)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self + -RingElem.of(other)
+
+    def __neg__(self):
+        return RingElem(self.alphabet, {w: -c for w, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, GroupRingElem):
+            self._check(other)
+            terms = {}
+            for w1, c1 in self.terms.items():
+                for w2, c2 in other.terms.items():
+                    w = w1 * w2
+                    terms[w] = terms.get(w, 0) + c1 * c2
+            return RingElem(self.alphabet, terms)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        # scalars commute with the basis here, so left and right agree
+        return self.scale(other)
+
+    def scale(self, c):
+        return RingElem(self.alphabet,
+                        {w: c * cw for w, cw in self.terms.items()})
+
+    def augmentation(self):
+        """Sum of the coefficients (image under all-generators-to-1)."""
+        return sum(self.terms.values())
+
+    def is_zero(self):
+        return not self.terms
 
 
 def fox_formula_reference(m, images, words=None):

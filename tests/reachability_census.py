@@ -25,8 +25,7 @@ it, and the report names the rule:
   ``__setattr__`` immutability guards (operator methods such as
   ``__pow__`` are not kept by this rule);
 * typed-error guards, such as ``_mixed`` and ``_across_fields``;
-* docstring examples (``Word.inverse``) and the ``GroupRingElem``
-  arithmetic, the reference algebra of the Fox fundamental-formula test;
+* docstring examples (``Word.inverse``);
 * ``LaurentPoly.zero``, which ``parse_laurent`` calls;
 * ``Matrix.__neg__``, which the reference routes of ``tests/helpers.py``
   and the invariance tests take;
@@ -125,8 +124,6 @@ def keep_rule(qualname):
     """The rule that keeps an unreached function, or None."""
     if qualname in KEEP:
         return KEEP[qualname]
-    if qualname.startswith("freegroup.GroupRingElem."):
-        return "GroupRingElem arithmetic"
     if qualname.rsplit(".", 1)[-1] in DUNDERS:
         return "dunder"
     return None

@@ -120,7 +120,7 @@ def test_criterion_03_schottky_arithmetic():
     if det(rep.eval_ring_elem(elem)) != 0:
         failures.append("group ring determinant")
     for g in range(2):
-        if det(rep.image(g)) != 1:
+        if det(rep.images[g]) != 1:
             failures.append("det image %d" % g)
     _finish(3, "Schottky traces, commutator, and singular ring element",
             failures, t0, 1)

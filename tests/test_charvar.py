@@ -69,7 +69,7 @@ class TestLift:
             got_z = rep.eval_word(Word.from_string(XY, "xy")).trace()
             assert got_x == c.xbar and got_y == c.ybar and got_z == c.zbar
             for g in range(2):
-                assert det(rep.image(g)) == 1
+                assert det(rep.images[g]) == 1
 
     def test_double_root_character(self):
         # zbar^2 = 4 makes the eigenvalue equation degenerate; the lift
@@ -144,7 +144,7 @@ class TestLocusDet:
         for _ in range(15):
             c = rand_char(rng)
             rep = lift(c, warn=False)
-            alt = conjugated(rep, rep.image(1))
+            alt = conjugated(rep, rep.images[1])
             from torsioncert.suturedcert import fox_matrix
             d1 = det(fox_matrix(data, rep))
             d2 = det(fox_matrix(data, alt))

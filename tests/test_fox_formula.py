@@ -1,6 +1,7 @@
 """Fox's fundamental formula on numerators against the route it replaced.
 
-``linalg.fox_formula_row`` compares m . D1 with W - 1 row by row: on
+``linalg.fox_formula_row`` compares m . D1 with W - 1 row by row, D1 and
+W - 1 built by ``linalg.less_one`` and m . D1 one ``running_mul``: on
 numerators for exact kinds, and on a complex matrix's own rows against a
 tolerance read from the rows of [m | W - 1] and [D1; -1].  The reference,
 ``helpers.fox_formula_reference``, assembles those two matrices and
@@ -17,15 +18,17 @@ from fractions import Fraction
 
 import pytest
 
+from torsioncert import linalg as linalg_module
 from torsioncert import representation as representation_module
 from torsioncert.charvar import Character, lift
 from torsioncert.errors import ChainCondition
 from torsioncert.freegroup import Alphabet
-from torsioncert.linalg import Matrix, fox_formula_row
+from torsioncert.linalg import Matrix, fox_formula_row, less_one
 from torsioncert.representation import Representation, SymPowerRep
 from torsioncert.seeds import rng_for
 from torsioncert.suturedcert import (SuturedHandlebodyData, _relative_h1,
-                                     certify, fox_matrix, pants_example)
+                                     certify, fox_matrix, oracle_dims,
+                                     pants_example)
 
 from helpers import fox_formula_reference, lift_of_kind, random_word
 
@@ -71,14 +74,15 @@ def test_the_check_names_the_first_row_of_the_former_route(kind):
                                    for _ in alphabet.names])
                     honest = fox_matrix(data, rep)
                     words = [rep.eval_word(w) for w in data.images]
+                    d1, w1 = less_one(rep.images), less_one(words)
                     for step in steps:
                         m = honest if step == 0 else with_entry_moved(
                             rng, honest,
                             10.0 ** -rng.randint(0, 12) if step == "small"
                             else step)
                         want = fox_formula_reference(m, rep.images, words)
-                        assert fox_formula_row(m, rep.images, words) == want
-                        assert fox_formula_row(m, rep.images) == \
+                        assert fox_formula_row(m, d1, w1) == want
+                        assert fox_formula_row(m, d1) == \
                             fox_formula_reference(m, rep.images)
                         _assert_oracle_names(data, rep, m, want)
                         failed[step] += want is not None
@@ -111,9 +115,39 @@ def test_images_near_the_identity_keep_the_norm_of_the_rows_of_minus_one():
                              10.0 ** rng.uniform(-7, -5))
         words = [rep.eval_word(w) for w in data.images]
         want = fox_formula_reference(m, rep.images, words)
-        assert fox_formula_row(m, rep.images, words) == want
+        assert fox_formula_row(m, less_one(rep.images),
+                               less_one(words)) == want
         outcomes[want is None] += 1
     assert min(outcomes.values()) >= 10
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_oracle_builds_d1_and_w1_once_each(kind, monkeypatch):
+    # one certify with the oracle, and one oracle_dims, build D1 from the
+    # generator images and W - 1 from the surface words' images with one
+    # less_one each, and subtract no matrix; oracle_dims ranks the same two
+    data = pants_example()
+    rep = lift_of_kind(rng_for(97, 11), kind)
+    words = tuple(rep.eval_word(w) for w in data.images)
+    real_less_one, real_sub = linalg_module.less_one, Matrix.__sub__
+    built, subtracted = [], []
+
+    def counted_less_one(mats):
+        built.append(tuple(mats))
+        return real_less_one(mats)
+
+    def counted_sub(a, b):
+        subtracted.append((a, b))
+        return real_sub(a, b)
+
+    monkeypatch.setattr(linalg_module, "less_one", counted_less_one)
+    monkeypatch.setattr(Matrix, "__sub__", counted_sub)
+    for run in (lambda: certify(data, rep, with_oracle=True),
+                lambda: oracle_dims(data, rep)):
+        built.clear()
+        run()
+        assert built == [words, rep.images]
+        assert subtracted == []
 
 
 def _assert_oracle_names(data, rep, m, row):

@@ -29,10 +29,11 @@ from torsioncert.suturedcert import (SuturedHandlebodyData, certify,
                                      oracle_dims, pants_example)
 from torsioncert.twisted import Presentation, build_complex
 
-from helpers import (fox_matrix_reference, fox_terms, lift_of_kind,
-                     mat2_mul, minor_rank, perm_det, random_fraction,
-                     random_sl2, random_word, row_blocks, sym_power_oracle,
-                     sym_power_over_tuples, sym_power_rank_n)
+from helpers import (RingElem, fox_matrix_reference, fox_terms,
+                     lift_of_kind, mat2_mul, minor_rank, perm_det,
+                     random_fraction, random_sl2, random_word, row_blocks,
+                     sym_power_oracle, sym_power_over_tuples,
+                     sym_power_rank_n)
 
 XY = Alphabet("x y")
 XYZ = Alphabet("x y z")
@@ -237,22 +238,28 @@ def test_exact_products_take_no_identity_factor(kind, calls, with_identity,
     # C, where both word images start from the identity (``with_identity``
     # products take it).  SymPowerRep takes the sweeps' 4 products on its
     # base on every kind, none with the identity, and reads the oracle's
-    # word images off the image of x and the sweep of yxyXY
+    # word images off the image of x and the sweep of yxyXY.  The chain
+    # check's m . D1, 8 x 8 by 8 x 4, is the one product whose right
+    # factor is not square, and is counted apart
     base = lift_of_kind(rng_for(73, 60), kind)
     real = linalg_module.running_mul
     for rep, want in ((sym_power_rank_n(base, 4), (4, calls, with_identity)),
                       (SymPowerRep(base, 4), (2, 4, 0))):
         ones = {2: base.units[0], 4: rep.units[0]}
-        seen = []
+        seen, checks = [], []
 
         def counted(a, b):
-            seen.append((a.rows, ones[a.rows] in (a, b)))
+            if b.rows != b.cols:
+                checks.append((a.rows, a.cols, b.rows, b.cols))
+            else:
+                seen.append((a.rows, ones[a.rows] in (a, b)))
             return real(a, b)
 
         monkeypatch.setattr(linalg_module, "running_mul", counted)
         certify(pants_example(), rep, with_oracle=True)
         assert ({n for n, _ in seen}, len(seen), sum(i for _, i in seen)) \
             == ({want[0]}, *want[1:])
+        assert checks == [(8, 8, 8, 4)]
 
 
 @pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
@@ -267,7 +274,8 @@ def test_exact_sym_power_words_run_on_the_base(kind, N, with_oracle, powers,
     # in all.  Each one raises the base's image of a word, and Sym^N runs
     # once per word: the image of y is the first prefix of yxyXY's sweep,
     # yxyXY its last, and x the image of a one-letter word, 5 of 8.  The
-    # oracle takes no further product, and no N x N product is taken
+    # oracle takes one further product, its chain check's 2N x 2N by
+    # 2N x N m . D1, and no N x N product is taken
     data = pants_example()
     read = [p for w in data.images
             for _, _, p in fox_sweep(w, lambda l: (l,), (),
@@ -281,7 +289,7 @@ def test_exact_sym_power_words_run_on_the_base(kind, N, with_oracle, powers,
     real_sym = representation_module.sym_power
 
     def counted_mul(a, b):
-        products.append((a.rows, b.rows))
+        products.append((a.rows, b.rows, b.cols))
         return real_mul(a, b)
 
     def counted_sym(m, n):
@@ -292,7 +300,7 @@ def test_exact_sym_power_words_run_on_the_base(kind, N, with_oracle, powers,
     monkeypatch.setattr(representation_module, "sym_power", counted_sym)
     certify(data, rep, with_oracle=with_oracle)
     assert raised == [(2, N)] * len(set(read))
-    assert products == [(2, 2)] * 4
+    assert products == [(2, 2, 2)] * 4 + [(2 * N, 2 * N, N)] * with_oracle
 
 
 @pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
@@ -504,7 +512,7 @@ def test_the_empty_word_has_the_representations_kind():
     kinds = []
     for rep in unit_reps(rng):
         one = rep.eval_word(XY.identity())
-        unit = rep.eval_ring_elem(GroupRingElem.one(XY))
+        unit = rep.eval_ring_elem(RingElem.one(XY))
         for m in (one, unit):
             assert m.scalar_kind == rep.scalar_kind
             assert m == Matrix.identity(rep.n)
@@ -515,7 +523,7 @@ def test_the_empty_word_has_the_representations_kind():
 def test_the_zero_element_has_the_representations_kind():
     rng = rng_for(73, 56)
     for rep in unit_reps(rng):
-        zero = rep.eval_ring_elem(GroupRingElem.zero(XY))
+        zero = rep.eval_ring_elem(RingElem.zero(XY))
         assert zero.scalar_kind == rep.scalar_kind
         assert zero == Matrix([[0] * rep.n for _ in range(rep.n)])
         assert all(type(e) is type(rep.units[1][0, 0])

@@ -36,8 +36,8 @@ from torsioncert.scalar import ComplexF, QuadExt, to_complexf
 from torsioncert.seeds import rng_for
 from torsioncert.twisted import Presentation
 
-from helpers import (conjugated, float_bits, mat2_mul, random_sl2,
-                     random_word, two_bridge_relator)
+from helpers import (RingElem, conjugated, float_bits, mat2_mul,
+                     random_sl2, random_word, two_bridge_relator)
 
 XY = Alphabet("x y")
 AB = Alphabet("a b")
@@ -65,7 +65,7 @@ class TestRepresentation:
         rep = rand_rep(rng)
         imgs = {}
         for i in range(len(XY.names)):
-            m = rep.image(i)
+            m = rep.images[i]
             imgs[i + 1] = ((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1]))
             mi = rep.image_inverse(i)
             imgs[-(i + 1)] = ((mi[0, 0], mi[0, 1]), (mi[1, 0], mi[1, 1]))
@@ -81,10 +81,10 @@ class TestRepresentation:
         rng = rng_for(23, 2)
         rep = rand_rep(rng)
         for _ in range(20):
-            a = parse_ring_elem(XY, "1") - parse_ring_elem(XY, "x")
+            a = RingElem.of(parse_ring_elem(XY, "1")) - \
+                parse_ring_elem(XY, "x")
             w = random_word(rng, XY, 5)
-            from torsioncert.freegroup import GroupRingElem
-            b = GroupRingElem.from_word(w, rng.randint(-3, 3))
+            b = RingElem.from_word(w, rng.randint(-3, 3))
             assert rep.eval_ring_elem(a * b) == \
                 rep.eval_ring_elem(a) * rep.eval_ring_elem(b)
             assert rep.eval_ring_elem(a + b) == \
@@ -292,7 +292,7 @@ class TestSolveParabolic:
         rep = solve_parabolic(pres)
         assert rep.scalar_kind == "complex"
         # the off-diagonal parameter solves the Riley equation; trefoil: y = -1
-        b = rep.image(1)
+        b = rep.images[1]
         assert abs(complex(b[1, 0]) - (-1)) < 1e-8
         # images satisfy the relator
         r = rep.eval_word(pres.relators[0])
@@ -304,7 +304,7 @@ class TestSolveParabolic:
         pres = Presentation(AB, [Word.from_string(AB, "aBAbaBabAB")])
         rep0 = solve_parabolic(pres, which=0)
         rep1 = solve_parabolic(pres, which=1)
-        ys = sorted([complex(rep0.image(1)[1, 0]), complex(rep1.image(1)[1, 0])],
+        ys = sorted([complex(rep0.images[1][1, 0]), complex(rep1.images[1][1, 0])],
                     key=lambda c: c.imag)
         assert ys[0] == pytest.approx((1 - 1j * cmath.sqrt(3).real) / 2, abs=1e-8)
         assert ys[1] == pytest.approx((1 + 1j * cmath.sqrt(3).real) / 2, abs=1e-8)
@@ -347,7 +347,7 @@ class TestSerialization:
         text = rep_to_text(rep)
         back = rep_from_text(text)
         assert back.alphabet == rep.alphabet
-        assert all(back.image(i) == rep.image(i) for i in range(2))
+        assert all(back.images[i] == rep.images[i] for i in range(2))
         assert back.sl_flag == rep.sl_flag
         assert rep_to_text(back) == text
 

@@ -280,7 +280,7 @@ class TestComplexF:
         a = ComplexF(2.0, -1.0)
         assert conjugate(a) == complex(2, 1)
         rep = lift(Character(1.0, 1.0, ComplexF(3.0, -1.0)), warn=False)
-        (_, minus_u), (u_inverse, _) = rep.image(1).entries
+        (_, minus_u), (u_inverse, _) = rep.images[1].entries
         assert -minus_u * u_inverse == pytest.approx(1 + 0j)
         # u = 0 here: the lift raises the typed error, not ZeroDivisionError
         with pytest.raises(DivisionByZero):
@@ -403,7 +403,7 @@ class TestComplexFMatchesFormerArithmetic:
         for _ in range(200):
             z = ComplexF(rng.uniform(-6.0, 6.0), rng.uniform(-3.0, 3.0))
             rep = lift(Character(ComplexF(1.0), ComplexF(1.0), z), warn=False)
-            (_, minus_u), (u_inverse, _) = rep.image(1).entries
+            (_, minus_u), (u_inverse, _) = rep.images[1].entries
             u = -minus_u
             assert _bits(u_inverse) == _bits(_OldComplexF(u).inverse())
             smith_differs += _bits(1 / u) != _bits(u_inverse)

@@ -156,7 +156,7 @@ class TestOracle:
             ambient = d2.submatrix(range(d2.rows), range(kn))
             fox = fox_matrix(data, rep)
             assert _reprs(ambient) == _reprs(fox)
-            rel_h1, edges = _relative_h1(data, rep, fox)
+            rel_h1, *edges = _relative_h1(data, rep, fox)
             assert _reprs(_column(edges)) == _reprs(d1)
             assert rel_h1 == kn - ambient.rank()
             _assert_certify_reads(data, rep, rel_h1)
