@@ -151,30 +151,17 @@ class RingElem(GroupRingElem):
         return RingElem(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, GroupRingElem):
-            self._check(other)
-            terms = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 * w2
-                    terms[w] = terms.get(w, 0) + c1 * c2
-            return RingElem(self.alphabet, terms)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with the basis here, so left and right agree
-        return self.scale(other)
-
-    def scale(self, c):
-        return RingElem(self.alphabet,
-                        {w: c * cw for w, cw in self.terms.items()})
+        self._check(other)
+        terms = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = w1 * w2
+                terms[w] = terms.get(w, 0) + c1 * c2
+        return RingElem(self.alphabet, terms)
 
     def augmentation(self):
         """Sum of the coefficients (image under all-generators-to-1)."""
         return sum(self.terms.values())
-
-    def is_zero(self):
-        return not self.terms
 
 
 def fox_formula_reference(m, images, words=None):
