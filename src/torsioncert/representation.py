@@ -116,16 +116,16 @@ class Representation:
     def fox_matrix(self, words):
         """The Fox matrix of ``words``: block (i, j) is the image of the
         derivative of words[i] by generator j, the signed prefix products
-        of :meth:`_fox_terms` added into one grid
+        of :meth:`fox_terms` added into one grid
         (``linalg.signed_blocks``)."""
-        return _la.signed_blocks(self._fox_terms(words), len(words),
+        return _la.signed_blocks(self.fox_terms(words), len(words),
                                  len(self.alphabet), self.n, self.field)
 
-    def _fox_terms(self, words):
-        """The terms (i, j, sign, P) of the Fox derivatives of ``words``:
-        each word's :func:`fox_sweep`, which starts from None, the
-        identity, so that no product takes it as a factor
-        (``linalg.sweep_mul``)."""
+    def fox_terms(self, words):
+        """The terms (i, j, sign, P) of the Fox derivatives of ``words``,
+        which ``fox_matrix`` and ``twisted.twisted_fox_row`` sum: each
+        word's :func:`fox_sweep`, which starts from None, the identity, so
+        that no product takes it as a factor (``linalg.sweep_mul``)."""
         terms = []
         for i, w in enumerate(words):
             self._check_word(w)
@@ -167,8 +167,8 @@ class SymPowerRep(Representation):
     Sym^N is a ring homomorphism GL2 -> GLN, so every matrix is one
     :func:`sym_power` of a 2 x 2 matrix of the base, over every kind: a
     word is evaluated on the base (``eval_word``), and so are the prefix
-    products of the Fox sweeps (``fox_matrix``), each raised to Sym^N on
-    its own before the signed sums.  Each such 2 x 2 matrix is the product
+    products of the Fox sweeps (``fox_terms``), each raised to Sym^N on
+    its own before any sum.  Each such 2 x 2 matrix is the product
     of the base's letter images along a word, from its first letter's, so
     its Sym^N is raised once per word and kept: an image, the first prefix
     of a sweep and a one-letter word share one, and so do a word and the
@@ -212,9 +212,9 @@ class SymPowerRep(Representation):
         return self._raise(letters, _la.product(map(image, letters[1:]),
                                                 image(letters[0])))
 
-    def _fox_terms(self, words):
+    def fox_terms(self, words):
         # the base's terms, each prefix raised as the image of its word
-        terms = self.base._fox_terms(words)
+        terms = self.base.fox_terms(words)
         prefixes = [p for w in words
                     for _, _, p in fox_sweep(w, lambda l: (l,), (), add)]
         return [(i, j, sign, p if p is None else self._raise(k, p))

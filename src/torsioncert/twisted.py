@@ -4,9 +4,10 @@ representation and a homomorphism to the infinite cyclic group.
 The chain groups come from a one-vertex CW structure: one 0-cell, an edge
 per generator, a face per relator.  Boundary matrices are Fox-derivative
 blocks pushed through t^phi . alpha, acting on row vectors from the left;
-each relator's blocks come from one prefix sweep (``freegroup.fox_sweep``)
-whose ring elements are monomials t^phi(p) alpha(p).  The scalar complex
-checks d2 . d1 = 0 with one zero test for every kind.
+each relator's blocks sum the representation's Fox terms alpha(p)
+(``Representation.fox_terms``) at t^phi(p), read off a second prefix sweep
+(``freegroup.fox_sweep``) over the letters' phi-weights.  The scalar
+complex checks d2 . d1 = 0 with one zero test for every kind.
 From the deficiency-1 case we extract the torsion polynomial ratio whose
 degree bounds the complexity of spanning surfaces, and the genus check
 comparing that degree against 4g - 2.
@@ -16,6 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
+from operator import add
 
 from . import linalg as _la
 from . import scalar as _s
@@ -151,30 +153,23 @@ def trivial_rep(alphabet, n=1):
 
 # twisted evaluation: words and Fox derivatives through t^phi . alpha
 
-def _monomial_mul(a, b):
-    # (alpha(p), phi(p)) pairs multiply as t^phi alpha does
-    return a[0] * b[0], a[1] + b[1]
-
-
 def twisted_fox_row(w, rep, twist):
     """The Fox derivatives of w by each generator through the composite of
-    t^phi and alpha: a list of n x n grids of Laurent polynomials."""
-    n = rep.n
-
-    def image(l):
-        weight = twist.exponents[abs(l) - 1]
-        return rep.letter_image(l), weight if l > 0 else -weight
+    t^phi and alpha: a list of n x n grids of Laurent polynomials, which
+    sum the terms of ``rep.fox_terms``, None the identity, each at the
+    t-exponent of its prefix."""
+    n, one, weights = rep.n, rep.units[0], twist.exponents
+    shifts = fox_sweep(w, lambda l: weights[l - 1] if l > 0
+                       else -weights[-l - 1], 0, add)
 
     # each entry's coefficients are summed in a plain dict by the rules of
     # LaurentPoly.__add__: a float sum is checked finite, a new exponent
-    # takes the term itself and a sum that cancels is dropped; a term is
-    # +-1 times an entry of a Matrix product, already checked finite
+    # takes the term itself and a sum that cancels is dropped; a term left
+    # as it is, an entry of an unchecked running product, is checked by _lp
     sums = [[[{} for _ in range(n)] for _ in range(n)]
             for _ in rep.alphabet.names]
-    for j, sign, (m, shift) in fox_sweep(w, image, (rep.units[0], 0),
-                                         _monomial_mul):
-        grid = sums[j]
-        for acc_row, row in zip(grid, m.entries):
+    for (_, j, sign, m), (_, _, shift) in zip(rep.fox_terms([w]), shifts):
+        for acc_row, row in zip(sums[j], (one if m is None else m).entries):
             for acc, e in zip(acc_row, row):
                 c = e * sign
                 if not c:

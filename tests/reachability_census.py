@@ -29,9 +29,12 @@ it, and the report names the rule:
 * ``LaurentPoly.zero``, which ``parse_laurent`` calls;
 * ``Matrix.__neg__``, which the reference routes of ``tests/helpers.py``
   and the invariance tests take;
-* ``SymPowerRep.image_inverse``, Sym^N of the base's inverse, which
-  ``letter_image`` reads for an inverse letter, as ``twisted_fox_row``
-  does in the Sym^N torsion of ``tests/test_census.py``;
+* ``SymPowerRep.image_inverse``, Sym^N of the base's inverse: no package
+  path reads it, since every word and Fox prefix of a symmetric power is
+  evaluated on its base, but it keeps ``letter_image`` right for an
+  inverse letter, and ``test_float_inverse_images_keep_gauss_jordan`` and
+  ``test_complex_sym_power_rep_is_the_rank_n_route_within_rounding`` pin
+  its bits as Sym^N of the base's inverse;
 * the functions ``bench/spans.py`` wraps by name (``fox_derivative``,
   ``resultant_in_u``, ``build_complex``, ``homology_dims``); they leave
   only in a change to the benchmark.
@@ -83,7 +86,8 @@ KEEP = {
     "freegroup.Word.inverse": "docstring example",
     "polynomial.LaurentPoly.zero": "parse_laurent calls it",
     "linalg.Matrix.__neg__": "tests/helpers.py's reference routes negate",
-    "representation.SymPowerRep.image_inverse": "letter_image reads it",
+    "representation.SymPowerRep.image_inverse":
+        "tests pin it as Sym^N of the base's inverse",
     "freegroup.fox_derivative": "bench/spans.py wraps it",
     "polynomial.resultant_in_u": "bench/spans.py wraps it",
     "twisted.build_complex": "bench/spans.py wraps it",

@@ -77,8 +77,9 @@ def test_sym_power_torsion_meets_the_friedl_kim_bound():
     # irreducible root: deg T = N (2g - 1), Friedl and Kim's bound
     # (Topology 45, 2006) met with equality.  At N = 3 every one of the
     # 320 knot-root pairs returns and meets it.  At N = 4 every pair that
-    # returns meets it; the float route raises on the others, which are
-    # counted apart and pinned, never passed
+    # returns meets it, 316 with each Fox prefix taken on the rank-2 base
+    # and raised to Sym^N once; the float route raises on the others,
+    # which are counted apart and pinned, never passed
     degrees = {3: [], 4: []}
     raised = []
     for p, q in CENSUS:
@@ -98,6 +99,6 @@ def test_sym_power_torsion_meets_the_friedl_kim_bound():
                 degrees[N].append((result.degree, N * (2 * genus - 1)))
     assert len(degrees[3]) == 320
     assert all(got == want for got, want in degrees[3] + degrees[4])
-    assert (len(degrees[4]), len(raised)) == (314, 6)
+    assert (len(degrees[4]), len(raised)) == (316, 4)
     assert sorted({(N, name) for *_, N, name in raised}) \
         == [(4, "OracleMismatch")]

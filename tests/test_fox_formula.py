@@ -21,7 +21,8 @@ import pytest
 from torsioncert import linalg as linalg_module
 from torsioncert import representation as representation_module
 from torsioncert.charvar import Character, lift
-from torsioncert.errors import ChainCondition
+from torsioncert.errors import (ChainCondition, DimensionMismatch,
+                               MixedScalarKind)
 from torsioncert.freegroup import Alphabet
 from torsioncert.linalg import Matrix, fox_formula_row, less_one
 from torsioncert.representation import Representation, SymPowerRep
@@ -119,6 +120,48 @@ def test_images_near_the_identity_keep_the_norm_of_the_rows_of_minus_one():
                                less_one(words)) == want
         outcomes[want is None] += 1
     assert min(outcomes.values()) >= 10
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocks_of_the_wrong_shape_are_a_dimension_mismatch(kind):
+    # pants: m is 4 x 4 in 2 x 2 blocks, D1 4 x 2 and W - 1 4 x 2.  A D1
+    # or a W - 1 with a block too few or too many raises before the
+    # product, which would otherwise zip rows of unequal length
+    rep = lift_of_kind(rng_for(97, 11), kind)
+    data = pants_example()
+    m = fox_matrix(data, rep)
+    words = [rep.eval_word(w) for w in data.images]
+    d1, w1 = less_one(rep.images), less_one(words)
+    assert fox_formula_row(m, d1, w1) is None
+    for bad_d1, bad_w1 in ((less_one(rep.images[:1]), w1),
+                           (less_one(rep.images * 2), None),
+                           (d1, less_one(words[:1])),
+                           (d1, less_one(words * 2))):
+        with pytest.raises(DimensionMismatch,
+                           match="Fox formula on a 4x4 matrix"):
+            fox_formula_row(m, bad_d1, bad_w1)
+
+
+@pytest.mark.parametrize("kind, other", [("integer", "complex"),
+                                         ("rational", "quadext"),
+                                         ("quadext", "complex"),
+                                         ("complex", "rational")])
+def test_operands_over_two_fields_are_mixed_scalar_kinds(kind, other):
+    # a D1 or a W - 1 over another field than m's, of the right shape
+    data = pants_example()
+    rep = lift_of_kind(rng_for(97, 12), kind)
+    alien = lift_of_kind(rng_for(97, 13), other)
+    assert alien.field != rep.field
+    m = fox_matrix(data, rep)
+    d1 = less_one(rep.images)
+    w1 = less_one([rep.eval_word(w) for w in data.images])
+    alien_w1 = less_one([alien.eval_word(w) for w in data.images])
+    for bad_d1, bad_w1 in ((less_one(alien.images), None),
+                           (less_one(alien.images), w1),
+                           (d1, alien_w1)):
+        with pytest.raises(MixedScalarKind,
+                           match="Fox formula over two fields"):
+            fox_formula_row(m, bad_d1, bad_w1)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -222,21 +222,18 @@ def test_twisted_blocks_equal_evaluated_derivatives():
 
 
 def laurent_sum_row(w, rep, twist):
-    # twisted_fox_row as it was before its dict sums: every term is added
-    # to its entry as a LaurentPoly
+    # twisted_fox_row as it was before its dict sums: every term of the
+    # representation's Fox terms is added to its entry as a LaurentPoly,
+    # at the t-exponent of its prefix
     n = rep.n
-
-    def image(l):
-        weight = twist.exponents[abs(l) - 1]
-        return rep.letter_image(l), weight if l > 0 else -weight
-
+    weights = twist.exponents
+    shifts = fox_sweep(w, lambda l: weights[abs(l) - 1] if l > 0
+                       else -weights[abs(l) - 1], 0, operator.add)
     blocks = [[[LaurentPoly.zero()] * n for _ in range(n)]
               for _ in rep.alphabet.names]
-    for j, sign, (m, shift) in fox_sweep(w, image, (rep.units[0], 0),
-                                         lambda a, b: (a[0] * b[0],
-                                                       a[1] + b[1])):
+    for (_, j, sign, m), (_, _, shift) in zip(rep.fox_terms([w]), shifts):
         grid = blocks[j]
-        for i, row in enumerate(m.entries):
+        for i, row in enumerate((rep.units[0] if m is None else m).entries):
             for l, e in enumerate(row):
                 grid[i][l] = grid[i][l] + LaurentPoly({shift: e * sign})
     return blocks

@@ -27,7 +27,8 @@ from torsioncert.scalar import ComplexF, QuadExt
 from torsioncert.seeds import rng_for
 from torsioncert.suturedcert import (SuturedHandlebodyData, certify,
                                      oracle_dims, pants_example)
-from torsioncert.twisted import Presentation, build_complex
+from torsioncert.twisted import (AbelianizationMap, Presentation,
+                                 build_complex, twisted_fox_row)
 
 from helpers import (RingElem, fox_matrix_reference, fox_terms,
                      lift_of_kind, mat2_mul, minor_rank, perm_det,
@@ -301,6 +302,71 @@ def test_exact_sym_power_words_run_on_the_base(kind, N, with_oracle, powers,
     certify(data, rep, with_oracle=with_oracle)
     assert raised == [(2, N)] * len(set(read))
     assert products == [(2, 2, 2)] * 4 + [(2 * N, 2 * N, N)] * with_oracle
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
+                                  "complex"])
+def test_twisted_fox_rows_take_no_identity_factor(kind, monkeypatch):
+    # d(yxyXY)/dx and d(yxyXY)/dy through t^phi: the representation's Fox
+    # sweep starts from None, the identity, and its prefix y is the image
+    # itself, so the 4 products y.x, yx.y, yxy.X and yxyX.Y take no
+    # identity as their left factor, on the base, on the rank-N route of
+    # Sym^3 and, on the base, for SymPowerRep
+    base = lift_of_kind(rng_for(73, 62), kind)
+    w, twist = XY.word("yxyXY"), AbelianizationMap((1, -1))
+    real = linalg_module.running_mul
+    for rep, n in ((base, 2), (sym_power_rank_n(base, 3), 3),
+                   (SymPowerRep(base, 3), 2)):
+        ones = {2: base.units[0], 3: rep.units[0]}
+        seen = []
+
+        def counted(a, b):
+            seen.append((a.rows, b.rows, a == ones[a.rows]))
+            return real(a, b)
+
+        monkeypatch.setattr(linalg_module, "running_mul", counted)
+        twisted_fox_row(w, rep, twist)
+        assert seen == [(n, n, False)] * 4
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "quadext",
+                                  "complex"])
+@pytest.mark.parametrize("N", [3, 4, 6])
+def test_sym_power_twisted_rows_run_on_the_base(kind, N, monkeypatch):
+    # Sym^N torsion: twisted_fox_row takes the 4 products of yxyXY's sweep
+    # on the rank-2 base and raises its 4 terms' prefixes y, yx, yxyX and
+    # yxyXY to Sym^N once each; the prefix yxy is no term's and is not
+    # raised.  fox_matrix sweeps the base again and eval_word reads the
+    # last prefix; both read the same raised matrices, and no N x N
+    # product is taken.  Over exact kinds the rows are those of
+    # the rank-N route, whose products are N x N
+    base = lift_of_kind(rng_for(73, 63), kind)
+    w, twist = XY.word("yxyXY"), AbelianizationMap((1, -1))
+    rep = SymPowerRep(base, N)
+    products, raised = [], []
+    real_mul = linalg_module.running_mul
+    real_sym = representation_module.sym_power
+
+    def counted_mul(a, b):
+        products.append((a.rows, b.rows, b.cols))
+        return real_mul(a, b)
+
+    def counted_sym(m, n):
+        raised.append((m.rows, n))
+        return real_sym(m, n)
+
+    monkeypatch.setattr(linalg_module, "running_mul", counted_mul)
+    monkeypatch.setattr(representation_module, "sym_power", counted_sym)
+    row = twisted_fox_row(w, rep, twist)
+    assert products == [(2, 2, 2)] * 4
+    assert raised == [(2, N)] * 4
+    rep.fox_matrix([w])
+    rep.eval_word(w)
+    assert products == [(2, 2, 2)] * 8
+    assert raised == [(2, N)] * 4
+    monkeypatch.undo()
+    if kind != "complex":
+        assert row == twisted_fox_row(w, sym_power_rank_n(base, N), twist)
 
 
 @pytest.mark.parametrize("kind", ["integer", "rational", "quadext",

@@ -8,7 +8,7 @@ import pytest
 
 from torsioncert.errors import (DivisionByZero, InexactDivision,
                                 MixedScalarKind, NonFinite, ParseError,
-                                TorsionCertError)
+                                TorsionCertError, ZeroDenominator)
 from torsioncert.polynomial import (
     _newton_run,
     LaurentPoly,
@@ -148,6 +148,14 @@ class TestLaurentPoly:
         den = parse_laurent("1 - 2*t + t^2")
         assert rational_degree(num, den) == 2
         assert rational_degree(parse_laurent("3"), parse_laurent("t - 1")) == -1
+
+    @pytest.mark.parametrize("num", ["0", "t^-2 + t^2", "(1.5+2i)*t"])
+    def test_rational_degree_of_a_zero_denominator(self, num):
+        # the zero numerator's sentinel does not pass a zero denominator
+        with pytest.raises(ZeroDenominator,
+                           match="torsion denominator is the zero polynomial"):
+            rational_degree(parse_laurent(num, kind="complex"),
+                            LaurentPoly.zero())
 
 
 class TestLaurentGuards:
