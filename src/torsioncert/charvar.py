@@ -11,7 +11,8 @@ extension variable symbolically for N = 2, and verifies the printed
 N = 3, 4 surfaces by sampling.  The symbolic N = 2 certificate matrix
 comes from the same prefix sweep as every other Fox Jacobian
 (``freegroup.fox_sweep``), run over 2 x 2 grids of polynomials reduced
-modulo u^2 - z u + 1.
+modulo u^2 - z u + 1; the identity grid is a term of the sweep and never
+a factor of its products.
 """
 
 import cmath
@@ -206,8 +207,8 @@ def sym_fox_grid(data):
     ring, as a 4 x 4 grid of polynomials."""
     grid = [[_ZERO_P] * 4 for _ in range(4)]
     for i, w in enumerate(data.images):
-        for j, sign, p in fox_sweep(w, _SYM_TABLE.__getitem__, _SYM_ONE,
-                                    _sym_mul):
+        for j, sign, _, p in fox_sweep(w, _SYM_TABLE.__getitem__, _SYM_ONE,
+                                       _sym_mul):
             for bi in range(2):
                 for bj in range(2):
                     grid[2 * i + bi][2 * j + bj] += p[bi][bj].scale(sign)

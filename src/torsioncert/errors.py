@@ -32,7 +32,7 @@ class AlphabetMismatch(TorsionCertError, ValueError):
 # linalg
 
 class NotSquare(TorsionCertError, ValueError):
-    """Determinant of a non-square matrix."""
+    """Determinant of a non-square matrix or polynomial grid."""
 
 
 class DimensionMismatch(TorsionCertError, ValueError):

@@ -13,17 +13,18 @@ The Fox derivative d/dg is the Z-linear map on the group ring fixed by
 together with the product rule d(uv)/dg = du/dg + u * dv/dg.
 
 Pushed through a multiplicative map Phi, the derivatives of a word
-w = l_1 ... l_m come out of one left-to-right pass.  With P_i the image of
-the prefix of length i (P_0 the identity),
+w = l_1 ... l_m come out of one left-to-right pass.  With P_k the image of
+the prefix of length k (P_0 the identity),
 
-    Phi(dw/dx_j) = sum of P_(i-1) over positions with l_i = x_j
-                   - sum of P_i over positions with l_i = x_j^-1,
+    Phi(dw/dx_j) = sum of P_(k-1) over positions with l_k = x_j
+                   - sum of P_k over positions with l_k = x_j^-1,
 
-so :func:`fox_sweep` yields one signed prefix image per letter at the cost
-of one product per letter, for any ring the caller multiplies in; a
-positive last letter costs none, since P_m is read only when l_m is an
-inverse.  Over words themselves it gives the group-ring derivative,
-:func:`fox_derivative`.
+so :func:`fox_sweep` yields one signed prefix image per letter, with the
+length k of its prefix, at the cost of one product per letter after the
+first: P_1 is the first letter's image itself, and a positive last letter
+costs none, since P_m is read only when l_m is an inverse.  The identity
+is a term and never a factor.  Over words themselves the sweep gives the
+group-ring derivative, :func:`fox_derivative`.
 
 :func:`read_sections` is the one reader of the ``key: value`` data files
 (``.pres``, ``.sut``, ``.rep``) whose parsers build on these words.
@@ -318,22 +319,24 @@ def parse_at(parse, ln, text):
 
 
 def fox_sweep(w, image, one, mul):
-    """The terms ``(j, sign, P)`` of every evaluated Fox derivative of
-    ``w``, one per letter in word order, as in the module docstring.
+    """The terms ``(j, sign, k, P)`` of every evaluated Fox derivative of
+    ``w``, one per letter in word order, as in the module docstring: P is
+    the image of the prefix of ``w`` of length k.
 
     ``image(l)`` is the image of the signed letter ``l``, ``one`` that of
-    the identity, and ``mul`` the product of the ring.
+    the identity, which is yielded but never multiplied, and ``mul`` the
+    product of the ring.
     """
     prefix = one
     last = len(w.letters) - 1
     for k, l in enumerate(w.letters):
         if l > 0:
-            yield l - 1, 1, prefix
-            if k < last:
-                prefix = mul(prefix, image(l))
-        else:
-            prefix = mul(prefix, image(l))
-            yield -l - 1, -1, prefix
+            yield l - 1, 1, k, prefix
+            if k == last:
+                return
+        prefix = mul(prefix, image(l)) if k else image(l)
+        if l < 0:
+            yield -l - 1, -1, k + 1, prefix
 
 
 def fox_derivative(w, j):
@@ -348,7 +351,7 @@ def fox_derivative(w, j):
     """
     alphabet = w.alphabet
     terms = {}
-    for i, sign, prefix in fox_sweep(
+    for i, sign, _, prefix in fox_sweep(
             w, lambda l: Word(alphabet, (l,), _reduced=True),
             alphabet.identity(), Word.__mul__):
         if i == j:

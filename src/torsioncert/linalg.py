@@ -10,11 +10,12 @@ storage, and ``entries`` is built from it only when read.  Complex
 arithmetic performs the entries' own float operations in their order, and
 its results are checked finite once (``NonFinite``);
 running products (``running_mul``) are reduced or checked only where
-``product`` keeps them, or ``signed_blocks`` adds them into one grid of
-blocks.  The chain check of Fox's fundamental formula
-(``fox_formula_row``) is one more running product: the Fox matrix times
-the column of blocks rho(x_j) - 1 that ``less_one`` builds, compared with
-the column of the words' rho(w_i) - 1.
+``product`` keeps them, or ``signed_blocks`` adds the Fox terms they are,
+and the identity among them, into one grid of blocks.  The chain check of
+Fox's fundamental formula (``fox_formula_row``) is one more running
+product: the Fox matrix times the column of blocks rho(x_j) - 1 that
+``less_one`` builds, the one builder of b - 1, compared with the column
+of the words' rho(w_i) - 1.
 
 Exact determinants and ranks share one Bareiss single-step fraction-free
 row echelon (Bareiss, *Math. Comp.* 22, 1968) over Z, or over Z[sqrt d] on
@@ -339,28 +340,19 @@ def product(factors, start):
     return _finish(reduce(running_mul, factors, start))
 
 
-def sweep_mul(a, b):
-    """:func:`running_mul` with None for the identity, as
-    :func:`signed_blocks` reads it: 1 . b is b without a product."""
-    return b if a is None else running_mul(a, b)
-
-
 def signed_blocks(terms, rows, cols, n, field):
     """The rows x cols grid of n x n blocks over ``field`` whose block
-    (i, j) sums sign * m over the terms ``(i, j, sign, m)`` in order, m
-    None the identity: exact terms over the lcm of all their denominators,
-    reduced once; complex ones as ``a + sign * x`` from 0j, checked finite
-    once, and a non-finite entry named from the first block, in (i, j)
-    order, that holds one."""
-    den = math.lcm(*[m._denom for *_, m in terms if m is not None])
+    (i, j) sums sign * m over the Fox terms ``(i, j, sign, k, m)`` in
+    order (``Representation.fox_terms``), an identity term like any other:
+    exact terms over the lcm of all their denominators, reduced once;
+    complex ones as ``a + sign * x`` from 0j, checked finite once, and a
+    non-finite entry named from the first block, in (i, j) order, that
+    holds one."""
+    den = math.lcm(*[m._denom for *_, m in terms])
     zero = 0j if field == "complex" else 0
     parts = [[[zero] * (cols * n) for _ in range(rows * n)]
              for _ in range(1 + (type(field) is int))]
-    for i, j, sign, m in terms:
-        if m is None:
-            for r in range(n):
-                parts[0][i * n + r][j * n + r] += sign * den
-            continue
+    for i, j, sign, _, m in terms:
         f, lo, hi = sign * (den // m._denom), j * n, j * n + n
         for grid, block in zip(parts, m._parts):
             for row, r in zip(grid[i * n:i * n + n], block):
@@ -582,15 +574,11 @@ def _ratio(num, den):
 
 
 def less_one(mats):
-    """The column of blocks b - 1 for the square ``mats``, over one field:
-    exact ones on numerators over the lcm of their denominators, reduced
-    once; complex ones on their own rows as x - (i == j), the bits of
-    ``Matrix`` subtraction."""
+    """The column of blocks b - 1 for the square ``mats``, over one field,
+    on numerators over the lcm of their denominators, reduced or checked
+    finite once: complex rows, over 1, get the bits of ``Matrix``
+    subtraction, x - (i == j)."""
     field, n = mats[0].field, mats[0].rows
-    if field == "complex":
-        return _new(field, ([[x - (i == j) for j, x in enumerate(r)]
-                             for b in mats
-                             for i, r in enumerate(b._parts[0])],))
     den = math.lcm(*[b._denom for b in mats])
     parts = [[] for _ in mats[0]._parts]
     for b in mats:

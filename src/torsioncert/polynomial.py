@@ -43,7 +43,7 @@ from math import gcd as _int_gcd, lcm as _lcm, pi as _PI
 
 from . import scalar as _s
 from .errors import (DegenerateInput, DivisionByZero, InexactDivision,
-                     MixedScalarKind, ParseError, ZeroDenominator)
+                     MixedScalarKind, NotSquare, ParseError, ZeroDenominator)
 
 NEG_INFINITY = float("-inf")
 
@@ -286,7 +286,9 @@ def poly_matrix_det(rows):
     at deficiency-one desk scale.
     """
     n = len(rows)
-    assert all(len(r) == n for r in rows), "determinant needs a square grid"
+    if any(len(r) != n for r in rows):
+        raise NotSquare("determinant of a grid of %d rows, not all of %d "
+                        "entries" % (n, n))
     if n == 0:
         raise ValueError("empty matrix")
     # each row's nonzero entries with their column and column bit

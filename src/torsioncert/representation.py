@@ -8,17 +8,18 @@ each generator of an alphabet.  ``sl_flag`` asserts determinant-1 images,
 which is checked at construction, except where it follows from images
 already checked: symmetric powers.  Words are products of ``Matrix``
 objects, which keep their own numerators (``linalg.running_mul``,
-``linalg.product``), and a Fox matrix their signed sums, added into one
-grid (``linalg.signed_blocks``).  A symmetric power of every kind takes
-those products on its rank-2 base and raises each one to Sym^N
-(``linalg.sym_power``) once; it builds its own images and inverse images
-only when they are read.
+``linalg.product``).  One Fox sweep per word (``fox_terms``) gives every
+Fox term with the length of its prefix, the identity a term and never a
+factor, and a Fox matrix is their signed sums, added into one grid
+(``linalg.signed_blocks``).  A symmetric power of every kind takes those
+products on its rank-2 base and raises each one to Sym^N
+(``linalg.sym_power``) once, keyed by its prefix; it builds its own images
+and inverse images only when they are read.
 """
 
 import string
 from functools import cached_property
 from itertools import product
-from operator import add
 
 from . import linalg as _la
 from . import scalar as _s
@@ -122,15 +123,16 @@ class Representation:
                                  len(self.alphabet), self.n, self.field)
 
     def fox_terms(self, words):
-        """The terms (i, j, sign, P) of the Fox derivatives of ``words``,
+        """The terms (i, j, sign, k, P) of the Fox derivatives of ``words``,
         which ``fox_matrix`` and ``twisted.twisted_fox_row`` sum: each
-        word's :func:`fox_sweep`, which starts from None, the identity, so
-        that no product takes it as a factor (``linalg.sweep_mul``)."""
+        word's :func:`fox_sweep`, P the image of the prefix of words[i] of
+        length k, an unreduced running product (``linalg.running_mul``)
+        or the identity, which no product takes as a factor."""
         terms = []
         for i, w in enumerate(words):
             self._check_word(w)
-            terms += [(i, j, sign, p) for j, sign, p in
-                      fox_sweep(w, self.letter_image, None, _la.sweep_mul)]
+            terms += [(i, *t) for t in fox_sweep(
+                w, self.letter_image, self.units[0], _la.running_mul)]
         return terms
 
     def eval_ring_elem(self, e):
@@ -170,9 +172,11 @@ class SymPowerRep(Representation):
     products of the Fox sweeps (``fox_terms``), each raised to Sym^N on
     its own before any sum.  Each such 2 x 2 matrix is the product
     of the base's letter images along a word, from its first letter's, so
-    its Sym^N is raised once per word and kept: an image, the first prefix
-    of a sweep and a one-letter word share one, and so do a word and the
-    last prefix of its sweep.  The images and inverse images
+    its Sym^N is raised once per word and kept, keyed by the word's letters
+    (a Fox term's prefix ``words[i].letters[:k]``): an image, the first
+    prefix of a sweep and a one-letter word share one, and so do a word
+    and the last prefix of its sweep.  The empty word's is the identity
+    from the start.  The images and inverse images
     (Sym(A)^-1 = Sym(A^-1)) are built on first use.  They are not checked:
     det Sym(A) = det(A)^(N(N-1)/2), so the base's check covers them.  N and
     the base's rank are checked at once.
@@ -186,7 +190,7 @@ class SymPowerRep(Representation):
         self.base = base
         self.N = N
         self._store(base.alphabet, N, base.field, base.sl_flag)
-        self._raised = {}
+        self._raised = {(): self.units[0]}
 
     def _raise(self, letters, m):
         """Sym^N of m, the base's image of the word ``letters``, once."""
@@ -206,19 +210,16 @@ class SymPowerRep(Representation):
     def eval_word(self, w):
         self._check_word(w)
         letters = w.letters
-        if not letters or letters in self._raised:
-            return self._raised.get(letters, self.units[0])
+        if letters in self._raised:
+            return self._raised[letters]
         image = self.base.letter_image
         return self._raise(letters, _la.product(map(image, letters[1:]),
                                                 image(letters[0])))
 
     def fox_terms(self, words):
         # the base's terms, each prefix raised as the image of its word
-        terms = self.base.fox_terms(words)
-        prefixes = [p for w in words
-                    for _, _, p in fox_sweep(w, lambda l: (l,), (), add)]
-        return [(i, j, sign, p if p is None else self._raise(k, p))
-                for (i, j, sign, p), k in zip(terms, prefixes)]
+        return [(i, j, sign, k, self._raise(words[i].letters[:k], p))
+                for i, j, sign, k, p in self.base.fox_terms(words)]
 
     def description(self):
         return "symmetric power N=%d of %s" % (self.N, self.base.description())
@@ -232,7 +233,7 @@ def circle_homology(m):
     """
     if not isinstance(m, Matrix) or m.rows != m.cols:
         raise ValueError("need a square matrix")
-    r = (m - Matrix.identity(m.rows)).rank()
+    r = _la.less_one([m]).rank()
     return (m.rows - r, m.rows - r)
 
 

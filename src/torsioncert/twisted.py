@@ -5,8 +5,8 @@ The chain groups come from a one-vertex CW structure: one 0-cell, an edge
 per generator, a face per relator.  Boundary matrices are Fox-derivative
 blocks pushed through t^phi . alpha, acting on row vectors from the left;
 each relator's blocks sum the representation's Fox terms alpha(p)
-(``Representation.fox_terms``) at t^phi(p), read off a second prefix sweep
-(``freegroup.fox_sweep``) over the letters' phi-weights.  The scalar
+(``Representation.fox_terms``) at t^phi(p), the running sum of the
+letters' phi-weights along the prefix p that each term carries.  The scalar
 complex checks d2 . d1 = 0 with one zero test for every kind.
 From the deficiency-1 case we extract the torsion polynomial ratio whose
 degree bounds the complexity of spanning surfaces, and the genus check
@@ -17,7 +17,6 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from operator import add
 
 from . import linalg as _la
 from . import scalar as _s
@@ -25,8 +24,7 @@ from .errors import (AlphabetMismatch, AllColumnsDegenerate, ChainCondition,
                      LongitudeTraceViolation, MissingGenusHint,
                      NotDeficiencyOne, NotInfiniteCyclic, OracleMismatch,
                      ParseError)
-from .freegroup import (Alphabet, Word, fox_sweep, parse_at,
-                        read_sections)
+from .freegroup import Alphabet, Word, parse_at, read_sections
 from .linalg import Matrix, grid_mul
 from .polynomial import (LaurentPoly, NEG_INFINITY, _lp, laurent_str,
                          laurent_unit_match, parse_laurent, poly_matrix_det,
@@ -156,11 +154,12 @@ def trivial_rep(alphabet, n=1):
 def twisted_fox_row(w, rep, twist):
     """The Fox derivatives of w by each generator through the composite of
     t^phi and alpha: a list of n x n grids of Laurent polynomials, which
-    sum the terms of ``rep.fox_terms``, None the identity, each at the
-    t-exponent of its prefix."""
-    n, one, weights = rep.n, rep.units[0], twist.exponents
-    shifts = fox_sweep(w, lambda l: weights[l - 1] if l > 0
-                       else -weights[-l - 1], 0, add)
+    sum the terms of ``rep.fox_terms``, each at the t-exponent of its
+    prefix: the running sum of the letters' phi-weights at its length."""
+    n, weights = rep.n, twist.exponents
+    shifts = list(itertools.accumulate(
+        (weights[l - 1] if l > 0 else -weights[-l - 1] for l in w.letters),
+        initial=0))
 
     # each entry's coefficients are summed in a plain dict by the rules of
     # LaurentPoly.__add__: a float sum is checked finite, a new exponent
@@ -168,8 +167,9 @@ def twisted_fox_row(w, rep, twist):
     # as it is, an entry of an unchecked running product, is checked by _lp
     sums = [[[{} for _ in range(n)] for _ in range(n)]
             for _ in rep.alphabet.names]
-    for (_, j, sign, m), (_, _, shift) in zip(rep.fox_terms([w]), shifts):
-        for acc_row, row in zip(sums[j], (one if m is None else m).entries):
+    for _, j, sign, k, m in rep.fox_terms([w]):
+        shift = shifts[k]
+        for acc_row, row in zip(sums[j], m.entries):
             for acc, e in zip(acc_row, row):
                 c = e * sign
                 if not c:

@@ -22,15 +22,16 @@ left the package because no command, workload or criterion calls them.
 import math
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb
+from operator import add
 
 from torsioncert.charvar import Character, lift
 from torsioncert.errors import AlphabetMismatch
 from torsioncert.freegroup import Alphabet, GroupRingElem, Word, fox_sweep
 from torsioncert.linalg import (Matrix, _finish, _new, block_assemble,
-                                product, running_mul, sweep_mul, sym_power,
-                                units)
+                                product, running_mul, sym_power, units)
 from torsioncert.representation import Representation, SymPowerRep
 from torsioncert.scalar import ComplexF, QuadExt, zero_tolerance
 
@@ -375,18 +376,21 @@ def signed_sum(terms, zero):
 
 def fox_blocks(rep, w):
     """The Fox blocks of w by each generator, block by block: the signed
-    sums of the prefix products of ``fox_sweep`` from the identity, each
-    reduced or checked finite on its own.  A symmetric power takes the
-    prefixes on its base, from the first letter's image, and raises each
-    one to Sym^N."""
+    sums of the images of the prefixes that ``fox_sweep`` names, each a
+    product from the identity, reduced or checked finite on its own.  A
+    symmetric power takes each prefix on its base, from the first letter's
+    image, and raises it to Sym^N; its empty prefix is the identity."""
     terms = [[] for _ in rep.alphabet.names]
-    if isinstance(rep, SymPowerRep):
-        sweep = ((j, sign, rep.units[0] if p is None else sym_power(p, rep.N))
-                 for j, sign, p in fox_sweep(w, rep.base.letter_image, None,
-                                             sweep_mul))
-    else:
-        sweep = fox_sweep(w, rep.letter_image, rep.units[0], running_mul)
-    for j, sign, prefix in sweep:
+    for j, sign, _, letters in fox_sweep(w, lambda l: (l,), (), add):
+        if not isinstance(rep, SymPowerRep):
+            prefix = reduce(running_mul, map(rep.letter_image, letters),
+                            rep.units[0])
+        elif letters:
+            images = list(map(rep.base.letter_image, letters))
+            prefix = sym_power(reduce(running_mul, images[1:], images[0]),
+                               rep.N)
+        else:
+            prefix = rep.units[0]
         terms[j].append((sign, prefix))
     return [signed_sum(t, rep.units[1]) for t in terms]
 

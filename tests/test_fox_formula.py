@@ -31,7 +31,8 @@ from torsioncert.suturedcert import (SuturedHandlebodyData, _relative_h1,
                                      certify, fox_matrix, oracle_dims,
                                      pants_example)
 
-from helpers import fox_formula_reference, lift_of_kind, random_word
+from helpers import (float_bits, fox_formula_reference, lift_of_kind,
+                     random_word)
 
 XY = Alphabet("x y")
 XYZ = Alphabet("x y z")
@@ -193,6 +194,28 @@ def test_the_oracle_builds_d1_and_w1_once_each(kind, monkeypatch):
         assert subtracted == []
 
 
+def test_complex_less_one_has_the_bits_of_x_minus_the_identity():
+    # seeded complex blocks of sizes 1 to 4 whose entries include zeros of
+    # both signs and whole numbers: the numerator path over den 1 takes 1
+    # from each diagonal entry and leaves the others, bit for bit
+    # x - (i == j) in float hex
+    rng = rng_for(97, 14)
+    parts = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        mats = [Matrix([[complex(*(rng.choice(parts) if rng.random() < 0.7
+                                   else rng.uniform(-3, 3)
+                                   for _ in range(2)))
+                         for _ in range(n)] for _ in range(n)])
+                for _ in range(rng.randint(1, 3))]
+        got = less_one(mats)
+        want = [[x - (i == j) for j, x in enumerate(r)]
+                for b in mats for i, r in enumerate(b.entries)]
+        assert got.field == "complex"
+        assert float_bits(got) == [[(x.real.hex(), x.imag.hex()) for x in r]
+                                   for r in want]
+
+
 def _assert_oracle_names(data, rep, m, row):
     """The oracle raises on the relator of ``row``, or passes without
     one; the rank does not enter the check, so a stand-in is passed."""
@@ -212,13 +235,13 @@ def _sweep_skipping_a_product(w, image, one, mul):
     last = len(w.letters) - 1
     for k, l in enumerate(w.letters):
         if l > 0:
-            yield l - 1, 1, prefix
-            if k < last and k != 1:
-                prefix = mul(prefix, image(l))
-        else:
-            if k != 1:
-                prefix = mul(prefix, image(l))
-            yield -l - 1, -1, prefix
+            yield l - 1, 1, k, prefix
+            if k == last:
+                return
+        if k != 1:
+            prefix = mul(prefix, image(l)) if k else image(l)
+        if l < 0:
+            yield -l - 1, -1, k + 1, prefix
 
 
 @pytest.mark.parametrize("char", [(3, 1, 2),

@@ -13,11 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from torsioncert.charvar import Character, lift, reduce_u, sym_fox_grid
+from torsioncert import representation as representation_module
+from torsioncert.charvar import (_SYM_ONE, _SYM_TABLE, Character, _sym_mul,
+                                 lift, reduce_u, sym_fox_grid)
 from torsioncert.errors import NonFinite
 from torsioncert.freegroup import (Alphabet, GroupRingElem, Word,
                                   fox_derivative, fox_sweep)
-from torsioncert.linalg import Matrix
+from torsioncert.linalg import Matrix, running_mul
 from torsioncert.polynomial import LaurentPoly, MultiPoly
 from torsioncert.representation import (Representation, SymPowerRep,
                                         solve_parabolic)
@@ -75,13 +77,14 @@ def test_generic_sweep_in_the_integers():
               -2: Fraction(1, 3)}
     terms = list(fox_sweep(XY.word("xyX"), images.__getitem__, 1,
                            operator.mul))
-    assert terms == [(0, 1, 1), (1, 1, 2), (0, -1, 3)]
+    assert terms == [(0, 1, 0, 1), (1, 1, 1, 2), (0, -1, 3, 3)]
 
 
 def test_generic_sweep_skips_the_product_after_a_positive_last_letter():
-    # no term reads the prefix times a positive last letter, so a word
-    # ending in one takes len(w) - 1 products and one ending in an inverse
-    # takes len(w)
+    # the first prefix is the first letter's image itself, and no term
+    # reads the prefix times a positive last letter, so a word of two or
+    # more letters ending in one takes len(w) - 2 products, one ending in
+    # an inverse len(w) - 1, and a word of at most one letter none
     images = {1: 2, -1: Fraction(1, 2), 2: 3, -2: Fraction(1, 3)}
     products = []
 
@@ -90,15 +93,90 @@ def test_generic_sweep_skips_the_product_after_a_positive_last_letter():
         return a * b
 
     for text, count, terms in (
-            ("xyx", 2, [(0, 1, 1), (1, 1, 2), (0, 1, 6)]),
-            ("y", 0, [(1, 1, 1)]),
-            ("xyX", 3, [(0, 1, 1), (1, 1, 2), (0, -1, 3)]),
+            ("xyx", 1, [(0, 1, 0, 1), (1, 1, 1, 2), (0, 1, 2, 6)]),
+            ("y", 0, [(1, 1, 0, 1)]),
+            ("X", 0, [(0, -1, 1, Fraction(1, 2))]),
+            ("xyX", 2, [(0, 1, 0, 1), (1, 1, 1, 2), (0, -1, 3, 3)]),
             ("1", 0, [])):
         products.clear()
         w = XY.word(text)
         assert list(fox_sweep(w, images.__getitem__, 1, mul)) == terms
         assert len(products) == count
-        assert count == len(w.letters) - (text[-1] in "xy")
+        assert count == max(0, len(w.letters) - 1 - (text[-1] in "xy"))
+
+
+def test_fox_sweep_never_multiplies_by_one():
+    # over ints, words, MultiPoly grids and matrices of every kind: the
+    # identity is the prefix of length 0, a term and never a factor, so a
+    # word of m letters takes m - 1 products, one fewer for a positive last
+    # letter, and the first prefix is the first letter's image itself
+    rng = rng_for(41, 31)
+    ints = {1: 2, -1: Fraction(1, 2), 2: 3, -2: Fraction(1, 3)}
+    rings = [(XY, ints.__getitem__, 1, operator.mul),
+             (XY, lambda l: Word(XY, (l,)), XY.identity(), Word.__mul__),
+             (XY, _SYM_TABLE.__getitem__, _SYM_ONE, _sym_mul)]
+    rings += [(rep.alphabet, rep.letter_image, rep.units[0], running_mul)
+              for rep in scalar_reps(rng)]
+    factors = []
+    swept = 0
+    for alphabet, image, one, mul in rings:
+        def counted(a, b, mul=mul):
+            factors.append((a, b))
+            return mul(a, b)
+
+        words = [alphabet.identity(), Word(alphabet, (1,)),
+                 Word(alphabet, (-2,)), Word(alphabet, (1, 2, -1))]
+        for w in words + [random_word(rng, alphabet, 8) for _ in range(12)]:
+            factors.clear()
+            terms = list(fox_sweep(w, image, one, counted))
+            assert not any(a is one or b is one for a, b in factors)
+            assert [k == 0 for *_, k, _ in terms] \
+                == [p is one for *_, p in terms]
+            last = w.letters[-1] if w.letters else 0
+            assert len(factors) == max(0, len(w) - 1 - (last > 0))
+            swept += len(terms)
+    assert swept > 300
+
+
+def test_fox_terms_carry_the_image_of_their_prefix(monkeypatch):
+    # every term (i, j, sign, k, P) of fox_terms comes from a letter of
+    # words[i], and P is eval_word of that word's first k letters: the same
+    # value for every kind, over C too, where eval_word's product from the
+    # identity moves no value, only signs of zero.  A fresh symmetric power
+    # raises each nonempty prefix once, keyed by its letters, and a second
+    # call raises none
+    real_sym = representation_module.sym_power
+    raised = []
+
+    def counted_sym(m, n):
+        raised.append(n)
+        return real_sym(m, n)
+
+    monkeypatch.setattr(representation_module, "sym_power", counted_sym)
+    compared = 0
+    for case in range(3):
+        rng = rng_for(41, 32 + case)
+        for rep in scalar_reps(rng):
+            words = [random_word(rng, rep.alphabet, 10) for _ in range(3)]
+            ref = rep
+            if isinstance(rep, SymPowerRep):
+                rep, ref = (SymPowerRep(rep.base, rep.N) for _ in range(2))
+            raised.clear()
+            terms = rep.fox_terms(words)
+            assert len(terms) == sum(map(len, words))
+            prefixes = {words[i].letters[:k] for i, _, _, k, _ in terms}
+            if isinstance(rep, SymPowerRep):
+                assert len(raised) == len(prefixes - {()})
+                assert set(rep._raised) == prefixes | {()}
+                rep.fox_terms(words)
+                assert len(raised) == len(prefixes - {()})
+            for i, j, sign, k, p in terms:
+                letters = words[i].letters
+                assert letters[k if sign > 0 else k - 1] == sign * (j + 1)
+                want = ref.eval_word(Word(rep.alphabet, letters[:k]))
+                assert p.field == want.field and p == want, (rep, letters, k)
+                compared += 1
+    assert compared > 300
 
 
 def test_group_ring_derivative_equals_prefix_rule():
@@ -224,16 +302,16 @@ def test_twisted_blocks_equal_evaluated_derivatives():
 def laurent_sum_row(w, rep, twist):
     # twisted_fox_row as it was before its dict sums: every term of the
     # representation's Fox terms is added to its entry as a LaurentPoly,
-    # at the t-exponent of its prefix
+    # at the t-exponent of its prefix, the weight sum of its first k letters
     n = rep.n
     weights = twist.exponents
-    shifts = fox_sweep(w, lambda l: weights[abs(l) - 1] if l > 0
-                       else -weights[abs(l) - 1], 0, operator.add)
     blocks = [[[LaurentPoly.zero()] * n for _ in range(n)]
               for _ in rep.alphabet.names]
-    for (_, j, sign, m), (_, _, shift) in zip(rep.fox_terms([w]), shifts):
+    for _, j, sign, k, m in rep.fox_terms([w]):
+        shift = sum(weights[abs(l) - 1] * (1 if l > 0 else -1)
+                    for l in w.letters[:k])
         grid = blocks[j]
-        for i, row in enumerate((rep.units[0] if m is None else m).entries):
+        for i, row in enumerate(m.entries):
             for l, e in enumerate(row):
                 grid[i][l] = grid[i][l] + LaurentPoly({shift: e * sign})
     return blocks

@@ -278,9 +278,9 @@ def test_exact_sym_power_words_run_on_the_base(kind, N, with_oracle, powers,
     # oracle takes one further product, its chain check's 2N x 2N by
     # 2N x N m . D1, and no N x N product is taken
     data = pants_example()
-    read = [p for w in data.images
-            for _, _, p in fox_sweep(w, lambda l: (l,), (),
-                                     operator.add) if p]
+    read = [w.letters[:k] for w in data.images
+            for _, _, k, _ in fox_sweep(w, lambda l: (l,), (),
+                                        operator.add) if k]
     if with_oracle:
         read += [w.letters for w in data.images] + [(1,), (2,)]
     assert len(read) == powers
@@ -308,8 +308,8 @@ def test_exact_sym_power_words_run_on_the_base(kind, N, with_oracle, powers,
                                   "complex"])
 def test_twisted_fox_rows_take_no_identity_factor(kind, monkeypatch):
     # d(yxyXY)/dx and d(yxyXY)/dy through t^phi: the representation's Fox
-    # sweep starts from None, the identity, and its prefix y is the image
-    # itself, so the 4 products y.x, yx.y, yxy.X and yxyX.Y take no
+    # sweep yields the identity as a term, never as a factor, and its
+    # prefix y is the image itself, so the 4 products y.x, yx.y, yxy.X and yxyX.Y take no
     # identity as their left factor, on the base, on the rank-N route of
     # Sym^3 and, on the base, for SymPowerRep
     base = lift_of_kind(rng_for(73, 62), kind)
@@ -531,8 +531,8 @@ def test_complex_sym_power_rep_is_the_rank_n_route_within_rounding():
             continue
         scale = 4 * len(w.letters) * N * u
         bound = [[0.0] * 2 * N for _ in range(N)]
-        for j, _, p in fox_sweep(w, lambda l: (l,), (), operator.add):
-            for row, b in zip(bound, _abs_sym(base, p, N)):
+        for j, _, k, _ in fox_sweep(w, lambda l: (l,), (), operator.add):
+            for row, b in zip(bound, _abs_sym(base, w.letters[:k], N)):
                 row[j * N:j * N + N] = map(operator.add, row[j * N:j * N + N],
                                            b)
         for got, want, b in (

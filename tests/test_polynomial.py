@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from torsioncert.errors import (DivisionByZero, InexactDivision,
-                                MixedScalarKind, NonFinite, ParseError,
-                                TorsionCertError, ZeroDenominator)
+                                MixedScalarKind, NonFinite, NotSquare,
+                                ParseError, TorsionCertError,
+                                ZeroDenominator)
 from torsioncert.polynomial import (
     _newton_run,
     LaurentPoly,
@@ -267,6 +268,13 @@ class TestPolyMatrixDet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             poly_matrix_det([])
+
+    def test_non_square_grids_are_not_square(self):
+        # a typed error, not an assert, which python -O skips
+        t, two = LaurentPoly({1: 1}), LaurentPoly({0: 2})
+        for rows in ([[t, two]], [[t], [two]], [[t, two], [two]]):
+            with pytest.raises(NotSquare):
+                poly_matrix_det(rows)
 
 
 class TestMultiPoly:
