@@ -2,9 +2,10 @@
 matrix pairs, and the loci L_N where the pants certificate degenerates.
 
 A character is the triple (tr x, tr y, tr xy).  Lifting rebuilds a matrix
-pair realizing those traces, exactly over the rationals (passing to a
-quadratic extension when the middle trace forces one) and in complex
-floats otherwise; float values are Python ``complex``, checked finite
+pair realizing those traces: a rational character exactly over Q where its
+quaternion algebra splits, else in trace normal form, over Q or the
+quadratic extension that the third trace forces; any other character in
+complex floats; float values are Python ``complex``, checked finite
 where they are stored.  The locus machinery evaluates certificate
 determinants through symmetric powers of the lift, eliminates the
 extension variable symbolically for N = 2, and verifies the printed
@@ -16,12 +17,13 @@ a factor of its products.
 """
 
 import cmath
+import math
 import warnings
 from fractions import Fraction
 
 from . import scalar as _s
 from .errors import (DegenerateInput, DivisionByZero, EliminationDegenerate,
-                     IrreducibilityWarning)
+                     FactorBound, IrreducibilityWarning, LiftMismatch)
 from .freegroup import Alphabet, fox_sweep
 from .linalg import Matrix, det_rank_with_scale, grid_mul
 from .polynomial import (MultiPoly, _mp, aberth_roots, multi_eval,
@@ -104,8 +106,22 @@ _XY = Alphabet("x y")
 
 
 def lift(c, warn=True):
-    """A matrix pair with the given traces: x maps to [[0,1],[-1,xbar]]
-    and y to [[ybar,-u],[1/u,0]] where u + 1/u = zbar.
+    """A matrix pair with the given traces over the smallest field that
+    holds one: :func:`split_lift`'s over Q wherever it exists, else
+    :func:`trace_lift`'s.
+
+    The certificate's determinant and rank, the oracle and the torsion do
+    not change under conjugation, and two lifts of one irreducible
+    character are conjugate; so every caller that reads only those gets
+    the same answer from either lift, and the rational one is the cheaper.
+    """
+    rep = split_lift(c) if c.kind == "rational" else None
+    return trace_lift(c, warn) if rep is None else rep
+
+
+def trace_lift(c, warn=True):
+    """The lift in trace normal form: x maps to [[0,1],[-1,xbar]] and y to
+    [[ybar,-u],[1/u,0]] where u + 1/u = zbar.
 
     Rational characters lift exactly, with u in a quadratic extension when
     zbar^2 - 4 is not a rational square; everything else lifts in complex
@@ -146,6 +162,77 @@ def lift(c, warn=True):
             "character %r is reducible; the lift is one of several "
             "non-conjugate choices" % (c,)))
     return rep
+
+
+def split_lift(c):
+    """A lift of the rational character c over Q, x to [[0,1],[-1,xbar]]
+    and y to [[a,b],[b+k,ybar-a]], or None where :func:`trace_lift` is to
+    be taken: where zbar^2 - 4 is a rational square (its lift is rational
+    then), where c is reducible (kappa = 2, whose lifts need not be
+    conjugate), where the quaternion algebra (xbar^2 - 4, kappa - 2) does
+    not split over Q, and where trial division cannot decide that.
+
+    Here kappa = xbar^2 + ybar^2 + zbar^2 - xbar ybar zbar - 2 is the
+    commutator trace.  tr xy = zbar says k = zbar - xbar (ybar - a), and
+    det y = 1 says b (b + k) = a (ybar - a) - 1; so b is
+    rational exactly when Delta(a) = k^2 + 4 (a (ybar - a) - 1) is a
+    rational square s^2.  Delta has leading coefficient A = xbar^2 - 4 and
+    discriminant 16 (kappa - 2), so A Delta = X^2 - 4 (kappa - 2) with
+    X = A a + (xbar w + 2 ybar), w = zbar - xbar ybar, and a point (X, s)
+    of X^2 - A s^2 = 4 (kappa - 2) is a rational point of the conic
+    (``scalar.conic_point``).  For A = 0 Delta is linear, and s is 0, 1
+    or 2.  Of those and the signs of X and s, the lift takes the entries
+    of least height.  Its traces are checked exactly (``LiftMismatch``),
+    and so is det y = 1 (``SingularImage``).
+    """
+    x, y, z = c.as_tuple()
+    den = math.lcm(x.denominator, y.denominator, z.denominator)
+    xn, yn, zn = x.numerator * (den // x.denominator), \
+        y.numerator * (den // y.denominator), \
+        z.numerator * (den // z.denominator)
+    disc = zn * zn - 4 * den * den
+    if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+        return None
+    # kappa - 2 = kn / den^3
+    kn = den * (xn * xn + yn * yn + zn * zn) - xn * yn * zn - 4 * den ** 3
+    if kn == 0:
+        return None
+    w = z - x * y
+    half_b = x * w + 2 * y
+    big_a = x * x - 4
+    if big_a == 0:
+        # Delta(a) = 2 half_b a + w^2 - 4, and half_b != 0 off kappa = 2
+        points = [((t * t + 4 - w * w) / (2 * half_b), Fraction(t))
+                  for t in range(3)]
+    else:
+        # X^2 - A s^2 = 4 kn / den^3, times den^4 / 4
+        try:
+            point = _s.conic_point(xn * xn - 4 * den * den, kn * den)
+        except FactorBound:
+            return None
+        if point is None:
+            return None
+        pw, pu, pv = point
+        X, s = Fraction(2 * pw, pv * den * den), Fraction(2 * pu, pv * den)
+        points = [((X - half_b) / big_a, s), ((-X - half_b) / big_a, s)]
+    rows = []
+    for a, s in points:
+        k = z - x * (y - a)
+        for b in ((s - k) / 2, (-s - k) / 2):
+            rows.append([[a, b], [b + k, y - a]])
+    rows = min(rows, key=_height)
+    (a, b), (cy, d) = rows
+    # tr xy of x = [[0, 1], [-1, xbar]]; det y = 1 is sl_flag's check
+    if a + d != y or cy - b + x * d != z:
+        raise LiftMismatch("the split lift of %r misses its traces" % (c,))
+    return Representation(_XY, [Matrix([[0, 1], [-1, x]]), Matrix(rows)],
+                          sl_flag=True)
+
+
+def _height(rows):
+    """The largest numerator or denominator among the entries."""
+    return max(max(abs(e.numerator), e.denominator)
+               for row in rows for e in row)
 
 
 def locus_det_with_scale(c, data, N=2):

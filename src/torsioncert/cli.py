@@ -17,7 +17,7 @@ from . import representation as _rp
 from . import scalar as _s
 from . import suturedcert as _sc
 from . import twisted as _tw
-from .errors import SingularImage, TorsionCertError
+from .errors import NonFinite, SingularImage, TorsionCertError
 from .freegroup import Alphabet, Word, fox_derivative
 from .linalg import matrix_str
 from .polynomial import laurent_str, multi_str
@@ -107,14 +107,15 @@ def _rep_from_args(args, alphabet, pres=None):
 
 
 def cmd_certify(args):
-    """A float "not a product" or singular image on real literals is
-    decided again on their exact twin, whose report is printed."""
+    """A float "not a product", singular image or non-finite value on real
+    literals is decided again on their exact twin, whose report is
+    printed."""
     data = _sc.sutured_from_text(_read(_locate(args, args.sutured_file)))
     twin = _cv.exact_twin(args.char) if args.char else None
     try:
         pairs, product = _certificate(args, data,
                                       *_rep_from_args(args, data.alphabet))
-    except SingularImage:
+    except (SingularImage, NonFinite):
         if twin is None:
             raise
         product = False
@@ -239,9 +240,12 @@ def cmd_locus(args):
 
 
 def cmd_charlift(args):
+    """The trace-normal-form lift of a character (``charvar.trace_lift``),
+    not the smallest field's that ``certify`` takes: its images and their
+    symmetric powers, with the character's commutator trace."""
     c = _cv.parse_character(args.character)
     reducible = _cv.is_reducible_character(c)
-    rep = _cv.lift(c, warn=False)
+    rep = _cv.trace_lift(c, warn=False)
     pairs = [("character", repr(c)),
              ("scalar_kind", rep.scalar_kind),
              ("reducible", reducible),

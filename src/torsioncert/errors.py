@@ -23,6 +23,11 @@ class NonFinite(TorsionCertError, ArithmeticError):
     """A floating operation produced NaN or infinity."""
 
 
+class FactorBound(TorsionCertError, ArithmeticError):
+    """Trial division to its bound left a cofactor that is neither 1, a
+    prime nor a square, so the integer's squarefree part is unknown."""
+
+
 # freegroup
 
 class AlphabetMismatch(TorsionCertError, ValueError):
@@ -94,6 +99,11 @@ class ReducibleOnly(TorsionCertError, RuntimeError):
 
 class EliminationDegenerate(TorsionCertError, ValueError):
     """The determinant condition vanishes identically; nothing to eliminate."""
+
+
+class LiftMismatch(TorsionCertError, ArithmeticError):
+    """A lift's traces or determinants differ from its character's (a
+    bug)."""
 
 
 # twisted

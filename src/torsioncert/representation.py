@@ -24,9 +24,9 @@ from itertools import product
 from . import linalg as _la
 from . import scalar as _s
 from .errors import (AlphabetMismatch, IncompleteRootScan, MixedExtension,
-                     MixedScalarKind, NoRootFound, NotSL2, NotTwoByTwo,
-                     ParseError, ReducibleOnly, ScalarEmbedding,
-                     SingularImage)
+                     MixedScalarKind, NoRootFound, NotSL2, NotSquare,
+                     NotTwoByTwo, ParseError, ReducibleOnly,
+                     ScalarEmbedding, SingularImage)
 from .freegroup import (Alphabet, GroupRingElem, Word, fox_sweep, parse_at,
                         read_sections)
 from .linalg import Matrix, sym_power
@@ -232,7 +232,7 @@ def circle_homology(m):
     an SL2 matrix exactly when its trace is not 2.
     """
     if not isinstance(m, Matrix) or m.rows != m.cols:
-        raise ValueError("need a square matrix")
+        raise NotSquare("circle homology needs a square matrix")
     r = _la.less_one([m]).rank()
     return (m.rows - r, m.rows - r)
 

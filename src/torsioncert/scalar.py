@@ -28,6 +28,11 @@ it, and ``tol`` defaults to the module tolerance, 1e-9.  The module
 tolerance is set once at program start, treated as read-only afterwards,
 and read by no other module.
 
+Integers are factored by trial division to ``TRIAL_BOUND``
+(``sqrt_decompose``), and :func:`conic_point` decides with Hilbert
+symbols whether w^2 = a x^2 + b y^2 has a rational point and finds one by
+Legendre's descent: the number theory of ``charvar.split_lift``.
+
 Text grammar: rationals ``p/q``, quadratic elements ``a + b*sqrt(d)``,
 complex numbers ``re+imi`` printed with 17 significant digits.
 """
@@ -37,7 +42,8 @@ import math
 import re as _re
 from fractions import Fraction
 
-from .errors import DivisionByZero, MixedExtension, NonFinite, ParseError
+from .errors import (DivisionByZero, FactorBound, MixedExtension, NonFinite,
+                     ParseError)
 
 DEFAULT_TOLERANCE = 1e-9
 _tolerance = DEFAULT_TOLERANCE
@@ -56,11 +62,19 @@ def set_zero_tolerance(tol):
     _tolerance = float(tol)
 
 
-def _squarefree_factor(n):
-    # n > 0; returns (s, d) with n = s*s*d and d squarefree
-    s, d = 1, 1
+# Trial division stops at this bound.  The cofactor it leaves has no prime
+# factor below the bound: it is 1, a prime when below the bound's square,
+# a square, or unknown, and an unknown one raises FactorBound.
+TRIAL_BOUND = 1 << 16
+
+
+def _squarefree_primes(n):
+    """(s, primes) with n = s*s*prod(primes) for an integer n > 0, the
+    primes of its squarefree part in increasing order, by trial division
+    to ``TRIAL_BOUND``."""
+    s, primes = 1, []
     p = 2
-    while p * p <= n:
+    while p * p <= n and p < TRIAL_BOUND:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -68,9 +82,18 @@ def _squarefree_factor(n):
                 e += 1
             s *= p ** (e // 2)
             if e % 2:
-                d *= p
+                primes.append(p)
         p += 1 if p == 2 else 2
-    return s, d * n
+    if p * p <= n:
+        r = math.isqrt(n)
+        if r * r != n:
+            raise FactorBound("a %d-bit cofactor has no prime factor below "
+                              "%d and is not a square" % (n.bit_length(),
+                                                          TRIAL_BOUND))
+        return s * r, primes
+    if n > 1:
+        primes.append(n)
+    return s, primes
 
 
 def sqrt_decompose(q):
@@ -85,8 +108,138 @@ def sqrt_decompose(q):
     sign = -1 if q < 0 else 1
     n, m = abs(q.numerator), q.denominator
     # sqrt(n/m) = sqrt(n*m)/m
-    s, d = _squarefree_factor(n * m)
-    return Fraction(s, m), sign * d
+    s, primes = _squarefree_primes(n * m)
+    return Fraction(s, m), sign * math.prod(primes)
+
+
+def _valuation(n, p):
+    """(e, u) with n = p^e * u and p not dividing u, for n != 0."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
+def hilbert_symbol(a, b, p):
+    """The Hilbert symbol (a, b)_p of nonzero integers a and b at a prime
+    p, or at the real place for p = -1: 1 when w^2 = a x^2 + b y^2 has a
+    nonzero solution over Q_p (over R), else -1.  The formulas are Serre's
+    (*A Course in Arithmetic*, ch. III, Theorem 1).
+
+    >>> [hilbert_symbol(21, 466, p) for p in (-1, 2, 3, 7, 233)]
+    [1, -1, 1, 1, -1]
+    """
+    if p == -1:
+        return -1 if a < 0 and b < 0 else 1
+    alpha, u = _valuation(a, p)
+    beta, v = _valuation(b, p)
+    if p == 2:
+        e = ((u - 1) // 2 * ((v - 1) // 2) + alpha * ((v * v - 1) // 8)
+             + beta * ((u * u - 1) // 8))
+    else:
+        half = (p - 1) // 2
+        e = (alpha * beta * half + beta * (pow(u, half, p) != 1)
+             + alpha * (pow(v, half, p) != 1))
+    return -1 if e % 2 else 1
+
+
+def _signed_squarefree(n):
+    """(s, d, primes) with n = s*s*d, d squarefree of n's sign and primes
+    those of |d|, for an integer n != 0."""
+    s, primes = _squarefree_primes(abs(n))
+    return s, math.prod(primes) * (1 if n > 0 else -1), primes
+
+
+def conic_point(a, b):
+    """A solution (w, x, y) in integers, y != 0, of w^2 = a x^2 + b y^2
+    for nonzero integers a and b; None when there is none.
+
+    One exists exactly when the quaternion algebra (a, b) over Q splits,
+    that is when :func:`hilbert_symbol` is 1 at the real place, at 2 and
+    at every odd prime of the squarefree parts of a and b.  The point
+    comes from Legendre's descent on those squarefree parts
+    (:func:`_legendre_descent`).  ``FactorBound`` when a or b has a
+    squarefree part that trial division does not find.
+    """
+    sa, da, pa = _signed_squarefree(a)
+    sb, db, pb = _signed_squarefree(b)
+    if any(hilbert_symbol(da, db, p) != 1 for p in {-1, 2, *pa, *pb}):
+        return None
+    if da == 1:
+        # w^2 - x^2 = (w - x)(w + x) = db y^2 with w - x = 2 and y = 2
+        w, x, y = db + 1, db - 1, 2
+    else:
+        w, x, y = _legendre_descent(da, db)
+    # w^2 = da x^2 + db y^2, and a = sa^2 da, b = sb^2 db
+    return w * sa * sb, x * sb, y * sa
+
+
+def _legendre_descent(a, b):
+    """A nonzero solution (w, x, y) of w^2 = a x^2 + b y^2 for squarefree
+    nonzero integers a and b whose quaternion algebra splits, with y != 0
+    unless a = 1.
+
+    With |a| <= |b|, take r^2 = a mod b with |r| <= |b|/2; then
+    r^2 - a = b b0 t^2 with b0 squarefree and |b0| < |b|, and a solution
+    for (a, b0) gives one for (a, b), since b b0 t^2 is the norm of
+    r + sqrt(a) (Cremona and Rusin, *Math. Comp.* 72, 2003, section 2).
+    """
+    if abs(a) > abs(b):
+        w, y, x = _legendre_descent(b, a)
+        return w, x, y
+    if a == 1:
+        return 1, 1, 0
+    if b == 1:
+        return 1, 0, 1
+    if b == -1:
+        raise ValueError("the algebra (-1, -1) does not split over Q")
+    r = _sqrt_mod(a, b)
+    t, b0, _ = _signed_squarefree((r * r - a) // b)
+    w, x, y = _legendre_descent(a, b0)
+    w, x, y = r * w - a * x, r * x - w, b0 * t * y
+    g = math.gcd(w, x, y)
+    return w // g, x // g, y // g
+
+
+def _sqrt_mod(a, n):
+    """r with r^2 = a mod n and |r| <= |n|/2, for a squarefree n != 0 modulo
+    each of whose primes a is a square: a root mod each prime, by
+    Tonelli and Shanks, joined by the Chinese remainder theorem."""
+    m = abs(n)
+    r, mod = 0, 1
+    for p in _squarefree_primes(m)[1]:
+        rp = _sqrt_mod_prime(a % p, p)
+        r += mod * ((rp - r) * pow(mod, -1, p) % p)
+        mod *= p
+    return r - m if 2 * r > m else r
+
+
+def _sqrt_mod_prime(a, p):
+    """r with r^2 = a mod the prime p, for 0 <= a < p; ValueError when a is
+    not a square mod p."""
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError("%d is not a square mod %d" % (a, p))
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 _valid_d = set()
@@ -98,8 +251,7 @@ def _check_discriminant(d):
         return d
     if not isinstance(d, int) or d in (0, 1):
         raise ValueError("discriminant must be a squarefree integer, not 0 or 1")
-    _, sf = _squarefree_factor(abs(d))
-    if sf != abs(d):
+    if _squarefree_primes(abs(d))[0] != 1:
         raise ValueError("discriminant %d is not squarefree" % d)
     _valid_d.add(d)
     return d

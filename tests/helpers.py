@@ -27,7 +27,7 @@ from itertools import combinations, permutations
 from math import comb
 from operator import add
 
-from torsioncert.charvar import Character, lift
+from torsioncert.charvar import Character, trace_lift
 from torsioncert.errors import AlphabetMismatch
 from torsioncert.freegroup import Alphabet, GroupRingElem, Word, fox_sweep
 from torsioncert.linalg import (Matrix, _finish, _new, block_assemble,
@@ -194,9 +194,9 @@ def column(blocks):
 
 
 def lift_of_kind(rng, kind):
-    """The lift of a seeded character whose entries are of one kind:
-    integers (z = +-2), rationals (z = a + 1/a), Q(sqrt d) (z^2 - 4 not a
-    square) or complex floats."""
+    """The trace-normal-form lift of a seeded character whose entries are
+    of one kind: integers (z = +-2), rationals (z = a + 1/a), Q(sqrt d)
+    (z^2 - 4 not a square) or complex floats."""
     x, y = rng.randint(-5, 5), rng.randint(-5, 5)
     if kind == "integer":
         c = Character(x, y, rng.choice((-2, 2)))
@@ -208,7 +208,7 @@ def lift_of_kind(rng, kind):
     else:
         c = Character(*(ComplexF(rng.uniform(-4, 4), rng.uniform(-4, 4))
                         for _ in range(3)))
-    rep = lift(c, warn=False)
+    rep = trace_lift(c, warn=False)
     entries = [e for m in rep.images for r in m.entries for e in r]
     assert {"integer": all(type(e) is int for e in entries),
             "rational": rep.field == "rational",

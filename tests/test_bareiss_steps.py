@@ -16,7 +16,7 @@ from math import gcd, lcm
 import pytest
 
 from torsioncert import linalg as linalg_module
-from torsioncert.charvar import Character, lift
+from torsioncert.charvar import Character, trace_lift
 from torsioncert.linalg import Matrix, det, rank
 from torsioncert.representation import SymPowerRep
 from torsioncert.scalar import QuadExt
@@ -201,7 +201,7 @@ def test_pants_fox_matrices(kind):
     # m = [[I, 0], [B1, B2]]: its first N steps are unit-ratio steps on
     # identity rows, det(m) = det(B2) and rank(m) = N + rank(B2)
     for char in PANTS_CHARACTERS[kind]:
-        base = lift(Character(*char), warn=False)
+        base = trace_lift(Character(*char), warn=False)
         assert base.scalar_kind == ("quadext" if kind == "quadext"
                                     else "rational")
         for N in range(2, 9):

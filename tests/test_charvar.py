@@ -1,5 +1,6 @@
 """Trace characters, exact lifts, and the elimination of the base locus."""
 
+import math
 import time
 import warnings
 from fractions import Fraction
@@ -16,21 +17,26 @@ from torsioncert.charvar import (
     locus_polynomial,
     locus_verify,
     parse_character,
+    split_lift,
     sym_fox_grid,
+    trace_lift,
 )
 from torsioncert.errors import (
     DegenerateInput,
     EliminationDegenerate,
+    FactorBound,
     IrreducibilityWarning,
 )
 from torsioncert.freegroup import Alphabet, Word
-from torsioncert.linalg import det
+from torsioncert.linalg import Matrix, det
 from torsioncert.polynomial import parse_multi
-from torsioncert.scalar import zero_test
+from torsioncert.representation import SymPowerRep
+from torsioncert.scalar import ComplexF, QuadExt, hilbert_symbol, zero_test
 from torsioncert.seeds import rng_for
-from torsioncert.suturedcert import SuturedHandlebodyData, pants_example
+from torsioncert.suturedcert import (SuturedHandlebodyData, certify,
+                                     pants_example)
 
-from helpers import conjugated, random_fraction
+from helpers import conjugated, random_fraction, random_word
 
 XY = Alphabet("x y")
 
@@ -105,6 +111,162 @@ class TestLift:
         assert not is_reducible_character(Character(4, 4, 5))
         assert not is_reducible_character(Character(3, 3, 3))
         assert commutator_trace(Character(4, 4, 5)) == -25
+
+
+def is_rational_square(q):
+    return (q >= 0 and math.isqrt(q.numerator) ** 2 == q.numerator
+            and math.isqrt(q.denominator) ** 2 == q.denominator)
+
+
+# pools like the benchmark's Q(sqrt d) characters: x and y traces p/q, and
+# z with z^2 - 4 not a rational square
+POOL_XY = sorted({Fraction(p, q) for p in range(-7, 8) for q in range(1, 5)})
+POOL_Z = sorted({Fraction(p, q) for p in range(-9, 10) for q in (1, 2)
+                 if not is_rational_square(Fraction(p, q) ** 2 - 4)})
+
+
+def pool_characters(seed, n):
+    rng = rng_for(seed, 0)
+    return [Character(rng.choice(POOL_XY), rng.choice(POOL_XY),
+                      rng.choice(POOL_Z)) for _ in range(n)]
+
+
+def conic_hit(c, height):
+    """Whether some a = p/q with |p|, q <= height makes
+    Delta(a) = (x^2 - 4) a^2 + (2 x w + 4 y) a + w^2 - 4, w = z - x y, a
+    rational square: a point that proves the algebra splits."""
+    x, y, z = c.as_tuple()
+    w = z - x * y
+    coeffs = (x * x - 4, 2 * x * w + 4 * y, w * w - 4)
+    m = math.lcm(*(f.denominator for f in coeffs))
+    qa, qb, qc = (int(f * m) for f in coeffs)
+    for q in range(1, height + 1):
+        for p in range(-height, height + 1):
+            v = ((qa * p + qb * q) * p + qc * q * q) * m
+            if v >= 0 and math.isqrt(v) ** 2 == v:
+                return True
+    return False
+
+
+def power(rep, N):
+    return rep if N == 2 else SymPowerRep(rep, N)
+
+
+class TestSplitLift:
+    def test_certificates_equal_the_trace_lifts(self):
+        # determinant, verdict and, for N <= 3, oracle h1 at N = 2..12 on
+        # pants data and random surface words, through lift and trace_lift
+        rng = rng_for(36, 1)
+        split = 0
+        chars = pool_characters(36, 48) + [rand_char(rng) for _ in range(18)]
+        for i, c in enumerate(chars):
+            N = 2 + i % 11
+            data = pants_example()
+            if rng.random() < 0.5:
+                words = [random_word(rng, XY, 4) for _ in range(2)]
+                if all(w.letters for w in words):
+                    data = SuturedHandlebodyData(XY, words)
+            rep = lift(c, warn=False)
+            split += rep.scalar_kind == "rational" != trace_lift(
+                c, warn=False).scalar_kind
+            a, b = (certify(data, power(r, N), with_oracle=N <= 3)
+                    for r in (rep, trace_lift(c, warn=False)))
+            assert (a.determinant, a.is_product, a.oracle_h1) == \
+                (b.determinant, b.is_product, b.oracle_h1), (c, N)
+        assert split >= 20
+
+    def test_split_lifts_have_exact_traces_and_det_one(self):
+        rng = rng_for(36, 2)
+        chars = pool_characters(36, 150) + [rand_char(rng) for _ in range(80)]
+        split = 0
+        for c in chars:
+            rep = split_lift(c)
+            if rep is None:
+                continue
+            split += 1
+            x, y, z = c.as_tuple()
+            assert rep.scalar_kind == "rational"
+            assert rep.images[0] == Matrix([[0, 1], [-1, x]])
+            for word, trace in (("x", x), ("y", y), ("xy", z)):
+                assert rep.eval_word(Word.from_string(XY, word)).trace() \
+                    == trace
+            assert [det(m) for m in rep.images] == [1, 1]
+            assert rep.eval_word(Word.from_string(XY, "xyXY")).trace() \
+                == commutator_trace(c)
+        assert split >= 80
+
+    def test_the_hilbert_symbol_decision_agrees_with_a_conic_search(self):
+        # a hit of the search proves the algebra splits; at height 32 the
+        # search hits every split character of these draws.  Reducible
+        # characters keep trace_lift whatever the conic.
+        split = 0
+        for seed in (5521, 4409, 1, 2):
+            for c in pool_characters(seed, 60):
+                if not is_reducible_character(c):
+                    assert (split_lift(c) is not None) == conic_hit(c, 32), c
+                    split += split_lift(c) is not None
+        assert 60 <= split <= 180
+
+    def test_a_nonsplit_character_is_decided_at_once(self):
+        # (5, 1, 21/5): the algebra (21, 466) has symbol -1 at 233; a search
+        # by height took 1.6 s to fail to height 40
+        c = Character(5, 1, Fraction(21, 5))
+        assert hilbert_symbol(21, 466, 233) == -1
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert split_lift(c) is None
+            elapsed.append(time.perf_counter() - t0)
+        assert min(elapsed) < 0.01
+        assert lift(c, warn=False).images == trace_lift(c, warn=False).images
+
+    @pytest.mark.parametrize("char", [(2, 2, 1), (-2, 3, 1),
+                                      (2, Fraction(1, 3), Fraction(7, 2)),
+                                      (-2, Fraction(-3, 2), -3)])
+    def test_x_of_trace_two_lifts_over_q(self, char):
+        # x^2 - 4 = 0 makes Delta linear in a
+        c = Character(*char)
+        rep = lift(c, warn=False)
+        assert rep.scalar_kind == "rational"
+        assert trace_lift(c, warn=False).scalar_kind == "quadext"
+        assert rep.eval_word(Word.from_string(XY, "xy")).trace() == c.zbar
+
+    @pytest.mark.parametrize("char", [
+        (3, 3, 7),                       # reducible: kappa = 2
+        (2, 2, 2),                       # reducible, z^2 - 4 = 0
+        (3, 1, Fraction(5, 2)),          # z^2 - 4 = 9/4, a square
+        (5, 1, Fraction(21, 5)),         # the algebra does not split
+        (1, 1, 1),                       # nor here: negative at infinity
+    ])
+    def test_other_rational_characters_keep_the_trace_lift(self, char):
+        c = Character(*char)
+        assert split_lift(c) is None
+        assert lift(c, warn=False).images == trace_lift(c, warn=False).images
+
+    def test_surd_and_complex_characters_keep_the_trace_lift(self):
+        for c in (Character(QuadExt(1, 1, 2), 3, 4),
+                  Character(ComplexF(1.5, 0.5), 2.0, ComplexF(3.25, -1.0)),
+                  Character(4.0, 4.0, 5.0)):
+            assert lift(c, warn=False).images == \
+                trace_lift(c, warn=False).images
+
+    def test_reducible_characters_still_warn(self):
+        with pytest.warns(IrreducibilityWarning):
+            lift(Character(3, 3, 7))
+
+    def test_integers_past_trial_division_keep_the_trace_lift(self):
+        # the algebra's integers hold a cofactor past the trial bound that
+        # is neither prime nor square; z^2 - 4 = -3 here lifts over Q(sqrt -3)
+        huge = Character(10 ** 300, 1, 1)
+        assert split_lift(huge) is None
+        assert lift(huge, warn=False).scalar_kind == "quadext"
+        # and here z^2 - 4 itself is past it, so trace_lift raises
+        stall = Character(1, 1, 10 ** 38 + 1)
+        t0 = time.perf_counter()
+        assert split_lift(stall) is None
+        with pytest.raises(FactorBound):
+            lift(stall, warn=False)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestLocusDet:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,11 +122,15 @@ class TestCertify:
 
 
 class TestExactTwin:
-    """A float "not a product" or singular image on real literals is
-    decided again on their exact twin, read from the same text."""
+    """A float "not a product", singular image or non-finite value on real
+    literals is decided again on their exact twin, read from the same
+    text."""
 
     @pytest.mark.parametrize("char, N, twin", [
         ("(5.0, 5.0, 5.5)", "20", "(5, 5, 11/2)"),
+        # past N = 30 the float route overflows: NonFinite, not a verdict
+        ("(5.0, 5.0, 5.5)", "30", "(5, 5, 11/2)"),
+        ("(5.0, 5.0, 5.5)", "40", "(5, 5, 11/2)"),
         ("(3.0, 1.0, 2.0)", "8", "(3, 1, 2)"),
         ("(5.0, 1.0, 4.2)", "4", "(5, 1, 21/5)"),
         ("(1e300, 1, 1)", None, "(1%s, 1, 1)" % ("0" * 300)),
@@ -516,6 +521,25 @@ class TestHugeExactValues:
                      "denominator: 1 - 2*t + t^2", "degree: 2",
                      "verdict: equality"]:
             assert line in lines
+
+    def test_literal_past_trial_division(self, capsys):
+        # z^2 - 4 is about 1e76 with a cofactor that trial division to its
+        # bound leaves neither prime nor square: a typed error, not a stall
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "certify", "pants.sut", "--char",
+                             "(1, 1, 1%s1)" % ("0" * 37))
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_large_n_on_a_split_character(self, capsys):
+        # (5, 5, 11/2) lifts over Q, so Sym^40 is a rational certificate;
+        # over Q(sqrt 105) it took 4.4 s
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "certify", "pants.sut", "--char",
+                             "(5, 5, 11/2)", "--sym-power", "40")
+        assert time.perf_counter() - t0 < 3.0
+        assert (code, err) == (0, "") and "is_product: true" in out
 
     @pytest.mark.parametrize("command", [["certify", "pants.sut", "--char"],
                                          ["charlift"]], ids=" ".join)

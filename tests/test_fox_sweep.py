@@ -15,7 +15,7 @@ import pytest
 
 from torsioncert import representation as representation_module
 from torsioncert.charvar import (_SYM_ONE, _SYM_TABLE, Character, _sym_mul,
-                                 lift, reduce_u, sym_fox_grid)
+                                 lift, reduce_u, sym_fox_grid, trace_lift)
 from torsioncert.errors import NonFinite
 from torsioncert.freegroup import (Alphabet, GroupRingElem, Word,
                                   fox_derivative, fox_sweep)
@@ -63,7 +63,7 @@ def scalar_reps(rng):
                                                   random_fraction(rng, 3, 2),
                                                   7))
         for _ in range(2)])
-    sqrt21 = lift(Character(4, 4, 5), warn=False)
+    sqrt21 = trace_lift(Character(4, 4, 5), warn=False)
     complexf = lift(Character(ComplexF(rng.uniform(-3, 3), rng.uniform(-1, 1)),
                               ComplexF(rng.uniform(-3, 3)),
                               ComplexF(rng.uniform(-3, 3), 0.5)), warn=False)

@@ -17,7 +17,7 @@ import pytest
 import torsioncert
 from torsioncert import linalg as linalg_module
 from torsioncert import representation as representation_module
-from torsioncert.charvar import Character, lift
+from torsioncert.charvar import Character, lift, trace_lift
 from torsioncert.errors import ChainCondition, NotTwoByTwo
 from torsioncert.freegroup import Alphabet, GroupRingElem, Word, fox_sweep
 from torsioncert.linalg import Matrix, det, rank
@@ -447,8 +447,8 @@ def sym_bases(rng):
     +-1."""
     bases = [lift_of_kind(rng, kind)
              for kind in ("integer", "rational", "quadext")]
-    bases += [lift(Character(random_fraction(rng), random_fraction(rng), z),
-                   warn=False)
+    bases += [trace_lift(Character(random_fraction(rng), random_fraction(rng),
+                                   z), warn=False)
               for z in (rng.choice((-1, 0, 1)), Fraction(rng.randint(-7, 7), 4))]
     with open(SCHOTTKY, encoding="utf-8") as fh:
         bases.append(rep_from_text(fh.read()))
@@ -567,7 +567,7 @@ def test_sym_power_over_q_sqrt_d_equals_the_tuple_expansion():
 
 def unit_reps(rng):
     integer = Representation(XY, [random_sl2(rng), random_sl2(rng)])
-    sqrt21 = lift(Character(4, 4, 5), warn=False)
+    sqrt21 = trace_lift(Character(4, 4, 5), warn=False)
     complexf = lift(Character(ComplexF(2.5, 0.5), ComplexF(-1.0),
                               ComplexF(0.75, 1.0)), warn=False)
     return [integer, sqrt21, SymPowerRep(sqrt21, 3), complexf]

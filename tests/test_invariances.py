@@ -6,8 +6,9 @@ the bit:
 
 * conjugation rho -> g rho g^-1 with g in SL2(Z) conjugates every Fox block
   of a symmetric power by Sym^N g, so det m is unchanged;
-* the other branch u -> 1/u of ``charvar.lift`` has the same character, and
-  is conjugate to the first for an irreducible one (det m unchanged);
+* the other branch u -> 1/u of ``charvar.trace_lift`` has the same
+  character, and is conjugate to the first for an irreducible one (det m
+  unchanged);
 * the dual rho -> (rho^-1)^T equals J rho J^-1 on SL2, a conjugation;
 * Galois conjugation sqrt d -> -sqrt d on a Q(sqrt d) lift conjugates
   det m;
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from torsioncert.charvar import Character, lift
+from torsioncert.charvar import Character, trace_lift
 from torsioncert.freegroup import Alphabet, Word
 from torsioncert.linalg import Matrix
 from torsioncert.representation import (Representation, SymPowerRep,
@@ -60,7 +61,7 @@ def base_of_kind(rng, kind):
     else:
         c = Character(rng.randint(-4, 4), rng.randint(-4, 4),
                       rng.choice((-7, -5, -3, 3, 5, 6, 7)))
-    base = lift(c, warn=False)
+    base = trace_lift(c, warn=False)
     assert base.scalar_kind == ("quadext" if kind == "quadext"
                                 else "rational")
     return base

@@ -12,6 +12,7 @@ from torsioncert.errors import (
     MixedScalarKind,
     NoRootFound,
     NotSL2,
+    NotSquare,
     NotTwoByTwo,
     ParseError,
     ReducibleOnly,
@@ -254,6 +255,11 @@ class TestCircleHomology:
 
     def test_negative_parabolic_gives_zero(self):
         assert circle_homology(Matrix([[-1, 1], [0, -1]])) == (0, 0)
+
+    def test_non_square_monodromy_is_a_typed_error(self):
+        for bad in (Matrix([[1, 2]]), [[1, 0], [0, 1]]):
+            with pytest.raises(NotSquare):
+                circle_homology(bad)
 
     def test_trace_dichotomy(self):
         rng = rng_for(23, 9)

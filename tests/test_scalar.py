@@ -1,19 +1,23 @@
 """Scalar tower: quadratic extensions, checked complex floats, zero tests."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from torsioncert import scalar as scalar_module
 from torsioncert.charvar import Character, lift
-from torsioncert.errors import (DivisionByZero, MixedExtension, NonFinite,
-                               ParseError)
+from torsioncert.errors import (DivisionByZero, FactorBound, MixedExtension,
+                               NonFinite, ParseError)
 from torsioncert.linalg import Matrix
 from torsioncert.polynomial import LaurentPoly
 from torsioncert.scalar import (
+    TRIAL_BOUND,
     ComplexF,
     QuadExt,
+    conic_point,
+    hilbert_symbol,
     kind_of,
     magnitude,
     parse_scalar,
@@ -249,6 +253,86 @@ class TestSqrtDecompose:
         assert sqrt_decompose(Fraction(-1)) == (1, -1)
         with pytest.raises(ValueError):
             sqrt_decompose(Fraction(0))
+
+
+    def test_trial_division_stops_at_its_bound(self):
+        # primes past the bound: one below its square, one square of one,
+        # and a product of two that trial division cannot split
+        p, q = 65537, 65539
+        assert p > TRIAL_BOUND and p * p > TRIAL_BOUND ** 2
+        assert sqrt_decompose(Fraction(12 * 4099 * 4111)) == \
+            (2, 3 * 4099 * 4111)
+        assert sqrt_decompose(Fraction(5 * p * p, 4)) == (Fraction(p, 2), 5)
+        with pytest.raises(FactorBound):
+            sqrt_decompose(p * q)
+        # (10^38 + 1)^2 - 4 gives up in well under a second
+        elapsed = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            with pytest.raises(FactorBound):
+                sqrt_decompose((10 ** 38 + 1) ** 2 - 4)
+            elapsed.append(time.perf_counter() - t0)
+        assert min(elapsed) < 0.5
+
+
+def _places(a, b):
+    """-1 and every prime dividing 2ab."""
+    n, primes, p = abs(2 * a * b), {-1}, 2
+    while n > 1:
+        while n % p == 0:
+            primes.add(p)
+            n //= p
+        p += 1
+    return primes
+
+
+class TestHilbertSymbol:
+    def test_known_symbols(self):
+        # the algebra of (5, 1, 21/5) is ramified at 2 and 233
+        assert [hilbert_symbol(21, 466, p) for p in (-1, 2, 3, 7, 233)] == \
+            [1, -1, 1, 1, -1]
+        # (-1, -1) is Hamilton's quaternions: ramified at infinity and 2
+        assert [hilbert_symbol(-1, -1, p) for p in (-1, 2, 3, 5)] == \
+            [-1, -1, 1, 1]
+        assert hilbert_symbol(2, 3, 3) == -1 and hilbert_symbol(5, 7, 5) == -1
+
+    def test_product_formula(self):
+        # Hilbert reciprocity: the product over every place is 1
+        for a in range(-40, 41):
+            for b in range(-40, 41, 3):
+                if a and b:
+                    prod = 1
+                    for p in _places(a, b):
+                        prod *= hilbert_symbol(a, b, p)
+                    assert prod == 1, (a, b)
+
+    def test_conic_points_agree_with_a_search(self):
+        # w^2 = a x^2 + b y^2 over |a|, |b| <= 20, searched to 20 in x, y
+        hits = 0
+        for a in range(-20, 21):
+            for b in range(-20, 21):
+                if not (a and b):
+                    continue
+                found = any(math.isqrt(v) ** 2 == v
+                            for x in range(21) for y in range(1, 21)
+                            for v in [a * x * x + b * y * y] if v >= 0)
+                point = conic_point(a, b)
+                assert (point is not None) == found, (a, b)
+                if point is not None:
+                    w, x, y = point
+                    assert w * w == a * x * x + b * y * y and y != 0
+                    hits += 1
+        assert 500 < hits < 1600
+
+    def test_conic_points_of_large_coefficients(self):
+        rng = rng_for(36, 3)
+        for _ in range(200):
+            a = rng.randint(-10 ** 6, 10 ** 6) or 1
+            b = rng.randint(-10 ** 6, 10 ** 6) or 1
+            point = conic_point(a, b)
+            if point is not None:
+                w, x, y = point
+                assert w * w == a * x * x + b * y * y and y != 0
 
 
 class TestComplexF:
