@@ -181,58 +181,55 @@ def split_lift(c):
     X = A a + (xbar w + 2 ybar), w = zbar - xbar ybar, and a point (X, s)
     of X^2 - A s^2 = 4 (kappa - 2) is a rational point of the conic
     (``scalar.conic_point``).  For A = 0 Delta is linear, and s is 0, 1
-    or 2.  Of those and the signs of X and s, the lift takes the entries
-    of least height.  Its traces are checked exactly (``LiftMismatch``),
-    and so is det y = 1 (``SingularImage``).
+    or 2.  Of those, or of the signs of X, the lift takes the a of least
+    height, and then the b.  Its traces are checked exactly
+    (``LiftMismatch``), and so is det y = 1 (``SingularImage``).
     """
     x, y, z = c.as_tuple()
-    den = math.lcm(x.denominator, y.denominator, z.denominator)
-    xn, yn, zn = x.numerator * (den // x.denominator), \
-        y.numerator * (den // y.denominator), \
-        z.numerator * (den // z.denominator)
-    disc = zn * zn - 4 * den * den
+    disc = z.numerator ** 2 - 4 * z.denominator ** 2
     if disc >= 0 and math.isqrt(disc) ** 2 == disc:
         return None
-    # kappa - 2 = kn / den^3
+    # over one denominator: x^2 - 4 = an / den^2, w = wn / den^2,
+    # x w + 2 ybar = hn / den^3 and kappa - 2 = kn / den^3
+    den = math.lcm(x.denominator, y.denominator, z.denominator)
+    xn, yn, zn = (v.numerator * (den // v.denominator) for v in (x, y, z))
     kn = den * (xn * xn + yn * yn + zn * zn) - xn * yn * zn - 4 * den ** 3
     if kn == 0:
         return None
-    w = z - x * y
-    half_b = x * w + 2 * y
-    big_a = x * x - 4
-    if big_a == 0:
-        # Delta(a) = 2 half_b a + w^2 - 4, and half_b != 0 off kappa = 2
-        points = [((t * t + 4 - w * w) / (2 * half_b), Fraction(t))
-                  for t in range(3)]
+    an = xn * xn - 4 * den * den
+    wn = zn * den - xn * yn
+    hn = xn * wn + 2 * yn * den * den
+    if an == 0:
+        # Delta(a) = 2 (x w + 2 ybar) a + w^2 - 4, and hn != 0 off kappa = 2
+        points = [(Fraction((t * t + 4) * den ** 4 - wn * wn, 2 * hn * den),
+                   Fraction(t)) for t in range(3)]
     else:
         # X^2 - A s^2 = 4 kn / den^3, times den^4 / 4
         try:
-            point = _s.conic_point(xn * xn - 4 * den * den, kn * den)
+            point = _s.conic_point(an, kn * den)
         except FactorBound:
             return None
         if point is None:
             return None
         pw, pu, pv = point
-        X, s = Fraction(2 * pw, pv * den * den), Fraction(2 * pu, pv * den)
-        points = [((X - half_b) / big_a, s), ((-X - half_b) / big_a, s)]
-    rows = []
-    for a, s in points:
-        k = z - x * (y - a)
-        for b in ((s - k) / 2, (-s - k) / 2):
-            rows.append([[a, b], [b + k, y - a]])
-    rows = min(rows, key=_height)
-    (a, b), (cy, d) = rows
+        s = Fraction(2 * pu, pv * den)
+        points = [(Fraction(sign * 2 * pw * den - hn * pv, pv * den * an), s)
+                  for sign in (1, -1)]
+    a, s = min(points, key=lambda p: _height(p[0]))
+    d = y - a
+    k = z - x * d
+    b = min((s - k) / 2, (-s - k) / 2, key=_height)
+    cy = b + k
     # tr xy of x = [[0, 1], [-1, xbar]]; det y = 1 is sl_flag's check
     if a + d != y or cy - b + x * d != z:
         raise LiftMismatch("the split lift of %r misses its traces" % (c,))
-    return Representation(_XY, [Matrix([[0, 1], [-1, x]]), Matrix(rows)],
-                          sl_flag=True)
+    return Representation(_XY, [Matrix([[0, 1], [-1, x]]),
+                                Matrix([[a, b], [cy, d]])], sl_flag=True)
 
 
-def _height(rows):
-    """The largest numerator or denominator among the entries."""
-    return max(max(abs(e.numerator), e.denominator)
-               for row in rows for e in row)
+def _height(q):
+    """The larger of the numerator's size and the denominator of q."""
+    return max(abs(q.numerator), q.denominator)
 
 
 def locus_det_with_scale(c, data, N=2):

@@ -192,8 +192,6 @@ def _legendre_descent(a, b):
         return 1, 1, 0
     if b == 1:
         return 1, 0, 1
-    if b == -1:
-        raise ValueError("the algebra (-1, -1) does not split over Q")
     r = _sqrt_mod(a, b)
     t, b0, _ = _signed_squarefree((r * r - a) // b)
     w, x, y = _legendre_descent(a, b0)
