@@ -254,7 +254,6 @@ class TestSqrtDecompose:
         with pytest.raises(ValueError):
             sqrt_decompose(Fraction(0))
 
-
     def test_trial_division_stops_at_its_bound(self):
         # primes past the bound: one below its square, one square of one,
         # and a product of two that trial division cannot split
