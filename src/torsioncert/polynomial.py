@@ -32,7 +32,9 @@ Dense univariate polynomials (coefficient lists, low degree first) serve
 the root finders: an integer primitive-PRS gcd for the Riley polynomial,
 the Newton run of the parabolic scan (which can stop inside the
 gamma-theorem basin of a root already found), a Horner root test with a
-rounding-error bound, and an Aberth-Ehrlich solver for all roots at once.
+rounding-error bound, an inclusion radius, an exact count of the roots
+left of a vertical line (a fraction-free Routh array), and an
+Aberth-Ehrlich solver for all roots at once.
 """
 
 import re as _re
@@ -829,15 +831,21 @@ def _newton_run(coeffs, dcoeffs, y, steps, rtol, basins):
             dv = dv * y + d
             v = v * y + c
         if dv == 0:
-            if k < watch and _in_basin(y, basins):
-                return None, y
+            if k < watch:
+                for r, rho in basins:
+                    if abs(y - r) < rho:
+                        return None, y
             break
         step = v / dv
         size = abs(step)
-        if k < watch and size < near and _in_basin(y, basins):
-            return None, y
+        if k < watch and size < near:
+            for r, rho in basins:
+                if abs(y - r) < rho:
+                    return None, y
         y = y - step
-        if size < rtol * max(1.0, abs(y)):
+        # max(1.0, |y|) without the builtin call, NaN included
+        ay = abs(y)
+        if size < rtol * (ay if ay > 1.0 else 1.0):
             break
     return y, None
 
@@ -897,6 +905,17 @@ def newton_basin_radius(coeffs, r):
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
+def _horner_bound(coeffs, y):
+    # the Horner value of coeffs at y and sum |c_i| |y|^i, its error scale
+    v = 0j
+    mag = 0.0
+    ay = abs(y)
+    for c in reversed(coeffs):
+        v = v * y + c
+        mag = mag * ay + abs(c)
+    return v, mag
+
+
 def horner_within_rounding(coeffs, y):
     """Whether the Horner value of ``coeffs`` (complex, low degree first) at
     ``y`` is within its rounding-error bound gamma_4n * sum |c_i| |y|^i, so
@@ -909,14 +928,80 @@ def horner_within_rounding(coeffs, y):
     exact to a factor 1 + delta with |delta| <= sqrt(2) gamma_2 (3.6),
     below gamma_3, so complex Horner has gamma_4n in place of gamma_2n.
     """
-    v = 0j
-    mag = 0.0
-    ay = abs(y)
-    for c in reversed(coeffs):
-        v = v * y + c
-        mag = mag * ay + abs(c)
+    v, mag = _horner_bound(coeffs, y)
     nu = 4 * (len(coeffs) - 1) * _UNIT_ROUNDOFF
     return abs(v) <= nu / (1 - nu) * mag
+
+
+def inclusion_radius(coeffs, dcoeffs, r):
+    """A radius around ``r`` within which the complex polynomial ``coeffs``
+    (low degree first, degree n, derivative ``dcoeffs``) has a root: an
+    upper bound on n |g(r)| / |g'(r)|; infinite when the bound on |g'(r)|
+    does not clear 0.
+
+    g'/g = sum_j 1 / (z - zeta_j) over the n roots zeta_j, so
+    |g'(r) / g(r)| <= n / min_j |r - zeta_j|.  Both values carry the
+    Horner rounding term of :func:`horner_within_rounding`, here with
+    gamma_8n, which also covers the rounding of the magnitude sums, of
+    ``abs`` and of integer coefficients past 2^53.
+    """
+    n = len(coeffs) - 1
+    v, mag = _horner_bound(coeffs, r)
+    dv, dmag = _horner_bound(dcoeffs, r)
+    nu = 8 * n * _UNIT_ROUNDOFF
+    nu = nu / (1 - nu)
+    lower = abs(dv) - nu * (abs(dv) + dmag)
+    if lower <= 0:
+        return float("inf")
+    return n * (abs(v) + nu * (abs(v) + mag)) / lower * (1 + nu)
+
+
+def left_root_count(g, a, k):
+    """The number of roots y of the integer polynomial ``g`` (low degree
+    first, nonzero leading coefficient), with multiplicity, such that
+    Re y < a / 2^k; None when the count is not decided at that line.
+
+    The roots of h(s) = 2^(kn) g((a + s) / 2^k), an integer polynomial,
+    are s = 2^k y - a, so the count is that of h in the open left
+    half-plane.  Routh's theorem (Gantmacher, *The Theory of Matrices*,
+    vol. 2, ch. XV, 6): when no entry of the first column of the Routh
+    array is zero, h has no root on the imaginary axis and as many roots
+    with Re s > 0 as that column has changes of sign.  A zero entry, which
+    a root on the line always makes, returns None.
+
+    The Routh array is Gaussian elimination on the Hurwitz matrix of h
+    (ibid.), so it runs fraction-free as Bareiss does: row i + 1 is
+    (row_i[0] row_(i-1)[j + 1] - row_(i-1)[0] row_i[j + 1]) / D_(i-2),
+    which divides exactly.  Row i >= 1 is then D_(i-1) times the Routh row,
+    with D_i, the i-th leading principal minor of the Hurwitz matrix (D_0 =
+    1), as its first entry; the Routh entry D_i / D_(i-1) has the sign of
+    D_i D_(i-1), the sign correction.
+    """
+    n = len(g) - 1
+    # h, high degree first, by Horner in s: h <- h (s + a) + g_i 2^(k (n - i))
+    h = [g[-1]]
+    for i in range(n - 1, -1, -1):
+        h = [x + a * y for x, y in zip(h + [0], [0] + h)]
+        h[-1] += g[i] << (k * (n - i))
+    top, row = h[0::2], h[1::2]
+    row += [0] * (len(top) - len(row))
+    positive = top[0] > 0
+    minor_positive = True
+    changes = 0
+    div = 1
+    for i in range(1, n + 1):
+        lead = row[0]
+        if lead == 0:
+            return None
+        was, positive = positive, (lead > 0) == minor_positive
+        changes += was != positive
+        minor_positive = lead > 0
+        if i < n:
+            nxt = [(lead * top[j + 1] - top[0] * row[j + 1]) // div
+                   for j in range(len(row) - 1)] + [0]
+            div = top[0] if i > 1 else 1
+            top, row = row, nxt
+    return n - changes
 
 
 # sweeps of the Aberth-Ehrlich iteration before it stops: simple roots

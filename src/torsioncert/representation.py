@@ -17,6 +17,7 @@ products on its rank-2 base and raises each one to Sym^N
 and inverse images only when they are read.
 """
 
+import math
 import string
 from functools import cached_property
 from itertools import product
@@ -31,7 +32,8 @@ from .freegroup import (Alphabet, GroupRingElem, Word, fox_sweep, parse_at,
                         read_sections)
 from .linalg import Matrix, sym_power
 from .polynomial import (_in_basin, _newton_run, horner_within_rounding,
-                         int_poly_gcd, newton_basin_radius)
+                         inclusion_radius, int_poly_gcd, left_root_count,
+                         newton_basin_radius)
 
 
 class Representation:
@@ -300,10 +302,66 @@ _GRID_LO = -4.0
 _GRID_HI = 4.0
 _GRID_STEP = 0.25
 
+# two iterates closer than this are one root
+_SAME_ROOT = 1e-7
 
-def parabolic_roots(pres):
+# a root y with |y| <= this is the reducible y = 0
+_REDUCIBLE_CUT = 1e-8
+
+# the early stop's line Re y = a / 2^_CUT_BITS lies at least 2^-_CUT_BITS
+# right of the requested root
+_CUT_BITS = 12
+
+
+def _reducible(y):
+    return _s.zero_test(y, tol=_REDUCIBLE_CUT)
+
+
+def _nonzero_root_bound(g):
+    # Cauchy: with h = g / y^m free of zero roots, every nonzero root of g
+    # has modulus at least |h_0| / (|h_0| + max_k>=1 |h_k|)
+    h = g[next(i for i, c in enumerate(g) if c):]
+    h0 = abs(h[0])
+    return h0 / (h0 + max(abs(c) for c in h[1:])) * (1 - 2.0 ** -50)
+
+
+def _place_proved(g, roots, radii, place, lower):
+    """The kept ``roots`` sorted through their ``place``-th irreducible
+    one, once every root of g left of a line just right of it is proved
+    kept, else None; ``radii`` are their inclusion radii and ``lower``
+    bounds the nonzero roots of g below.  See :func:`parabolic_roots`."""
+    order = sorted(range(len(roots)),
+                   key=lambda i: (roots[i].real, roots[i].imag))
+    irreducible = [i for i in order if not _reducible(roots[i])]
+    if len(irreducible) <= place:
+        return None
+    t = roots[irreducible[place]]
+    a = math.floor(t.real * 2 ** _CUT_BITS) + 2
+    c = a / 2 ** _CUT_BITS
+    left = []
+    for i in order:
+        y, rad = roots[i], radii[i]
+        if y.real >= c:
+            break
+        # a disk within the de-duplication distance, clear of the line,
+        # and holding y = 0 exactly when y counts as reducible
+        if not (rad <= _SAME_ROOT and (c - y.real) * (1 - 2.0 ** -52) > rad
+                and (abs(y) + rad < lower if _reducible(y)
+                     else abs(y) > rad)):
+            return None
+        for z, rz in left:
+            if abs(y - z) * (1 - 2.0 ** -50) <= rad + rz:
+                return None
+        left.append((y, rad))
+    if left_root_count(g, a, _CUT_BITS) != len(left):
+        return None
+    return [roots[i] for i in order[:order.index(irreducible[place]) + 1]]
+
+
+def parabolic_roots(pres, which=None):
     """All parameters y in the grid box making a ((1,1),(0,1)), ((1,0),(y,1))
-    pair kill the relator, sorted by (real, imaginary).
+    pair kill the relator, sorted by (real, imaginary); with ``which``, the
+    sorted roots up to the requested one, which ends the list.
 
     The roots are those of the Riley polynomial g, the gcd of the relator
     defect entries (:func:`riley_polynomial`); g divides every entry, so a
@@ -316,6 +374,34 @@ def parabolic_roots(pres):
     many roots as g has distinct roots, deg g - deg gcd(g, g'), counted
     exactly; a scan that ends with fewer raises ``IncompleteRootScan``
     rather than return a short list.
+
+    ``which`` asks for the ``which``-th irreducible root (|y| > 1e-8) in
+    that order, read modulo the number of irreducible roots.  The scan then
+    stops as soon as that root's place is proved, and returns the roots it
+    kept, sorted, through the requested one.  A prefix of the scan keeps
+    the same bits, so the requested root is the one of the full list.  The
+    stop is tried after each newly kept root when g is squarefree and
+    Cauchy's lower bound on the moduli of its nonzero roots clears the
+    1e-8 cut; ``which`` is then read modulo the exact number of nonzero
+    roots, the distinct roots less one when g(0) = 0.  The candidate t is
+    the ``which``-th irreducible kept root, and c = a / 2^12 the dyadic
+    line with 2^-12 <= c - Re t <= 2^-11.  Each kept root r left of c has
+    the inclusion radius n |g(r)| / |g'(r)| of
+    :func:`~torsioncert.polynomial.inclusion_radius`, within which g has a
+    root.  These disks must have radius at most 1e-7, be pairwise
+    disjoint, stay left of the line, and hold y = 0 exactly when their
+    root counts as reducible.  Then each holds a root of g, no two the
+    same.  If the exact number of roots of g with Re y < c
+    (:func:`~torsioncert.polynomial.left_root_count`) equals the number
+    of these disks, each holds exactly one, and g has no other root left
+    of c.  Every root before t in the sorted order is left of c, so the
+    kept roots before t are all of them, one float each, reducible or not
+    as the full list has them: t's place among the irreducible roots is
+    final.  On every K(p/q) with odd q and p <= 47 whose full scan
+    returns, the requested root equals the full list's pick by float hex
+    for every ``which``.  The 1e-7 cap keeps the stop off roots as
+    ill-conditioned as K(37/1)'s leftmost ones, whose radii are 0.02 to
+    0.09, so that scan still raises.
 
     Each kept root r also gets a basin radius rho_r, half of Smale's
     gamma-theorem radius (:func:`~torsioncert.polynomial.newton_basin_radius`;
@@ -371,7 +457,15 @@ def parabolic_roots(pres):
     coeffs = [complex(c) for c in g]
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     squarefree = distinct == len(g) - 1
+    # the early stop: the requested place among the nonzero roots
+    place = None
+    nonzero = distinct - (g[0] == 0)
+    if which is not None and squarefree and nonzero:
+        lower = _nonzero_root_bound(g)
+        if lower > _REDUCIBLE_CUT:
+            place = which % nonzero
     roots = []
+    radii = []
     basins = []
     # start -> the iterate at which a basin stopped its run, for the starts
     # below the real axis
@@ -392,7 +486,7 @@ def parabolic_roots(pres):
         if not (_GRID_LO - 1e-6 <= y.real <= _GRID_HI + 1e-6 and
                 _GRID_LO - 1e-6 <= y.imag <= _GRID_HI + 1e-6):
             continue
-        if any(abs(y - r) < 1e-7 for r in roots):
+        if any(abs(y - r) < _SAME_ROOT for r in roots):
             continue
         if horner_within_rounding(coeffs, y):
             roots.append(y)
@@ -400,11 +494,22 @@ def parabolic_roots(pres):
                 break
             if squarefree:
                 basins.append((y, newton_basin_radius(coeffs, y)))
+            if place is not None:
+                radii.append(inclusion_radius(coeffs, dcoeffs, y))
+                proved = _place_proved(g, roots, radii, place, lower)
+                if proved is not None:
+                    return proved
     if len(roots) < distinct:
         raise IncompleteRootScan(
             "the grid scan kept %d of the %d distinct roots of the Riley "
             "polynomial" % (len(roots), distinct))
-    return sorted(roots, key=lambda z: (z.real, z.imag))
+    roots.sort(key=lambda z: (z.real, z.imag))
+    if which is not None:
+        irreducible = [y for y in roots if not _reducible(y)]
+        if irreducible:
+            t = irreducible[which % len(irreducible)]
+            return roots[:roots.index(t) + 1]
+    return roots
 
 
 def solve_parabolic(pres, which=0):
@@ -412,16 +517,14 @@ def solve_parabolic(pres, which=0):
     one-relator presentation with meridional generators.
 
     Images are [[1,1],[0,1]] and [[1,0],[y,1]] (traces exactly 2 by
-    construction) with y the ``which``-th root from :func:`parabolic_roots`;
-    irreducible roots only.
+    construction) with y the ``which``-th irreducible root of
+    :func:`parabolic_roots`, counted modulo their number: the last root of
+    ``parabolic_roots(pres, which)``, whose scan stops once that root's
+    place is proved.
     """
-    roots = parabolic_roots(pres)
-    irreducible = [y for y in roots if not _s.zero_test(y, tol=1e-8)]
-    if not irreducible:
-        if roots:
-            raise ReducibleOnly("every root shares an eigenvector (y = 0)")
-        raise NoRootFound("no parabolic parameter found in the grid")
-    y = irreducible[which % len(irreducible)]
+    y = parabolic_roots(pres, which)[-1]
+    if _reducible(y):
+        raise ReducibleOnly("every root shares an eigenvector (y = 0)")
     A = Matrix([[_s.ComplexF(1), _s.ComplexF(1)],
                 [_s.ComplexF(0.0), _s.ComplexF(1)]])
     B = Matrix([[_s.ComplexF(1), _s.ComplexF(0.0)],

@@ -24,11 +24,19 @@ A scan that ends with fewer roots than the Riley polynomial has distinct
 roots raises; K(37/1), the first knot where the grid misses a root, must,
 and K(37/1) and K(47/3) must raise the same message as the copy.
 
+Asked for one root, the scan stops once that root's place is proved.
+``solve_parabolic`` must take the root that the full list gives, by float
+hex, for every ``which`` on every K(p/q) with odd q and p <= 21 and on the
+sixteen knots above, and on those sixteen the scans must make at most 60%
+of the full scans' Newton runs.  The early stop leans on inclusion radii,
+which must rule out the non-root that the full scan keeps on K(41/37).
+
 To re-record after a deliberate change of the roots::
 
     PYTHONPATH=src python tests/test_parabolic_roots.py
 
-To compare the scan with both copies on every K(p/q) with odd q and
+To compare the scan with both copies, and ``solve_parabolic`` for every
+``which`` with the full list's pick, on every K(p/q) with odd q and
 p <= 47, with Newton-run counts, writing nothing::
 
     PYTHONPATH=src python tests/test_parabolic_roots.py --census 47
@@ -48,9 +56,10 @@ from torsioncert.errors import IncompleteRootScan, NoRootFound
 from torsioncert.freegroup import Alphabet, Word
 from torsioncert.linalg import grid_mul
 from torsioncert.polynomial import (MultiPoly, _newton_run,
-                                    horner_within_rounding, int_poly_gcd,
-                                    mp_gcd, newton_basin_radius)
-from torsioncert.representation import parabolic_roots, riley_polynomial
+                                    horner_within_rounding, inclusion_radius,
+                                    int_poly_gcd, mp_gcd, newton_basin_radius)
+from torsioncert.representation import (parabolic_roots, riley_polynomial,
+                                        solve_parabolic)
 from torsioncert.twisted import Presentation, presentation_from_text
 
 from helpers import two_bridge_relator
@@ -196,9 +205,9 @@ def reference_scan(pres, radii=True):
     return outcome(roots, distinct), runs
 
 
-def counted_scan(pres):
-    """The :func:`outcome` of ``parabolic_roots`` on pres and the number of
-    Newton runs it made."""
+def counted(fn):
+    """The result of fn() and the number of Newton runs it made; the
+    message of the IncompleteRootScan in place of a result that raised."""
     runs = 0
     run = representation._newton_run
 
@@ -209,11 +218,31 @@ def counted_scan(pres):
 
     representation._newton_run = counting
     try:
-        return hex_roots(pres), runs
+        return fn(), runs
     except IncompleteRootScan as exc:
         return str(exc), runs
     finally:
         representation._newton_run = run
+
+
+def counted_scan(pres):
+    """The :func:`outcome` of ``parabolic_roots`` on pres and the number of
+    Newton runs it made."""
+    return counted(lambda: hex_roots(pres))
+
+
+def full_pick(roots, which):
+    """The float hex of the ``which``-th irreducible root of the full list
+    ``roots``, counted modulo their number, as ``solve_parabolic`` took it
+    before the early stop."""
+    irreducible = [y for y in roots if abs(y) > 1e-8]
+    y = irreducible[which % len(irreducible)]
+    return y.real.hex(), y.imag.hex()
+
+
+def solved_pick(pres, which):
+    y = complex(solve_parabolic(pres, which).images[1][1, 0])
+    return y.real.hex(), y.imag.hex()
 
 
 @pytest.mark.parametrize("p,q", BASIN_CENSUS)
@@ -298,15 +327,88 @@ def test_a_short_scan_raises_rather_than_return_a_short_list(tmp_path,
                        "roots of the Riley polynomial\n")
 
 
+@pytest.mark.parametrize("p,q", BASIN_CENSUS)
+def test_solve_parabolic_takes_the_full_lists_root(p, q):
+    pres = _two_bridge(p, q)
+    roots = parabolic_roots(pres)
+    for which in range(len(riley_polynomial(pres.relators[0]))):
+        assert solved_pick(pres, which) == full_pick(roots, which)
+
+
+@pytest.mark.parametrize("name", sorted(knots()))
+def test_solve_parabolic_takes_the_full_lists_root_on_bench_knots(name):
+    pres = knots()[name]
+    roots = parabolic_roots(pres)
+    for which in range(16):
+        assert solved_pick(pres, which) == full_pick(roots, which)
+
+
+def test_the_early_stop_fires():
+    # the bench's parabolic inputs ask for which = 0..15; the scans make
+    # about 41% of the full scans' Newton runs
+    runs = full = 0
+    for pres in knots().values():
+        full += 16 * counted(lambda: parabolic_roots(pres))[1]
+        for which in range(16):
+            roots, n = counted(lambda: parabolic_roots(pres, which))
+            assert len(roots) <= len(parabolic_roots(pres))
+            runs += n
+    assert runs <= 0.6 * full
+
+
+def test_an_early_list_ends_at_the_requested_root():
+    # K(17/1) asked for its first root stops after keeping a few of its 8
+    pres = _two_bridge(17, 1)
+    full = parabolic_roots(pres)
+    short = parabolic_roots(pres, 0)
+    assert len(short) < len(full)
+    assert short == full[:len(short)]
+    assert (short[-1].real.hex(), short[-1].imag.hex()) == full_pick(full, 0)
+
+
+def test_the_inclusion_radius_rules_out_a_kept_non_root():
+    # on K(41/37) the full scan keeps 3.6305315927197843 among 20 of 20
+    # distinct roots, though every root of g is 0.0231 away from it; its
+    # inclusion radius is far above the 1e-7 that the early stop allows
+    pres = _two_bridge(41, 37)
+    y = complex(3.6305315927197843, 0.0)
+    assert y in parabolic_roots(pres)
+    g = riley_polynomial(pres.relators[0])
+    coeffs = [complex(c) for c in g]
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    assert inclusion_radius(coeffs, dcoeffs, y) > 1e-7
+
+
+def solve_census(pres):
+    """For every ``which`` from 0 to deg g: whether ``solve_parabolic``
+    takes the full list's root (on a short full scan, whether it raises
+    too), with the Newton runs of the solves and of the full scans."""
+    full, full_runs = counted(lambda: parabolic_roots(pres))
+    agree = 0
+    runs = 0
+    whiches = range(len(riley_polynomial(pres.relators[0])))
+    for which in whiches:
+        pick, n = counted(lambda: solved_pick(pres, which))
+        runs += n
+        agree += pick == (full if isinstance(full, str)
+                          else full_pick(full, which))
+    return agree, len(whiches), runs, len(whiches) * full_runs
+
+
 def print_census(top):
     """Print, for every K(p/q) with odd q and p <= top, whether the scan
     agrees bit for bit with the scan before the mirror reuse (mirror),
     whether that scan agrees with the scan without basins (basin), the
-    Newton runs of the scan and of the scan before the mirror reuse, and
-    the IncompleteRootScan message where there is one."""
+    Newton runs of the scan and of the scan before the mirror reuse, the
+    ``which`` from 0 to deg g on which ``solve_parabolic`` takes another
+    root than the full list's, or returns where the full scan raises
+    (solve), the Newton runs of those solves against as many full scans,
+    and the IncompleteRootScan message where there is one."""
     totals = [0, 0, 0, 0]
+    solves = [0, 0, 0, 0]
+    short = 0
     knots_ = census(top)
-    print("knot      mirror basin  runs  unmirrored")
+    print("knot      mirror basin  runs  unmirrored solve  runs  full")
     for p, q in knots_:
         pres = _two_bridge(p, q)
         roots, runs = counted_scan(pres)
@@ -315,13 +417,23 @@ def print_census(top):
         basin = reference == reference_scan(pres, radii=False)[0]
         for i, x in enumerate((mirror, basin, runs, reference_runs)):
             totals[i] += x
-        print("%-9s %-6s %-6s %5d %6d  %s"
+        solve = solve_census(pres)
+        for i, x in enumerate(solve):
+            solves[i] += x
+        if isinstance(roots, str):
+            short += solve[1] - solve[0]
+        print("%-9s %-6s %-6s %5d %6d     %5d %6d %6d  %s"
               % ("K(%d/%d)" % (p, q), mirror, basin, runs, reference_runs,
+                 solve[1] - solve[0], solve[2], solve[3],
                  roots if isinstance(roots, str) else ""))
     print("%d knots: mirror agrees on %d, basin on %d; %d runs against %d "
           "unmirrored (%.1f%%)" % (len(knots_), totals[0], totals[1],
                                    totals[2], totals[3],
                                    100 * totals[2] / totals[3]))
+    print("%d solves: %d take another root than the full list's, %d return "
+          "where the full scan raises; %d runs against %d in full scans "
+          "(%.1f%%)" % (solves[1], solves[1] - solves[0] - short, short,
+                        solves[2], solves[3], 100 * solves[2] / solves[3]))
 
 
 if __name__ == "__main__":

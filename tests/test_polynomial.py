@@ -16,9 +16,11 @@ from torsioncert.polynomial import (
     MultiPoly,
     aberth_roots,
     horner_within_rounding,
+    inclusion_radius,
     int_poly_gcd,
     laurent_str,
     laurent_unit_match,
+    left_root_count,
     mp_divexact,
     mp_gcd,
     multi_str,
@@ -550,6 +552,61 @@ class TestDenseUnivariate:
             for r in polished:
                 assert_matches_one(r, oracle)
             assert oracle == []
+
+    def test_left_root_count_matches_an_oracle(self):
+        # seeded integer polynomials of degree 1..23 at dyadic lines,
+        # against the real parts of mpmath's roots
+        mpmath = pytest.importorskip("mpmath")
+        rng = rng_for(37, 23)
+        decided = tried = 0
+        for deg in range(1, 24):
+            g = [rng.randint(-9, 9) for _ in range(deg)] + [
+                rng.choice((-3, -2, -1, 1, 2, 3))]
+            reals = [float(mpmath.re(r)) for r in mpmath.polyroots(
+                g[::-1], maxsteps=200, extraprec=60)]
+            for k in (0, 3, 12):
+                for _ in range(4):
+                    a = rng.randint(-3 << k, 3 << k)
+                    c = a / 2 ** k
+                    if any(abs(x - c) < 1e-9 for x in reals):
+                        continue
+                    tried += 1
+                    count = left_root_count(g, a, k)
+                    if count is not None:
+                        decided += 1
+                        assert count == sum(x < c for x in reals), (g, a, k)
+        assert decided >= 0.9 * tried
+
+    def test_left_root_count_decides_nothing_on_the_line(self):
+        # y^2 + 1 has both roots on Re y = 0, y^2 - 1 one root on each side
+        # but a zero entry in its Routh column
+        assert left_root_count([1, 0, 1], 0, 0) is None
+        assert left_root_count([-1, 0, 1], 0, 0) is None
+        assert left_root_count([-1, 0, 1], 1, 1) == 1
+        assert left_root_count([1, 0, 1], 1, 4) == 2
+        assert left_root_count([1, 0, 1], -1, 4) == 0
+        assert left_root_count([5], 0, 0) == 0
+
+    def test_inclusion_radius_holds_a_root(self):
+        # near each root of a seeded polynomial, and at the root's float,
+        # the disk of the inclusion radius holds a root
+        mpmath = pytest.importorskip("mpmath")
+        rng = rng_for(41, 23)
+        for deg in (1, 4, 9, 16):
+            g = [rng.randint(-9, 9) for _ in range(deg)] + [1]
+            roots = [complex(r) for r in mpmath.polyroots(
+                g[::-1], maxsteps=200, extraprec=60)]
+            coeffs = [complex(c) for c in g]
+            dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+            for r in roots:
+                for e in (0.0, 1e-12, 1e-6 * (1 + 1j), 0.1j):
+                    y = r + e
+                    rad = inclusion_radius(coeffs, dcoeffs, y)
+                    assert min(abs(y - z) for z in roots) <= rad
+                assert inclusion_radius(coeffs, dcoeffs, r) < 1e-6
+        # at a double root the derivative bound does not clear 0
+        assert inclusion_radius([1 + 0j, -2 + 0j, 1 + 0j], [-2 + 0j, 2 + 0j],
+                                1 + 0j) == float("inf")
 
     def test_aberth_roots_of_a_polynomial_with_only_zero_roots(self):
         assert aberth_roots([0j, 0j, 0j, 2 + 0j]) == [0j, 0j, 0j]
